@@ -143,6 +143,8 @@ def main(argv=None):
     parser.add_argument("--shadow", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
+    if min(args.samples_q2, args.samples_q3, args.shadow) < 1:
+        parser.error("--samples-q2, --samples-q3 and --shadow must be at least 1")
     cfg = Config(
         samples_q2=args.samples_q2,
         samples_q3=args.samples_q3,

@@ -183,7 +183,7 @@ def line_map_from_grassmap(gf: GrassmapFile) -> LineMap:
 
 def cmd_stats(args) -> int:
     sp = build_space(args.n, args.q)
-    sets = sp.line_point_sets
+    sets = sp.line_sets
     first = sets[0]
     degree = sum(1 for b in range(1, len(sets)) if first & sets[b])
     plane_id = planes_through_point(sp, 0)[0]
@@ -255,6 +255,8 @@ def cmd_check(args) -> int:
 
 
 def _verify_population(args, sp) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     kinds = [InstanceKind.COLLINEATION]
     if sp.n == 3:
         kinds.append(InstanceKind.DUALITY)

@@ -12,7 +12,6 @@ group order is exact without materializing the group.
 """
 
 import dataclasses
-import weakref
 
 from .errors import BudgetExceeded, FormatError, TooLarge
 
@@ -24,7 +23,6 @@ DEFAULT_NODE_BUDGET = 2_000_000
 class GrassmannSpace:
     space: object
     neighbors: tuple  # frozenset of line ids per line, diagonal excluded
-    masks: tuple  # same adjacency as int bitmasks
 
     def line_count(self):
         return len(self.neighbors)
@@ -46,32 +44,20 @@ class AutomorphismReport:
     base: tuple  # vertices fixed along the first path
 
 
-_CACHE = weakref.WeakKeyDictionary()
-
-
 def build_grassmann(sp) -> GrassmannSpace:
-    """Adjacency of the line-intersection graph of a space (cached per space)."""
-    g = _CACHE.get(sp)
-    if g is not None:
-        return g
-    sets = sp.line_point_sets
-    count = len(sets)
-    neighbors = []
-    masks = [0] * count
-    for a in range(count):
-        sa = sets[a]
-        row = set()
-        for b in range(count):
-            if b != a and sa & sets[b]:
-                row.add(b)
-                masks[a] |= 1 << b
-        neighbors.append(frozenset(row))
-    g = GrassmannSpace(space=sp, neighbors=tuple(neighbors), masks=tuple(masks))
-    expected = g.degree()
-    for a, row in enumerate(neighbors):
-        assert len(row) == expected, f"line {a} has degree {len(row)}"
-    _CACHE[sp] = g
-    return g
+    """Adjacency of the line-intersection graph of a space (cached on it)."""
+    if sp._grassmann is None:
+        through = sp.lines_through
+        neighbors = tuple(
+            frozenset(b for p in s for b in through[p]) - {a}
+            for a, s in enumerate(sp.line_sets)
+        )
+        g = GrassmannSpace(space=sp, neighbors=neighbors)
+        expected = g.degree()
+        for a, row in enumerate(neighbors):
+            assert len(row) == expected, f"line {a} has degree {len(row)}"
+        sp._grassmann = g
+    return sp._grassmann
 
 
 def related(g: GrassmannSpace, a: int, b: int) -> bool:
@@ -151,8 +137,9 @@ def adjacency_from_edges(v_count: int, edges) :
 
 
 def _as_masks(g):
+    """Neighbor bitmasks of a GrassmannSpace, or a mask sequence as a tuple."""
     if isinstance(g, GrassmannSpace):
-        return g.masks
+        return tuple(sum(1 << b for b in row) for row in g.neighbors)
     return tuple(g)
 
 

@@ -41,10 +41,6 @@ def mat_vec(f, vec, mat):
     return tuple(out)
 
 
-def mat_mul(f, a, b):
-    return tuple(mat_vec(f, row, b) for row in a)
-
-
 def apply_auto(f, j, vec):
     """Apply the j-th field automorphism coordinatewise."""
     perm = f.automorphisms[j]

@@ -1,22 +1,25 @@
 """Point maps, line maps, and the machinery connecting the two.
 
-A point map carries four checkable properties: injectivity, surjectivity,
-preservation of collinearity, preservation of non-collinearity.  The four
-flags classify it as a collineation, semicollineation, embedding, or
-other.  Line maps arise either by joining point images or, in dimension
-3, from dualities via annihilator subspaces.  Reconstruction goes the
-opposite way: a bijective intersection-preserving line map determines a
-point map through the common points (or, for dualities, common planes) of
-its star images.
+A point map runs between two incidence cores (`IncidenceStructure`,
+which a `ProjSpace` is) and carries four checkable properties:
+injectivity, surjectivity, preservation of collinearity, preservation of
+non-collinearity.  The four flags classify it as a collineation,
+semicollineation, embedding, or other.  Line maps arise either by joining
+point images or, in dimension 3, from dualities via annihilator
+subspaces.  Reconstruction goes the opposite way: a bijective
+intersection-preserving line map determines a point map through the
+common points (or, for dualities, common planes) of its star images.
 
-Degenerate-triple rule: when a triple of point images is not pairwise
-distinct it counts as a collinear image, so constant maps fail
-non-collinearity preservation and honest embeddings are unaffected.
+Both preservation properties are decided exactly from lines, at every
+size.  They are defined on triples of pairwise distinct source points,
+with the degenerate-triple rule: an image triple that is not pairwise
+distinct counts as collinear, so constant maps fail non-collinearity
+preservation and honest embeddings are unaffected.  See
+`check_properties` for the line rule that decides them.
 """
 
 import dataclasses
 import enum
-from itertools import combinations
 
 from .errors import (
     BadConfiguration,
@@ -28,6 +31,7 @@ from .errors import (
 from .grassmann import build_grassmann
 from .linalg import apply_auto, is_invertible, mat_vec, normalize, nullspace
 from .projspace import (
+    IncidenceStructure,
     ProjSpace,
     dual_space,
     join,
@@ -41,11 +45,6 @@ from .projspace import (
     star,
     subspace_points,
 )
-from .rng import SplitMix64
-
-EXHAUSTIVE_POINT_LIMIT = 50
-TRIPLE_SAMPLE_COUNT = 100_000
-TRIPLE_SAMPLE_SEED = 0x1CEB00DA
 
 
 class MapKind(enum.Enum):
@@ -85,28 +84,15 @@ class Duality:
     auto_index: int = 0
 
 
-def _point_labels(space):
-    if isinstance(space, ProjSpace):
-        return range(len(space.points))
-    return space.point_labels
-
-
-def _collinear_in(space, a, b, c):
-    # callers guarantee a, b, c pairwise distinct
-    if isinstance(space, ProjSpace):
-        lid = space.pair_line[(a, b) if a < b else (b, a)]
-        return c in space.line_point_sets[lid]
-    return space.collinear(a, b, c)
-
-
 @dataclasses.dataclass(eq=False)
 class PointMap:
-    source: object
-    target: object
+    source: IncidenceStructure
+    target: IncidenceStructure
     image: dict
 
     def __post_init__(self):
-        assert set(self.image) == set(_point_labels(self.source)), "table not total"
+        if set(self.image) != set(self.source.point_labels):
+            raise PreconditionViolated("point map table is not total on the source")
 
     def apply(self, p):
         return self.image[p]
@@ -120,7 +106,8 @@ class LineMap:
     dual: bool = False  # images meant as lines of the target's dual space
 
     def __post_init__(self):
-        assert set(self.image) == set(range(len(self.source.lines))), "table not total"
+        if set(self.image) != set(range(len(self.source.lines))):
+            raise PreconditionViolated("line map table is not total on the source")
 
     def apply(self, l):
         return self.image[l]
@@ -143,19 +130,33 @@ class KappaReport:
     unresolved_points: frozenset
 
 
+def _require_coordinates(sp, sp2, what):
+    if not (isinstance(sp, ProjSpace) and isinstance(sp2, ProjSpace)):
+        raise IncompatibleSpaces(f"{what} act between coordinate spaces")
+
+
+def _check_semilinear(sp, t):
+    """Reject a transformation whose matrix or automorphism does not fit sp."""
+    m = sp.n + 1
+    if len(t.matrix) != m or any(len(row) != m for row in t.matrix):
+        raise BadConfiguration(f"{type(t).__name__} of {sp!r} needs a {m}x{m} matrix")
+    if not is_invertible(sp.field, t.matrix):
+        raise BadConfiguration(f"{type(t).__name__} matrix must be invertible")
+    if not 0 <= t.auto_index < len(sp.field.automorphisms):
+        raise BadConfiguration(
+            f"automorphism index {t.auto_index} out of range for GF({sp.q})"
+        )
+
+
 def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
     """Point action P -> normalize(auto(P) . matrix) between equal-type spaces."""
-    if not isinstance(sp, ProjSpace) or not isinstance(sp2, ProjSpace):
-        raise IncompatibleSpaces("collineations act between coordinate spaces")
+    _require_coordinates(sp, sp2, "collineations")
     if sp.n != sp2.n or sp.q != sp2.q:
         raise IncompatibleSpaces(
             f"cannot map PG({sp.n},{sp.q}) onto PG({sp2.n},{sp2.q}) linearly"
         )
+    _check_semilinear(sp, c)
     f = sp.field
-    m = sp.n + 1
-    assert len(c.matrix) == m and all(len(row) == m for row in c.matrix)
-    assert is_invertible(f, c.matrix), "collineation matrix must be invertible"
-    assert 0 <= c.auto_index < len(f.automorphisms)
     image = {}
     for pt in sp.points:
         vec = apply_auto(f, c.auto_index, pt.coords)
@@ -171,15 +172,14 @@ def induced_line_map(pm: PointMap) -> LineMap:
     choice of spanning pair does not matter.
     """
     sp, sp2 = pm.source, pm.target
-    assert isinstance(sp, ProjSpace) and isinstance(sp2, ProjSpace)
+    _require_coordinates(sp, sp2, "induced line maps")
     image = {}
     for line in sp.lines:
         imgs = [pm.image[p] for p in line.point_ids]
         if len(set(imgs)) != len(imgs):
             raise NotLineConsistent(f"line {line.id}: point images collapse")
-        a, b = imgs[0], imgs[1]
-        lid = sp2.pair_line[(a, b) if a < b else (b, a)]
-        pts = sp2.line_point_sets[lid]
+        lid = sp2.joins[(imgs[0], imgs[1])]
+        pts = sp2.line_sets[lid]
         for x in imgs[2:]:
             if x not in pts:
                 raise NotLineConsistent(f"line {line.id}: point images not collinear")
@@ -194,9 +194,8 @@ def duality_line_map(d: Duality, sp, sp2) -> LineMap:
         raise IncompatibleSpaces("dualities need 3-dimensional spaces")
     if sp.q != sp2.q:
         raise IncompatibleSpaces(f"field orders differ: {sp.q} vs {sp2.q}")
+    _check_semilinear(sp, d)
     f = sp.field
-    assert is_invertible(f, d.matrix), "duality matrix must be invertible"
-    assert 0 <= d.auto_index < len(f.automorphisms)
     image = {}
     for line in sp.lines:
         rows = [
@@ -214,6 +213,7 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     """Point -> plane-id table of a duality (annihilator planes)."""
     if sp.n != 3 or sp2.n != 3 or sp.q != sp2.q:
         raise IncompatibleSpaces("dualities need equal-order 3-dimensional spaces")
+    _check_semilinear(sp, d)
     f = sp.field
     table = {}
     for pt in sp.points:
@@ -230,52 +230,44 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     return table
 
 
-def _sampled_triples(points):
-    rng = SplitMix64(TRIPLE_SAMPLE_SEED)
-    count = len(points)
-    produced = 0
-    while produced < TRIPLE_SAMPLE_COUNT:
-        i = rng.below(count)
-        j = rng.below(count)
-        k = rng.below(count)
-        if i == j or i == k or j == k:
-            continue
-        produced += 1
-        yield points[i], points[j], points[k]
+def _collinear_set(space, pts):
+    """Whether a set of points has at most two members or lies on one line."""
+    if len(pts) <= 2:
+        return True
+    sets = space.line_sets
+    return any(pts <= sets[i] for i in space.lines_through[next(iter(pts))])
 
 
 def check_properties(pm: PointMap) -> PropertyFlags:
-    """Evaluate the four point-map properties.
+    """Evaluate the four point-map properties exactly, from lines.
 
-    Exhaustive over all unordered triples up to 50 source points; larger
-    sources sample a fixed number of triples from a fixed-seed generator,
-    so results stay reproducible.
+    Call a point set collinear when it has at most two points or lies on
+    one line.  Collinearity is preserved exactly when every source line's
+    image set is collinear.  Non-collinearity is preserved exactly when the
+    map is injective or the whole source is one collinear set, and every
+    target line's preimage is collinear.  On partial linear spaces (two
+    points share at most one line: every structure this package builds)
+    both rules agree with the definitions over all triples, degenerate
+    images counting as collinear.  The cost is one pass over the lines of
+    each side.
     """
-    source_pts = list(_point_labels(pm.source))
-    values = list(pm.image.values())
-    injective = len(set(values)) == len(values)
-    surjective = set(values) == set(_point_labels(pm.target))
-    col_ok = True
-    noncol_ok = True
-    if len(source_pts) <= EXHAUSTIVE_POINT_LIMIT:
-        triples = combinations(source_pts, 3)
+    source, target, img = pm.source, pm.target, pm.image
+    values = set(img.values())
+    injective = len(values) == len(img)
+    surjective = values == set(target.point_labels)
+    col_ok = all(
+        _collinear_set(target, {img[p] for p in s}) for s in source.line_sets
+    )
+    if _collinear_set(source, set(source.point_labels)):
+        noncol_ok = True  # no non-collinear triple to preserve
+    elif not injective:
+        noncol_ok = False
     else:
-        triples = _sampled_triples(source_pts)
-    img = pm.image
-    for a, b, c in triples:
-        src_col = _collinear_in(pm.source, a, b, c)
-        x, y, z = img[a], img[b], img[c]
-        if x == y or x == z or y == z:
-            img_col = True
-        else:
-            img_col = _collinear_in(pm.target, x, y, z)
-        if src_col:
-            if not img_col:
-                col_ok = False
-        elif img_col:
-            noncol_ok = False
-        if not col_ok and not noncol_ok:
-            break
+        inverse = {x: p for p, x in img.items()}
+        noncol_ok = all(
+            _collinear_set(source, {inverse[x] for x in s if x in inverse})
+            for s in target.line_sets
+        )
     return PropertyFlags(injective, surjective, col_ok, noncol_ok)
 
 
@@ -346,7 +338,7 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
     for pid in range(len(sp.points)):
         family = [lm.image[l] for l in star(sp, pid)]
         common_pts = frozenset.intersection(
-            *(sp2.line_point_sets[l] for l in family)
+            *(sp2.line_sets[l] for l in family)
         )
         if common_pts:
             assert len(common_pts) == 1
@@ -398,7 +390,7 @@ def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
         raise PreconditionViolated("kappa and line map disagree on the source")
     src_struct = quotient(lm.source, q_point)
     centre_image = kappa.image[q_point]
-    if isinstance(kappa.target, ProjSpace):
+    if kappa.target is lm.target:
         tgt_struct = quotient(lm.target, centre_image)
     else:
         tgt_struct = plane_quotient(lm.target, centre_image)
@@ -442,7 +434,7 @@ def pencil_image_is_pencil(lm: LineMap, q_point: int, eps) -> bool:
     if len(images) != len(source_pencil):
         return False
     sp2 = lm.target
-    common_pts = frozenset.intersection(*(sp2.line_point_sets[l] for l in images))
+    common_pts = frozenset.intersection(*(sp2.line_sets[l] for l in images))
     if len(common_pts) != 1:
         return False
     centre = next(iter(common_pts))
@@ -468,9 +460,9 @@ def intersection_compatibility_check(
     """
     sp = lm.source
     plane_pts = subspace_points(sp, eps)
-    if not sp.line_point_sets[a] <= plane_pts:
+    if not sp.line_sets[a] <= plane_pts:
         raise BadConfiguration(f"line {a} does not lie in the given plane")
-    if q_point in sp.line_point_sets[a]:
+    if q_point in sp.line_sets[a]:
         raise BadConfiguration(f"point {q_point} must not lie on line {a}")
     assert kappa is not None
     sp2 = lm.target

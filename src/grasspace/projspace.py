@@ -1,9 +1,15 @@
-"""Finite projective spaces PG(n, q) with canonical ids.
+"""Finite projective spaces PG(n, q) on one incidence core.
 
-Points are the 1-dimensional subspaces of GF(q)^(n+1), represented by the
-unique coordinate vector whose leftmost nonzero entry is 1.  Lines are the
-2-dimensional subspaces, planes the 3-dimensional ones; all are stored as
-reduced-row-echelon bases.
+`IncidenceStructure` is the only incidence representation: point labels,
+each line as the frozenset of its labels, the lines through each label and
+one table from point pairs to lines, all built once at construction.
+`ProjSpace` is that core plus coordinates: points are the 1-dimensional
+subspaces of GF(q)^(n+1), represented by the unique coordinate vector whose
+leftmost nonzero entry is 1, labelled by their ids; lines are the
+2-dimensional subspaces, planes the 3-dimensional ones, stored as
+reduced-row-echelon bases.  Quotient spaces, dual spaces and plane
+pencil-structures are plain cores, so every incidence query and every map
+check reads one code path.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -12,10 +18,6 @@ Canonical order contract (used by the interchange formats in `cli`):
 * line id  = rank of the line's sorted point-id tuple in lexicographic
   order over all lines;
 * plane id = the same rank construction over sorted point-id tuples.
-
-Quotient spaces, dual spaces and plane pencil-structures are materialized
-as abstract IncidenceStructure values so they can be compared and checked
-against the projective-space axioms independently of coordinates.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ import functools
 from itertools import combinations, product
 
 from .errors import (
+    BadConfiguration,
     DimensionTooSmall,
     EqualLines,
     EqualPoints,
@@ -72,44 +75,13 @@ class Subspace:
 
 
 @dataclasses.dataclass(eq=False)
-class ProjSpace:
-    n: int
-    field: object
-    points: tuple
-    lines: tuple
-    lines_through: tuple
-    point_index: dict
-    pair_line: dict
-    line_point_sets: tuple
-
-    def __post_init__(self):
-        self._plane_tables = None
-        self._quotients = {}
-        self._plane_quotients = {}
-        self._dual = None
-        self._native = None
-        self._vec_index = None
-
-    @property
-    def q(self):
-        return self.field.q
-
-    def point_count(self):
-        return len(self.points)
-
-    def line_count(self):
-        return len(self.lines)
-
-    def __repr__(self):
-        return f"PG({self.n},{self.q})"
-
-
-@dataclasses.dataclass(eq=False)
 class IncidenceStructure:
-    """Abstract point/line incidence structure with hashable point labels.
+    """Point/line incidence structure with hashable point labels.
 
     kind is one of "native", "quotient", "dual" (plus free-form detail);
-    line_sets[i] is the set of labels on line i.
+    line_sets[i] is the set of labels on line i.  lines_through maps each
+    label to the ascending indices of its lines, and joins maps each
+    ordered pair of labels on a common line to the first such line.
     """
 
     point_labels: tuple
@@ -119,15 +91,32 @@ class IncidenceStructure:
 
     def __post_init__(self):
         labels = set(self.point_labels)
-        assert len(labels) == len(self.point_labels), "repeated point labels"
+        if len(labels) != len(self.point_labels):
+            raise BadConfiguration("repeated point labels")
+        through = {lab: [] for lab in self.point_labels}
+        joins = {}
+        linear = True
         seen = set()
-        for s in self.line_sets:
-            assert len(s) >= 2, "line with fewer than two points"
-            assert s not in seen, "repeated line set"
-            assert s <= labels, "line through unknown point"
+        for i, s in enumerate(self.line_sets):
+            if len(s) < 2:
+                raise BadConfiguration(f"line {i} has fewer than two points")
+            if s in seen:
+                raise BadConfiguration(f"line {i} repeats an earlier line")
+            if not s <= labels:
+                raise BadConfiguration(f"line {i} passes through an unknown point")
             seen.add(s)
-        self._pairs = None
-        self._linear = None
+            for lab in s:
+                through[lab].append(i)
+            # both orders are stored so lookups need no label ordering
+            for a, b in combinations(s, 2):
+                if (a, b) in joins:
+                    linear = False
+                else:
+                    joins[(a, b)] = i
+                    joins[(b, a)] = i
+        self.lines_through = {lab: tuple(ls) for lab, ls in through.items()}
+        self.joins = joins
+        self.linear = linear  # every pair of points on at most one line
 
     def point_count(self):
         return len(self.point_labels)
@@ -135,36 +124,19 @@ class IncidenceStructure:
     def line_count(self):
         return len(self.line_sets)
 
-    def _pair_table(self):
-        # both orders are stored so lookups need no label ordering
-        if self._pairs is None:
-            pairs = {}
-            linear = True
-            for i, s in enumerate(self.line_sets):
-                for a, b in combinations(s, 2):
-                    if (a, b) in pairs and pairs[(a, b)] != i:
-                        linear = False
-                    else:
-                        pairs[(a, b)] = i
-                        pairs[(b, a)] = i
-            self._pairs = pairs
-            self._linear = linear
-        return self._pairs
-
     def line_through(self, a, b):
         """Index of a line through both labels, or None."""
-        return self._pair_table().get((a, b))
+        return self.joins.get((a, b))
 
     def collinear(self, a, b, c):
-        pairs = self._pair_table()
-        if self._linear:
-            i = pairs.get((a, b))
+        if self.linear:
+            i = self.joins.get((a, b))
             return i is not None and c in self.line_sets[i]
         need = {a, b, c}
         return any(need <= s for s in self.line_sets)
 
     def degree(self, label):
-        return sum(1 for s in self.line_sets if label in s)
+        return len(self.lines_through[label])
 
     def __repr__(self):
         tag = f"{self.kind}:{self.detail}" if self.detail else self.kind
@@ -172,6 +144,33 @@ class IncidenceStructure:
             f"IncidenceStructure({tag}, {len(self.point_labels)} points, "
             f"{len(self.line_sets)} lines)"
         )
+
+
+@dataclasses.dataclass(eq=False, kw_only=True)
+class ProjSpace(IncidenceStructure):
+    """PG(n, q): the incidence core over point ids, plus coordinates."""
+
+    n: int
+    field: object
+    points: tuple
+    lines: tuple
+    point_index: dict
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._plane_tables = None
+        self._quotients = {}
+        self._plane_quotients = {}
+        self._dual = None
+        self._grassmann = None
+        self._vec_index = None
+
+    @property
+    def q(self):
+        return self.field.q
+
+    def __repr__(self):
+        return f"PG({self.n},{self.q})"
 
 
 def _normalized_vectors(q, m):
@@ -241,30 +240,21 @@ def _build_space(n, q):
     )
     assert len(lines) == gaussian_binomial(m, 2, q)
 
-    through = [[] for _ in points]
-    pair_line = {}
-    point_sets = []
-    for line in lines:
-        point_sets.append(frozenset(line.point_ids))
-        for pid in line.point_ids:
-            through[pid].append(line.id)
-        for a, b in combinations(line.point_ids, 2):
-            pair_line[(a, b)] = line.id
-
-    star_size = gaussian_binomial(n, 1, q)
-    for pid, ls in enumerate(through):
-        assert len(ls) == star_size, f"point {pid} lies on {len(ls)} lines"
-
-    return ProjSpace(
+    sp = ProjSpace(
+        point_labels=tuple(range(len(points))),
+        line_sets=tuple(frozenset(line.point_ids) for line in lines),
+        kind="native",
+        detail=f"PG({n},{q})",
         n=n,
         field=f,
         points=tuple(points),
         lines=lines,
-        lines_through=tuple(tuple(ls) for ls in through),
         point_index=point_index,
-        pair_line=pair_line,
-        line_point_sets=tuple(point_sets),
     )
+    star_size = gaussian_binomial(n, 1, q)
+    for pid, ls in sp.lines_through.items():
+        assert len(ls) == star_size, f"point {pid} lies on {len(ls)} lines"
+    return sp
 
 
 @functools.lru_cache(maxsize=None)
@@ -297,14 +287,14 @@ def join(sp, a: int, b: int) -> int:
     """Id of the unique line through two distinct points."""
     if a == b:
         raise EqualPoints(f"join needs two distinct points, got {a} twice")
-    return sp.pair_line[(a, b) if a < b else (b, a)]
+    return sp.joins[(a, b)]
 
 
 def meet(sp, a: int, b: int):
     """Common point id of two distinct lines, or None when they are skew."""
     if a == b:
         raise EqualLines(f"meet needs two distinct lines, got {a} twice")
-    common = sp.line_point_sets[a] & sp.line_point_sets[b]
+    common = sp.line_sets[a] & sp.line_sets[b]
     if common:
         return next(iter(common))
     return None
@@ -314,7 +304,7 @@ def collinear(sp, a: int, b: int, c: int) -> bool:
     """Whether three pairwise distinct points lie on one line."""
     if a == b or a == c or b == c:
         raise RepeatedPoints(f"collinear needs pairwise distinct points: {a},{b},{c}")
-    return c in sp.line_point_sets[join(sp, a, b)]
+    return c in sp.line_sets[join(sp, a, b)]
 
 
 def star(sp, q_point: int) -> tuple:
@@ -337,7 +327,7 @@ def _planes(sp):
         for pids, _ in raw:
             seen = set()
             for a, b in combinations(pids, 2):
-                seen.add(sp.pair_line[(a, b)])
+                seen.add(sp.joins[(a, b)])
             lines_in.append(tuple(sorted(seen)))
         through_line = [set() for _ in sp.lines]
         through_point = [[] for _ in sp.points]
@@ -397,19 +387,12 @@ def pencil(sp, q_point: int, eps: Subspace) -> tuple:
     pts = subspace_points(sp, eps)
     if q_point not in pts:
         raise PointNotInPlane(f"point {q_point} not on the given plane")
-    return tuple(l for l in sp.lines_through[q_point] if sp.line_point_sets[l] <= pts)
+    return tuple(l for l in sp.lines_through[q_point] if sp.line_sets[l] <= pts)
 
 
 def native_structure(sp) -> IncidenceStructure:
-    """The space itself as an abstract incidence structure (labels = point ids)."""
-    if sp._native is None:
-        sp._native = IncidenceStructure(
-            point_labels=tuple(range(len(sp.points))),
-            line_sets=tuple(sp.line_point_sets),
-            kind="native",
-            detail=repr(sp),
-        )
-    return sp._native
+    """The space as an incidence structure: a ProjSpace is its own core."""
+    return sp
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
@@ -541,10 +524,8 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
 
     # Triangle form: sides g = A|B and h = A|C through a common vertex A;
     # the line through P on g and R on h (both away from A) must meet B|C.
-    through = {lab: [] for lab in labels}
-    for i, s in enumerate(sets):
-        for lab in s:
-            through[lab].append(i)
+    through = inc.lines_through
+    line_through = inc.line_through
     done = False
     for a in labels:
         if done:
@@ -558,7 +539,7 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
                 if done:
                     break
                 for r_lab in h_rest:
-                    li = inc.line_through(p_lab, r_lab)
+                    li = line_through(p_lab, r_lab)
                     if li is None:
                         continue
                     lset = sets[li]
@@ -568,7 +549,7 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
                         for c_lab in h_rest:
                             if c_lab == r_lab:
                                 continue
-                            side = inc.line_through(b_lab, c_lab)
+                            side = line_through(b_lab, c_lab)
                             if side is None:
                                 continue
                             if not (lset & sets[side]):

@@ -285,7 +285,7 @@ def all_collineation_line_perms(sp):
     """
     f = sp.field
     size = sp.n + 1
-    pair_line = sp.pair_line
+    joins = sp.joins
     lines = sp.lines
     points = sp.points
     index = sp.point_index
@@ -300,7 +300,7 @@ def all_collineation_line_perms(sp):
             for line in lines:
                 a = point_img[line.point_ids[0]]
                 b = point_img[line.point_ids[1]]
-                perm[line.id] = pair_line[(a, b) if a < b else (b, a)]
+                perm[line.id] = joins[(a, b)]
             yield tuple(perm)
 
 
@@ -370,7 +370,12 @@ class ShadowReport:
 
 
 def one_way_shadow(sp, count: int, base_seed: int = 0) -> ShadowReport:
-    """Run the perturbed-instance population (seeds base_seed..+count-1)."""
+    """Run the perturbed-instance population (seeds base_seed..+count-1).
+
+    An empty population is an error, never a passing report.
+    """
+    if count < 1:
+        raise ValueError(f"the population needs at least one instance, got {count}")
     rejected = 0
     isomorphisms = 0
     bad = []

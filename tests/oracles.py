@@ -4,8 +4,8 @@ Everything here recomputes results from first principles with algorithms
 deliberately unrelated to the package's implementations: subspace counts
 come from span collection, collinearity from matrix rank over the prime
 field, monomorphism counts from constraint propagation over raw operation
-tables, and automorphism orders of tiny graphs from filtering all vertex
-permutations.
+tables, automorphism orders of tiny graphs from filtering all vertex
+permutations, and point-map properties from walking every point triple.
 """
 
 from itertools import combinations, permutations, product
@@ -146,3 +146,33 @@ def brute_graph_aut_order(masks):
         ):
             count += 1
     return count
+
+
+def triple_property_flags(pm):
+    """(injective, surjective, preserves collinearity, preserves
+    non-collinearity) of a point map, from every unordered triple of
+    pairwise distinct source points.
+
+    A triple is collinear when one line holds all three points.  By the
+    degenerate-triple rule an image triple that is not pairwise distinct
+    counts as collinear.
+    """
+
+    def collinear_triples(space):
+        return {frozenset(t) for s in space.line_sets for t in combinations(s, 3)}
+
+    source_col = collinear_triples(pm.source)
+    target_col = collinear_triples(pm.target)
+    img = pm.image
+    values = list(img.values())
+    injective = len(set(values)) == len(values)
+    surjective = set(values) == set(pm.target.point_labels)
+    col_ok = noncol_ok = True
+    for triple in combinations(pm.source.point_labels, 3):
+        images = frozenset(img[p] for p in triple)
+        image_col = len(images) < 3 or images in target_col
+        if frozenset(triple) in source_col:
+            col_ok = col_ok and image_col
+        else:
+            noncol_ok = noncol_ok and not image_col
+    return injective, surjective, col_ok, noncol_ok

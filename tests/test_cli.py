@@ -254,6 +254,18 @@ def test_verify_chow(capsys):
     assert any(r.startswith("CHOW.order_match PASS") for r in rows)
 
 
+@pytest.mark.parametrize("suite", ["thm1", "thm2"])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_empty_population(capsys, suite, samples):
+    code, out, err = run(
+        capsys,
+        "verify", "--suite", suite, "-n", "3", "-q", "2", "--samples", samples,
+    )
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "--samples must be at least 1" in err
+
+
 def test_verify_chow_too_large(capsys):
     code, _, err = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "3")
     assert code == EXIT_PARAMS

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasspace.errors import BudgetExceeded, FormatError, TooLarge
 from grasspace.grassmann import (
+    _as_masks,
     adjacency_from_edges,
     automorphism_group,
     build_grassmann,
@@ -85,12 +86,24 @@ def test_strongly_regular_parameters_pg32(pg32):
     g = build_grassmann(pg32)
     for a in range(35):
         for b in range(a + 1, 35):
-            common = (g.masks[a] & g.masks[b]).bit_count()
+            common = len(g.neighbors[a] & g.neighbors[b])
             assert common == 9
 
 
 def test_build_grassmann_is_cached(pg32):
     assert build_grassmann(pg32) is build_grassmann(pg32)
+
+
+def test_cached_graph_does_not_keep_its_space_alive():
+    import gc
+    import weakref
+
+    sp = build_space.__wrapped__(2, 3)
+    build_grassmann(sp)
+    ref = weakref.ref(sp)
+    del sp
+    gc.collect()
+    assert ref() is None
 
 
 def test_export_graph_shape(pg32):
@@ -110,7 +123,7 @@ def test_parse_graph_round_trip(pg32, pg23):
         text = export_graph(g)
         v_count, edges = parse_graph(text)
         assert v_count == len(g.neighbors)
-        assert adjacency_from_edges(v_count, edges) == g.masks
+        assert adjacency_from_edges(v_count, edges) == _as_masks(g)
 
 
 @pytest.mark.parametrize(
@@ -202,7 +215,7 @@ def test_collineation_perms_are_graph_automorphisms(pg32):
             InstanceGenerator(seed, InstanceKind.COLLINEATION), pg32, pg32
         )
         perm = tuple(lm.image[l] for l in range(35))
-        assert _is_automorphism(g.masks, perm)
+        assert _is_automorphism(_as_masks(g), perm)
 
 
 def test_automorphism_group_too_large():

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -48,6 +51,8 @@ from grasspace.theorems import (
     sample_collineation,
     sample_duality,
 )
+
+from oracles import triple_property_flags
 
 
 def identity_matrix(m):
@@ -317,7 +322,7 @@ def test_pencil_image_is_pencil_negative(pg32):
     eps = planes(pg32)[plane_id]
     pen = pencil(pg32, 0, eps)
     outside = next(
-        l for l in range(35) if 0 not in pg32.line_point_sets[l]
+        l for l in range(35) if 0 not in pg32.line_sets[l]
     )
     image = {l: l for l in range(35)}
     image[pen[0]], image[outside] = outside, pen[0]
@@ -340,7 +345,7 @@ def _first_valid_config(sp, q_point):
         eps = planes(sp)[plane_id]
         pts = subspace_points(sp, eps)
         for l in range(len(sp.lines)):
-            if sp.line_point_sets[l] <= pts and q_point not in sp.line_point_sets[l]:
+            if sp.line_sets[l] <= pts and q_point not in sp.line_sets[l]:
                 return eps, l
     raise AssertionError("no configuration found")
 
@@ -386,7 +391,7 @@ def test_intersection_compatibility_bad_configurations(pg32):
         intersection_compatibility_check(lm, kappa, 0, eps, pen[0])
     pts = subspace_points(pg32, eps)
     outside = next(
-        l for l in range(35) if not pg32.line_point_sets[l] <= pts
+        l for l in range(35) if not pg32.line_sets[l] <= pts
     )
     with pytest.raises(BadConfiguration):
         intersection_compatibility_check(lm, kappa, 0, eps, outside)
@@ -402,3 +407,151 @@ def test_reconstruction_round_trip(seed):
     kappa = reconstruct_point_map(lm).kappa
     assert kappa.image == pm.image
     assert induced_line_map(kappa).image == lm.image
+
+
+def _swapped(image, a, b):
+    out = dict(image)
+    out[a], out[b] = image[b], image[a]
+    return out
+
+
+def _merged(image, a, b):
+    out = dict(image)
+    out[a] = image[b]
+    return out
+
+
+def _table_cases(rng):
+    """Random, constant, collapsed and perturbed image tables."""
+    for n, q in ((2, 2), (3, 2), (2, 3), (3, 3)):
+        sp = build_space(n, q)
+        labels = range(sp.point_count())
+        on_line = sorted(sp.line_sets[0])
+        off_line = next(p for p in labels if p not in sp.line_sets[0])
+        yield PointMap(sp, sp, {p: rng.randrange(len(labels)) for p in labels})
+        yield PointMap(sp, sp, {p: 0 for p in labels})
+        yield PointMap(sp, sp, {p: rng.choice(on_line) for p in labels})
+        yield PointMap(sp, sp, {p: rng.choice(on_line[:2] + [off_line]) for p in labels})
+        shuffled = list(labels)
+        rng.shuffle(shuffled)
+        yield PointMap(sp, sp, dict(zip(labels, shuffled)))
+        for seed in range(3):
+            image = collineation_point_map(sample_collineation(sp, seed), sp, sp).image
+            a, b = rng.sample(labels, 2)
+            yield PointMap(sp, sp, image)
+            yield PointMap(sp, sp, _swapped(image, a, b))
+            yield PointMap(sp, sp, _merged(image, a, b))
+    for small, big in (((2, 2), (3, 2)), ((2, 3), (3, 3))):
+        sp, sp2 = build_space(*small), build_space(*big)
+        image = {p.id: sp2.point_index[p.coords + (0,)] for p in sp.points}
+        yield PointMap(sp, sp2, image)
+        yield PointMap(sp, sp2, _swapped(image, 0, sp.point_count() - 1))
+
+
+def _star_swapped(lm, q_point, i, j):
+    members = star(lm.source, q_point)
+    return LineMap(lm.source, lm.target, _swapped(lm.image, members[i], members[j]), lm.dual)
+
+
+def _kappa_cases():
+    """Reconstructed point maps and their star restrictions, into the
+    target, its quotients, its dual and the dual's plane quotients."""
+    for n, q in ((3, 2), (3, 3)):
+        sp = build_space(n, q)
+        last = sp.point_count() - 1
+        for kind in (InstanceKind.COLLINEATION, InstanceKind.DUALITY):
+            lm = generate_instance(InstanceGenerator(1, kind), sp, sp)
+            kappa = reconstruct_point_map(lm).kappa
+            yield kappa
+            yield PointMap(kappa.source, kappa.target, _swapped(kappa.image, 0, last))
+            yield PointMap(kappa.source, kappa.target, _merged(kappa.image, 0, last))
+            for q_point in (0, last):
+                yield restrict_to_star(lm, q_point, kappa)
+            yield restrict_to_star(_star_swapped(lm, 0, 0, 1), 0, kappa)
+
+
+def _two_line_cases():
+    two = IncidenceStructure(
+        point_labels=tuple(range(6)),
+        line_sets=(frozenset({0, 1, 2}), frozenset({3, 4, 5})),
+        kind="native",
+        detail="two lines",
+    )
+    one = IncidenceStructure(
+        point_labels=tuple(range(6)),
+        line_sets=(frozenset(range(6)),),
+        kind="native",
+        detail="one line",
+    )
+    wider = IncidenceStructure(
+        point_labels=tuple(range(7)),
+        line_sets=two.line_sets + (frozenset({0, 3, 6}),),
+        kind="native",
+        detail="three lines",
+    )
+    identity = {p: p for p in range(6)}
+    for image in (identity, _swapped(identity, 2, 3), _merged(identity, 0, 1)):
+        for source, target in ((two, one), (one, two), (two, two), (two, wider)):
+            yield PointMap(source, target, image)
+    # a line onto two points that share no line
+    yield PointMap(two, two, {0: 0, 1: 3, 2: 3, 3: 3, 4: 4, 5: 5})
+
+
+def test_check_properties_matches_triple_oracle():
+    cases = [
+        *_table_cases(random.Random(20)),
+        *_kappa_cases(),
+        *_two_line_cases(),
+    ]
+    seen = set()
+    for i, pm in enumerate(cases):
+        flags = dataclasses.astuple(check_properties(pm))
+        assert flags == triple_property_flags(pm), f"case {i}: {pm.source!r}->{pm.target!r}"
+        seen.update(enumerate(flags))
+    # every flag is seen both true and false, so no rule is checked vacuously
+    assert seen == {(k, v) for k in range(4) for v in (False, True)}
+
+
+def test_check_properties_matches_full_triple_walk_pg34():
+    sp = build_space(3, 4)
+    lm = generate_instance(InstanceGenerator(0, InstanceKind.DUALITY), sp, sp)
+    kappa = reconstruct_point_map(lm).kappa
+    assert kappa.target is dual_space(sp)
+    swapped = PointMap(sp, kappa.target, _swapped(kappa.image, 0, 84))
+    for pm in (kappa, swapped):
+        assert dataclasses.astuple(check_properties(pm)) == triple_property_flags(pm)
+    assert classify_point_map(kappa) == MapKind.COLLINEATION
+    assert classify_point_map(swapped) == MapKind.OTHER
+
+
+def test_map_tables_must_be_total(pg22):
+    with pytest.raises(PreconditionViolated):
+        PointMap(source=pg22, target=pg22, image={0: 0})
+    with pytest.raises(PreconditionViolated):
+        LineMap(source=pg22, target=pg22, image={0: 0})
+
+
+@pytest.mark.parametrize(
+    "matrix,auto_index",
+    [
+        (identity_matrix(3), 0),
+        (((1, 0, 0, 0),) * 4, 0),
+        (identity_matrix(4), 1),
+        (identity_matrix(4), -1),
+    ],
+    ids=["shape", "singular", "auto-high", "auto-negative"],
+)
+def test_semilinear_maps_reject_bad_input(pg32, matrix, auto_index):
+    with pytest.raises(BadConfiguration):
+        collineation_point_map(Collineation(matrix, auto_index), pg32, pg32)
+    with pytest.raises(BadConfiguration):
+        duality_line_map(Duality(matrix, auto_index), pg32, pg32)
+    with pytest.raises(BadConfiguration):
+        duality_point_to_plane(Duality(matrix, auto_index), pg32, pg32)
+
+
+def test_induced_line_map_needs_coordinate_spaces(pg32):
+    inc = quotient(pg32, 0)
+    pm = PointMap(source=inc, target=inc, image={p: p for p in inc.point_labels})
+    with pytest.raises(IncompatibleSpaces):
+        induced_line_map(pm)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasspace.errors import (
+    BadConfiguration,
     DimensionTooSmall,
     EqualLines,
     EqualPoints,
@@ -165,7 +166,7 @@ def test_join_meet_are_mutually_consistent(pg32):
     assert meet(pg32, 0, 1) is not None
     skew_found = False
     for other in range(1, 35):
-        if not (pg32.line_point_sets[0] & pg32.line_point_sets[other]):
+        if not (pg32.line_sets[0] & pg32.line_sets[other]):
             assert meet(pg32, 0, other) is None
             skew_found = True
             break
@@ -213,7 +214,7 @@ def test_plane_tables(pg32):
         inside = lines_in_plane(pg32, pl)
         assert len(inside) == 7
         for l in inside:
-            assert pg32.line_point_sets[l] <= pts
+            assert pg32.line_sets[l] <= pts
     for l in range(35):
         assert len(planes_of_line(pg32, l)) == 3
     for p in range(15):
@@ -244,14 +245,42 @@ def test_pencil(pg32):
     pen = pencil(pg32, centre, eps)
     assert len(pen) == 3
     for l in pen:
-        assert centre in pg32.line_point_sets[l]
-        assert pg32.line_point_sets[l] <= plane_points(pg32, 0)
+        assert centre in pg32.line_sets[l]
+        assert pg32.line_sets[l] <= plane_points(pg32, 0)
     line_eps = span_subspace(pg32, pg32.lines[0].point_ids[:2])
     with pytest.raises(NotAPlane):
         pencil(pg32, centre, line_eps)
     outside = next(p for p in range(15) if p not in plane_points(pg32, 0))
     with pytest.raises(PointNotInPlane):
         pencil(pg32, outside, eps)
+
+
+@pytest.mark.parametrize(
+    "labels,line_sets",
+    [
+        ((0, 0, 1), (frozenset({0, 1}),)),
+        ((0, 1, 2), (frozenset({0}),)),
+        ((0, 1, 2), (frozenset({0, 1}), frozenset({0, 1}))),
+        ((0, 1, 2), (frozenset({0, 3}),)),
+    ],
+    ids=["repeated-label", "short-line", "repeated-line", "unknown-point"],
+)
+def test_incidence_structure_rejects_bad_input(labels, line_sets):
+    with pytest.raises(BadConfiguration):
+        IncidenceStructure(point_labels=labels, line_sets=line_sets, kind="native")
+
+
+def test_space_is_its_own_incidence_core(pg32):
+    assert native_structure(pg32) is pg32
+    assert pg32.point_labels == tuple(range(15))
+    for l in pg32.lines:
+        assert pg32.line_sets[l.id] == frozenset(l.point_ids)
+        a, b = l.point_ids[:2]
+        assert pg32.line_through(a, b) == pg32.line_through(b, a) == l.id
+    for p in range(15):
+        assert star(pg32, p) == tuple(
+            l for l in range(35) if p in pg32.line_sets[l]
+        )
 
 
 def test_native_structure_passes_axioms(pg22, pg32):
@@ -278,7 +307,7 @@ def test_quotient_structures(pg32, pg33):
 def test_quotient_lines_are_pencils(pg32):
     inc = quotient(pg32, 3)
     for line_set in inc.line_sets:
-        common = frozenset.intersection(*(pg32.line_point_sets[l] for l in line_set))
+        common = frozenset.intersection(*(pg32.line_sets[l] for l in line_set))
         assert common == frozenset({3})
 
 

@@ -199,6 +199,12 @@ def test_chow_crosscheck_guards(pg22, pg42, pg33):
         chow_crosscheck(pg33)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_one_way_shadow_rejects_empty_population(pg32, count):
+    with pytest.raises(ValueError):
+        one_way_shadow(pg32, count)
+
+
 def test_one_way_shadow_accounting(pg32):
     report = one_way_shadow(pg32, 200, base_seed=0)
     assert report.instances == 200
