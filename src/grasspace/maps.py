@@ -455,8 +455,8 @@ def intersection_compatibility_check(
     """Whether kappa commutes with intersections along one pencil: for
     every pencil line l, kappa(l meet a) equals the meet of the images.
 
-    For dual-type maps the image meet is the common plane of the two image
-    lines, matching plane-valued kappa.
+    The branch follows kappa, as in `restrict_to_star`: for plane-valued
+    kappa the image meet is the common plane of the two image lines.
     """
     sp = lm.source
     plane_pts = subspace_points(sp, eps)
@@ -464,13 +464,14 @@ def intersection_compatibility_check(
         raise BadConfiguration(f"line {a} does not lie in the given plane")
     if q_point in sp.line_sets[a]:
         raise BadConfiguration(f"point {q_point} must not lie on line {a}")
-    assert kappa is not None
+    if kappa is None:
+        raise PreconditionViolated("kappa is undefined")
     sp2 = lm.target
     a_img = lm.image[a]
     for l in pencil(sp, q_point, eps):
         crossing = meet(sp, l, a)
         assert crossing is not None, "coplanar lines always meet"
-        if lm.dual:
+        if kappa.target is not sp2:
             common = planes_of_line(sp2, lm.image[l]) & planes_of_line(sp2, a_img)
             if len(common) != 1 or kappa.image[crossing] != next(iter(common)):
                 return False

@@ -11,6 +11,11 @@ reduced-row-echelon bases.  Quotient spaces, dual spaces and plane
 pencil-structures are plain cores, so every incidence query and every map
 check reads one code path.
 
+Derived structures are certified by an isomorphism onto the native space
+they must be (PG(n-1, q) for a quotient or plane quotient, the space itself
+for a dual; one line for a quotient of a plane), else `GeometryError`.  The
+tests scan the natives' axioms with `verify_projective_axioms`.
+
 Canonical order contract (used by the interchange formats in `cli`):
 
 * point id = rank of the normalized coordinate tuple in lexicographic
@@ -29,6 +34,7 @@ from .errors import (
     DimensionTooSmall,
     EqualLines,
     EqualPoints,
+    GeometryError,
     NotAPlane,
     PointNotInPlane,
     RepeatedPoints,
@@ -159,8 +165,7 @@ class ProjSpace(IncidenceStructure):
     def __post_init__(self):
         super().__post_init__()
         self._plane_tables = None
-        self._quotients = {}
-        self._plane_quotients = {}
+        self._sections = {}
         self._dual = None
         self._grassmann = None
         self._vec_index = None
@@ -390,33 +395,46 @@ def pencil(sp, q_point: int, eps: Subspace) -> tuple:
     return tuple(l for l in sp.lines_through[q_point] if sp.line_sets[l] <= pts)
 
 
-def native_structure(sp) -> IncidenceStructure:
-    """The space as an incidence structure: a ProjSpace is its own core."""
-    return sp
+def _certified(structure, native):
+    """The structure, once `incidence_isomorphic` maps it onto native, whose
+    axioms it then shares (None: a projective line, one line through all of
+    at least three points)."""
+    labels = structure.point_labels
+    if native is None:
+        ok = len(labels) >= 3 and structure.line_sets == (frozenset(labels),)
+    else:
+        ok = incidence_isomorphic(structure, native) is not None
+    if not ok:
+        expected = "a projective line" if native is None else repr(native)
+        raise GeometryError(f"{structure!r} is not isomorphic to {expected}")
+    return structure
+
+
+def _section(sp, dual: bool, centre: int, members, groups):
+    """Quotient at a point, or at a plane of the dual: the line-id groups cut
+    down to the member lines, sorted, certified as PG(n-1, q) and cached.
+    groups is read only on a cache miss."""
+    cached = sp._sections.get((dual, centre))
+    if cached is None:
+        member_set = set(members)
+        cut = [frozenset(l for l in g if l in member_set) for g in groups]
+        cut.sort(key=sorted)
+        structure = IncidenceStructure(
+            point_labels=members,
+            line_sets=tuple(cut),
+            kind="quotient",
+            detail=f"dual({sp!r})/{centre}" if dual else f"{sp!r}/{centre}",
+        )
+        native = build_space(sp.n - 1, sp.q) if sp.n > 2 else None
+        cached = sp._sections[(dual, centre)] = _certified(structure, native)
+    return cached
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
-    """Quotient space at a point: star lines as points, pencils as lines."""
-    cached = sp._quotients.get(q_point)
-    if cached is not None:
-        return cached
-    st = star(sp, q_point)
-    st_set = set(st)
-    pencils = []
-    for plane_id in planes_through_point(sp, q_point):
-        members = frozenset(l for l in lines_in_plane(sp, plane_id) if l in st_set)
-        pencils.append(members)
-    pencils.sort(key=sorted)
-    structure = IncidenceStructure(
-        point_labels=st,
-        line_sets=tuple(pencils),
-        kind="quotient",
-        detail=f"{sp!r}/{q_point}",
-    )
-    report = verify_projective_axioms(structure)
-    assert report.passed, f"quotient at {q_point} violates axioms: {report}"
-    sp._quotients[q_point] = structure
-    return structure
+    """Quotient space at a point: star lines as points, pencils as lines.
+    Certified isomorphic to PG(n-1, q); for n = 2 it is one line."""
+    groups = (lines_in_plane(sp, pl) for pl in planes_through_point(sp, q_point))
+    return _section(sp, False, q_point, star(sp, q_point), groups)
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -424,6 +442,7 @@ def dual_space(sp) -> IncidenceStructure:
 
     Point labels are canonical plane ids; line i of the dual is the set of
     planes containing line i of the source, so line ids carry over.
+    Certified isomorphic to the space itself.
     """
     if sp.n != 3:
         raise UnsupportedDimension(f"dual_space needs dimension 3, got {sp.n}")
@@ -434,38 +453,17 @@ def dual_space(sp) -> IncidenceStructure:
             kind="dual",
             detail=repr(sp),
         )
-        report = verify_projective_axioms(structure)
-        assert report.passed, f"dual structure violates axioms: {report}"
-        sp._dual = structure
+        sp._dual = _certified(structure, sp)
     return sp._dual
 
 
 def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     """Quotient of the dual space at a plane: the plane's lines as points,
-    its pencils as lines."""
-    cached = sp._plane_quotients.get(plane_id)
-    if cached is not None:
-        return cached
+    its pencils as lines.  Certified isomorphic to PG(2, q)."""
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
-    members = lines_in_plane(sp, plane_id)
-    member_set = set(members)
-    sets = []
-    for pid in sorted(plane_points(sp, plane_id)):
-        sets.append(
-            frozenset(l for l in sp.lines_through[pid] if l in member_set)
-        )
-    sets.sort(key=sorted)
-    structure = IncidenceStructure(
-        point_labels=members,
-        line_sets=tuple(sets),
-        kind="quotient",
-        detail=f"dual({sp!r})/{plane_id}",
-    )
-    report = verify_projective_axioms(structure)
-    assert report.passed
-    sp._plane_quotients[plane_id] = structure
-    return structure
+    groups = (sp.lines_through[pid] for pid in plane_points(sp, plane_id))
+    return _section(sp, True, plane_id, lines_in_plane(sp, plane_id), groups)
 
 
 @dataclasses.dataclass

@@ -228,6 +228,26 @@ def test_verify_thm1_and_thm2(capsys):
     assert rows[4].startswith("THM2.equivalence PASS")
 
 
+def test_verify_thm1_and_thm2_pg43(capsys):
+    # quotients of PG(4,3) are certified against PG(3,3)
+    code, out, _ = run(
+        capsys,
+        "verify", "--suite", "thm1", "-n", "4", "-q", "3", "--samples", "1",
+    )
+    assert code == EXIT_OK
+    assert out.strip().split("\n") == ["THM1.ab PASS", "THM1.c PASS", "THM1.d PASS"]
+
+    code, out, _ = run(
+        capsys,
+        "verify", "--suite", "thm2", "-n", "4", "-q", "3", "--samples", "1",
+    )
+    assert code == EXIT_OK
+    rows = out.strip().split("\n")
+    assert rows[:4] == ["THM2.a PASS", "THM2.b PASS", "THM2.c PASS", "THM2.d PASS"]
+    assert rows[4].startswith("THM2.equivalence PASS")
+    assert len(rows) == 5
+
+
 def test_verify_thm1_plane_space_runs_collineations_only(capsys):
     code, out, _ = run(
         capsys,

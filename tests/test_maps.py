@@ -382,6 +382,38 @@ def test_intersection_compatibility_detects_wrong_kappa(pg32):
     assert not intersection_compatibility_check(lm, kappa, 0, eps, a)
 
 
+def test_intersection_compatibility_follows_kappa_not_dual_flag(pg32):
+    # A GRASSMAP file without the DUAL token arrives with dual=False even when
+    # its table is a duality's; kappa alone says which meet to compare.
+    configs = []
+    for plane_id in planes_through_point(pg32, 0):
+        eps = planes(pg32)[plane_id]
+        pts = subspace_points(pg32, eps)
+        configs += [
+            (eps, a)
+            for a in range(35)
+            if pg32.line_sets[a] <= pts and 0 not in pg32.line_sets[a]
+        ]
+    assert len(configs) == 7 * 4
+    for kind in (InstanceKind.COLLINEATION, InstanceKind.DUALITY):
+        for seed in range(20):
+            lm = generate_instance(InstanceGenerator(seed=seed, kind=kind), pg32, pg32)
+            kappa = reconstruct_point_map(lm).kappa
+            assert (kappa.target is pg32) == (kind is InstanceKind.COLLINEATION)
+            for dual in (False, True):
+                relabelled = dataclasses.replace(lm, dual=dual)
+                for eps, a in configs:
+                    assert intersection_compatibility_check(
+                        relabelled, kappa, 0, eps, a
+                    ), (kind, seed, dual, a)
+
+
+def test_intersection_compatibility_needs_kappa(pg32):
+    eps, a = _first_valid_config(pg32, 0)
+    with pytest.raises(PreconditionViolated):
+        intersection_compatibility_check(identity_line_map(pg32), None, 0, eps, a)
+
+
 def test_intersection_compatibility_bad_configurations(pg32):
     lm = identity_line_map(pg32)
     kappa = PointMap(source=pg32, target=pg32, image={p: p for p in range(15)})

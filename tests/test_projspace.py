@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasspace import projspace
 from grasspace.errors import (
     BadConfiguration,
     DimensionTooSmall,
     EqualLines,
     EqualPoints,
+    GeometryError,
     NotAPlane,
     PointNotInPlane,
     RepeatedPoints,
@@ -23,7 +25,6 @@ from grasspace.projspace import (
     join,
     lines_in_plane,
     meet,
-    native_structure,
     pencil,
     plane_points,
     plane_quotient,
@@ -271,7 +272,6 @@ def test_incidence_structure_rejects_bad_input(labels, line_sets):
 
 
 def test_space_is_its_own_incidence_core(pg32):
-    assert native_structure(pg32) is pg32
     assert pg32.point_labels == tuple(range(15))
     for l in pg32.lines:
         assert pg32.line_sets[l.id] == frozenset(l.point_ids)
@@ -283,11 +283,12 @@ def test_space_is_its_own_incidence_core(pg32):
         )
 
 
-def test_native_structure_passes_axioms(pg22, pg32):
-    for sp in (pg22, pg32):
-        inc = native_structure(sp)
+def test_native_spaces_pass_axioms():
+    # every native space a quotient, plane quotient or dual is certified against
+    for n, q in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)):
+        inc = build_space(n, q)
         report = verify_projective_axioms(inc)
-        assert report.passed, str(report)
+        assert report.passed, (n, q, str(report))
         assert inc.kind == "native"
 
 
@@ -298,10 +299,10 @@ def test_quotient_structures(pg32, pg33):
     assert inc.line_count() == 7
     assert set(inc.point_labels) == set(star(pg32, 0))
     assert verify_projective_axioms(inc).passed
-    assert incidence_isomorphic(inc, native_structure(build_space(2, 2))) is not None
+    assert incidence_isomorphic(inc, build_space(2, 2)) is not None
     inc = quotient(pg33, 5)
     assert inc.point_count() == 13
-    assert incidence_isomorphic(inc, native_structure(build_space(2, 3))) is not None
+    assert incidence_isomorphic(inc, build_space(2, 3)) is not None
 
 
 def test_quotient_lines_are_pencils(pg32):
@@ -317,7 +318,7 @@ def test_dual_space(pg32):
     assert inc.point_count() == 15
     assert inc.line_count() == 35
     assert verify_projective_axioms(inc).passed
-    assert incidence_isomorphic(inc, native_structure(pg32)) is not None
+    assert incidence_isomorphic(inc, pg32) is not None
     with pytest.raises(UnsupportedDimension):
         dual_space(build_space(2, 2))
     with pytest.raises(UnsupportedDimension):
@@ -336,11 +337,81 @@ def test_plane_quotient(pg32):
     assert inc.line_count() == 7
     assert set(inc.point_labels) == set(lines_in_plane(pg32, 0))
     assert verify_projective_axioms(inc).passed
-    assert incidence_isomorphic(inc, native_structure(build_space(2, 2))) is not None
+    assert incidence_isomorphic(inc, build_space(2, 2)) is not None
+
+
+def test_quotient_of_a_plane_is_one_line(pg23):
+    for p in range(13):
+        inc = quotient(pg23, p)
+        assert inc.point_labels == star(pg23, p)
+        assert inc.line_sets == (frozenset(star(pg23, p)),)
+
+
+def _corrupt(monkeypatch, name, bad_id, change):
+    """Make projspace.<name>(sp, bad_id) return change(true value)."""
+    real = getattr(projspace, name)
+
+    def patched(sp, i):
+        got = real(sp, i)
+        return change(got) if i == bad_id else got
+
+    monkeypatch.setattr(projspace, name, patched)
+
+
+def _fresh(n, q):
+    # a space outside build_space's cache, so no certified section is reused
+    return build_space.__wrapped__(n, q)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quotient_certificate_rejects_a_short_pencil(monkeypatch, n):
+    sp = _fresh(n, 2)
+    plane_id = planes_through_point(sp, 0)[0]
+    dropped = next(l for l in lines_in_plane(sp, plane_id) if l in star(sp, 0))
+    _corrupt(
+        monkeypatch,
+        "lines_in_plane",
+        plane_id,
+        lambda ls: tuple(l for l in ls if l != dropped),
+    )
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        quotient(sp, 0)
+
+
+def test_quotient_certificate_rejects_swapped_pencil_lines(monkeypatch):
+    # Line sizes and degrees survive the swap, so only the search refutes it.
+    sp = _fresh(3, 2)
+    first, second = planes_through_point(sp, 0)[:2]
+    star_set = set(star(sp, 0))
+    a1 = next(l for l in lines_in_plane(sp, first) if l in star_set
+              and l not in lines_in_plane(sp, second))
+    b1 = next(l for l in lines_in_plane(sp, second) if l in star_set
+              and l not in lines_in_plane(sp, first))
+    swap = lambda old, new: lambda ls: tuple(sorted(set(ls) - {old} | {new}))
+    _corrupt(monkeypatch, "lines_in_plane", first, swap(a1, b1))
+    _corrupt(monkeypatch, "lines_in_plane", second, swap(b1, a1))
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        quotient(sp, 0)
+    assert not sp._sections
+
+
+def test_plane_quotient_certificate_rejects_a_missing_line(monkeypatch):
+    sp = _fresh(3, 2)
+    _corrupt(monkeypatch, "lines_in_plane", 0, lambda ls: ls[1:])
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        plane_quotient(sp, 0)
+
+
+def test_dual_certificate_rejects_a_short_line(monkeypatch):
+    sp = _fresh(3, 2)
+    _corrupt(monkeypatch, "planes_of_line", 0, lambda pls: frozenset(sorted(pls)[1:]))
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        dual_space(sp)
+    assert sp._dual is None
 
 
 def test_axiom_failure_unique_join():
-    base = native_structure(build_space(2, 2))
+    base = build_space(2, 2)
     trimmed = IncidenceStructure(
         point_labels=base.point_labels,
         line_sets=base.line_sets[1:],
@@ -393,7 +464,7 @@ def test_axiom_failure_veblen_on_affine_plane():
 
 def test_incidence_isomorphic_returns_real_bijection(pg32):
     a = quotient(pg32, 0)
-    b = native_structure(build_space(2, 2))
+    b = build_space(2, 2)
     mapping = incidence_isomorphic(a, b)
     assert mapping is not None
     assert sorted(mapping.values()) == sorted(b.point_labels)
@@ -402,21 +473,21 @@ def test_incidence_isomorphic_returns_real_bijection(pg32):
 
 
 def test_incidence_isomorphic_negative(pg22):
-    a = native_structure(pg22)
+    a = pg22
     assert incidence_isomorphic(a, affine_plane_order3()) is None
-    b = native_structure(build_space(2, 3))
+    b = build_space(2, 3)
     assert incidence_isomorphic(a, b) is None
 
 
 def test_structure_planes_recovers_plane_point_sets(pg32):
-    found = structure_planes(native_structure(pg32))
+    found = structure_planes(pg32)
     assert len(found) == 15
     expected = {frozenset(plane_points(pg32, pl)) for pl in range(15)}
     assert {frozenset(s) for s in found} == expected
 
 
 def test_incidence_dual_agrees_with_coordinate_dual(pg32):
-    dual = incidence_dual(native_structure(pg32))
+    dual = incidence_dual(pg32)
     assert dual.point_count() == 15
     assert dual.line_count() == 35
     assert dual.line_sets == dual_space(pg32).line_sets
