@@ -9,7 +9,6 @@ section passed.
 """
 
 import argparse
-import dataclasses
 import pathlib
 import sys
 import time
@@ -27,23 +26,14 @@ from grasspace.projspace import (
     verify_projective_axioms,
 )
 from grasspace.theorems import (
-    InstanceGenerator,
     InstanceKind,
     chow_crosscheck,
-    generate_instance,
     one_way_shadow,
+    population,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3_preconditions,
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class Config:
-    samples_q2: int = 100
-    samples_q3: int = 50
-    shadow: int = 10_000
-    seed: int = 0
 
 
 def section(title):
@@ -83,16 +73,14 @@ def run_quotients():
     return check("all 15 quotients projective and isomorphic to PG(2,2)", ok)
 
 
-def run_theorem_population(cfg):
+def run_theorem_population(args):
     ok = True
-    for (n, q), count in (((3, 2), cfg.samples_q2), ((3, 3), cfg.samples_q3)):
+    for (n, q), count in (((3, 2), args.samples_q2), ((3, 3), args.samples_q3)):
         section(f"theorem suites on PG({n},{q}), {count} instances per kind")
         sp = build_space(n, q)
         for kind in (InstanceKind.COLLINEATION, InstanceKind.DUALITY):
             good1 = good2 = True
-            for i in range(count):
-                gen = InstanceGenerator(seed=cfg.seed + i, kind=kind)
-                lm = generate_instance(gen, sp, sp)
+            for _, _, lm in population(sp, count, args.seed, (kind,)):
                 good1 &= verify_theorem1(lm).passed
                 good2 &= verify_theorem2(lm).passed
             ok &= check(f"theorem 1, {kind.value} instances", good1)
@@ -109,9 +97,9 @@ def run_crosscheck():
     return report.passed
 
 
-def run_shadow(cfg):
-    section(f"perturbed population, {cfg.shadow} instances")
-    report = one_way_shadow(build_space(3, 2), cfg.shadow, base_seed=cfg.seed)
+def run_shadow(args):
+    section(f"perturbed population, {args.shadow} instances")
+    report = one_way_shadow(build_space(3, 2), args.shadow, base_seed=args.seed)
     print(
         f"   rejected {report.rejected}, isomorphisms {report.isomorphisms}, "
         f"counterexamples {len(report.counterexamples)}"
@@ -144,18 +132,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if min(args.samples_q2, args.samples_q3, args.shadow) < 1:
         parser.error("--samples-q2, --samples-q3 and --shadow must be at least 1")
-    cfg = Config(
-        samples_q2=args.samples_q2,
-        samples_q3=args.samples_q3,
-        shadow=args.shadow,
-        seed=args.seed,
-    )
     started = time.perf_counter()
     ok = run_counts()
     ok &= run_quotients()
-    ok &= run_theorem_population(cfg)
+    ok &= run_theorem_population(args)
     ok &= run_crosscheck()
-    ok &= run_shadow(cfg)
+    ok &= run_shadow(args)
     ok &= run_field_rigidity()
     print(f"== {'ALL SECTIONS PASS' if ok else 'FAILURES PRESENT'} "
           f"({time.perf_counter() - started:.1f}s)")

@@ -57,6 +57,7 @@ from .theorems import (
     InstanceKind,
     chow_crosscheck,
     generate_instance,
+    verify_population,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3_preconditions,
@@ -254,56 +255,22 @@ def cmd_check(args) -> int:
     return EXIT_OK if skew_preserved else EXIT_NEGATIVE
 
 
-def _verify_population(args, sp) -> int:
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    kinds = [InstanceKind.COLLINEATION]
-    if sp.n == 3:
-        kinds.append(InstanceKind.DUALITY)
-    merged = {}
-    order = []
-    theorem_id = None
-    for block, kind in enumerate(kinds):
-        for i in range(args.samples):
-            seed = args.seed + block * args.samples + i
-            gen = InstanceGenerator(seed=seed, kind=kind)
-            lm = generate_instance(gen, sp, sp)
-            if args.suite == "thm1":
-                report = verify_theorem1(lm)
-            else:
-                report = verify_theorem2(lm)
-            theorem_id = report.theorem
-            for c in report.clauses:
-                if c.clause not in merged:
-                    merged[c.clause] = (True, "")
-                    order.append(c.clause)
-                ok, _ = merged[c.clause]
-                if ok and not c.passed:
-                    witness = f"kind={kind.value} seed={seed} {c.witness}".strip()
-                    merged[c.clause] = (False, witness)
-    all_ok = True
-    for name in order:
-        ok, witness = merged[name]
-        all_ok = all_ok and ok
-        tail = f" {witness}" if witness else ""
-        print(f"{theorem_id}.{name} {'PASS' if ok else 'FAIL'}{tail}")
-    return EXIT_OK if all_ok else EXIT_NEGATIVE
-
-
 def cmd_verify(args) -> int:
     sp = build_space(args.n, args.q)
     if args.suite == "thm3":
         report = verify_theorem3_preconditions(sp, sp)
-        print(report.render())
-        return EXIT_OK if report.passed else EXIT_NEGATIVE
-    if args.suite == "chow":
+    elif args.suite == "chow":
         report = chow_crosscheck(sp, node_budget=args.budget)
         for c in report.clauses:
             if c.clause in ("graph_order", "group_order"):
                 print(f"{c.clause} {c.witness}")
-        print(report.render())
-        return EXIT_OK if report.passed else EXIT_NEGATIVE
-    return _verify_population(args, sp)
+    else:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
+        verify = verify_theorem1 if args.suite == "thm1" else verify_theorem2
+        report = verify_population(sp, verify, args.samples, args.seed)
+    print(report.render())
+    return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
 def _add_space_args(parser):

@@ -17,7 +17,7 @@ all q^3 triples, automorphisms over all pairs), which is cheap for q <= 32.
 import dataclasses
 from itertools import product
 
-from .errors import UnsupportedOrder
+from .errors import GeometryError, UnsupportedOrder
 
 # order -> (p, k, modulus coefficients c0..ck in ascending degree)
 _MODULI = {
@@ -181,18 +181,26 @@ def _poly_to_code(coeffs, p):
 
 
 def _check_axioms(q, add, mul, neg, inv):
-    rng = range(q)
-    for a in rng:
-        assert add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
-        assert add[a][neg[a]] == 0
-        if a != 0:
-            assert mul[a][inv[a]] == 1
-        for b in rng:
-            assert add[a][b] == add[b][a] and mul[a][b] == mul[b][a]
-            for c in rng:
-                assert add[add[a][b]][c] == add[a][add[b][c]]
-                assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
-                assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+    """Raise GeometryError naming the first field law the tables break and
+    the elements it fails at."""
+    laws = (
+        ("identity", 1, lambda a: add[a][0] == a and mul[a][1] == a and mul[a][0] == 0),
+        ("additive inverse", 1, lambda a: add[a][neg[a]] == 0),
+        ("multiplicative inverse", 1, lambda a: a == 0 or mul[a][inv[a]] == 1),
+        ("commutativity", 2,
+         lambda a, b: add[a][b] == add[b][a] and mul[a][b] == mul[b][a]),
+        ("additive associativity", 3,
+         lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]]),
+        ("multiplicative associativity", 3,
+         lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]]),
+        ("distributivity", 3,
+         lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]),
+    )
+    for name, arity, law in laws:
+        for args in product(range(q), repeat=arity):
+            if not law(*args):
+                where = " ".join(f"{v}={x}" for v, x in zip("abc", args))
+                raise GeometryError(f"GF({q}) {name} fails at {where}")
 
 
 _CACHE = {}
@@ -247,12 +255,13 @@ def field_make(q: int) -> FieldTable:
     while current != autos[0]:
         autos.append(current)
         current = tuple(frob[x] for x in current)
-    assert len(autos) == k, "Frobenius must generate a cyclic group of order k"
-    for perm in autos:
-        for a in range(q):
-            for b in range(q):
-                assert perm[add[a][b]] == add[perm[a]][perm[b]]
-                assert perm[mul[a][b]] == mul[perm[a]][perm[b]]
+    if len(autos) != k:
+        raise GeometryError(f"GF({q}) Frobenius has order {len(autos)}, not {k}")
+    for j, perm in enumerate(autos):
+        for a, b in product(range(q), repeat=2):
+            x, y = perm[a], perm[b]
+            if perm[add[a][b]] != add[x][y] or perm[mul[a][b]] != mul[x][y]:
+                raise GeometryError(f"GF({q}) automorphism {j} fails at a={a} b={b}")
 
     table = FieldTable(
         spec=spec,

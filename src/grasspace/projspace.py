@@ -222,6 +222,15 @@ def _span_point_ids(field, point_index, basis):
     return ids
 
 
+def _subspaces(field, point_index, m, k):
+    """Every k-dimensional subspace of GF(q)^m as (sorted point ids, RREF
+    basis), ascending by point ids: the canonical order of lines and planes."""
+    return sorted(
+        (tuple(sorted(_span_point_ids(field, point_index, basis))), basis)
+        for basis in _rref_bases(field.q, m, k)
+    )
+
+
 def _build_space(n, q):
     if n < 2:
         raise DimensionTooSmall(f"projective dimension must be >= 2, got {n}")
@@ -235,13 +244,9 @@ def _build_space(n, q):
         point_index[coords] = i
     assert len(points) == gaussian_binomial(m, 1, q)
 
-    raw = []
-    for basis in _rref_bases(q, m, 2):
-        pids = tuple(sorted(_span_point_ids(f, point_index, basis)))
-        raw.append((pids, basis))
-    raw.sort(key=lambda item: item[0])
     lines = tuple(
-        Line(basis=basis, point_ids=pids, id=i) for i, (pids, basis) in enumerate(raw)
+        Line(basis=basis, point_ids=pids, id=i)
+        for i, (pids, basis) in enumerate(_subspaces(f, point_index, m, 2))
     )
     assert len(lines) == gaussian_binomial(m, 2, q)
 
@@ -320,12 +325,7 @@ def star(sp, q_point: int) -> tuple:
 def _planes(sp):
     """Canonical plane tables: subspaces, point sets, membership indexes."""
     if sp._plane_tables is None:
-        f = sp.field
-        raw = []
-        for basis in _rref_bases(sp.q, sp.n + 1, 3):
-            pids = tuple(sorted(_span_point_ids(f, sp.point_index, basis)))
-            raw.append((pids, basis))
-        raw.sort(key=lambda item: item[0])
+        raw = _subspaces(sp.field, sp.point_index, sp.n + 1, 3)
         subspaces = tuple(Subspace(basis=basis) for _, basis in raw)
         point_sets = tuple(frozenset(pids) for pids, _ in raw)
         lines_in = []

@@ -7,6 +7,10 @@ yields matrix entries row-major, whole matrices are redrawn until
 invertible, then one draw picks the field automorphism; perturbed
 instances continue the same stream with two draws selecting the image
 transposition (i = below(L), j = below(L-1) skipping i).
+
+`population` is the one seed layout: a block of consecutive seeds per
+instance kind.  `verify_population` folds a suite over it into a single
+TheoremReport, which is what `grasspace verify` prints for Suites 1-2.
 """
 
 import dataclasses
@@ -70,50 +74,66 @@ class InstanceGenerator:
     kind: InstanceKind
 
 
-def _sample_semilinear(f, size, rng):
+def _sample_semilinear(sp, seed):
+    """Seeded (matrix, auto_index, stream) on the coordinates of sp; the
+    stream is left after the automorphism draw for callers that continue it."""
+    f = sp.field
+    size = sp.n + 1
+    rng = SplitMix64(seed)
     while True:
         matrix = tuple(
             tuple(rng.below(f.q) for _ in range(size)) for _ in range(size)
         )
         if is_invertible(f, matrix):
             break
-    return matrix, rng.below(len(f.automorphisms))
+    return matrix, rng.below(len(f.automorphisms)), rng
 
 
 def sample_collineation(sp, seed: int) -> Collineation:
-    rng = SplitMix64(seed)
-    matrix, auto_index = _sample_semilinear(sp.field, sp.n + 1, rng)
-    return Collineation(matrix=matrix, auto_index=auto_index)
+    return Collineation(*_sample_semilinear(sp, seed)[:2])
 
 
 def sample_duality(sp, seed: int) -> Duality:
-    rng = SplitMix64(seed)
-    matrix, auto_index = _sample_semilinear(sp.field, sp.n + 1, rng)
-    return Duality(matrix=matrix, auto_index=auto_index)
+    return Duality(*_sample_semilinear(sp, seed)[:2])
 
 
 def generate_instance(gen: InstanceGenerator, sp, sp2) -> LineMap:
     """Seeded line-map instance between two spaces (see module docstring)."""
-    if gen.kind is InstanceKind.COLLINEATION:
-        c = sample_collineation(sp, gen.seed)
-        return induced_line_map(collineation_point_map(c, sp, sp2))
     if gen.kind is InstanceKind.DUALITY:
-        d = sample_duality(sp, gen.seed)
-        return duality_line_map(d, sp, sp2)
-    if gen.kind is InstanceKind.PERTURBED:
-        rng = SplitMix64(gen.seed)
-        matrix, auto_index = _sample_semilinear(sp.field, sp.n + 1, rng)
-        c = Collineation(matrix=matrix, auto_index=auto_index)
-        lm = induced_line_map(collineation_point_map(c, sp, sp2))
-        count = len(sp.lines)
-        i = rng.below(count)
-        j = rng.below(count - 1)
-        if j >= i:
-            j += 1
-        image = dict(lm.image)
-        image[i], image[j] = image[j], image[i]
-        return LineMap(source=sp, target=sp2, image=image)
-    raise ValueError(f"unknown instance kind {gen.kind!r}")
+        return duality_line_map(sample_duality(sp, gen.seed), sp, sp2)
+    if gen.kind not in (InstanceKind.COLLINEATION, InstanceKind.PERTURBED):
+        raise ValueError(f"unknown instance kind {gen.kind!r}")
+    matrix, auto_index, rng = _sample_semilinear(sp, gen.seed)
+    c = Collineation(matrix, auto_index)
+    lm = induced_line_map(collineation_point_map(c, sp, sp2))
+    if gen.kind is InstanceKind.COLLINEATION:
+        return lm
+    count = len(sp.lines)
+    i = rng.below(count)
+    j = rng.below(count - 1)
+    if j >= i:
+        j += 1
+    image = dict(lm.image)
+    image[i], image[j] = image[j], image[i]
+    return LineMap(source=sp, target=sp2, image=image)
+
+
+def population(sp, samples, seed=0, kinds=None):
+    """Yield (kind, seed, line map on sp): one block of `samples` consecutive
+    seeds per kind, block b starting at seed + b*samples.  The default kinds
+    are the suites': collineations, plus dualities when n = 3.  An empty
+    population is an error, never a passing run."""
+    if kinds is None:
+        kinds = (InstanceKind.COLLINEATION,)
+        if sp.n == 3:
+            kinds += (InstanceKind.DUALITY,)
+    if samples < 1 or not kinds:
+        raise ValueError(f"empty population: {samples} samples of {len(kinds)} kinds")
+    return (
+        (kind, s, generate_instance(InstanceGenerator(s, kind), sp, sp))
+        for block, kind in enumerate(kinds)
+        for s in range(seed + block * samples, seed + (block + 1) * samples)
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,6 +163,24 @@ class TheoremReport:
         return "\n".join(lines)
 
 
+def verify_population(sp, verify, samples, seed=0, kinds=None) -> TheoremReport:
+    """Fold one suite (line map -> TheoremReport) over a population.  A
+    clause passes only if it passes on every instance; otherwise it carries
+    the first failure's witness as `kind=<kind> seed=<seed> <witness>`.
+    Passing clauses carry none, and clauses keep their first-seen order."""
+    theorem = ""
+    merged = {}
+    for kind, s, lm in population(sp, samples, seed, kinds):
+        report = verify(lm)
+        theorem = report.theorem
+        for c in report.clauses:
+            held = merged.setdefault(c.clause, ClauseVerdict(c.clause, True))
+            if held.passed and not c.passed:
+                witness = f"kind={kind.value} seed={s} {c.witness}".strip()
+                merged[c.clause] = ClauseVerdict(c.clause, False, witness)
+    return TheoremReport(theorem, tuple(merged.values()), f"{sp!r}")
+
+
 def _describe(lm: LineMap) -> str:
     tag = " dual" if lm.dual else ""
     return f"{lm.source!r}->{lm.target!r}{tag}"
@@ -154,32 +192,25 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
     (clause ab), the source dimension dominates (clause c), and every star
     restriction is a quotient semicollineation (clause d)."""
     report = reconstruct_point_map(lm)
-    clauses = []
-    dim_ok = lm.source.n >= lm.target.n
+    n, n2 = lm.source.n, lm.target.n
+    dim = ClauseVerdict("c", n >= n2, f"{n}>={n2}")
     if report.status is KappaStatus.MIXED:
         sample = tuple(sorted(report.unresolved_points))[:4]
-        clauses.append(ClauseVerdict("ab", False, f"unresolved stars at {sample}"))
-        clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
-        clauses.append(ClauseVerdict("d", False, "no induced point map"))
-        return TheoremReport("THM1", tuple(clauses), _describe(lm))
+        ab = ClauseVerdict("ab", False, f"unresolved stars at {sample}")
+        d = ClauseVerdict("d", False, "no induced point map")
+        return TheoremReport("THM1", (ab, dim, d), _describe(lm))
     kind = classify_point_map(report.kappa)
     ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
-    clauses.append(ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}"))
-    clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
+    ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}")
     bad_centre = None
     for pid in range(len(lm.source.points)):
         flags = check_properties(restrict_to_star(lm, pid, report.kappa))
         if not (flags.injective and flags.surjective and flags.preserves_collinearity):
             bad_centre = pid
             break
-    clauses.append(
-        ClauseVerdict(
-            "d",
-            bad_centre is None,
-            "" if bad_centre is None else f"star centre {bad_centre}",
-        )
-    )
-    return TheoremReport("THM1", tuple(clauses), _describe(lm))
+    d_witness = "" if bad_centre is None else f"star centre {bad_centre}"
+    d = ClauseVerdict("d", bad_centre is None, d_witness)
+    return TheoremReport("THM1", (ab, dim, d), _describe(lm))
 
 
 def theorem2_predicates(lm: LineMap) -> tuple:
@@ -198,24 +229,18 @@ def theorem2_predicates(lm: LineMap) -> tuple:
 
     pred_b = preserves_skewness(lm)
 
-    pred_c = False
-    if kappa is not None:
-        for pid in range(len(lm.source.points)):
-            restricted = restrict_to_star(lm, pid, kappa)
-            if classify_point_map(restricted) is MapKind.COLLINEATION:
-                pred_c = True
-                break
+    pred_c = kappa is not None and any(
+        classify_point_map(restrict_to_star(lm, pid, kappa)) is MapKind.COLLINEATION
+        for pid in range(len(lm.source.points))
+    )
 
-    pred_d = False
     sp = lm.source
     all_planes = planes(sp)
-    for pid in range(len(sp.points)):
-        for plane_id in planes_through_point(sp, pid):
-            if pencil_image_is_pencil(lm, pid, all_planes[plane_id]):
-                pred_d = True
-                break
-        if pred_d:
-            break
+    pred_d = any(
+        pencil_image_is_pencil(lm, pid, all_planes[plane_id])
+        for pid in range(len(sp.points))
+        for plane_id in planes_through_point(sp, pid)
+    )
     return (pred_a, pred_b, pred_c, pred_d)
 
 
@@ -374,20 +399,16 @@ def one_way_shadow(sp, count: int, base_seed: int = 0) -> ShadowReport:
 
     An empty population is an error, never a passing report.
     """
-    if count < 1:
-        raise ValueError(f"the population needs at least one instance, got {count}")
     rejected = 0
     isomorphisms = 0
     bad = []
-    for i in range(count):
-        gen = InstanceGenerator(seed=base_seed + i, kind=InstanceKind.PERTURBED)
-        lm = generate_instance(gen, sp, sp)
+    for _, seed, lm in population(sp, count, base_seed, (InstanceKind.PERTURBED,)):
         if not (lm.is_bijective() and preserves_intersections(lm)):
             rejected += 1
         elif all(theorem2_predicates(lm)):
             isomorphisms += 1
         else:
-            bad.append(base_seed + i)
+            bad.append(seed)
     return ShadowReport(
         instances=count,
         rejected=rejected,

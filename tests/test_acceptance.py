@@ -27,15 +27,14 @@ from grasspace.projspace import (
     verify_projective_axioms,
 )
 from grasspace.theorems import (
-    InstanceGenerator,
     InstanceKind,
     chow_crosscheck,
     one_way_shadow,
+    population,
     sample_collineation,
     sample_duality,
     theorem2_predicates,
     verify_theorem1,
-    generate_instance,
 )
 
 from oracles import enumerate_monomorphisms
@@ -51,9 +50,7 @@ def instance_pool():
             sp = build_space(n, q)
             entries = []
             for kind in (InstanceKind.COLLINEATION, InstanceKind.DUALITY):
-                for seed in range(count):
-                    lm = generate_instance(InstanceGenerator(seed, kind), sp, sp)
-                    entries.append((kind, seed, lm))
+                entries.extend(population(sp, count, 0, (kind,)))
             _POOL[(n, q)] = (sp, entries)
     return _POOL
 

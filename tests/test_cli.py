@@ -228,6 +228,20 @@ def test_verify_thm1_and_thm2(capsys):
     assert rows[4].startswith("THM2.equivalence PASS")
 
 
+def test_verify_thm2_full_output(capsys):
+    code, out, err = run(
+        capsys,
+        "verify", "--suite", "thm2", "-n", "3", "-q", "3", "--samples", "5",
+        "--seed", "7",
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert out == (
+        "THM2.a PASS\nTHM2.b PASS\nTHM2.c PASS\nTHM2.d PASS\n"
+        "THM2.equivalence PASS\n"
+    )
+
+
 def test_verify_thm1_and_thm2_pg43(capsys):
     # quotients of PG(4,3) are certified against PG(3,3)
     code, out, _ = run(

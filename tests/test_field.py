@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from grasspace.errors import UnsupportedOrder
+from grasspace.errors import GeometryError, UnsupportedOrder
 from grasspace.field import (
     SUPPORTED_ORDERS,
+    _check_axioms,
     field_make,
     monomorphisms_all_surjective,
 )
@@ -41,6 +42,16 @@ def test_frobenius_is_additive_and_multiplicative(q):
             for b in f.elements():
                 assert auto[f.add(a, b)] == f.add(auto[a], auto[b])
                 assert auto[f.mul(a, b)] == f.mul(auto[a], auto[b])
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_check_axioms_rejects_a_corrupted_mul_table(q):
+    f = field_make(q)
+    _check_axioms(q, f.add_table, f.mul_table, f.neg_table, f.inv_table)
+    mul = [list(row) for row in f.mul_table]
+    mul[2][2], mul[2][3] = mul[2][3], mul[2][2]
+    with pytest.raises(GeometryError, match=rf"GF\({q}\) .* fails at a=\d"):
+        _check_axioms(q, f.add_table, mul, f.neg_table, f.inv_table)
 
 
 def test_gf4_frobenius_swaps_generators():

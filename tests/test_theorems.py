@@ -14,17 +14,21 @@ from grasspace.maps import (
 from grasspace.projspace import build_space
 from grasspace.rng import SplitMix64
 from grasspace.theorems import (
+    ClauseVerdict,
     InstanceGenerator,
     InstanceKind,
+    TheoremReport,
     all_collineation_line_perms,
     chow_crosscheck,
     generate_instance,
     one_way_shadow,
     pgammal_order,
     pgl_order,
+    population,
     sample_collineation,
     sample_duality,
     theorem2_predicates,
+    verify_population,
     verify_theorem1,
     verify_theorem2,
     verify_theorem3_preconditions,
@@ -104,6 +108,76 @@ def test_perturbed_differs_from_parent_by_transposition(pg32):
     i, j = diff
     assert parent.image[i] == perturbed.image[j]
     assert parent.image[j] == perturbed.image[i]
+
+
+def _layout(rows):
+    return [(kind, seed) for kind, seed, _ in rows]
+
+
+def test_population_layout(pg32, pg23):
+    C, D, P = InstanceKind.COLLINEATION, InstanceKind.DUALITY, InstanceKind.PERTURBED
+    rows = list(population(pg32, 3, 10))
+    assert _layout(rows) == [(C, 10), (C, 11), (C, 12), (D, 13), (D, 14), (D, 15)]
+    assert _layout(population(pg23, 3, 10)) == [(C, 10), (C, 11), (C, 12)]
+    shadow = list(population(pg32, 4, 7, (P,)))
+    assert _layout(shadow) == [(P, 7), (P, 8), (P, 9), (P, 10)]
+    for kind, seed, lm in rows + shadow:
+        expected = generate_instance(InstanceGenerator(seed, kind), pg32, pg32)
+        assert lm.image == expected.image
+        assert lm.dual == expected.dual
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_population_rejects_empty(pg32, samples):
+    with pytest.raises(ValueError):
+        population(pg32, samples)
+    with pytest.raises(ValueError):
+        verify_population(pg32, verify_theorem1, samples)
+
+
+def test_population_rejects_no_kinds(pg32):
+    with pytest.raises(ValueError):
+        population(pg32, 2, 0, ())
+
+
+def test_verify_population_keeps_first_failure(pg32):
+    # The stub reads each instance's seed off its image: collineation seeds
+    # 0-3, then duality seeds 4-7.
+    seed_of = {}
+    for seed in range(8):
+        kind = InstanceKind.COLLINEATION if seed < 4 else InstanceKind.DUALITY
+        lm = generate_instance(InstanceGenerator(seed, kind), pg32, pg32)
+        seed_of[tuple(sorted(lm.image.items()))] = seed
+    calls = []
+
+    def stub(lm):
+        seed = seed_of[tuple(sorted(lm.image.items()))]
+        calls.append(seed)
+        clauses = [
+            ClauseVerdict("w", True, f"seen {seed}"),
+            ClauseVerdict("x", seed not in (3, 5), f"bad {seed}"),
+            ClauseVerdict("v", seed != 5),
+        ]
+        if seed >= 2:
+            clauses.insert(0, ClauseVerdict("z", True, "late"))
+        return TheoremReport("STUB", tuple(clauses))
+
+    report = verify_population(pg32, stub, 4)
+    assert sorted(calls) == list(range(8))
+    assert report.theorem == "STUB"
+    assert report.clauses == (
+        ClauseVerdict("w", True),
+        ClauseVerdict("x", False, "kind=collineation seed=3 bad 3"),
+        ClauseVerdict("v", False, "kind=duality seed=5"),
+        ClauseVerdict("z", True),
+    )
+    assert not report.passed
+    assert report.render() == (
+        "STUB.w PASS\n"
+        "STUB.x FAIL kind=collineation seed=3 bad 3\n"
+        "STUB.v FAIL kind=duality seed=5\n"
+        "STUB.z PASS"
+    )
 
 
 def test_theorem1_collineation_and_duality(pg32):
