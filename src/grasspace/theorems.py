@@ -163,14 +163,14 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def verify_population(sp, verify, samples, seed=0, kinds=None) -> TheoremReport:
+def verify_population(sp, verify, samples, seed=0) -> TheoremReport:
     """Fold one suite (line map -> TheoremReport) over a population.  A
     clause passes only if it passes on every instance; otherwise it carries
     the first failure's witness as `kind=<kind> seed=<seed> <witness>`.
     Passing clauses carry none, and clauses keep their first-seen order."""
     theorem = ""
     merged = {}
-    for kind, s, lm in population(sp, samples, seed, kinds):
+    for kind, s, lm in population(sp, samples, seed):
         report = verify(lm)
         theorem = report.theorem
         for c in report.clauses:
@@ -192,25 +192,32 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
     (clause ab), the source dimension dominates (clause c), and every star
     restriction is a quotient semicollineation (clause d)."""
     report = reconstruct_point_map(lm)
-    n, n2 = lm.source.n, lm.target.n
-    dim = ClauseVerdict("c", n >= n2, f"{n}>={n2}")
+    clauses = []
+    dim_ok = lm.source.n >= lm.target.n
     if report.status is KappaStatus.MIXED:
         sample = tuple(sorted(report.unresolved_points))[:4]
-        ab = ClauseVerdict("ab", False, f"unresolved stars at {sample}")
-        d = ClauseVerdict("d", False, "no induced point map")
-        return TheoremReport("THM1", (ab, dim, d), _describe(lm))
+        clauses.append(ClauseVerdict("ab", False, f"unresolved stars at {sample}"))
+        clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
+        clauses.append(ClauseVerdict("d", False, "no induced point map"))
+        return TheoremReport("THM1", tuple(clauses), _describe(lm))
     kind = classify_point_map(report.kappa)
     ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
-    ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}")
+    clauses.append(ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}"))
+    clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
     bad_centre = None
     for pid in range(len(lm.source.points)):
         flags = check_properties(restrict_to_star(lm, pid, report.kappa))
         if not (flags.injective and flags.surjective and flags.preserves_collinearity):
             bad_centre = pid
             break
-    d_witness = "" if bad_centre is None else f"star centre {bad_centre}"
-    d = ClauseVerdict("d", bad_centre is None, d_witness)
-    return TheoremReport("THM1", (ab, dim, d), _describe(lm))
+    clauses.append(
+        ClauseVerdict(
+            "d",
+            bad_centre is None,
+            "" if bad_centre is None else f"star centre {bad_centre}",
+        )
+    )
+    return TheoremReport("THM1", tuple(clauses), _describe(lm))
 
 
 def theorem2_predicates(lm: LineMap) -> tuple:
@@ -229,18 +236,24 @@ def theorem2_predicates(lm: LineMap) -> tuple:
 
     pred_b = preserves_skewness(lm)
 
-    pred_c = kappa is not None and any(
-        classify_point_map(restrict_to_star(lm, pid, kappa)) is MapKind.COLLINEATION
-        for pid in range(len(lm.source.points))
-    )
+    pred_c = False
+    if kappa is not None:
+        for pid in range(len(lm.source.points)):
+            restricted = restrict_to_star(lm, pid, kappa)
+            if classify_point_map(restricted) is MapKind.COLLINEATION:
+                pred_c = True
+                break
 
+    pred_d = False
     sp = lm.source
     all_planes = planes(sp)
-    pred_d = any(
-        pencil_image_is_pencil(lm, pid, all_planes[plane_id])
-        for pid in range(len(sp.points))
-        for plane_id in planes_through_point(sp, pid)
-    )
+    for pid in range(len(sp.points)):
+        for plane_id in planes_through_point(sp, pid):
+            if pencil_image_is_pencil(lm, pid, all_planes[plane_id]):
+                pred_d = True
+                break
+        if pred_d:
+            break
     return (pred_a, pred_b, pred_c, pred_d)
 
 
