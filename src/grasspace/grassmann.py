@@ -13,7 +13,7 @@ group order is exact without materializing the group.
 
 import dataclasses
 
-from .errors import BudgetExceeded, FormatError, TooLarge
+from .errors import BudgetExceeded, FormatError, GeometryError, TooLarge
 
 MAX_AUT_VERTICES = 200
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -55,7 +55,8 @@ def build_grassmann(sp) -> GrassmannSpace:
         g = GrassmannSpace(space=sp, neighbors=neighbors)
         expected = g.degree()
         for a, row in enumerate(neighbors):
-            assert len(row) == expected, f"line {a} has degree {len(row)}"
+            if len(row) != expected:
+                raise GeometryError(f"line {a} has degree {len(row)}, not {expected}")
         sp._grassmann = g
     return sp._grassmann
 
@@ -294,7 +295,8 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
     order = 1
 
     refined = _refine(masks, [tuple(range(count))], [tuple(range(count))])
-    assert refined is not None
+    if refined is None:
+        raise GeometryError("the unit partition failed refinement against itself")
     partition = refined[0]
 
     while True:
@@ -313,7 +315,10 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
                 _individualize(partition, ci, u),
             )
             if found is not None:
-                assert found[v0] == u
+                if found[v0] != u:
+                    raise GeometryError(
+                        f"search for {v0} -> {u} returned {v0} -> {found[v0]}"
+                    )
                 level_gens.append(found)
                 generators.append(found)
                 orbit = _orbit_close(orbit, level_gens)
@@ -324,11 +329,13 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
             _individualize(partition, ci, v0),
             _individualize(partition, ci, v0),
         )
-        assert refined is not None, "self-pairing cannot fail refinement"
+        if refined is None:
+            raise GeometryError("self-pairing failed refinement")
         partition = refined[0]
 
     for perm in generators:
-        assert _is_automorphism(masks, perm)
+        if not _is_automorphism(masks, perm):
+            raise GeometryError("the search returned a non-automorphism")
     return AutomorphismReport(
         group_order=order,
         generators=tuple(generators),

@@ -23,6 +23,7 @@ import enum
 
 from .errors import (
     BadConfiguration,
+    GeometryError,
     IncompatibleSpaces,
     NotInStar,
     NotLineConsistent,
@@ -202,7 +203,8 @@ def duality_line_map(d: Duality, sp, sp2) -> LineMap:
             mat_vec(f, apply_auto(f, d.auto_index, v), d.matrix) for v in line.basis
         ]
         kernel = nullspace(f, rows)
-        assert len(kernel) == 2
+        if len(kernel) != 2:
+            raise GeometryError(f"line {line.id} has a {len(kernel)}-dim annihilator")
         a = sp2.point_index[normalize(f, kernel[0])]
         b = sp2.point_index[normalize(f, kernel[1])]
         image[line.id] = join(sp2, a, b)
@@ -219,13 +221,15 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     for pt in sp.points:
         row = mat_vec(f, apply_auto(f, d.auto_index, pt.coords), d.matrix)
         kernel = nullspace(f, (row,))
-        assert len(kernel) == 3
+        if len(kernel) != 3:
+            raise GeometryError(f"point {pt.id} has a {len(kernel)}-dim annihilator")
         ids = [sp2.point_index[normalize(f, v)] for v in kernel]
         first = join(sp2, ids[0], ids[1])
         candidates = [
             pid for pid in planes_of_line(sp2, first) if ids[2] in plane_points(sp2, pid)
         ]
-        assert len(candidates) == 1
+        if len(candidates) != 1:
+            raise GeometryError(f"point {pt.id} maps to {len(candidates)} planes")
         table[pt.id] = candidates[0]
     return table
 
@@ -341,14 +345,20 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
             *(sp2.line_sets[l] for l in family)
         )
         if common_pts:
-            assert len(common_pts) == 1
+            if len(common_pts) != 1:
+                raise GeometryError(
+                    f"star image of point {pid} shares {len(common_pts)} points"
+                )
             point_table[pid] = next(iter(common_pts))
         elif sp2.n == 3:
             common_planes = frozenset.intersection(
                 *(planes_of_line(sp2, l) for l in family)
             )
             if common_planes:
-                assert len(common_planes) == 1
+                if len(common_planes) != 1:
+                    raise GeometryError(
+                        f"star image of point {pid} lies in {len(common_planes)} planes"
+                    )
                 plane_table[pid] = next(iter(common_planes))
             else:
                 unresolved.add(pid)
@@ -470,7 +480,8 @@ def intersection_compatibility_check(
     a_img = lm.image[a]
     for l in pencil(sp, q_point, eps):
         crossing = meet(sp, l, a)
-        assert crossing is not None, "coplanar lines always meet"
+        if crossing is None:
+            raise GeometryError(f"coplanar lines {l} and {a} do not meet")
         if kappa.target is not sp2:
             common = planes_of_line(sp2, lm.image[l]) & planes_of_line(sp2, a_img)
             if len(common) != 1 or kappa.image[crossing] != next(iter(common)):

@@ -242,13 +242,15 @@ def _build_space(n, q):
     for i, coords in enumerate(_normalized_vectors(q, m)):
         points.append(Point(coords=coords, id=i))
         point_index[coords] = i
-    assert len(points) == gaussian_binomial(m, 1, q)
+    if len(points) != gaussian_binomial(m, 1, q):
+        raise GeometryError(f"PG({n},{q}) built {len(points)} points")
 
     lines = tuple(
         Line(basis=basis, point_ids=pids, id=i)
         for i, (pids, basis) in enumerate(_subspaces(f, point_index, m, 2))
     )
-    assert len(lines) == gaussian_binomial(m, 2, q)
+    if len(lines) != gaussian_binomial(m, 2, q):
+        raise GeometryError(f"PG({n},{q}) built {len(lines)} lines")
 
     sp = ProjSpace(
         point_labels=tuple(range(len(points))),
@@ -263,7 +265,8 @@ def _build_space(n, q):
     )
     star_size = gaussian_binomial(n, 1, q)
     for pid, ls in sp.lines_through.items():
-        assert len(ls) == star_size, f"point {pid} lies on {len(ls)} lines"
+        if len(ls) != star_size:
+            raise GeometryError(f"point {pid} lies on {len(ls)} lines, not {star_size}")
     return sp
 
 

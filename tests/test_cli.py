@@ -301,9 +301,23 @@ def test_verify_rejects_empty_population(capsys, suite, samples):
 
 
 def test_verify_chow_too_large(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "3")
+    code, _, err = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "4")
     assert code == EXIT_PARAMS
-    assert "cap" in err
+    assert "357 lines exceed the 200 limit" in err
+
+
+def test_verify_chow_pg33(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "3")
+    assert code == EXIT_OK
+    assert out == (
+        "graph_order 24261120\n"
+        "group_order 24261120\n"
+        "CHOW.graph_order PASS 24261120\n"
+        "CHOW.group_order PASS 24261120\n"
+        "CHOW.collineations_distinct PASS 12130560 of 12130560\n"
+        "CHOW.coset_disjoint PASS\n"
+        "CHOW.order_match PASS 24261120 vs 24261120\n"
+    )
 
 
 def test_grassmap_round_trip(pg32):

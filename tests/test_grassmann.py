@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasspace.errors import BudgetExceeded, FormatError, TooLarge
+from grasspace import grassmann
+from grasspace.errors import BudgetExceeded, FormatError, GeometryError, TooLarge
 from grasspace.grassmann import (
     _as_masks,
     adjacency_from_edges,
@@ -92,6 +93,15 @@ def test_strongly_regular_parameters_pg32(pg32):
 
 def test_build_grassmann_is_cached(pg32):
     assert build_grassmann(pg32) is build_grassmann(pg32)
+
+
+def test_build_grassmann_rejects_a_wrong_degree():
+    sp = build_space.__wrapped__(3, 2)
+    through = dict(sp.lines_through)
+    through[0] = through[0][1:]
+    sp.lines_through = through
+    with pytest.raises(GeometryError, match="degree"):
+        build_grassmann(sp)
 
 
 def test_cached_graph_does_not_keep_its_space_alive():
@@ -216,6 +226,29 @@ def test_collineation_perms_are_graph_automorphisms(pg32):
         )
         perm = tuple(lm.image[l] for l in range(35))
         assert _is_automorphism(_as_masks(g), perm)
+
+
+def test_automorphism_group_rejects_a_corrupted_generator(pg32, monkeypatch):
+    # Swap two images in every generator the top-level search returns; the
+    # Grassmann graph has no twin lines, so none stays an automorphism.
+    find = grassmann._Search.find
+    depth = []
+
+    def corrupted(self, pa, pb):
+        depth.append(None)
+        try:
+            perm = find(self, pa, pb)
+        finally:
+            depth.pop()
+        if perm is None or depth:
+            return perm
+        perm = list(perm)
+        perm[-2], perm[-1] = perm[-1], perm[-2]
+        return tuple(perm)
+
+    monkeypatch.setattr(grassmann._Search, "find", corrupted)
+    with pytest.raises(GeometryError, match="non-automorphism"):
+        automorphism_group(build_grassmann(pg32))
 
 
 def test_automorphism_group_too_large():

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasspace import maps
 from grasspace.errors import (
     BadConfiguration,
+    GeometryError,
     IncompatibleSpaces,
     NotInStar,
     NotLineConsistent,
@@ -587,3 +589,44 @@ def test_induced_line_map_needs_coordinate_spaces(pg32):
     pm = PointMap(source=inc, target=inc, image={p: p for p in inc.point_labels})
     with pytest.raises(IncompatibleSpaces):
         induced_line_map(pm)
+
+
+def _truncated(real):
+    return lambda *args: real(*args)[:1]
+
+
+@pytest.mark.parametrize(
+    "name,fake,call,message",
+    [
+        ("nullspace", _truncated(maps.nullspace),
+         lambda sp: duality_line_map(Duality(identity_matrix(4)), sp, sp),
+         "annihilator"),
+        ("nullspace", _truncated(maps.nullspace),
+         lambda sp: duality_point_to_plane(Duality(identity_matrix(4)), sp, sp),
+         "annihilator"),
+        ("plane_points", lambda sp, pid: frozenset(range(15)),
+         lambda sp: duality_point_to_plane(Duality(identity_matrix(4)), sp, sp),
+         "planes"),
+        ("star", _truncated(maps.star),
+         lambda sp: reconstruct_point_map(identity_line_map(sp)),
+         "shares"),
+        ("planes_of_line", lambda sp, l: frozenset(range(15)),
+         lambda sp: reconstruct_point_map(
+             duality_line_map(Duality(identity_matrix(4)), sp, sp)
+         ),
+         "planes"),
+        ("meet", lambda sp, a, b: None,
+         lambda sp: intersection_compatibility_check(
+             identity_line_map(sp),
+             PointMap(source=sp, target=sp, image={p: p for p in range(15)}),
+             0,
+             *_first_valid_config(sp, 0),
+         ),
+         "do not meet"),
+    ],
+)
+def test_reconstruction_invariants_raise(pg32, monkeypatch, name, fake, call, message):
+    # These checks must survive python -O, so they raise instead of asserting.
+    monkeypatch.setattr(maps, name, fake)
+    with pytest.raises(GeometryError, match=message):
+        call(pg32)

@@ -410,6 +410,23 @@ def test_dual_certificate_rejects_a_short_line(monkeypatch):
     assert sp._dual is None
 
 
+@pytest.mark.parametrize(
+    "name,fake,message",
+    [
+        ("_normalized_vectors", lambda real: lambda *a: list(real(*a))[:-1], "14 points"),
+        ("_subspaces", lambda real: lambda *a: list(real(*a))[:-1], "34 lines"),
+        # expect 8 lines through each point of PG(3,2) instead of 7
+        ("gaussian_binomial", lambda real: lambda m, k, q: real(m, k, q) + (m == 3),
+         "lies on 7 lines, not 8"),
+    ],
+)
+def test_build_space_checks_its_counts(monkeypatch, name, fake, message):
+    # These checks must survive python -O, so they raise instead of asserting.
+    monkeypatch.setattr(projspace, name, fake(getattr(projspace, name)))
+    with pytest.raises(GeometryError, match=message):
+        build_space.__wrapped__(3, 2)
+
+
 def test_axiom_failure_unique_join():
     base = build_space(2, 2)
     trimmed = IncidenceStructure(

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from grasspace.errors import TooLarge, UnsupportedDimension
 from grasspace.field import field_make
 from grasspace.maps import (
+    Collineation,
     KappaStatus,
     collineation_point_map,
     duality_line_map,
@@ -17,9 +18,12 @@ from grasspace.theorems import (
     ClauseVerdict,
     InstanceGenerator,
     InstanceKind,
+    StabiliserChain,
     TheoremReport,
     all_collineation_line_perms,
     chow_crosscheck,
+    collineation_generators,
+    duality_generator,
     generate_instance,
     one_way_shadow,
     pgammal_order,
@@ -254,6 +258,60 @@ def test_collineation_perm_count_pg32(pg32):
     assert len(distinct) == 20160
     identity = tuple(range(35))
     assert identity in distinct
+    chain = StabiliserChain(collineation_generators(pg32))
+    assert chain.order == 20160
+    assert all(perm in chain for perm in distinct)
+
+
+def line_perm(lm):
+    return tuple(lm.image[l] for l in range(len(lm.source.lines)))
+
+
+def test_stabiliser_chain_rejects_non_members(pg32):
+    generators = collineation_generators(pg32)
+    chain = StabiliserChain(generators)
+    assert duality_generator(pg32) not in chain
+    swapped = list(range(35))
+    swapped[0], swapped[1] = 1, 0
+    for g in generators[:3] + (tuple(range(35)),):
+        assert tuple(g[x] for x in swapped) not in chain
+    assert StabiliserChain(generators + (duality_generator(pg32),)).order == 40320
+
+
+def test_stabiliser_chain_order_needs_every_generator():
+    sp = build_space(2, 4)
+    generators = collineation_generators(sp)
+    identity = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    frobenius = induced_line_map(
+        collineation_point_map(Collineation(identity, 1), sp, sp)
+    )
+    assert generators[-1] == line_perm(frobenius)
+    assert StabiliserChain(generators[:-1]).order == pgl_order(2, 4)
+    assert StabiliserChain(generators).order == pgammal_order(2, 4)
+
+
+def test_stabiliser_chain_of_nothing_is_trivial():
+    chain = StabiliserChain(())
+    assert chain.order == 1 and chain.base == []
+    assert StabiliserChain([(0, 1, 2)]).order == 1
+    assert StabiliserChain([(1, 2, 0), (1, 0, 2)]).order == 6
+
+
+@pytest.fixture(scope="module")
+def collineation_chains(pg32, pg33):
+    return {
+        sp.q: (sp, StabiliserChain(collineation_generators(sp))) for sp in (pg32, pg33)
+    }
+
+
+@given(q=st.sampled_from([2, 3]), seed=st.integers(0, 2**20))
+@settings(max_examples=30, deadline=None)
+def test_sampled_collineations_are_chain_members(collineation_chains, q, seed):
+    sp, chain = collineation_chains[q]
+    c = sample_collineation(sp, seed)
+    assert line_perm(induced_line_map(collineation_point_map(c, sp, sp))) in chain
+    d = sample_duality(sp, seed)
+    assert line_perm(duality_line_map(d, sp, sp)) not in chain
 
 
 def test_chow_crosscheck_pg32(pg32):
@@ -264,13 +322,37 @@ def test_chow_crosscheck_pg32(pg32):
     assert by_clause["group_order"].witness == "40320"
 
 
-def test_chow_crosscheck_guards(pg22, pg42, pg33):
+def test_chow_crosscheck_pg33(pg33):
+    report = chow_crosscheck(pg33)
+    assert report.passed, report.render()
+    by_clause = {c.clause: c for c in report.clauses}
+    assert by_clause["group_order"].witness == "24261120"
+    assert by_clause["collineations_distinct"].witness == "12130560 of 12130560"
+
+
+def test_chow_crosscheck_fails_when_the_duality_is_a_collineation(pg32, monkeypatch):
+    from grasspace import theorems
+
+    collineation = collineation_generators(pg32)[0]
+    monkeypatch.setattr(theorems, "duality_generator", lambda sp: collineation)
+    report = chow_crosscheck(pg32)
+    verdicts = {c.clause: (c.passed, c.witness) for c in report.clauses}
+    assert verdicts == {
+        "graph_order": (True, "40320"),
+        "group_order": (False, "20160"),
+        "collineations_distinct": (True, "20160 of 20160"),
+        "coset_disjoint": (False, ""),
+        "order_match": (False, "20160 vs 40320"),
+    }
+
+
+def test_chow_crosscheck_guards(pg22, pg42):
     with pytest.raises(UnsupportedDimension):
         chow_crosscheck(pg22)
     with pytest.raises(UnsupportedDimension):
         chow_crosscheck(pg42)
     with pytest.raises(TooLarge):
-        chow_crosscheck(pg33)
+        chow_crosscheck(build_space(3, 4))
 
 
 @pytest.mark.parametrize("count", [0, -3])
