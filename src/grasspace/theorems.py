@@ -24,7 +24,7 @@ import enum
 import math
 from itertools import permutations, product
 
-from .errors import TooLarge, UnsupportedDimension
+from .errors import DimensionTooSmall, TooLarge, UnsupportedDimension
 from .field import field_make, monomorphisms_all_surjective
 from .grassmann import (
     DEFAULT_NODE_BUDGET,
@@ -574,8 +574,14 @@ class ShadowReport:
 def one_way_shadow(sp, count: int, base_seed: int = 0) -> ShadowReport:
     """Run the perturbed-instance population (seeds base_seed..+count-1).
 
-    An empty population is an error, never a passing report.
+    The dichotomy needs n >= 3: in a plane every two lines meet, so every
+    bijection preserves intersections.  An empty population is an error,
+    never a passing report.
     """
+    if sp.n < 3:
+        raise DimensionTooSmall(
+            f"the one-way dichotomy needs dimension >= 3, got {sp.n}"
+        )
     rejected = 0
     isomorphisms = 0
     bad = []

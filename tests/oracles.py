@@ -5,7 +5,8 @@ deliberately unrelated to the package's implementations: subspace counts
 come from span collection, collinearity from matrix rank over the prime
 field, monomorphism counts from constraint propagation over raw operation
 tables, automorphism orders of tiny graphs from filtering all vertex
-permutations, and point-map properties from walking every point triple.
+permutations, equitable refinement from whole-partition signature passes,
+and point-map properties from walking every point triple.
 """
 
 from itertools import combinations, permutations, product
@@ -146,6 +147,58 @@ def brute_graph_aut_order(masks):
         ):
             count += 1
     return count
+
+
+def equitable_refinement_oracle(masks, pa, pb):
+    """Lockstep equitable refinement of paired ordered partitions by whole
+    passes: every vertex of a non-singleton cell is bucketed by its counts
+    against every cell, until no cell splits.
+
+    Returns (pa, pb) stabilized, or None when the signature multisets of a
+    cell pair disagree.
+    """
+    while True:
+        amasks = []
+        bmasks = []
+        for cell in pa:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            amasks.append(m)
+        for cell in pb:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            bmasks.append(m)
+        new_a = []
+        new_b = []
+        changed = False
+        for ca, cb in zip(pa, pb):
+            if len(ca) == 1:
+                new_a.append(ca)
+                new_b.append(cb)
+                continue
+            buckets_a = {}
+            for v in ca:
+                sig = tuple((masks[v] & m).bit_count() for m in amasks)
+                buckets_a.setdefault(sig, []).append(v)
+            buckets_b = {}
+            for v in cb:
+                sig = tuple((masks[v] & m).bit_count() for m in bmasks)
+                buckets_b.setdefault(sig, []).append(v)
+            if sorted(buckets_a) != sorted(buckets_b):
+                return None
+            for sig in sorted(buckets_a):
+                if len(buckets_a[sig]) != len(buckets_b[sig]):
+                    return None
+            if len(buckets_a) > 1:
+                changed = True
+            for sig in sorted(buckets_a):
+                new_a.append(tuple(buckets_a[sig]))
+                new_b.append(tuple(buckets_b[sig]))
+        pa, pb = new_a, new_b
+        if not changed:
+            return pa, pb
 
 
 def triple_property_flags(pm):

@@ -301,9 +301,9 @@ def test_verify_rejects_empty_population(capsys, suite, samples):
 
 
 def test_verify_chow_too_large(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "4")
+    code, _, err = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "5")
     assert code == EXIT_PARAMS
-    assert "357 lines exceed the 200 limit" in err
+    assert "806 lines exceed the 700 limit" in err
 
 
 def test_verify_chow_pg33(capsys):
@@ -317,6 +317,20 @@ def test_verify_chow_pg33(capsys):
         "CHOW.collineations_distinct PASS 12130560 of 12130560\n"
         "CHOW.coset_disjoint PASS\n"
         "CHOW.order_match PASS 24261120 vs 24261120\n"
+    )
+
+
+def test_verify_chow_pg34(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "4")
+    assert code == EXIT_OK
+    assert out == (
+        "graph_order 3948134400\n"
+        "group_order 3948134400\n"
+        "CHOW.graph_order PASS 3948134400\n"
+        "CHOW.group_order PASS 3948134400\n"
+        "CHOW.collineations_distinct PASS 1974067200 of 1974067200\n"
+        "CHOW.coset_disjoint PASS\n"
+        "CHOW.order_match PASS 3948134400 vs 3948134400\n"
     )
 
 

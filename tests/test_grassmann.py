@@ -5,6 +5,8 @@ from grasspace import grassmann
 from grasspace.errors import BudgetExceeded, FormatError, GeometryError, TooLarge
 from grasspace.grassmann import (
     _as_masks,
+    _individualize,
+    _refine,
     adjacency_from_edges,
     automorphism_group,
     build_grassmann,
@@ -15,7 +17,7 @@ from grasspace.grassmann import (
 )
 from grasspace.projspace import build_space, meet
 
-from oracles import brute_graph_aut_order, prime_rank
+from oracles import brute_graph_aut_order, equitable_refinement_oracle, prime_rank
 
 
 def masks_from_pairs(n, pairs):
@@ -215,6 +217,105 @@ def test_automorphism_order_is_relabeling_invariant(seed):
     assert automorphism_group(masks).group_order == automorphism_group(shuffled).group_order
 
 
+def _refine_matches_oracle(masks, pa, pb, splitter):
+    """The splitter-queue refinement of one pairing, checked against the
+    whole-pass oracle: the same set partitions, and None on the same
+    pairings.  Returns the refined pair or None."""
+    got = _refine(masks, pa, pb, splitter)
+    want = equitable_refinement_oracle(masks, pa, pb)
+    assert (got is None) == (want is None)
+    if got is not None:
+        for side in (0, 1):
+            assert set(map(frozenset, got[side])) == set(map(frozenset, want[side]))
+        assert list(map(len, got[0])) == list(map(len, got[1]))
+    return got
+
+
+def _individualisation_walk(masks, data):
+    """Refine the unit partition, then keep individualising a drawn vertex
+    of a drawn cell on each side, checking every refinement."""
+    unit = [tuple(range(len(masks)))]
+    refined = _refine_matches_oracle(masks, unit, unit, 0)
+    while refined is not None:
+        pa, pb = refined
+        cells = [i for i, cell in enumerate(pa) if len(cell) > 1]
+        if not cells:
+            break
+        ci = data.draw(st.sampled_from(cells))
+        va = data.draw(st.sampled_from(sorted(pa[ci])))
+        u = data.draw(st.sampled_from(sorted(pb[ci])))
+        refined = _refine_matches_oracle(
+            masks, _individualize(pa, ci, va), _individualize(pb, ci, u), ci
+        )
+
+
+def _circulant(n, steps):
+    return masks_from_pairs(
+        n, {tuple(sorted((a, (a + c) % n))) for a in range(n) for c in steps}
+    )
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs of every density, and relabelled pairs of circulants
+    (each regular, so refinement alone rarely separates their vertices)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return masks_from_pairs(n, [pair for pair, edge in zip(pairs, edges) if edge])
+    n = draw(st.integers(3, 8))
+    steps = st.sets(st.integers(1, n - 1), min_size=1, max_size=3)
+    masks = list(_circulant(n, draw(steps))) + [
+        m << n for m in _circulant(n, draw(steps))
+    ]
+    perm = draw(st.permutations(range(2 * n)))
+    return masks_from_pairs(
+        2 * n,
+        [(perm[u], perm[v]) for u in range(2 * n) for v in range(u) if masks[u] >> v & 1],
+    )
+
+
+# Small graphs on which a faulty splitter queue goes wrong: one whose unit
+# partition refines to eight cells, then 6-, 4- and 5-regular graphs
+# (circulants after a few degree-preserving edge swaps) whose individualised
+# pairings often fail.
+TRICKY_GRAPHS = [
+    (118, 61, 123, 246, 207, 143, 157, 120),
+    (476, 504, 881, 739, 455, 910, 543, 571, 567, 492),
+    (6464, 12312, 10288, 354, 198, 396, 537, 1584, 1065, 6336, 12672, 8709, 1539, 3078),
+    (
+        18724, 37448, 9361, 16690, 33356, 9353, 18706, 37412,
+        9289, 18578, 37156, 12865, 19586, 35108, 4681, 9362,
+    ),
+]
+
+
+@pytest.mark.parametrize("masks", TRICKY_GRAPHS)
+def test_refinement_matches_the_oracle_on_every_first_pairing(masks):
+    unit = [tuple(range(len(masks)))]
+    pa, pb = _refine_matches_oracle(masks, unit, unit, 0)
+    for ci, cell in enumerate(pa):
+        for va in cell:
+            for u in cell:
+                _refine_matches_oracle(
+                    masks, _individualize(pa, ci, va), _individualize(pb, ci, u), ci
+                )
+
+
+@given(masks=small_graphs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_refinement_matches_the_oracle_on_small_graphs(masks, data):
+    _individualisation_walk(masks, data)
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (3, 2)])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_refinement_matches_the_oracle_on_line_graphs(n, q, data):
+    _individualisation_walk(_as_masks(build_grassmann(build_space(n, q))), data)
+
+
 def test_collineation_perms_are_graph_automorphisms(pg32):
     from grasspace.grassmann import _is_automorphism
     from grasspace.theorems import InstanceGenerator, InstanceKind, generate_instance
@@ -234,10 +335,10 @@ def test_automorphism_group_rejects_a_corrupted_generator(pg32, monkeypatch):
     find = grassmann._Search.find
     depth = []
 
-    def corrupted(self, pa, pb):
+    def corrupted(self, pa, pb, *rest):
         depth.append(None)
         try:
-            perm = find(self, pa, pb)
+            perm = find(self, pa, pb, *rest)
         finally:
             depth.pop()
         if perm is None or depth:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasspace.errors import TooLarge, UnsupportedDimension
+from grasspace.errors import DimensionTooSmall, TooLarge, UnsupportedDimension
 from grasspace.field import field_make
 from grasspace.maps import (
     Collineation,
@@ -352,13 +352,19 @@ def test_chow_crosscheck_guards(pg22, pg42):
     with pytest.raises(UnsupportedDimension):
         chow_crosscheck(pg42)
     with pytest.raises(TooLarge):
-        chow_crosscheck(build_space(3, 4))
+        chow_crosscheck(build_space(3, 5))
 
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_one_way_shadow_rejects_empty_population(pg32, count):
     with pytest.raises(ValueError):
         one_way_shadow(pg32, count)
+
+
+def test_one_way_shadow_rejects_planes(pg23):
+    # Every two lines of a plane meet, so the dichotomy's hypothesis fails.
+    with pytest.raises(DimensionTooSmall):
+        one_way_shadow(pg23, 20)
 
 
 def test_one_way_shadow_accounting(pg32):
