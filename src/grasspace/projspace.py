@@ -11,10 +11,14 @@ reduced-row-echelon bases.  Quotient spaces, dual spaces and plane
 pencil-structures are plain cores, so every incidence query and every map
 check reads one code path.
 
-Derived structures are certified by an isomorphism onto the native space
-they must be (PG(n-1, q) for a quotient or plane quotient, the space itself
-for a dual; one line for a quotient of a plane), else `GeometryError`.  The
-tests scan the natives' axioms with `verify_projective_axioms`.
+Derived structures are certified isomorphic to the native space they must
+be (PG(n-1, q) for a quotient or plane quotient, the space itself for a
+dual; one line for a quotient of a plane), else `GeometryError`.  Each
+construction writes the isomorphism down as a coordinate vector per point
+(a projection from the centre, or a normal vector), and one linear check
+confirms it: a bijection onto the native points that sends every line onto
+a native line, with equal line counts.  The tests scan the natives' axioms
+with `verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -41,7 +45,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import field_make
-from .linalg import rref, vec_add, vec_scale
+from .linalg import nullspace, rref, vec_add, vec_scale
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -398,25 +402,57 @@ def pencil(sp, q_point: int, eps: Subspace) -> tuple:
     return tuple(l for l in sp.lines_through[q_point] if sp.line_sets[l] <= pts)
 
 
-def _certified(structure, native):
-    """The structure, once `incidence_isomorphic` maps it onto native, whose
-    axioms it then shares (None: a projective line, one line through all of
-    at least three points)."""
+def _maps_onto(structure, native, vector_of) -> bool:
+    """Whether label -> point of vector_of(label) is an isomorphism onto
+    native, whatever computed the vectors: every vector nonzero, the map
+    injective, every line onto a native line, and as many lines as native
+    has.  Injective on points, the map is injective on lines, so equal line
+    counts make it onto every native line, hence onto every native point."""
+    if len(structure.line_sets) != len(native.line_sets):
+        return False
+    image = {}
+    for lab in structure.point_labels:
+        vec = vector_of(lab)
+        if not (vec and any(vec)):
+            return False
+        image[lab] = point_id_of_vector(native, vec)
+    if len(set(image.values())) != len(image):
+        return False
+    for s in structure.line_sets:
+        ids = {image[lab] for lab in s}
+        a, b, *_ = ids
+        if native.line_sets[native.joins[(a, b)]] != ids:
+            return False
+    return True
+
+
+def _certified(structure, native, vector_of):
+    """The structure, once vector_of (label -> nonzero coordinate vector
+    over native) is checked to be an isomorphism onto native, whose axioms
+    it then shares (native None: a projective line, one line through all of
+    at least three points, where vector_of is not read)."""
     labels = structure.point_labels
     if native is None:
         ok = len(labels) >= 3 and structure.line_sets == (frozenset(labels),)
     else:
-        ok = incidence_isomorphic(structure, native) is not None
+        ok = _maps_onto(structure, native, vector_of)
     if not ok:
         expected = "a projective line" if native is None else repr(native)
         raise GeometryError(f"{structure!r} is not isomorphic to {expected}")
     return structure
 
 
-def _section(sp, dual: bool, centre: int, members, groups):
+def _normal(f, rows):
+    """The vector orthogonal to every row, or None unless the rows span a
+    hyperplane (a 1-dimensional kernel)."""
+    kernel = nullspace(f, rows)
+    return kernel[0] if len(kernel) == 1 else None
+
+
+def _section(sp, dual: bool, centre: int, members, groups, vector_of):
     """Quotient at a point, or at a plane of the dual: the line-id groups cut
-    down to the member lines, sorted, certified as PG(n-1, q) and cached.
-    groups is read only on a cache miss."""
+    down to the member lines, sorted, certified as PG(n-1, q) through
+    vector_of and cached.  groups is read only on a cache miss."""
     cached = sp._sections.get((dual, centre))
     if cached is None:
         member_set = set(members)
@@ -429,15 +465,28 @@ def _section(sp, dual: bool, centre: int, members, groups):
             detail=f"dual({sp!r})/{centre}" if dual else f"{sp!r}/{centre}",
         )
         native = build_space(sp.n - 1, sp.q) if sp.n > 2 else None
-        cached = sp._sections[(dual, centre)] = _certified(structure, native)
+        cached = sp._sections[(dual, centre)] = _certified(structure, native, vector_of)
     return cached
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
     """Quotient space at a point: star lines as points, pencils as lines.
-    Certified isomorphic to PG(n-1, q); for n = 2 it is one line."""
+    Certified isomorphic to PG(n-1, q); for n = 2 it is one line.
+
+    A line through P goes to X - X[i]·P for any other point X on it, with
+    coordinate i (P's leading 1) dropped: its projection from P onto the
+    coordinate hyperplane x_i = 0, which misses P."""
+    f = sp.field
+    p = sp.points[q_point].coords
+    i = p.index(1)
+
+    def vector_of(l):
+        x = sp.points[next(pid for pid in sp.lines[l].point_ids if pid != q_point)].coords
+        v = vec_add(f, x, vec_scale(f, f.neg_table[x[i]], p))
+        return v[:i] + v[i + 1 :]
+
     groups = (lines_in_plane(sp, pl) for pl in planes_through_point(sp, q_point))
-    return _section(sp, False, q_point, star(sp, q_point), groups)
+    return _section(sp, False, q_point, star(sp, q_point), groups, vector_of)
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -445,7 +494,8 @@ def dual_space(sp) -> IncidenceStructure:
 
     Point labels are canonical plane ids; line i of the dual is the set of
     planes containing line i of the source, so line ids carry over.
-    Certified isomorphic to the space itself.
+    Certified isomorphic to the space itself by sending each plane to the
+    normal vector of its basis.
     """
     if sp.n != 3:
         raise UnsupportedDimension(f"dual_space needs dimension 3, got {sp.n}")
@@ -456,17 +506,28 @@ def dual_space(sp) -> IncidenceStructure:
             kind="dual",
             detail=repr(sp),
         )
-        sp._dual = _certified(structure, sp)
+        subspaces = planes(sp)
+        sp._dual = _certified(
+            structure, sp, lambda pl: _normal(sp.field, subspaces[pl].basis)
+        )
     return sp._dual
 
 
 def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     """Quotient of the dual space at a plane: the plane's lines as points,
-    its pencils as lines.  Certified isomorphic to PG(2, q)."""
+    its pencils as lines.  Certified isomorphic to PG(2, q).
+
+    A line of π goes to the vector orthogonal to its basis rows written in
+    π's coordinates, which are their entries at π's pivot columns."""
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
+    pivots = [row.index(1) for row in planes(sp)[plane_id].basis]
+
+    def vector_of(l):
+        return _normal(sp.field, [[row[c] for c in pivots] for row in sp.lines[l].basis])
+
     groups = (sp.lines_through[pid] for pid in plane_points(sp, plane_id))
-    return _section(sp, True, plane_id, lines_in_plane(sp, plane_id), groups)
+    return _section(sp, True, plane_id, lines_in_plane(sp, plane_id), groups, vector_of)
 
 
 @dataclasses.dataclass
@@ -563,92 +624,3 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
                     if done:
                         break
     return report
-
-
-def incidence_isomorphic(a: IncidenceStructure, b: IncidenceStructure):
-    """Exhaustive backtracking isomorphism search between two structures.
-
-    Returns a point-label bijection dict, or None.  Prunes on degrees and on
-    collinearity of every mapped triple, which keeps the search tiny for the
-    small projective structures this package builds.
-    """
-    pa = list(a.point_labels)
-    pb = list(b.point_labels)
-    if len(pa) != len(pb) or len(a.line_sets) != len(b.line_sets):
-        return None
-    if sorted(len(s) for s in a.line_sets) != sorted(len(s) for s in b.line_sets):
-        return None
-    deg_a = {p: a.degree(p) for p in pa}
-    deg_b = {p: b.degree(p) for p in pb}
-    if sorted(deg_a.values()) != sorted(deg_b.values()):
-        return None
-
-    b_sets = set(b.line_sets)
-    mapping = {}
-    used = set()
-
-    def assign(i):
-        if i == len(pa):
-            for s in a.line_sets:
-                if frozenset(mapping[x] for x in s) not in b_sets:
-                    return False
-            return True
-        p = pa[i]
-        for cand in pb:
-            if cand in used or deg_b[cand] != deg_a[p]:
-                continue
-            ok = True
-            for x, y in combinations(list(mapping), 2):
-                if a.collinear(x, y, p) != b.collinear(mapping[x], mapping[y], cand):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[p] = cand
-            used.add(cand)
-            if assign(i + 1):
-                return True
-            del mapping[p]
-            used.discard(cand)
-        return False
-
-    if assign(0):
-        return dict(mapping)
-    return None
-
-
-def structure_planes(inc: IncidenceStructure):
-    """Planes of an abstract projective structure: closures of non-collinear
-    triples under pairwise joins."""
-    labels = list(inc.point_labels)
-    sets = inc.line_sets
-    found = set()
-    for a, b, c in combinations(labels, 3):
-        if inc.collinear(a, b, c):
-            continue
-        closure = {a, b, c}
-        grew = True
-        while grew:
-            grew = False
-            for x, y in combinations(tuple(closure), 2):
-                li = inc.line_through(x, y)
-                if li is not None and not (sets[li] <= closure):
-                    closure |= sets[li]
-                    grew = True
-        found.add(frozenset(closure))
-    return sorted(found, key=sorted)
-
-
-def incidence_dual(inc: IncidenceStructure) -> IncidenceStructure:
-    """Dual of an abstract 3-dimensional structure: its planes become points,
-    its lines keep their indices with incidence reversed."""
-    pls = structure_planes(inc)
-    new_sets = []
-    for s in inc.line_sets:
-        new_sets.append(frozenset(i for i, pl in enumerate(pls) if s <= pl))
-    return IncidenceStructure(
-        point_labels=tuple(range(len(pls))),
-        line_sets=tuple(new_sets),
-        kind="dual",
-        detail=f"abstract({inc.kind})",
-    )

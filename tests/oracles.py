@@ -6,10 +6,14 @@ come from span collection, collinearity from matrix rank over the prime
 field, monomorphism counts from constraint propagation over raw operation
 tables, automorphism orders of tiny graphs from filtering all vertex
 permutations, equitable refinement from whole-partition signature passes,
-and point-map properties from walking every point triple.
+point-map properties from walking every point triple, isomorphisms of
+incidence structures from a backtracking search over point bijections, and
+dual spaces from planes found as closures of non-collinear triples.
 """
 
 from itertools import combinations, permutations, product
+
+from grasspace.projspace import IncidenceStructure
 
 
 def prime_span(vectors, p):
@@ -229,3 +233,92 @@ def triple_property_flags(pm):
         else:
             noncol_ok = noncol_ok and not image_col
     return injective, surjective, col_ok, noncol_ok
+
+
+def incidence_isomorphic(a: IncidenceStructure, b: IncidenceStructure):
+    """Exhaustive backtracking isomorphism search between two structures.
+
+    Returns a point-label bijection dict, or None.  Prunes on degrees and on
+    collinearity of every mapped triple, which keeps the search tiny for the
+    small projective structures this package builds.
+    """
+    pa = list(a.point_labels)
+    pb = list(b.point_labels)
+    if len(pa) != len(pb) or len(a.line_sets) != len(b.line_sets):
+        return None
+    if sorted(len(s) for s in a.line_sets) != sorted(len(s) for s in b.line_sets):
+        return None
+    deg_a = {p: a.degree(p) for p in pa}
+    deg_b = {p: b.degree(p) for p in pb}
+    if sorted(deg_a.values()) != sorted(deg_b.values()):
+        return None
+
+    b_sets = set(b.line_sets)
+    mapping = {}
+    used = set()
+
+    def assign(i):
+        if i == len(pa):
+            for s in a.line_sets:
+                if frozenset(mapping[x] for x in s) not in b_sets:
+                    return False
+            return True
+        p = pa[i]
+        for cand in pb:
+            if cand in used or deg_b[cand] != deg_a[p]:
+                continue
+            ok = True
+            for x, y in combinations(list(mapping), 2):
+                if a.collinear(x, y, p) != b.collinear(mapping[x], mapping[y], cand):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[p] = cand
+            used.add(cand)
+            if assign(i + 1):
+                return True
+            del mapping[p]
+            used.discard(cand)
+        return False
+
+    if assign(0):
+        return dict(mapping)
+    return None
+
+
+def structure_planes(inc: IncidenceStructure):
+    """Planes of an abstract projective structure: closures of non-collinear
+    triples under pairwise joins."""
+    labels = list(inc.point_labels)
+    sets = inc.line_sets
+    found = set()
+    for a, b, c in combinations(labels, 3):
+        if inc.collinear(a, b, c):
+            continue
+        closure = {a, b, c}
+        grew = True
+        while grew:
+            grew = False
+            for x, y in combinations(tuple(closure), 2):
+                li = inc.line_through(x, y)
+                if li is not None and not (sets[li] <= closure):
+                    closure |= sets[li]
+                    grew = True
+        found.add(frozenset(closure))
+    return sorted(found, key=sorted)
+
+
+def incidence_dual(inc: IncidenceStructure) -> IncidenceStructure:
+    """Dual of an abstract 3-dimensional structure: its planes become points,
+    its lines keep their indices with incidence reversed."""
+    pls = structure_planes(inc)
+    new_sets = []
+    for s in inc.line_sets:
+        new_sets.append(frozenset(i for i, pl in enumerate(pls) if s <= pl))
+    return IncidenceStructure(
+        point_labels=tuple(range(len(pls))),
+        line_sets=tuple(new_sets),
+        kind="dual",
+        detail=f"abstract({inc.kind})",
+    )

@@ -21,7 +21,6 @@ from grasspace.maps import (
 from grasspace.projspace import (
     build_space,
     gaussian_binomial,
-    incidence_isomorphic,
     quotient,
     star,
     verify_projective_axioms,
@@ -37,7 +36,7 @@ from grasspace.theorems import (
     verify_theorem1,
 )
 
-from oracles import enumerate_monomorphisms
+from oracles import enumerate_monomorphisms, incidence_isomorphic
 
 _POOL = {}
 

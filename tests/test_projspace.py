@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,14 +16,13 @@ from grasspace.errors import (
     UnsupportedDimension,
     UnsupportedOrder,
 )
+from grasspace.linalg import nullspace
 from grasspace.projspace import (
     IncidenceStructure,
     build_space,
     collinear,
     dual_space,
     gaussian_binomial,
-    incidence_dual,
-    incidence_isomorphic,
     join,
     lines_in_plane,
     meet,
@@ -35,12 +36,17 @@ from grasspace.projspace import (
     quotient,
     span_subspace,
     star,
-    structure_planes,
     subspace_points,
     verify_projective_axioms,
 )
 
-from oracles import collinear_triple_count, prime_subspace_count
+from oracles import (
+    collinear_triple_count,
+    incidence_dual,
+    incidence_isomorphic,
+    prime_subspace_count,
+    structure_planes,
+)
 
 
 def affine_plane_order3():
@@ -379,7 +385,7 @@ def test_quotient_certificate_rejects_a_short_pencil(monkeypatch, n):
 
 
 def test_quotient_certificate_rejects_swapped_pencil_lines(monkeypatch):
-    # Line sizes and degrees survive the swap, so only the search refutes it.
+    # Line sizes and degrees survive the swap, so only the line check refutes it.
     sp = _fresh(3, 2)
     first, second = planes_through_point(sp, 0)[:2]
     star_set = set(star(sp, 0))
@@ -408,6 +414,115 @@ def test_dual_certificate_rejects_a_short_line(monkeypatch):
     with pytest.raises(GeometryError, match="not isomorphic"):
         dual_space(sp)
     assert sp._dual is None
+
+
+def _oracle_vectors(structure, native):
+    """label -> native coordinates along the oracle's isomorphism."""
+    mapping = incidence_isomorphic(structure, native)
+    return {lab: native.points[mapping[lab]].coords for lab in structure.point_labels}
+
+
+def test_certificate_rejects_a_swapped_map(pg32):
+    structure, native = quotient(pg32, 0), build_space(2, 2)
+    vectors = _oracle_vectors(structure, native)
+    assert projspace._certified(structure, native, vectors.get) is structure
+    a, b = structure.point_labels[:2]
+    vectors[a], vectors[b] = vectors[b], vectors[a]
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        projspace._certified(structure, native, vectors.get)
+
+
+def test_certificate_rejects_a_zero_vector(pg32):
+    structure, native = dual_space(pg32), pg32
+    vectors = _oracle_vectors(structure, native)
+    vectors[0] = (0, 0, 0, 0)
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        projspace._certified(structure, native, vectors.get)
+
+
+def test_certificate_rejects_a_map_that_is_not_injective(pg22):
+    # Label 7 doubles point c and point 0 is missed, yet every one of the
+    # seven lines maps onto a native line: only the bijection check refutes it.
+    avoiding = [s for s in pg22.line_sets if 0 not in s]
+    c = min(avoiding[0])
+    doubled = [s for s in avoiding if c in s]
+    extra = [s - {c} | {7} for s in doubled] + [doubled[0] | {7}]
+    structure = IncidenceStructure(
+        point_labels=tuple(range(1, 8)),
+        line_sets=tuple(avoiding + extra),
+        kind="quotient",
+        detail="doubled point",
+    )
+    vector_of = lambda lab: pg22.points[c if lab == 7 else lab].coords
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        projspace._certified(structure, pg22, vector_of)
+
+
+def test_certificate_rejects_a_missing_line(pg22):
+    # The identity on points sends each of six lines onto a native line:
+    # only the line count refutes it.
+    structure = IncidenceStructure(
+        point_labels=pg22.point_labels,
+        line_sets=pg22.line_sets[1:],
+        kind="quotient",
+        detail="missing line",
+    )
+    vector_of = lambda lab: pg22.points[lab].coords
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        projspace._certified(structure, pg22, vector_of)
+
+
+def test_plane_quotient_certificate_rejects_a_degenerate_kernel(monkeypatch):
+    # Swap a line of the plane for one through the point off it whose
+    # entries at the plane's pivot columns vanish: the counts still agree,
+    # but that line's rows in plane coordinates have a 2-dimensional kernel.
+    sp = _fresh(3, 2)
+    basis = planes(sp)[0].basis
+    pivots = [row.index(1) for row in basis]
+    (free,) = set(range(4)) - set(pivots)
+    off = sp.point_index[tuple(int(c == free) for c in range(4))]
+    outside = star(sp, off)[0]
+    rows = [[row[c] for c in pivots] for row in sp.lines[outside].basis]
+    assert len(nullspace(sp.field, rows)) == 2
+    _corrupt(monkeypatch, "lines_in_plane", 0, lambda ls: tuple(sorted(ls[1:] + (outside,))))
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        plane_quotient(sp, 0)
+    assert not sp._sections
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_oracle_agrees_with_the_coordinate_certificates(n, q):
+    sp = build_space(n, q)
+    if n > 2:
+        native = build_space(n - 1, q)
+    else:
+        native = IncidenceStructure(
+            point_labels=tuple(range(q + 1)),
+            line_sets=(frozenset(range(q + 1)),),
+            kind="native",
+            detail=f"PG(1,{q})",
+        )
+    pairs = [(quotient(sp, p), native) for p in sp.point_labels]
+    if n == 3:
+        pairs += [(plane_quotient(sp, pl), build_space(2, q)) for pl in range(len(planes(sp)))]
+        pairs.append((dual_space(sp), sp))
+    for section, target in pairs:
+        assert incidence_isomorphic(section, target) is not None, section
+
+
+def test_sections_match_the_golden_digest(pg33):
+    # The certificate only checks a section; it must not change one.  This
+    # pins the labels and line order of every section of PG(3,3).
+    sections = [quotient(pg33, p) for p in pg33.point_labels]
+    sections += [plane_quotient(pg33, pl) for pl in range(len(planes(pg33)))]
+    sections.append(dual_space(pg33))
+    digest = hashlib.sha256()
+    for s in sections:
+        lines = tuple(tuple(sorted(ls)) for ls in s.line_sets)
+        digest.update(repr((s.point_labels, lines)).encode())
+    assert digest.hexdigest() == (
+        "32567cefb10d2f773a61385c5c337b446a7c4fbb47d79ecadaeb3ad3f7159ee2"
+    )
 
 
 @pytest.mark.parametrize(
