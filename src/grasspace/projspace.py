@@ -1,9 +1,9 @@
 """Finite projective spaces PG(n, q) on one incidence core.
 
 `IncidenceStructure` is the only incidence representation: point labels,
-each line as the frozenset of its labels, the lines through each label and
-one table from point pairs to lines, all built once at construction.
-`ProjSpace` is that core plus coordinates: points are the 1-dimensional
+each line as the frozenset of its labels and the lines through each label,
+built once at construction.  `ProjSpace` is that core plus coordinates and
+one table from point pairs to their line: points are the 1-dimensional
 subspaces of GF(q)^(n+1), represented by the unique coordinate vector whose
 leftmost nonzero entry is 1, labelled by their ids; lines are the
 2-dimensional subspaces, planes the 3-dimensional ones, stored as
@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import field_make
-from .linalg import nullspace, rref, vec_add, vec_scale
+from .linalg import normalize, nullspace, rref, vec_add, vec_scale
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -89,9 +89,9 @@ class IncidenceStructure:
     """Point/line incidence structure with hashable point labels.
 
     kind is one of "native", "quotient", "dual" (plus free-form detail);
-    line_sets[i] is the set of labels on line i.  lines_through maps each
-    label to the ascending indices of its lines, and joins maps each
-    ordered pair of labels on a common line to the first such line.
+    line_sets[i] is the set of labels on line i, and lines_through maps each
+    label to the ascending indices of its lines.  Only `ProjSpace` also
+    keeps a table from point pairs to lines.
     """
 
     point_labels: tuple
@@ -104,8 +104,6 @@ class IncidenceStructure:
         if len(labels) != len(self.point_labels):
             raise BadConfiguration("repeated point labels")
         through = {lab: [] for lab in self.point_labels}
-        joins = {}
-        linear = True
         seen = set()
         for i, s in enumerate(self.line_sets):
             if len(s) < 2:
@@ -117,16 +115,7 @@ class IncidenceStructure:
             seen.add(s)
             for lab in s:
                 through[lab].append(i)
-            # both orders are stored so lookups need no label ordering
-            for a, b in combinations(s, 2):
-                if (a, b) in joins:
-                    linear = False
-                else:
-                    joins[(a, b)] = i
-                    joins[(b, a)] = i
         self.lines_through = {lab: tuple(ls) for lab, ls in through.items()}
-        self.joins = joins
-        self.linear = linear  # every pair of points on at most one line
 
     def point_count(self):
         return len(self.point_labels)
@@ -135,15 +124,19 @@ class IncidenceStructure:
         return len(self.line_sets)
 
     def line_through(self, a, b):
-        """Index of a line through both labels, or None."""
-        return self.joins.get((a, b))
+        """Index of the first line through two distinct labels, or None."""
+        if a != b:
+            for i in self.lines_through.get(a, ()):
+                if b in self.line_sets[i]:
+                    return i
+        return None
 
     def collinear(self, a, b, c):
-        if self.linear:
-            i = self.joins.get((a, b))
-            return i is not None and c in self.line_sets[i]
-        need = {a, b, c}
-        return any(need <= s for s in self.line_sets)
+        """Whether one line holds all three labels; False when a == b."""
+        return a != b and any(
+            b in self.line_sets[i] and c in self.line_sets[i]
+            for i in self.lines_through.get(a, ())
+        )
 
     def degree(self, label):
         return len(self.lines_through[label])
@@ -158,7 +151,8 @@ class IncidenceStructure:
 
 @dataclasses.dataclass(eq=False, kw_only=True)
 class ProjSpace(IncidenceStructure):
-    """PG(n, q): the incidence core over point ids, plus coordinates."""
+    """PG(n, q): the incidence core over point ids, plus coordinates and
+    joins, which maps both orders of every point pair to their line."""
 
     n: int
     field: object
@@ -168,11 +162,15 @@ class ProjSpace(IncidenceStructure):
 
     def __post_init__(self):
         super().__post_init__()
+        joins = {}
+        for i, s in enumerate(self.line_sets):
+            for a, b in combinations(s, 2):
+                joins[(a, b)] = joins[(b, a)] = i
+        self.joins = joins
         self._plane_tables = None
         self._sections = {}
         self._dual = None
         self._grassmann = None
-        self._vec_index = None
 
     @property
     def q(self):
@@ -281,23 +279,9 @@ def build_space(n: int, q: int) -> ProjSpace:
 
 
 def point_id_of_vector(sp, vec):
-    """Point id of an arbitrary nonzero coordinate vector."""
-    if sp._vec_index is None:
-        f = sp.field
-        index = {}
-        for coords in product(range(sp.q), repeat=sp.n + 1):
-            if any(coords):
-                for c in coords:
-                    if c:
-                        if c == 1:
-                            index[coords] = sp.point_index[coords]
-                        else:
-                            s = f.inv_table[c]
-                            row = f.mul_table[s]
-                            index[coords] = sp.point_index[tuple(row[x] for x in coords)]
-                        break
-        sp._vec_index = index
-    return sp._vec_index[tuple(vec)]
+    """Point id of a nonzero coordinate vector: the id of its normalized
+    multiple (a zero vector raises ValueError)."""
+    return sp.point_index[normalize(sp.field, vec)]
 
 
 def join(sp, a: int, b: int) -> int:
@@ -568,9 +552,12 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
     report = AxiomReport(unique_join=True)
 
     counts = {}
-    for s in sets:
+    first_line = {}  # both orders of each pair on a line -> the first such line
+    for i, s in enumerate(sets):
         for a, b in combinations(s, 2):
             counts[(a, b)] = counts.get((a, b), 0) + 1
+            first_line.setdefault((a, b), i)
+            first_line.setdefault((b, a), i)
     for a, b in combinations(labels, 2):
         c = counts.get((a, b), 0) + counts.get((b, a), 0)
         if c != 1:
@@ -584,43 +571,31 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
             report.line_size_witness = tuple(sorted(s, key=repr))
             break
 
-    # Triangle form: sides g = A|B and h = A|C through a common vertex A;
-    # the line through P on g and R on h (both away from A) must meet B|C.
-    through = inc.lines_through
-    line_through = inc.line_through
-    done = False
-    for a in labels:
-        if done:
-            break
-        for g, h in combinations(through[a], 2):
-            if done:
-                break
+    report.veblen_witness = _veblen_witness(inc, first_line)
+    report.veblen = report.veblen_witness is None
+    return report
+
+
+def _veblen_witness(inc, first_line):
+    """The first (A, B, C, P, R) in scan order where the line through P and
+    R misses the side B|C, or None.  Triangle form: sides g = A|B and
+    h = A|C through a common vertex A; the line through P on g and R on h
+    (both away from A) must meet B|C.  first_line maps each ordered pair
+    of labels on a line to the first such line."""
+    sets = inc.line_sets
+    for a in inc.point_labels:
+        for g, h in combinations(inc.lines_through[a], 2):
             g_rest = [x for x in sets[g] if x != a]
             h_rest = [x for x in sets[h] if x != a]
-            for p_lab in g_rest:
-                if done:
-                    break
-                for r_lab in h_rest:
-                    li = line_through(p_lab, r_lab)
-                    if li is None:
+            for p_lab, r_lab in product(g_rest, h_rest):
+                li = first_line.get((p_lab, r_lab))
+                if li is None:
+                    continue
+                lset = sets[li]
+                for b_lab, c_lab in product(g_rest, h_rest):
+                    if b_lab == p_lab or c_lab == r_lab:
                         continue
-                    lset = sets[li]
-                    for b_lab in g_rest:
-                        if b_lab == p_lab:
-                            continue
-                        for c_lab in h_rest:
-                            if c_lab == r_lab:
-                                continue
-                            side = line_through(b_lab, c_lab)
-                            if side is None:
-                                continue
-                            if not (lset & sets[side]):
-                                report.veblen = False
-                                report.veblen_witness = (a, b_lab, c_lab, p_lab, r_lab)
-                                done = True
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
-    return report
+                    side = first_line.get((b_lab, c_lab))
+                    if side is not None and not (lset & sets[side]):
+                        return (a, b_lab, c_lab, p_lab, r_lab)
+    return None

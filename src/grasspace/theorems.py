@@ -417,13 +417,20 @@ class StabiliserChain:
     """
 
     def __init__(self, generators):
-        generators = [tuple(g) for g in generators]
-        self._identity = tuple(range(len(generators[0]))) if generators else ()
+        self._identity = ()  # of the degree of the first generator absorbed
         self.base = []
         self._strong = []
         self._transversal = []
         self._inverse = []
         self._checked = []  # per level: (orbit point, generator index) pairs sifted
+        self.extend(generators)
+
+    def extend(self, generators):
+        """Absorb more generators (permutations of the chain's points) and
+        complete the chain again, so it is that of the larger group."""
+        generators = [tuple(g) for g in generators]
+        if generators and not self._identity:
+            self._identity = tuple(range(len(generators[0])))
         for g in generators:
             self._absorb(g, 0)
         level = len(self.base) - 1
@@ -517,7 +524,7 @@ def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport
     collineation generators (`collineation_generators`): its order must be
     |PGammaL(4, q)|, which shows the generators give the whole group acting
     faithfully on lines; the identity-matrix duality must not sift through
-    it; and the chain rebuilt with that duality as one more generator gives
+    it; and the chain extended by that duality as one more generator gives
     the group order, which must equal twice |PGammaL| and the order found by
     the graph search.  Both sides are computed independently."""
     if sp.n != 3:
@@ -530,11 +537,12 @@ def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport
     expected = 2 * collineation_order
     aut = automorphism_group(build_grassmann(sp), node_budget)
 
-    generators = collineation_generators(sp)
-    collineations = StabiliserChain(generators)
+    chain = StabiliserChain(collineation_generators(sp))
+    collineations = chain.order
     dual_perm = duality_generator(sp)
-    disjoint = dual_perm not in collineations
-    total = StabiliserChain(generators + (dual_perm,)).order
+    disjoint = dual_perm not in chain
+    chain.extend([dual_perm])
+    total = chain.order
 
     clauses = (
         ClauseVerdict(
@@ -543,8 +551,8 @@ def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport
         ClauseVerdict("group_order", total == expected, str(total)),
         ClauseVerdict(
             "collineations_distinct",
-            collineations.order == collineation_order,
-            f"{collineations.order} of {collineation_order}",
+            collineations == collineation_order,
+            f"{collineations} of {collineation_order}",
         ),
         ClauseVerdict("coset_disjoint", disjoint),
         ClauseVerdict(

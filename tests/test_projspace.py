@@ -1,4 +1,5 @@
 import hashlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,6 +278,35 @@ def test_incidence_structure_rejects_bad_input(labels, line_sets):
         IncidenceStructure(point_labels=labels, line_sets=line_sets, kind="native")
 
 
+def _two_lines_sharing_two_points():
+    return IncidenceStructure(
+        point_labels=(0, 1, 2, 3, 4),
+        line_sets=(frozenset({0, 1, 2}), frozenset({0, 1, 3}), frozenset({2, 3, 4})),
+        kind="native",
+        detail="pair on two lines",
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_two_lines_sharing_two_points, lambda: quotient(build_space(3, 2), 5),
+     lambda: build_space(2, 3)],
+    ids=["non-linear", "quotient-pg32", "pg23"],
+)
+def test_line_through_and_collinear_match_a_scan_of_the_lines(make):
+    inc = make()
+    labels = inc.point_labels
+    for a, b in product(labels, repeat=2):
+        first = next((i for i, s in enumerate(inc.line_sets) if {a, b} <= s), None)
+        assert inc.line_through(a, b) == (first if a != b else None)
+    # A repeated first pair is never collinear, even where one line holds
+    # the labels; in the non-linear case only the second line through 0 and
+    # 1 holds 3, so collinear(0, 1, 3) must look past the first.
+    for a, b, c in product(labels, repeat=3):
+        held = any({a, b, c} <= s for s in inc.line_sets)
+        assert inc.collinear(a, b, c) == (held and a != b), (a, b, c)
+
+
 def test_space_is_its_own_incidence_core(pg32):
     assert pg32.point_labels == tuple(range(15))
     for l in pg32.lines:
@@ -553,7 +583,8 @@ def test_axiom_failure_unique_join():
     report = verify_projective_axioms(trimmed)
     assert not report.passed
     assert not report.unique_join
-    assert report.unique_join_witness is not None
+    assert report.unique_join_witness == (0, 1, 0)
+    assert report.veblen_witness is None
 
 
 def test_axiom_failure_double_join():
@@ -570,6 +601,8 @@ def test_axiom_failure_double_join():
     report = verify_projective_axioms(inc)
     assert not report.passed
     assert not report.unique_join
+    assert report.unique_join_witness == (0, 1, 2)
+    assert report.veblen_witness is None
 
 
 def test_axiom_failure_short_line():
@@ -591,7 +624,8 @@ def test_axiom_failure_veblen_on_affine_plane():
     assert report.line_size
     assert not report.veblen
     assert not report.passed
-    assert report.veblen_witness is not None
+    assert report.unique_join_witness is None
+    assert report.veblen_witness == (0, 2, 6, 1, 3)
 
 
 def test_incidence_isomorphic_returns_real_bijection(pg32):

@@ -286,13 +286,25 @@ def test_stabiliser_chain_order_needs_every_generator():
         collineation_point_map(Collineation(identity, 1), sp, sp)
     )
     assert generators[-1] == line_perm(frobenius)
-    assert StabiliserChain(generators[:-1]).order == pgl_order(2, 4)
+    chain = StabiliserChain(generators[:-1])
+    assert chain.order == pgl_order(2, 4)
+    assert generators[-1] not in chain
     assert StabiliserChain(generators).order == pgammal_order(2, 4)
+    chain.extend(generators[-1:])
+    assert chain.order == pgammal_order(2, 4)
+    assert generators[-1] in chain
+    # an extension completes the chain again: absorbing (0 1) into the
+    # chain of a 4-cycle without sifting Schreier generators gives order 12
+    small = StabiliserChain([(1, 2, 3, 0)])
+    small.extend([(1, 0, 2, 3)])
+    assert small.order == 24
 
 
 def test_stabiliser_chain_of_nothing_is_trivial():
     chain = StabiliserChain(())
     assert chain.order == 1 and chain.base == []
+    chain.extend([(1, 0, 2)])
+    assert chain.order == 2 and (1, 0, 2) in chain and (0, 2, 1) not in chain
     assert StabiliserChain([(0, 1, 2)]).order == 1
     assert StabiliserChain([(1, 2, 0), (1, 0, 2)]).order == 6
 
