@@ -5,10 +5,15 @@ so the graph stores the irreflexive part and `related` re-adds the
 diagonal.  The graph of PG(n, q) is regular of degree
 (q+1)((q^n - 1)/(q - 1) - 1).
 
-The automorphism search uses equitable partition refinement driven by a
-splitter queue (only cells that changed are refined against), smallest-cell
-branching with smallest-id tie-breaking, and first-path stabilizer
-accounting, so reports are deterministic and the group order is exact
+The automorphism search pairs the first path, which individualises the
+smallest vertex of the smallest non-singleton cell, with each candidate
+path, and refines both equitably by a splitter queue, one side at a time
+(McKay and Piperno 2014).  Each first-path partition is refined once per
+search and cached by depth with its trace; a candidate side replays that
+trace and is cut off at the first entry that differs.  A leaf, and every
+generator again before the report, must pass a certificate: a permutation
+of the vertices that maps each neighbour list onto its image's
+neighbourhood.  Reports are deterministic, and the group order is exact
 without materializing the group.  MAX_AUT_VERTICES sits between PG(5,2)
 (651 lines, 191 search nodes) and PG(3,5) (806 lines, 6425 nodes, about
 seven times the time); the node budget bounds every search below it.
@@ -156,91 +161,83 @@ def _as_masks(g):
     return tuple(g)
 
 
-def _refine(masks, pa, pb, splitter):
-    """Lockstep equitable refinement of paired ordered partitions.
+def _refine_side(masks, p, splitter, expect=None):
+    """Equitable refinement of one ordered partition, and its trace.
 
     A splitter queue (Hopcroft 1971; McKay and Piperno 2014) refines cells
     only against cells that changed.  It starts with cell `splitter` alone,
     so every other cell must already be equitable: `splitter` is the one
     cell of the unit partition, or the singleton `_individualize` just cut
-    from an equitable partition.  Cells are runs of the flattened
-    partitions named by their start, which a split keeps for its first
-    fragment.
+    from an equitable partition.  Cells are runs of the flattened partition
+    named by their start, which a split keeps for its first fragment.
+    Against a splitter W, each non-singleton cell that meets W's
+    neighbourhood is cut in place by neighbour count in W, ascending; a
+    split queues every fragment if its cell was queued, else all but the
+    first largest.  Each such cell adds `(W's start, cell start, counts)`
+    to the trace: its one count, or the (count, fragment size) pairs.
 
-    Against a splitter W, every non-singleton cell pair that meets W's
-    neighbourhood is cut by the number of neighbours each vertex has in W,
-    fragments in place in ascending count order.  A split queues every
-    fragment if its cell was still queued, and all but the first largest
-    otherwise.
-
-    Returns (pa, pb) stabilized, or None when a cell pair's counts against
-    a splitter disagree (no isomorphism can respect the pairing).
+    Returns (partition, trace).  Given `expect`, the trace of the paired
+    partition, returns None at the first entry that differs or when the
+    lengths differ: exactly when refining the pair in lockstep meets a cell
+    pair whose counts disagree, so no isomorphism respects the pairing.
     """
-    lab_a = [v for cell in pa for v in cell]
-    lab_b = [v for cell in pb for v in cell]
+    lab = [v for cell in p for v in cell]
     end = {}
-    bits_a = {}
-    bits_b = {}
+    bits = {}
     open_cells = {}  # starts of the non-singleton cells, as an ordered set
     queue = collections.deque()
     start = 0
-    for i, (ca, cb) in enumerate(zip(pa, pb)):
-        end[start] = start + len(ca)
-        bits_a[start] = _cell_bits(ca)
-        bits_b[start] = _cell_bits(cb)
-        if len(ca) > 1:
+    for i, cell in enumerate(p):
+        end[start] = start + len(cell)
+        bits[start] = _cell_bits(cell)
+        if len(cell) > 1:
             open_cells[start] = None
         if i == splitter:
             queue.append(start)
-        start += len(ca)
+        start += len(cell)
     queued = set(queue)
+    trace = []
 
     while queue and open_cells:
         w = queue.popleft()
         queued.discard(w)
-        wa = bits_a[w]
-        wb = bits_b[w]
-        near_a = near_b = 0
-        for v in lab_a[w : end[w]]:
-            near_a |= masks[v]
-        for v in lab_b[w : end[w]]:
-            near_b |= masks[v]
+        wbits = bits[w]
+        near = 0
+        for v in lab[w : end[w]]:
+            near |= masks[v]
         for s in list(open_cells):
-            if not (bits_a[s] & near_a or bits_b[s] & near_b):
+            if not bits[s] & near:
                 continue
-            cell_a = lab_a[s : end[s]]
-            cell_b = lab_b[s : end[s]]
-            ka = [(masks[v] & wa).bit_count() for v in cell_a]
-            kb = [(masks[v] & wb).bit_count() for v in cell_b]
-            counts = sorted(set(ka))
-            if counts != sorted(set(kb)):
+            cell = lab[s : end[s]]
+            ks = [(masks[v] & wbits).bit_count() for v in cell]
+            counts = sorted(set(ks))
+            if len(counts) == 1:
+                entry = (w, s, counts[0])
+            else:
+                buckets = {k: [] for k in counts}
+                for v, k in zip(cell, ks):
+                    buckets[k].append(v)
+                entry = (w, s, tuple((k, len(buckets[k])) for k in counts))
+            if expect is not None and (
+                len(trace) == len(expect) or expect[len(trace)] != entry
+            ):
                 return None
+            trace.append(entry)
             if len(counts) == 1:
                 continue
-            buckets_a = {k: [] for k in counts}
-            buckets_b = {k: [] for k in counts}
-            for v, k in zip(cell_a, ka):
-                buckets_a[k].append(v)
-            for v, k in zip(cell_b, kb):
-                buckets_b[k].append(v)
             starts = []
             pos = s
             for k in counts:
-                fa = buckets_a[k]
-                fb = buckets_b[k]
-                if len(fa) != len(fb):
-                    return None
-                lab_a[pos : pos + len(fa)] = fa
-                lab_b[pos : pos + len(fb)] = fb
-                end[pos] = pos + len(fa)
-                bits_a[pos] = _cell_bits(fa)
-                bits_b[pos] = _cell_bits(fb)
-                if len(fa) > 1:
+                fragment = buckets[k]
+                lab[pos : pos + len(fragment)] = fragment
+                end[pos] = pos + len(fragment)
+                bits[pos] = _cell_bits(fragment)
+                if len(fragment) > 1:
                     open_cells[pos] = None
                 else:
                     open_cells.pop(pos, None)
                 starts.append(pos)
-                pos += len(fa)
+                pos += len(fragment)
             if s in queued:
                 fresh = starts[1:]
             else:
@@ -249,14 +246,23 @@ def _refine(masks, pa, pb, splitter):
             queue.extend(fresh)
             queued.update(fresh)
 
-    new_a = []
-    new_b = []
+    if expect is not None and len(trace) != len(expect):
+        return None
+    partition = []
     s = 0
-    while s < len(lab_a):
-        new_a.append(tuple(lab_a[s : end[s]]))
-        new_b.append(tuple(lab_b[s : end[s]]))
+    while s < len(lab):
+        partition.append(tuple(lab[s : end[s]]))
         s = end[s]
-    return new_a, new_b
+    return partition, trace
+
+
+def _refine(masks, pa, pb, splitter):
+    """Refinement of paired ordered partitions: `pa` alone, then `pb`
+    replaying `pa`'s trace.  Returns (pa, pb) refined, or None when no
+    isomorphism can respect the pairing."""
+    pa, trace = _refine_side(masks, pa, splitter)
+    refined = _refine_side(masks, pb, splitter, trace)
+    return None if refined is None else (pa, refined[0])
 
 
 def _branch_cell(partition):
@@ -269,24 +275,24 @@ def _branch_cell(partition):
 
 
 def _individualize(partition, cell_index, vertex):
-    cell = partition[cell_index]
-    rest = tuple(v for v in cell if v != vertex)
-    return (
-        list(partition[:cell_index])
-        + [(vertex,), rest]
-        + list(partition[cell_index + 1 :])
-    )
+    rest = tuple(v for v in partition[cell_index] if v != vertex)
+    return [*partition[:cell_index], (vertex,), rest, *partition[cell_index + 1 :]]
 
 
-def _is_automorphism(masks, perm):
-    for v, nm in enumerate(masks):
-        image = 0
-        m = nm
-        while m:
-            low = m & -m
-            image |= 1 << perm[low.bit_length() - 1]
-            m ^= low
-        if image != masks[perm[v]]:
+def _neighbour_lists(masks):
+    """Vertex ids of each neighbour bitmask, ascending."""
+    return [[v for v, c in enumerate(bin(m)[:1:-1]) if c == "1"] for m in masks]
+
+
+def _is_automorphism(masks, perm, neighbours=None):
+    """Whether `perm` is a permutation of the vertices that maps every
+    neighbourhood onto the image's: the sum of `1 << perm[u]` over v's
+    neighbours must equal `masks[perm[v]]`."""
+    if sorted(perm) != list(range(len(masks))):
+        return False
+    bit = [1 << p for p in perm]
+    for v, row in enumerate(neighbours or _neighbour_lists(masks)):
+        if sum(map(bit.__getitem__, row)) != masks[perm[v]]:
             return False
     return True
 
@@ -294,34 +300,42 @@ def _is_automorphism(masks, perm):
 class _Search:
     def __init__(self, masks, node_budget):
         self.masks = masks
+        self.neighbours = _neighbour_lists(masks)
         self.budget = node_budget
         self.nodes = 0
+        self.first_path = {}  # depth -> the first path's (partition, trace)
 
-    def find(self, pa, pb, splitter):
+    def first(self, depth, pa, splitter):
+        """The first path's side at `depth` below the unit partition, refined
+        once per search: each level's first path continues the last one's."""
+        if depth not in self.first_path:
+            self.first_path[depth] = _refine_side(self.masks, pa, splitter)
+        return self.first_path[depth]
+
+    def find(self, pa, pb, splitter, depth):
         """One adjacency-preserving bijection respecting the paired cells;
-        `splitter` is the cell individualised last."""
+        `splitter` is the cell individualised last, `pa` on the first path."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(
                 f"automorphism search exceeded {self.budget} nodes"
             )
-        refined = _refine(self.masks, pa, pb, splitter)
+        pa, trace = self.first(depth, pa, splitter)
+        refined = _refine_side(self.masks, pb, splitter, trace)
         if refined is None:
             return None
-        pa, pb = refined
+        pb = refined[0]
         ci = _branch_cell(pa)
         if ci is None:
             perm = [0] * len(self.masks)
             for ca, cb in zip(pa, pb):
                 perm[ca[0]] = cb[0]
-            if _is_automorphism(self.masks, perm):
+            if _is_automorphism(self.masks, perm, self.neighbours):
                 return tuple(perm)
             return None
-        va = min(pa[ci])
+        child = _individualize(pa, ci, min(pa[ci]))
         for u in sorted(pb[ci]):
-            result = self.find(
-                _individualize(pa, ci, va), _individualize(pb, ci, u), ci
-            )
+            result = self.find(child, _individualize(pb, ci, u), ci, depth + 1)
             if result is not None:
                 return result
         return None
@@ -359,11 +373,7 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
     generators = []
     base = []
     order = 1
-
-    refined = _refine(masks, [tuple(range(count))], [tuple(range(count))], 0)
-    if refined is None:
-        raise GeometryError("the unit partition failed refinement against itself")
-    partition = refined[0]
+    partition = search.first(0, [tuple(range(count))], 0)[0]
 
     while True:
         ci = _branch_cell(partition)
@@ -371,16 +381,14 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
             break
         cell = partition[ci]
         v0 = min(cell)
+        first = _individualize(partition, ci, v0)
+        depth = len(base) + 1
         level_gens = []
         orbit = {v0}
         for u in sorted(cell):
             if u in orbit:
                 continue
-            found = search.find(
-                _individualize(partition, ci, v0),
-                _individualize(partition, ci, u),
-                ci,
-            )
+            found = search.find(first, _individualize(partition, ci, u), ci, depth)
             if found is not None:
                 if found[v0] != u:
                     raise GeometryError(
@@ -391,18 +399,10 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
                 orbit = _orbit_close(orbit, level_gens)
         order *= len(orbit)
         base.append(v0)
-        refined = _refine(
-            masks,
-            _individualize(partition, ci, v0),
-            _individualize(partition, ci, v0),
-            ci,
-        )
-        if refined is None:
-            raise GeometryError("self-pairing failed refinement")
-        partition = refined[0]
+        partition = search.first(depth, first, ci)[0]
 
     for perm in generators:
-        if not _is_automorphism(masks, perm):
+        if not _is_automorphism(masks, perm, search.neighbours):
             raise GeometryError("the search returned a non-automorphism")
     return AutomorphismReport(
         group_order=order,

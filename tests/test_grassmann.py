@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,9 @@ from grasspace.errors import BudgetExceeded, FormatError, GeometryError, TooLarg
 from grasspace.grassmann import (
     _as_masks,
     _individualize,
+    _is_automorphism,
     _refine,
+    _refine_side,
     adjacency_from_edges,
     automorphism_group,
     build_grassmann,
@@ -199,7 +203,41 @@ def test_automorphism_order_matches_brute_force(masks):
 def test_automorphism_group_pg32(pg32):
     report = automorphism_group(build_grassmann(pg32))
     assert report.group_order == 40320
-    assert report.nodes_explored < 10_000
+    assert report.nodes_explored == 63
+
+
+# sha256 of repr((group_order, generators, nodes_explored, base)), recorded
+# before the search refined each side on its own: the search path is pinned.
+@pytest.mark.parametrize(
+    "n, q, digest",
+    [
+        (2, 3, "d7c461a96d58b340"),
+        (3, 2, "26c8d622f5eb0a39"),
+        (3, 3, "935555beca86d471"),
+        (4, 2, "edbb13ec5af5d393"),
+    ],
+)
+def test_automorphism_search_path_is_pinned(n, q, digest):
+    r = automorphism_group(build_grassmann(build_space(n, q)))
+    pinned = repr((r.group_order, r.generators, r.nodes_explored, r.base))
+    assert hashlib.sha256(pinned.encode()).hexdigest()[:16] == digest
+
+
+def test_first_path_is_refined_once_per_search(pg32, monkeypatch):
+    # Every node replays a trace once; no first-path partition is refined twice.
+    first, replays = [], []
+
+    def counted(masks, p, splitter, expect=None):
+        if expect is None:
+            first.append((tuple(map(tuple, p)), splitter))
+        else:
+            replays.append(None)
+        return _refine_side(masks, p, splitter, expect)
+
+    monkeypatch.setattr(grassmann, "_refine_side", counted)
+    report = automorphism_group(build_grassmann(pg32))
+    assert len(replays) == report.nodes_explored
+    assert len(set(first)) == len(first) < report.nodes_explored
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -231,11 +269,22 @@ def _refine_matches_oracle(masks, pa, pb, splitter):
     return got
 
 
-def _individualisation_walk(masks, data):
+def _replay_matches_oracle(masks, pa, pb, splitter):
+    """`pb` replaying `pa`'s refinement trace fails exactly when the
+    whole-pass oracle does, and `pa` always replays its own trace.  Returns
+    the refined pair or None."""
+    refined_a, trace = _refine_side(masks, pa, splitter)
+    assert _refine_side(masks, pa, splitter, expect=trace) == (refined_a, trace)
+    replay = _refine_side(masks, pb, splitter, expect=trace)
+    assert (replay is None) == (equitable_refinement_oracle(masks, pa, pb) is None)
+    return None if replay is None else (refined_a, replay[0])
+
+
+def _individualisation_walk(masks, data, check=_refine_matches_oracle):
     """Refine the unit partition, then keep individualising a drawn vertex
     of a drawn cell on each side, checking every refinement."""
     unit = [tuple(range(len(masks)))]
-    refined = _refine_matches_oracle(masks, unit, unit, 0)
+    refined = check(masks, unit, unit, 0)
     while refined is not None:
         pa, pb = refined
         cells = [i for i, cell in enumerate(pa) if len(cell) > 1]
@@ -244,7 +293,7 @@ def _individualisation_walk(masks, data):
         ci = data.draw(st.sampled_from(cells))
         va = data.draw(st.sampled_from(sorted(pa[ci])))
         u = data.draw(st.sampled_from(sorted(pb[ci])))
-        refined = _refine_matches_oracle(
+        refined = check(
             masks, _individualize(pa, ci, va), _individualize(pb, ci, u), ci
         )
 
@@ -316,8 +365,34 @@ def test_refinement_matches_the_oracle_on_line_graphs(n, q, data):
     _individualisation_walk(_as_masks(build_grassmann(build_space(n, q))), data)
 
 
+@pytest.mark.parametrize("masks", TRICKY_GRAPHS)
+def test_trace_replay_fails_with_the_oracle_on_every_first_pairing(masks):
+    unit = [tuple(range(len(masks)))]
+    pa, pb = _replay_matches_oracle(masks, unit, unit, 0)
+    for ci, cell in enumerate(pa):
+        for va in cell:
+            for u in cell:
+                _replay_matches_oracle(
+                    masks, _individualize(pa, ci, va), _individualize(pb, ci, u), ci
+                )
+
+
+@given(masks=small_graphs(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_trace_replay_fails_with_the_oracle_on_small_graphs(masks, data):
+    _individualisation_walk(masks, data, check=_replay_matches_oracle)
+
+
+def test_is_automorphism_rejects_non_bijections():
+    two_edges = (8, 4, 2, 1)  # edges 0-3 and 1-2
+    assert _is_automorphism(two_edges, (1, 0, 3, 2))
+    assert not _is_automorphism(two_edges, (0, 0, 3, 3))
+    assert not _is_automorphism(two_edges, (1, 0))
+    assert not _is_automorphism(two_edges, (1, 0, 3, 2, 4))
+    assert not _is_automorphism(two_edges, (0, 1, 3, 2))
+
+
 def test_collineation_perms_are_graph_automorphisms(pg32):
-    from grasspace.grassmann import _is_automorphism
     from grasspace.theorems import InstanceGenerator, InstanceKind, generate_instance
 
     g = build_grassmann(pg32)
