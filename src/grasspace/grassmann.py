@@ -256,15 +256,6 @@ def _refine_side(masks, p, splitter, expect=None):
     return partition, trace
 
 
-def _refine(masks, pa, pb, splitter):
-    """Refinement of paired ordered partitions: `pa` alone, then `pb`
-    replaying `pa`'s trace.  Returns (pa, pb) refined, or None when no
-    isomorphism can respect the pairing."""
-    pa, trace = _refine_side(masks, pa, splitter)
-    refined = _refine_side(masks, pb, splitter, trace)
-    return None if refined is None else (pa, refined[0])
-
-
 def _branch_cell(partition):
     """Index of the smallest non-singleton cell (first on ties), or None."""
     best = None

@@ -7,8 +7,10 @@ non-collinearity.  The four flags classify it as a collineation,
 semicollineation, embedding, or other.  Line maps arise either by joining
 point images or, in dimension 3, from dualities via annihilator
 subspaces.  Reconstruction goes the opposite way: a bijective
-intersection-preserving line map determines a point map through the
-common points (or, for dualities, common planes) of its star images.
+intersection-preserving line map determines a point map kappa through the
+common points of its star images in one incidence core: the target or, in
+dimension 3, its dual (`dual_space`, whose line i holds the planes through
+line i).  Every verdict that reads kappa intersects image lines there.
 
 Both preservation properties are decided exactly from lines, at every
 size.  They are defined on triples of pairwise distinct source points,
@@ -30,7 +32,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .grassmann import build_grassmann
-from .linalg import apply_auto, is_invertible, mat_vec, normalize, nullspace
+from .linalg import apply_auto, is_invertible, mat_vec, nullspace
 from .projspace import (
     IncidenceStructure,
     ProjSpace,
@@ -42,6 +44,7 @@ from .projspace import (
     plane_points,
     plane_quotient,
     planes_of_line,
+    point_id_of_vector,
     quotient,
     star,
     subspace_points,
@@ -161,7 +164,7 @@ def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
     image = {}
     for pt in sp.points:
         vec = apply_auto(f, c.auto_index, pt.coords)
-        image[pt.id] = sp2.point_index[normalize(f, mat_vec(f, vec, c.matrix))]
+        image[pt.id] = point_id_of_vector(sp2, mat_vec(f, vec, c.matrix))
     return PointMap(source=sp, target=sp2, image=image)
 
 
@@ -205,8 +208,7 @@ def duality_line_map(d: Duality, sp, sp2) -> LineMap:
         kernel = nullspace(f, rows)
         if len(kernel) != 2:
             raise GeometryError(f"line {line.id} has a {len(kernel)}-dim annihilator")
-        a = sp2.point_index[normalize(f, kernel[0])]
-        b = sp2.point_index[normalize(f, kernel[1])]
+        a, b = (point_id_of_vector(sp2, v) for v in kernel)
         image[line.id] = join(sp2, a, b)
     return LineMap(source=sp, target=sp2, image=image, dual=True)
 
@@ -223,7 +225,7 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
         kernel = nullspace(f, (row,))
         if len(kernel) != 3:
             raise GeometryError(f"point {pt.id} has a {len(kernel)}-dim annihilator")
-        ids = [sp2.point_index[normalize(f, v)] for v in kernel]
+        ids = [point_id_of_vector(sp2, v) for v in kernel]
         first = join(sp2, ids[0], ids[1])
         candidates = [
             pid for pid in planes_of_line(sp2, first) if ids[2] in plane_points(sp2, pid)
@@ -321,64 +323,65 @@ def preserves_skewness(lm: LineMap) -> bool:
     return True
 
 
+def _common(core, lines):
+    """Labels of an incidence core that lie on every one of the given lines."""
+    sets = core.line_sets
+    return frozenset.intersection(*(sets[l] for l in lines))
+
+
+def _kappa_core(lm: LineMap, kappa: PointMap):
+    """The incidence core kappa maps into: the line map's target or, in
+    dimension 3, the target's `dual_space`, compared by identity (an equal
+    copy of the target is neither).  Anything else is PreconditionViolated."""
+    sp2 = lm.target
+    if kappa.target is sp2 or (sp2.n == 3 and kappa.target is dual_space(sp2)):
+        return kappa.target
+    raise PreconditionViolated("kappa must map into the target or its dual")
+
+
 def reconstruct_point_map(lm: LineMap) -> KappaReport:
     """Recover the point map behind a bijective intersection-preserving
     line map from its star images.
 
-    Each source star either shares a common image point (recorded in the
-    point table) or, in a 3-dimensional target, lies in a common plane
-    (recorded in the plane table, read as the dual space).  The common
-    point is tested first: a full star image in dimension 3 or more is
-    never a single pencil, so the branches cannot clash.
+    Each source star's image lines are intersected in the target; when they
+    share no point and the target has dimension 3, they are intersected in
+    its dual, whose line i holds the planes through line i.  The one common
+    label goes to that core's table: points of the target, or planes read
+    as points of the dual.  The target comes first: a full star image in
+    dimension 3 or more is never a single pencil, so the two cores cannot
+    clash.  The dual is built only once some star needs it.
     """
     if not lm.is_bijective():
         raise PreconditionViolated("line map must be bijective")
     if not preserves_intersections(lm):
         raise PreconditionViolated("line map must preserve intersections")
     sp, sp2 = lm.source, lm.target
-    point_table = {}
-    plane_table = {}
+    cores = [sp2, None] if sp2.n == 3 else [sp2]  # None: the dual, not built yet
+    tables = ({}, {})
     unresolved = set()
     for pid in range(len(sp.points)):
         family = [lm.image[l] for l in star(sp, pid)]
-        common_pts = frozenset.intersection(
-            *(sp2.line_sets[l] for l in family)
-        )
-        if common_pts:
-            if len(common_pts) != 1:
-                raise GeometryError(
-                    f"star image of point {pid} shares {len(common_pts)} points"
-                )
-            point_table[pid] = next(iter(common_pts))
-        elif sp2.n == 3:
-            common_planes = frozenset.intersection(
-                *(planes_of_line(sp2, l) for l in family)
-            )
-            if common_planes:
-                if len(common_planes) != 1:
+        for i, core in enumerate(cores):
+            if core is None:
+                core = cores[i] = dual_space(sp2)
+            common = _common(core, family)
+            if common:
+                if len(common) != 1:
                     raise GeometryError(
-                        f"star image of point {pid} lies in {len(common_planes)} planes"
+                        f"star image of point {pid} shares {len(common)} points of {core!r}"
                     )
-                plane_table[pid] = next(iter(common_planes))
-            else:
-                unresolved.add(pid)
+                tables[i][pid] = next(iter(common))
+                break
         else:
             unresolved.add(pid)
-    total = len(sp.points)
-    if len(point_table) == total:
-        kappa = PointMap(source=sp, target=sp2, image=point_table)
-        return KappaReport(
-            status=KappaStatus.INDUCED_INTO_TARGET,
-            kappa=kappa,
-            unresolved_points=frozenset(),
-        )
-    if len(plane_table) == total:
-        kappa = PointMap(source=sp, target=dual_space(sp2), image=plane_table)
-        return KappaReport(
-            status=KappaStatus.INDUCED_INTO_DUAL,
-            kappa=kappa,
-            unresolved_points=frozenset(),
-        )
+    statuses = (KappaStatus.INDUCED_INTO_TARGET, KappaStatus.INDUCED_INTO_DUAL)
+    for status, core, table in zip(statuses, cores, tables):
+        if len(table) == len(sp.points):
+            return KappaReport(
+                status=status,
+                kappa=PointMap(source=sp, target=core, image=table),
+                unresolved_points=frozenset(),
+            )
     return KappaReport(
         status=KappaStatus.MIXED,
         kappa=None,
@@ -390,20 +393,17 @@ def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
     """Restriction of a line map to one star, as a map between quotient
     structures.
 
-    The target quotient is taken at kappa's value: at a target point for
-    point-valued kappa, at a plane (the dual quotient) for plane-valued
-    kappa from a duality-type map.
+    The target quotient is taken at kappa's value in kappa's core (see
+    `_kappa_core`): the quotient at a target point, or the plane quotient
+    at a plane when kappa maps into the dual.
     """
     if kappa is None or q_point not in kappa.image:
         raise PreconditionViolated(f"kappa undefined at point {q_point}")
     if kappa.source is not lm.source:
         raise PreconditionViolated("kappa and line map disagree on the source")
+    section = quotient if _kappa_core(lm, kappa) is lm.target else plane_quotient
     src_struct = quotient(lm.source, q_point)
-    centre_image = kappa.image[q_point]
-    if kappa.target is lm.target:
-        tgt_struct = quotient(lm.target, centre_image)
-    else:
-        tgt_struct = plane_quotient(lm.target, centre_image)
+    tgt_struct = section(lm.target, kappa.image[q_point])
     allowed = set(tgt_struct.point_labels)
     image = {}
     for l in src_struct.point_labels:
@@ -438,24 +438,21 @@ def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):
 
 def pencil_image_is_pencil(lm: LineMap, q_point: int, eps) -> bool:
     """Whether the image of the pencil at (q_point, eps) is exactly a
-    pencil of the target."""
+    pencil of the target: the lines through the images' one common point
+    inside their one common plane."""
     source_pencil = pencil(lm.source, q_point, eps)
     images = {lm.image[l] for l in source_pencil}
     if len(images) != len(source_pencil):
         return False
     sp2 = lm.target
-    common_pts = frozenset.intersection(*(sp2.line_sets[l] for l in images))
+    common_pts = _common(sp2, images)
     if len(common_pts) != 1:
         return False
-    centre = next(iter(common_pts))
-    if sp2.n == 2:
-        # in a plane the pencils are whole stars
-        return images == set(star(sp2, centre))
     common_planes = frozenset.intersection(*(planes_of_line(sp2, l) for l in images))
     if len(common_planes) != 1:
         return False
     member = set(lines_in_plane(sp2, next(iter(common_planes))))
-    target_pencil = {l for l in star(sp2, centre) if l in member}
+    target_pencil = {l for l in star(sp2, next(iter(common_pts))) if l in member}
     return images == target_pencil
 
 
@@ -463,10 +460,10 @@ def intersection_compatibility_check(
     lm: LineMap, kappa: PointMap, q_point: int, eps, a: int
 ) -> bool:
     """Whether kappa commutes with intersections along one pencil: for
-    every pencil line l, kappa(l meet a) equals the meet of the images.
-
-    The branch follows kappa, as in `restrict_to_star`: for plane-valued
-    kappa the image meet is the common plane of the two image lines.
+    every pencil line l, the labels that the images of l and a share in
+    kappa's core (see `_kappa_core`) are exactly {kappa(l meet a)}.  In the
+    dual those labels are the planes through both image lines; images that
+    coincide share a whole line and fail.
     """
     sp = lm.source
     plane_pts = subspace_points(sp, eps)
@@ -476,17 +473,12 @@ def intersection_compatibility_check(
         raise BadConfiguration(f"point {q_point} must not lie on line {a}")
     if kappa is None:
         raise PreconditionViolated("kappa is undefined")
-    sp2 = lm.target
+    core = _kappa_core(lm, kappa)
     a_img = lm.image[a]
     for l in pencil(sp, q_point, eps):
         crossing = meet(sp, l, a)
         if crossing is None:
             raise GeometryError(f"coplanar lines {l} and {a} do not meet")
-        if kappa.target is not sp2:
-            common = planes_of_line(sp2, lm.image[l]) & planes_of_line(sp2, a_img)
-            if len(common) != 1 or kappa.image[crossing] != next(iter(common)):
-                return False
-        else:
-            if kappa.image[crossing] != meet(sp2, lm.image[l], a_img):
-                return False
+        if _common(core, (lm.image[l], a_img)) != {kappa.image[crossing]}:
+            return False
     return True

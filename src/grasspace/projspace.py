@@ -220,7 +220,7 @@ def _span_point_ids(field, point_index, basis):
         for c, row in zip(coeffs, basis):
             term = row if c == 1 else vec_scale(field, c, row)
             vec = term if vec is None else vec_add(field, vec, term)
-        ids.append(point_index[vec if isinstance(vec, tuple) else tuple(vec)])
+        ids.append(point_index[vec])
     return ids
 
 

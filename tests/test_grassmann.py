@@ -9,7 +9,6 @@ from grasspace.grassmann import (
     _as_masks,
     _individualize,
     _is_automorphism,
-    _refine,
     _refine_side,
     adjacency_from_edges,
     automorphism_group,
@@ -259,7 +258,9 @@ def _refine_matches_oracle(masks, pa, pb, splitter):
     """The splitter-queue refinement of one pairing, checked against the
     whole-pass oracle: the same set partitions, and None on the same
     pairings.  Returns the refined pair or None."""
-    got = _refine(masks, pa, pb, splitter)
+    refined_a, trace = _refine_side(masks, pa, splitter)
+    replay = _refine_side(masks, pb, splitter, trace)
+    got = None if replay is None else (refined_a, replay[0])
     want = equitable_refinement_oracle(masks, pa, pb)
     assert (got is None) == (want is None)
     if got is not None:

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasspace import maps
+from grasspace import maps, projspace
 from grasspace.errors import (
     BadConfiguration,
     GeometryError,
@@ -200,6 +200,17 @@ def test_reconstruct_duality_instance(pg32):
     assert report.kappa.image == duality_point_to_plane(d, pg32, pg32)
 
 
+def test_reconstruction_builds_the_dual_only_when_a_star_needs_it():
+    sp = projspace._build_space(3, 3)
+    c = sample_collineation(sp, 2)
+    report = reconstruct_point_map(induced_line_map(collineation_point_map(c, sp, sp)))
+    assert report.status == KappaStatus.INDUCED_INTO_TARGET
+    assert sp._plane_tables is None and sp._dual is None
+    report = reconstruct_point_map(duality_line_map(sample_duality(sp, 2), sp, sp))
+    assert report.status == KappaStatus.INDUCED_INTO_DUAL
+    assert report.kappa.target is sp._dual is not None
+
+
 def test_duality_squared_is_induced_by_a_collineation(pg32):
     d = sample_duality(pg32, 3)
     lm = duality_line_map(d, pg32, pg32)
@@ -277,6 +288,21 @@ def test_restrict_to_star_preconditions(pg32, pg33):
         restrict_to_star(lm, 0, PointMap(source=pg32, target=pg32, image=broken))
 
 
+def test_kappa_must_map_into_the_target_or_its_dual(pg32):
+    # An equal copy of the target is neither the target nor its dual.
+    lm = identity_line_map(pg32)
+    eps, a = _first_valid_config(pg32, 0)
+    labels = quotient(pg32, 0).point_labels
+    for kappa in (
+        PointMap(pg32, projspace._build_space(3, 2), {p: p for p in range(15)}),
+        PointMap(pg32, quotient(pg32, 0), {p: labels[p % 7] for p in range(15)}),
+    ):
+        with pytest.raises(PreconditionViolated, match="target or its dual"):
+            restrict_to_star(lm, 0, kappa)
+        with pytest.raises(PreconditionViolated, match="target or its dual"):
+            intersection_compatibility_check(lm, kappa, 0, eps, a)
+
+
 def test_noncollinear_witness_matches_quotient_collinearity(pg32):
     from itertools import combinations
 
@@ -330,6 +356,34 @@ def test_pencil_image_is_pencil_negative(pg32):
     image[pen[0]], image[outside] = outside, pen[0]
     lm = LineMap(source=pg32, target=pg32, image=image)
     assert not pencil_image_is_pencil(lm, 0, eps)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_pencil_image_in_a_plane_is_a_whole_star(q):
+    # PG(2, q) has one plane, holding every line, so a pencil image is a
+    # pencil exactly when it is the star of some point.
+    sp = build_space(2, q)
+    eps = planes(sp)[0]
+    stars = [set(star(sp, p)) for p in sp.point_labels]
+    rng = random.Random(q)
+    line_ids = list(range(len(sp.lines)))
+    line_maps = [identity_line_map(sp)]
+    for seed in range(100):
+        c = sample_collineation(sp, seed)
+        lm = induced_line_map(collineation_point_map(c, sp, sp))
+        line_maps.append(lm)
+        line_maps.append(LineMap(sp, sp, _swapped(lm.image, *rng.sample(line_ids, 2))))
+    while len(line_maps) < 300:
+        shuffled = rng.sample(line_ids, len(line_ids))
+        line_maps.append(LineMap(sp, sp, dict(zip(line_ids, shuffled))))
+    seen = set()
+    for lm in line_maps:
+        for centre in sp.point_labels:
+            images = {lm.image[l] for l in star(sp, centre)}
+            want = images in stars
+            assert pencil_image_is_pencil(lm, centre, eps) == want
+            seen.add(want)
+    assert seen == {False, True}
 
 
 def test_pencil_image_collapse_is_rejected(pg32):
@@ -408,6 +462,15 @@ def test_intersection_compatibility_follows_kappa_not_dual_flag(pg32):
                     assert intersection_compatibility_check(
                         relabelled, kappa, 0, eps, a
                     ), (kind, seed, dual, a)
+
+
+def test_intersection_compatibility_rejects_coinciding_images(pg32):
+    eps, a = _first_valid_config(pg32, 0)
+    image = {l: l for l in range(35)}
+    image[pencil(pg32, 0, eps)[0]] = a
+    lm = LineMap(source=pg32, target=pg32, image=image)
+    kappa = PointMap(source=pg32, target=pg32, image={p: p for p in range(15)})
+    assert not intersection_compatibility_check(lm, kappa, 0, eps, a)
 
 
 def test_intersection_compatibility_needs_kappa(pg32):
@@ -610,11 +673,6 @@ def _truncated(real):
         ("star", _truncated(maps.star),
          lambda sp: reconstruct_point_map(identity_line_map(sp)),
          "shares"),
-        ("planes_of_line", lambda sp, l: frozenset(range(15)),
-         lambda sp: reconstruct_point_map(
-             duality_line_map(Duality(identity_matrix(4)), sp, sp)
-         ),
-         "planes"),
         ("meet", lambda sp, a, b: None,
          lambda sp: intersection_compatibility_check(
              identity_line_map(sp),
@@ -630,3 +688,11 @@ def test_reconstruction_invariants_raise(pg32, monkeypatch, name, fake, call, me
     monkeypatch.setattr(maps, name, fake)
     with pytest.raises(GeometryError, match=message):
         call(pg32)
+
+
+def test_reconstruction_invariants_raise_in_the_dual(pg32, monkeypatch):
+    # A duality's star images share no point, so reconstruction reads the
+    # dual core; one that puts every plane on every line must raise.
+    monkeypatch.setattr(dual_space(pg32), "line_sets", (frozenset(range(15)),) * 35)
+    with pytest.raises(GeometryError, match=r"shares 15 points of IncidenceStructure\(dual"):
+        reconstruct_point_map(duality_line_map(Duality(identity_matrix(4)), pg32, pg32))
