@@ -75,7 +75,7 @@ def main(argv=None):
         n, q = (int(x) for x in case.split(","))
         sp = build_space(n, q)
         g = build_grassmann(sp)
-        edges = sum(len(nb) for nb in g.neighbors) // 2
+        edges = sum(m.bit_count() for m in g.masks) // 2
         expected = expected_order(n, q, len(sp.lines))
         geometric = geometric_order(sp)
         geometric_text = "-" if geometric is None else str(geometric)

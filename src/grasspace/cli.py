@@ -36,6 +36,7 @@ from .grassmann import (
     automorphism_group,
     build_grassmann,
     export_graph,
+    parse_id,
 )
 from .maps import (
     LineMap,
@@ -99,12 +100,7 @@ def _parse_space_header(row, lineno, label):
     parts = row.split(" ")
     if len(parts) < 4 or parts[0] != label or parts[1] != "PG":
         raise FormatError(lineno, f"expected '{label} PG <n> <q>', got {row!r}")
-    try:
-        n = int(parts[2])
-        q = int(parts[3])
-    except ValueError:
-        raise FormatError(lineno, f"non-integer parameters in {row!r}") from None
-    return n, q, parts
+    return parse_id(parts[2], lineno), parse_id(parts[3], lineno), parts
 
 
 def parse_grassmap(text: str) -> GrassmapFile:
@@ -136,17 +132,11 @@ def parse_grassmap(text: str) -> GrassmapFile:
         parts = row.split(" ")
         if len(parts) != 2:
             raise FormatError(lineno, f"expected '<src> <tgt>', got {row!r}")
-        try:
-            src = int(parts[0])
-            tgt = int(parts[1])
-        except ValueError:
-            raise FormatError(lineno, f"non-integer pair {row!r}") from None
+        src, tgt = parse_id(parts[0], lineno), parse_id(parts[1], lineno)
         if src != len(pairs):
             raise FormatError(
                 lineno, f"source ids must ascend from 0, got {src}"
             )
-        if tgt < 0:
-            raise FormatError(lineno, f"negative target id in {row!r}")
         pairs.append((src, tgt))
     return GrassmapFile(sn, sq, tn, tq, dual, tuple(pairs))
 

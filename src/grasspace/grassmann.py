@@ -1,9 +1,12 @@
 """Grassmann space of lines: the intersection relation and its graph.
 
-Two lines are related when they share a point; the relation is reflexive,
-so the graph stores the irreflexive part and `related` re-adds the
-diagonal.  The graph of PG(n, q) is regular of degree
-(q+1)((q^n - 1)/(q - 1) - 1).
+Two lines are related when they share a point.  The graph is one table of
+neighbour bitmasks, one per line, bit b of line a set when a != b and the
+lines meet; the diagonal stays out, so `related` re-adds it, and a line's
+mask is the OR of the star masks of its points less its own bit.  The
+graph of PG(n, q) is regular of degree (q+1)((q^n - 1)/(q - 1) - 1).  A
+set of lines is a clique when every two of them are equal or meet
+(`is_clique`); both line-map preservation verdicts are star-clique tests.
 
 The automorphism search pairs the first path, which individualises the
 smallest vertex of the smallest non-singleton cell, with each candidate
@@ -21,6 +24,7 @@ seven times the time); the node budget bounds every search below it.
 
 import collections
 import dataclasses
+import re
 
 from .errors import BudgetExceeded, FormatError, GeometryError, TooLarge
 
@@ -31,10 +35,10 @@ DEFAULT_NODE_BUDGET = 2_000_000
 @dataclasses.dataclass(eq=False)
 class GrassmannSpace:
     space: object
-    neighbors: tuple  # frozenset of line ids per line, diagonal excluded
+    masks: tuple  # neighbour bitmask per line: bit b set when b meets it, b != it
 
     def line_count(self):
-        return len(self.neighbors)
+        return len(self.masks)
 
     def degree(self):
         q = self.space.q
@@ -54,49 +58,69 @@ class AutomorphismReport:
 
 
 def build_grassmann(sp) -> GrassmannSpace:
-    """Adjacency of the line-intersection graph of a space (cached on it)."""
+    """Neighbour bitmasks of the line-intersection graph of a space (cached
+    on it): each line ORs the star masks of its points, less its own bit."""
     if sp._grassmann is None:
-        through = sp.lines_through
-        neighbors = tuple(
-            frozenset(b for p in s for b in through[p]) - {a}
-            for a, s in enumerate(sp.line_sets)
-        )
-        g = GrassmannSpace(space=sp, neighbors=neighbors)
+        stars = {p: _cell_bits(ls) for p, ls in sp.lines_through.items()}
+        masks = []
+        for a, s in enumerate(sp.line_sets):
+            bits = 0
+            for p in s:
+                bits |= stars[p]
+            masks.append(bits & ~(1 << a))
+        g = GrassmannSpace(space=sp, masks=tuple(masks))
         expected = g.degree()
-        for a, row in enumerate(neighbors):
-            if len(row) != expected:
-                raise GeometryError(f"line {a} has degree {len(row)}, not {expected}")
+        for a, row in enumerate(masks):
+            if row.bit_count() != expected:
+                raise GeometryError(
+                    f"line {a} has degree {row.bit_count()}, not {expected}"
+                )
         sp._grassmann = g
     return sp._grassmann
 
 
 def related(g: GrassmannSpace, a: int, b: int) -> bool:
     """Reflexive intersection relation: a = b or the lines share a point."""
-    return a == b or b in g.neighbors[a]
+    return a == b or bool(g.masks[a] >> b & 1)
 
 
 def skew(g: GrassmannSpace, a: int, b: int) -> bool:
-    return a != b and b not in g.neighbors[a]
+    return not related(g, a, b)
+
+
+def is_clique(g: GrassmannSpace, lines) -> bool:
+    """Whether every two of the lines (a sequence of ids) are equal or meet;
+    stops at the first line that misses another."""
+    bits = _cell_bits(lines)
+    masks = g.masks
+    return all(not bits & ~(masks[l] | 1 << l) for l in lines)
 
 
 def export_graph(g: GrassmannSpace) -> str:
-    """GRAPH format: header `GRAPH V E`, then `u v` rows with u < v, sorted."""
-    edges = []
-    for a in range(len(g.neighbors)):
-        for b in g.neighbors[a]:
-            if a < b:
-                edges.append((a, b))
-    edges.sort()
-    lines = [f"GRAPH {len(g.neighbors)} {len(edges)}"]
-    lines.extend(f"{u} {v}" for u, v in edges)
-    return "\n".join(lines) + "\n"
+    """GRAPH format: header `GRAPH V E`, then `u v` rows with u < v, ascending."""
+    above = [m >> a + 1 << a + 1 for a, m in enumerate(g.masks)]
+    rows = [f"{a} {b}" for a, row in enumerate(_neighbour_lists(above)) for b in row]
+    return "\n".join([f"GRAPH {len(g.masks)} {len(rows)}", *rows]) + "\n"
+
+
+_ID = re.compile("0|[1-9][0-9]*")
+
+
+def parse_id(token: str, lineno: int) -> int:
+    """A count or id token: `0` or ASCII `[1-9][0-9]*`.  Signs, underscores,
+    leading zeros, non-ASCII digits and whitespace raise FormatError at
+    `lineno`."""
+    if _ID.fullmatch(token) is None:
+        raise FormatError(lineno, f"expected a non-negative integer, got {token!r}")
+    return int(token)
 
 
 def parse_graph(text: str):
     """Parse the GRAPH format back into (vertex count, sorted edge tuple).
 
     Raises FormatError with a 1-based line number on any deviation from the
-    byte-exact contract (header shape, edge order, id ranges, row count).
+    byte-exact contract (header shape, integer spelling, edge order, id
+    ranges, row count).
     """
     rows = text.split("\n")
     if rows and rows[-1] == "":
@@ -106,13 +130,8 @@ def parse_graph(text: str):
     head = rows[0].split(" ")
     if len(head) != 3 or head[0] != "GRAPH":
         raise FormatError(1, f"expected 'GRAPH <V> <E>', got {rows[0]!r}")
-    try:
-        v_count = int(head[1])
-        e_count = int(head[2])
-    except ValueError:
-        raise FormatError(1, f"non-integer counts in header {rows[0]!r}") from None
-    if v_count < 0 or e_count < 0:
-        raise FormatError(1, "negative counts in header")
+    v_count = parse_id(head[1], 1)
+    e_count = parse_id(head[2], 1)
     if len(rows) - 1 != e_count:
         raise FormatError(
             min(len(rows) + 1, e_count + 2),
@@ -124,11 +143,8 @@ def parse_graph(text: str):
         parts = row.split(" ")
         if len(parts) != 2:
             raise FormatError(i, f"expected '<u> <v>', got {row!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(i, f"non-integer edge {row!r}") from None
-        if not (0 <= u < v < v_count):
+        u, v = parse_id(parts[0], i), parse_id(parts[1], i)
+        if not u < v < v_count:
             raise FormatError(i, f"edge ({u},{v}) out of range for {v_count} vertices")
         if prev is not None and (u, v) <= prev:
             raise FormatError(i, f"edge ({u},{v}) out of order")
@@ -152,13 +168,6 @@ def _cell_bits(cell):
     for v in cell:
         bits |= 1 << v
     return bits
-
-
-def _as_masks(g):
-    """Neighbor bitmasks of a GrassmannSpace, or a mask sequence as a tuple."""
-    if isinstance(g, GrassmannSpace):
-        return tuple(map(_cell_bits, g.neighbors))
-    return tuple(g)
 
 
 def _refine_side(masks, p, splitter, expect=None):
@@ -348,12 +357,12 @@ def _orbit_close(seed, generators):
 def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> AutomorphismReport:
     """Exact automorphism group order of an adjacency structure.
 
-    Accepts a GrassmannSpace or a sequence of neighbor bitmasks.  At each
+    Accepts a GrassmannSpace or a sequence of neighbour bitmasks.  At each
     level of the stabilizer chain the orbit of the smallest vertex in the
     branch cell is closed under the generators found so far, so failed
     searches happen only for vertices genuinely outside the orbit.
     """
-    masks = _as_masks(g)
+    masks = g.masks if isinstance(g, GrassmannSpace) else tuple(g)
     count = len(masks)
     if count > MAX_AUT_VERTICES:
         raise TooLarge(f"{count} vertices exceeds the {MAX_AUT_VERTICES} limit")

@@ -31,7 +31,7 @@ from .errors import (
     NotLineConsistent,
     PreconditionViolated,
 )
-from .grassmann import build_grassmann
+from .grassmann import build_grassmann, is_clique, related, skew
 from .linalg import apply_auto, is_invertible, mat_vec, nullspace
 from .projspace import (
     IncidenceStructure,
@@ -290,37 +290,29 @@ def classify_point_map(pm: PointMap) -> MapKind:
 
 
 def preserves_intersections(lm: LineMap) -> bool:
-    """Whether images of every related line pair are related."""
-    gs = build_grassmann(lm.source)
+    """Whether images of every related line pair are related: exactly when
+    each source star's image is a clique of the target graph, since two
+    distinct lines meet exactly when some star holds both."""
     gt = build_grassmann(lm.target)
     img = lm.image
-    for a in range(len(gs.neighbors)):
-        ia = img[a]
-        row = gt.neighbors[ia]
-        for b in gs.neighbors[a]:
-            if b > a:
-                ib = img[b]
-                if ib != ia and ib not in row:
-                    return False
-    return True
+    return all(
+        is_clique(gt, [img[l] for l in through])
+        for through in lm.source.lines_through.values()
+    )
 
 
 def preserves_skewness(lm: LineMap) -> bool:
-    """Whether images of every skew line pair are skew."""
+    """Whether images of every skew line pair are skew: exactly when the
+    lines mapped into each target star form a clique of the source graph
+    (images that coincide lie in a common star, so this holds for maps
+    that are not injective too)."""
     gs = build_grassmann(lm.source)
-    gt = build_grassmann(lm.target)
-    img = lm.image
-    count = len(gs.neighbors)
-    for a in range(count):
-        ia = img[a]
-        row_src = gs.neighbors[a]
-        row_tgt = gt.neighbors[ia]
-        for b in range(a + 1, count):
-            if b not in row_src:
-                ib = img[b]
-                if ib == ia or ib in row_tgt:
-                    return False
-    return True
+    target = lm.target
+    preimage = {p: [] for p in target.point_labels}
+    for l, m in lm.image.items():
+        for p in target.line_sets[m]:
+            preimage[p].append(l)
+    return all(is_clique(gs, lines) for lines in preimage.values())
 
 
 def _common(core, lines):
@@ -332,7 +324,10 @@ def _common(core, lines):
 def _kappa_core(lm: LineMap, kappa: PointMap):
     """The incidence core kappa maps into: the line map's target or, in
     dimension 3, the target's `dual_space`, compared by identity (an equal
-    copy of the target is neither).  Anything else is PreconditionViolated."""
+    copy of the target is neither).  A kappa whose source is not the line
+    map's source, or that maps anywhere else, is PreconditionViolated."""
+    if kappa.source is not lm.source:
+        raise PreconditionViolated("kappa and line map disagree on the source")
     sp2 = lm.target
     if kappa.target is sp2 or (sp2.n == 3 and kappa.target is dual_space(sp2)):
         return kappa.target
@@ -399,8 +394,6 @@ def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
     """
     if kappa is None or q_point not in kappa.image:
         raise PreconditionViolated(f"kappa undefined at point {q_point}")
-    if kappa.source is not lm.source:
-        raise PreconditionViolated("kappa and line map disagree on the source")
     section = quotient if _kappa_core(lm, kappa) is lm.target else plane_quotient
     src_struct = quotient(lm.source, q_point)
     tgt_struct = section(lm.target, kappa.image[q_point])
@@ -430,10 +423,8 @@ def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):
             f"need three distinct lines through point {q_point}, got {a},{b},{c}"
         )
     g = build_grassmann(sp)
-    candidates = (g.neighbors[a] & g.neighbors[b]) - g.neighbors[c] - {c}
-    if candidates:
-        return min(candidates)
-    return None
+    meeting = (l for l in range(len(sp.lines)) if related(g, l, a) and related(g, l, b))
+    return next((l for l in meeting if skew(g, l, c)), None)
 
 
 def pencil_image_is_pencil(lm: LineMap, q_point: int, eps) -> bool:

@@ -6,9 +6,11 @@ come from span collection, collinearity from matrix rank over the prime
 field, monomorphism counts from constraint propagation over raw operation
 tables, automorphism orders of tiny graphs from filtering all vertex
 permutations, equitable refinement from whole-partition signature passes,
-point-map properties from walking every point triple, isomorphisms of
-incidence structures from a backtracking search over point bijections, and
-dual spaces from planes found as closures of non-collinear triples.
+point-map properties from walking every point triple, line-map
+preservation of intersections and skewness from walking every line pair
+and intersecting point sets, isomorphisms of incidence structures from a
+backtracking search over point bijections, and dual spaces from planes
+found as closures of non-collinear triples.
 """
 
 from itertools import combinations, permutations, product
@@ -233,6 +235,31 @@ def triple_property_flags(pm):
         else:
             noncol_ok = noncol_ok and not image_col
     return injective, surjective, col_ok, noncol_ok
+
+
+def _lines_related(space, a, b):
+    """Two lines of a space are equal or share a point."""
+    return a == b or bool(space.line_sets[a] & space.line_sets[b])
+
+
+def pairwise_preserves_intersections(lm):
+    """Whether the images of every pair of related source lines are related."""
+    img = lm.image
+    return all(
+        _lines_related(lm.target, img[a], img[b])
+        for a, b in combinations(range(len(lm.source.line_sets)), 2)
+        if _lines_related(lm.source, a, b)
+    )
+
+
+def pairwise_preserves_skewness(lm):
+    """Whether the images of every pair of skew source lines are skew."""
+    img = lm.image
+    return all(
+        not _lines_related(lm.target, img[a], img[b])
+        for a, b in combinations(range(len(lm.source.line_sets)), 2)
+        if not _lines_related(lm.source, a, b)
+    )
 
 
 def incidence_isomorphic(a: IncidenceStructure, b: IncidenceStructure):

@@ -361,6 +361,15 @@ def test_grassmap_round_trip(pg32):
         ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 -1\nEND\n", 5),
         ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 1\n2 1\nEND\n", 6),
         ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 1 2\nEND\n", 5),
+        ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 +1\nEND\n", 5),
+        ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 0_1\nEND\n", 5),
+        ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 1\n01 1\nEND\n", 6),
+        ("GRASSMAP 1\nSOURCE PG 02 2\nTARGET PG 2 2\nMAP\nEND\n", 2),
+        ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 \u0662\nMAP\nEND\n", 3),
+        ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n\u0660 1\nEND\n", 5),
+        ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n\t0 1\nEND\n", 5),
+        ("GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 1\r\nEND\n", 5),
+        ("GRASSMAP 1\nSOURCE PG -2 2\nTARGET PG 2 2\nMAP\nEND\n", 2),
     ],
 )
 def test_parse_grassmap_rejects_malformed(text, lineno):

@@ -54,7 +54,11 @@ from grasspace.theorems import (
     sample_duality,
 )
 
-from oracles import triple_property_flags
+from oracles import (
+    pairwise_preserves_intersections,
+    pairwise_preserves_skewness,
+    triple_property_flags,
+)
 
 
 def identity_matrix(m):
@@ -248,6 +252,49 @@ def test_perturbed_instances_break_a_preservation_property(pg32):
             InstanceGenerator(seed, InstanceKind.PERTURBED), pg32, pg32
         )
         assert not (preserves_intersections(lm) and preserves_skewness(lm))
+
+
+ORACLE_SPACES = [(2, 3), (3, 2), (4, 2)]
+MAP_FAMILIES = [
+    "permutation",
+    "total",
+    "three lines",
+    "constant",
+    *(kind.value for kind in InstanceKind),
+]
+
+
+@given(
+    data=st.data(),
+    nq=st.sampled_from(ORACLE_SPACES),
+    family=st.sampled_from(MAP_FAMILIES),
+)
+@settings(max_examples=150, deadline=None)
+def test_preservation_verdicts_match_the_pairwise_oracle(data, nq, family):
+    sp = build_space(*nq)
+    count = len(sp.lines)
+    line = st.integers(0, count - 1)
+    if family == "permutation":
+        image = data.draw(st.permutations(range(count)))
+    elif family == "total":
+        image = data.draw(st.lists(line, min_size=count, max_size=count))
+    elif family == "three lines":
+        chosen = data.draw(st.lists(line, min_size=3, max_size=3))
+        image = data.draw(
+            st.lists(st.sampled_from(chosen), min_size=count, max_size=count)
+        )
+    elif family == "constant":
+        image = [data.draw(line)] * count
+    else:
+        kind = InstanceKind(family)
+        if kind is InstanceKind.DUALITY and sp.n != 3:
+            kind = InstanceKind.COLLINEATION
+        seed = data.draw(st.integers(0, 2**16))
+        instance = generate_instance(InstanceGenerator(seed, kind), sp, sp)
+        image = [instance.image[l] for l in range(count)]
+    lm = LineMap(source=sp, target=sp, image=dict(enumerate(image)))
+    assert preserves_intersections(lm) == pairwise_preserves_intersections(lm)
+    assert preserves_skewness(lm) == pairwise_preserves_skewness(lm)
 
 
 def test_restrict_to_star_collineation(pg32):
@@ -471,6 +518,15 @@ def test_intersection_compatibility_rejects_coinciding_images(pg32):
     lm = LineMap(source=pg32, target=pg32, image=image)
     kappa = PointMap(source=pg32, target=pg32, image={p: p for p in range(15)})
     assert not intersection_compatibility_check(lm, kappa, 0, eps, a)
+
+
+def test_intersection_compatibility_rejects_a_kappa_from_another_space(pg32):
+    # Read by label, this kappa would pass: the identity line map's images
+    # meet where the labels say.
+    eps, a = _first_valid_config(pg32, 0)
+    kappa = PointMap(build_space(3, 3), pg32, {p: p % 15 for p in range(40)})
+    with pytest.raises(PreconditionViolated, match="source"):
+        intersection_compatibility_check(identity_line_map(pg32), kappa, 0, eps, a)
 
 
 def test_intersection_compatibility_needs_kappa(pg32):
