@@ -49,7 +49,6 @@ from .projspace import (
     build_space,
     gaussian_binomial,
     pencil,
-    planes,
     planes_through_point,
     star,
 )
@@ -178,7 +177,7 @@ def cmd_stats(args) -> int:
     first = sets[0]
     degree = sum(1 for b in range(1, len(sets)) if first & sets[b])
     plane_id = planes_through_point(sp, 0)[0]
-    pencil_size = len(pencil(sp, 0, planes(sp)[plane_id]))
+    pencil_size = len(pencil(sp, 0, plane_id))
     print(f"points {len(sp.points)}")
     print(f"lines {len(sp.lines)}")
     print(f"star {len(star(sp, 0))}")

@@ -30,7 +30,7 @@ class RepeatedPoints(GeometryError):
 
 
 class NotAPlane(GeometryError):
-    """Subspace argument is not of projective dimension 2."""
+    """Plane id outside the space's plane list (`projspace.planes`)."""
 
 
 class PointNotInPlane(GeometryError):

@@ -11,6 +11,10 @@ intersection-preserving line map determines a point map kappa through the
 common points of its star images in one incidence core: the target or, in
 dimension 3, its dual (`dual_space`, whose line i holds the planes through
 line i).  Every verdict that reads kappa intersects image lines there.
+Map tables are total on the source and stay inside the target: a value
+that is no target label or line id is PreconditionViolated.  The two
+pencil verdicts name a plane by its id and read every pencil, source and
+target, from `projspace.pencil`.
 
 Both preservation properties are decided exactly from lines, at every
 size.  They are defined on triples of pairwise distinct source points,
@@ -38,7 +42,6 @@ from .projspace import (
     ProjSpace,
     dual_space,
     join,
-    lines_in_plane,
     meet,
     pencil,
     plane_points,
@@ -47,7 +50,6 @@ from .projspace import (
     point_id_of_vector,
     quotient,
     star,
-    subspace_points,
 )
 
 
@@ -97,6 +99,8 @@ class PointMap:
     def __post_init__(self):
         if set(self.image) != set(self.source.point_labels):
             raise PreconditionViolated("point map table is not total on the source")
+        if not set(self.image.values()) <= set(self.target.point_labels):
+            raise PreconditionViolated("point map sends a point outside the target")
 
     def apply(self, p):
         return self.image[p]
@@ -112,6 +116,8 @@ class LineMap:
     def __post_init__(self):
         if set(self.image) != set(range(len(self.source.lines))):
             raise PreconditionViolated("line map table is not total on the source")
+        if not set(self.image.values()) <= set(range(len(self.target.line_sets))):
+            raise PreconditionViolated("line map sends a line outside the target")
 
     def apply(self, l):
         return self.image[l]
@@ -427,11 +433,11 @@ def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):
     return next((l for l in meeting if skew(g, l, c)), None)
 
 
-def pencil_image_is_pencil(lm: LineMap, q_point: int, eps) -> bool:
-    """Whether the image of the pencil at (q_point, eps) is exactly a
+def pencil_image_is_pencil(lm: LineMap, q_point: int, plane_id: int) -> bool:
+    """Whether the image of the pencil at (q_point, plane_id) is exactly a
     pencil of the target: the lines through the images' one common point
     inside their one common plane."""
-    source_pencil = pencil(lm.source, q_point, eps)
+    source_pencil = pencil(lm.source, q_point, plane_id)
     images = {lm.image[l] for l in source_pencil}
     if len(images) != len(source_pencil):
         return False
@@ -442,13 +448,12 @@ def pencil_image_is_pencil(lm: LineMap, q_point: int, eps) -> bool:
     common_planes = frozenset.intersection(*(planes_of_line(sp2, l) for l in images))
     if len(common_planes) != 1:
         return False
-    member = set(lines_in_plane(sp2, next(iter(common_planes))))
-    target_pencil = {l for l in star(sp2, next(iter(common_pts))) if l in member}
-    return images == target_pencil
+    (centre,), (plane,) = common_pts, common_planes
+    return images == set(pencil(sp2, centre, plane))
 
 
 def intersection_compatibility_check(
-    lm: LineMap, kappa: PointMap, q_point: int, eps, a: int
+    lm: LineMap, kappa: PointMap, q_point: int, plane_id: int, a: int
 ) -> bool:
     """Whether kappa commutes with intersections along one pencil: for
     every pencil line l, the labels that the images of l and a share in
@@ -457,8 +462,7 @@ def intersection_compatibility_check(
     coincide share a whole line and fail.
     """
     sp = lm.source
-    plane_pts = subspace_points(sp, eps)
-    if not sp.line_sets[a] <= plane_pts:
+    if not sp.line_sets[a] <= plane_points(sp, plane_id):
         raise BadConfiguration(f"line {a} does not lie in the given plane")
     if q_point in sp.line_sets[a]:
         raise BadConfiguration(f"point {q_point} must not lie on line {a}")
@@ -466,7 +470,7 @@ def intersection_compatibility_check(
         raise PreconditionViolated("kappa is undefined")
     core = _kappa_core(lm, kappa)
     a_img = lm.image[a]
-    for l in pencil(sp, q_point, eps):
+    for l in pencil(sp, q_point, plane_id):
         crossing = meet(sp, l, a)
         if crossing is None:
             raise GeometryError(f"coplanar lines {l} and {a} do not meet")

@@ -6,8 +6,11 @@ built once at construction.  `ProjSpace` is that core plus coordinates and
 one table from point pairs to their line: points are the 1-dimensional
 subspaces of GF(q)^(n+1), represented by the unique coordinate vector whose
 leftmost nonzero entry is 1, labelled by their ids; lines are the
-2-dimensional subspaces, planes the 3-dimensional ones, stored as
-reduced-row-echelon bases.  Quotient spaces, dual spaces and plane
+2-dimensional subspaces, stored as reduced-row-echelon bases.  A plane is
+its id: every plane query takes one, `planes` lists the RREF bases by id,
+and an id outside that list is `NotAPlane`.  `pencil` is the one path to the
+lines through a point inside a plane, which are the lines of quotient
+spaces and plane quotients alike.  Quotient spaces, dual spaces and plane
 pencil-structures are plain cores, so every incidence query and every map
 check reads one code path.
 
@@ -45,7 +48,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import field_make
-from .linalg import normalize, nullspace, rref, vec_add, vec_scale
+from .linalg import normalize, nullspace, vec_add, vec_scale
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -71,17 +74,6 @@ class Line:
     basis: tuple
     point_ids: tuple
     id: int
-
-
-@dataclasses.dataclass(frozen=True)
-class Subspace:
-    """Canonical (RREF) basis of a vector subspace of GF(q)^(n+1)."""
-
-    basis: tuple
-
-    @property
-    def dim(self):
-        return len(self.basis)
 
 
 @dataclasses.dataclass(eq=False)
@@ -314,10 +306,9 @@ def star(sp, q_point: int) -> tuple:
 
 
 def _planes(sp):
-    """Canonical plane tables: subspaces, point sets, membership indexes."""
+    """Canonical plane tables: RREF bases, point sets, membership indexes."""
     if sp._plane_tables is None:
         raw = _subspaces(sp.field, sp.point_index, sp.n + 1, 3)
-        subspaces = tuple(Subspace(basis=basis) for _, basis in raw)
         point_sets = tuple(frozenset(pids) for pids, _ in raw)
         lines_in = []
         for pids, _ in raw:
@@ -333,7 +324,7 @@ def _planes(sp):
             for pid in pids:
                 through_point[pid].append(idx)
         sp._plane_tables = (
-            subspaces,
+            tuple(basis for _, basis in raw),
             point_sets,
             tuple(lines_in),
             tuple(frozenset(s) for s in through_line),
@@ -343,16 +334,24 @@ def _planes(sp):
 
 
 def planes(sp) -> tuple:
-    """All planes of the space as canonical Subspace values."""
+    """The RREF basis of every plane, indexed by plane id."""
     return _planes(sp)[0]
 
 
+def _plane_row(sp, table: int, plane_id: int):
+    """Entry of one plane table, or NotAPlane for an id that names no plane."""
+    rows = _planes(sp)[table]
+    if not 0 <= plane_id < len(rows):
+        raise NotAPlane(f"{sp!r} has no plane {plane_id}")
+    return rows[plane_id]
+
+
 def plane_points(sp, plane_id: int) -> frozenset:
-    return _planes(sp)[1][plane_id]
+    return _plane_row(sp, 1, plane_id)
 
 
 def lines_in_plane(sp, plane_id: int) -> tuple:
-    return _planes(sp)[2][plane_id]
+    return _plane_row(sp, 2, plane_id)
 
 
 def planes_of_line(sp, line_id: int) -> frozenset:
@@ -364,26 +363,13 @@ def planes_through_point(sp, point_id: int) -> tuple:
     return _planes(sp)[4][point_id]
 
 
-def span_subspace(sp, point_ids) -> Subspace:
-    """Canonical subspace spanned by the given points."""
-    rows = [sp.points[p].coords for p in point_ids]
-    return Subspace(basis=rref(sp.field, rows))
-
-
-def subspace_points(sp, eps: Subspace) -> frozenset:
-    """Point ids lying on a subspace (basis canonicalized first)."""
-    canonical = rref(sp.field, eps.basis)
-    return frozenset(_span_point_ids(sp.field, sp.point_index, canonical))
-
-
-def pencil(sp, q_point: int, eps: Subspace) -> tuple:
-    """Lines through a point inside a plane containing it, ascending ids."""
-    if eps.dim != 3:
-        raise NotAPlane(f"expected a plane (3 basis rows), got dimension {eps.dim}")
-    pts = subspace_points(sp, eps)
-    if q_point not in pts:
-        raise PointNotInPlane(f"point {q_point} not on the given plane")
-    return tuple(l for l in sp.lines_through[q_point] if sp.line_sets[l] <= pts)
+def pencil(sp, q_point: int, plane_id: int) -> tuple:
+    """Lines through a point inside a plane containing it, ascending ids:
+    the lines of the quotient at the point and of the plane quotient."""
+    if q_point not in plane_points(sp, plane_id):
+        raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
+    inside = set(lines_in_plane(sp, plane_id))
+    return tuple(l for l in sp.lines_through[q_point] if l in inside)
 
 
 def _maps_onto(structure, native, vector_of) -> bool:
@@ -433,18 +419,15 @@ def _normal(f, rows):
     return kernel[0] if len(kernel) == 1 else None
 
 
-def _section(sp, dual: bool, centre: int, members, groups, vector_of):
-    """Quotient at a point, or at a plane of the dual: the line-id groups cut
-    down to the member lines, sorted, certified as PG(n-1, q) through
-    vector_of and cached.  groups is read only on a cache miss."""
+def _section(sp, dual: bool, centre: int, members, pencils, vector_of):
+    """Quotient at a point, or at a plane of the dual: the member lines as
+    points and the pencils as lines, sorted, certified as PG(n-1, q) through
+    vector_of and cached.  pencils is read only on a cache miss."""
     cached = sp._sections.get((dual, centre))
     if cached is None:
-        member_set = set(members)
-        cut = [frozenset(l for l in g if l in member_set) for g in groups]
-        cut.sort(key=sorted)
         structure = IncidenceStructure(
             point_labels=members,
-            line_sets=tuple(cut),
+            line_sets=tuple(sorted((frozenset(p) for p in pencils), key=sorted)),
             kind="quotient",
             detail=f"dual({sp!r})/{centre}" if dual else f"{sp!r}/{centre}",
         )
@@ -460,6 +443,8 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
     A line through P goes to X - X[i]·P for any other point X on it, with
     coordinate i (P's leading 1) dropped: its projection from P onto the
     coordinate hyperplane x_i = 0, which misses P."""
+    if q_point not in sp.lines_through:
+        raise BadConfiguration(f"{sp!r} has no point {q_point}")
     f = sp.field
     p = sp.points[q_point].coords
     i = p.index(1)
@@ -469,8 +454,8 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
         v = vec_add(f, x, vec_scale(f, f.neg_table[x[i]], p))
         return v[:i] + v[i + 1 :]
 
-    groups = (lines_in_plane(sp, pl) for pl in planes_through_point(sp, q_point))
-    return _section(sp, False, q_point, star(sp, q_point), groups, vector_of)
+    pencils = (pencil(sp, q_point, pl) for pl in planes_through_point(sp, q_point))
+    return _section(sp, False, q_point, star(sp, q_point), pencils, vector_of)
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -490,10 +475,8 @@ def dual_space(sp) -> IncidenceStructure:
             kind="dual",
             detail=repr(sp),
         )
-        subspaces = planes(sp)
-        sp._dual = _certified(
-            structure, sp, lambda pl: _normal(sp.field, subspaces[pl].basis)
-        )
+        bases = planes(sp)
+        sp._dual = _certified(structure, sp, lambda pl: _normal(sp.field, bases[pl]))
     return sp._dual
 
 
@@ -505,13 +488,14 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     π's coordinates, which are their entries at π's pivot columns."""
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
-    pivots = [row.index(1) for row in planes(sp)[plane_id].basis]
+    members = lines_in_plane(sp, plane_id)
+    pivots = [row.index(1) for row in planes(sp)[plane_id]]
 
     def vector_of(l):
         return _normal(sp.field, [[row[c] for c in pivots] for row in sp.lines[l].basis])
 
-    groups = (sp.lines_through[pid] for pid in plane_points(sp, plane_id))
-    return _section(sp, True, plane_id, lines_in_plane(sp, plane_id), groups, vector_of)
+    pencils = (pencil(sp, pid, plane_id) for pid in plane_points(sp, plane_id))
+    return _section(sp, True, plane_id, members, pencils, vector_of)
 
 
 @dataclasses.dataclass

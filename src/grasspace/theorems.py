@@ -50,7 +50,7 @@ from .maps import (
     reconstruct_point_map,
     restrict_to_star,
 )
-from .projspace import planes, planes_through_point
+from .projspace import planes_through_point
 from .rng import SplitMix64
 
 
@@ -251,10 +251,9 @@ def theorem2_predicates(lm: LineMap) -> tuple:
 
     pred_d = False
     sp = lm.source
-    all_planes = planes(sp)
     for pid in range(len(sp.points)):
         for plane_id in planes_through_point(sp, pid):
-            if pencil_image_is_pencil(lm, pid, all_planes[plane_id]):
+            if pencil_image_is_pencil(lm, pid, plane_id):
                 pred_d = True
                 break
         if pred_d:

@@ -40,11 +40,10 @@ from grasspace.projspace import (
     dual_space,
     meet,
     pencil,
-    planes,
+    plane_points,
     planes_through_point,
     quotient,
     star,
-    subspace_points,
 )
 from grasspace.theorems import (
     InstanceGenerator,
@@ -338,7 +337,7 @@ def test_restrict_to_star_preconditions(pg32, pg33):
 def test_kappa_must_map_into_the_target_or_its_dual(pg32):
     # An equal copy of the target is neither the target nor its dual.
     lm = identity_line_map(pg32)
-    eps, a = _first_valid_config(pg32, 0)
+    plane_id, a = _first_valid_config(pg32, 0)
     labels = quotient(pg32, 0).point_labels
     for kappa in (
         PointMap(pg32, projspace._build_space(3, 2), {p: p for p in range(15)}),
@@ -347,7 +346,7 @@ def test_kappa_must_map_into_the_target_or_its_dual(pg32):
         with pytest.raises(PreconditionViolated, match="target or its dual"):
             restrict_to_star(lm, 0, kappa)
         with pytest.raises(PreconditionViolated, match="target or its dual"):
-            intersection_compatibility_check(lm, kappa, 0, eps, a)
+            intersection_compatibility_check(lm, kappa, 0, plane_id, a)
 
 
 def test_noncollinear_witness_matches_quotient_collinearity(pg32):
@@ -380,29 +379,27 @@ def test_noncollinear_witness_errors(pg32):
 def test_pencil_image_is_pencil_identity(pg32):
     lm = identity_line_map(pg32)
     for plane_id in range(3):
-        eps = planes(pg32)[plane_id]
-        pts = sorted(subspace_points(pg32, eps))
-        assert pencil_image_is_pencil(lm, pts[0], eps)
+        pts = sorted(plane_points(pg32, plane_id))
+        assert pencil_image_is_pencil(lm, pts[0], plane_id)
 
 
 def test_pencil_image_is_pencil_collineation(pg33):
     c = sample_collineation(pg33, 1)
     lm = induced_line_map(collineation_point_map(c, pg33, pg33))
-    eps = planes(pg33)[planes_through_point(pg33, 0)[0]]
-    assert pencil_image_is_pencil(lm, 0, eps)
+    plane_id = planes_through_point(pg33, 0)[0]
+    assert pencil_image_is_pencil(lm, 0, plane_id)
 
 
 def test_pencil_image_is_pencil_negative(pg32):
     plane_id = planes_through_point(pg32, 0)[0]
-    eps = planes(pg32)[plane_id]
-    pen = pencil(pg32, 0, eps)
+    pen = pencil(pg32, 0, plane_id)
     outside = next(
         l for l in range(35) if 0 not in pg32.line_sets[l]
     )
     image = {l: l for l in range(35)}
     image[pen[0]], image[outside] = outside, pen[0]
     lm = LineMap(source=pg32, target=pg32, image=image)
-    assert not pencil_image_is_pencil(lm, 0, eps)
+    assert not pencil_image_is_pencil(lm, 0, plane_id)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -410,7 +407,6 @@ def test_pencil_image_in_a_plane_is_a_whole_star(q):
     # PG(2, q) has one plane, holding every line, so a pencil image is a
     # pencil exactly when it is the star of some point.
     sp = build_space(2, q)
-    eps = planes(sp)[0]
     stars = [set(star(sp, p)) for p in sp.point_labels]
     rng = random.Random(q)
     line_ids = list(range(len(sp.lines)))
@@ -428,61 +424,59 @@ def test_pencil_image_in_a_plane_is_a_whole_star(q):
         for centre in sp.point_labels:
             images = {lm.image[l] for l in star(sp, centre)}
             want = images in stars
-            assert pencil_image_is_pencil(lm, centre, eps) == want
+            assert pencil_image_is_pencil(lm, centre, 0) == want
             seen.add(want)
     assert seen == {False, True}
 
 
 def test_pencil_image_collapse_is_rejected(pg32):
     plane_id = planes_through_point(pg32, 0)[0]
-    eps = planes(pg32)[plane_id]
-    pen = pencil(pg32, 0, eps)
+    pen = pencil(pg32, 0, plane_id)
     image = {l: l for l in range(35)}
     image[pen[0]] = pen[1]
     lm = LineMap(source=pg32, target=pg32, image=image)
-    assert not pencil_image_is_pencil(lm, 0, eps)
+    assert not pencil_image_is_pencil(lm, 0, plane_id)
 
 
 def _first_valid_config(sp, q_point):
     for plane_id in planes_through_point(sp, q_point):
-        eps = planes(sp)[plane_id]
-        pts = subspace_points(sp, eps)
+        pts = plane_points(sp, plane_id)
         for l in range(len(sp.lines)):
             if sp.line_sets[l] <= pts and q_point not in sp.line_sets[l]:
-                return eps, l
+                return plane_id, l
     raise AssertionError("no configuration found")
 
 
 def test_intersection_compatibility_identity(pg32):
     lm = identity_line_map(pg32)
     kappa = PointMap(source=pg32, target=pg32, image={p: p for p in range(15)})
-    eps, a = _first_valid_config(pg32, 0)
-    assert intersection_compatibility_check(lm, kappa, 0, eps, a)
+    plane_id, a = _first_valid_config(pg32, 0)
+    assert intersection_compatibility_check(lm, kappa, 0, plane_id, a)
 
 
 def test_intersection_compatibility_collineation_and_duality(pg32):
     c = sample_collineation(pg32, 4)
     lm = induced_line_map(collineation_point_map(c, pg32, pg32))
     kappa = reconstruct_point_map(lm).kappa
-    eps, a = _first_valid_config(pg32, 3)
-    assert intersection_compatibility_check(lm, kappa, 3, eps, a)
+    plane_id, a = _first_valid_config(pg32, 3)
+    assert intersection_compatibility_check(lm, kappa, 3, plane_id, a)
 
     d = sample_duality(pg32, 4)
     dlm = duality_line_map(d, pg32, pg32)
     dkappa = reconstruct_point_map(dlm).kappa
-    assert intersection_compatibility_check(dlm, dkappa, 3, eps, a)
+    assert intersection_compatibility_check(dlm, dkappa, 3, plane_id, a)
 
 
 def test_intersection_compatibility_detects_wrong_kappa(pg32):
     lm = identity_line_map(pg32)
-    eps, a = _first_valid_config(pg32, 0)
-    pen = pencil(pg32, 0, eps)
+    plane_id, a = _first_valid_config(pg32, 0)
+    pen = pencil(pg32, 0, plane_id)
     crossing = meet(pg32, pen[0], a)
     image = {p: p for p in range(15)}
     other = next(p for p in range(15) if p != crossing)
     image[crossing], image[other] = other, crossing
     kappa = PointMap(source=pg32, target=pg32, image=image)
-    assert not intersection_compatibility_check(lm, kappa, 0, eps, a)
+    assert not intersection_compatibility_check(lm, kappa, 0, plane_id, a)
 
 
 def test_intersection_compatibility_follows_kappa_not_dual_flag(pg32):
@@ -490,10 +484,9 @@ def test_intersection_compatibility_follows_kappa_not_dual_flag(pg32):
     # its table is a duality's; kappa alone says which meet to compare.
     configs = []
     for plane_id in planes_through_point(pg32, 0):
-        eps = planes(pg32)[plane_id]
-        pts = subspace_points(pg32, eps)
+        pts = plane_points(pg32, plane_id)
         configs += [
-            (eps, a)
+            (plane_id, a)
             for a in range(35)
             if pg32.line_sets[a] <= pts and 0 not in pg32.line_sets[a]
         ]
@@ -505,49 +498,49 @@ def test_intersection_compatibility_follows_kappa_not_dual_flag(pg32):
             assert (kappa.target is pg32) == (kind is InstanceKind.COLLINEATION)
             for dual in (False, True):
                 relabelled = dataclasses.replace(lm, dual=dual)
-                for eps, a in configs:
+                for plane_id, a in configs:
                     assert intersection_compatibility_check(
-                        relabelled, kappa, 0, eps, a
+                        relabelled, kappa, 0, plane_id, a
                     ), (kind, seed, dual, a)
 
 
 def test_intersection_compatibility_rejects_coinciding_images(pg32):
-    eps, a = _first_valid_config(pg32, 0)
+    plane_id, a = _first_valid_config(pg32, 0)
     image = {l: l for l in range(35)}
-    image[pencil(pg32, 0, eps)[0]] = a
+    image[pencil(pg32, 0, plane_id)[0]] = a
     lm = LineMap(source=pg32, target=pg32, image=image)
     kappa = PointMap(source=pg32, target=pg32, image={p: p for p in range(15)})
-    assert not intersection_compatibility_check(lm, kappa, 0, eps, a)
+    assert not intersection_compatibility_check(lm, kappa, 0, plane_id, a)
 
 
 def test_intersection_compatibility_rejects_a_kappa_from_another_space(pg32):
     # Read by label, this kappa would pass: the identity line map's images
     # meet where the labels say.
-    eps, a = _first_valid_config(pg32, 0)
+    plane_id, a = _first_valid_config(pg32, 0)
     kappa = PointMap(build_space(3, 3), pg32, {p: p % 15 for p in range(40)})
     with pytest.raises(PreconditionViolated, match="source"):
-        intersection_compatibility_check(identity_line_map(pg32), kappa, 0, eps, a)
+        intersection_compatibility_check(identity_line_map(pg32), kappa, 0, plane_id, a)
 
 
 def test_intersection_compatibility_needs_kappa(pg32):
-    eps, a = _first_valid_config(pg32, 0)
+    plane_id, a = _first_valid_config(pg32, 0)
     with pytest.raises(PreconditionViolated):
-        intersection_compatibility_check(identity_line_map(pg32), None, 0, eps, a)
+        intersection_compatibility_check(identity_line_map(pg32), None, 0, plane_id, a)
 
 
 def test_intersection_compatibility_bad_configurations(pg32):
     lm = identity_line_map(pg32)
     kappa = PointMap(source=pg32, target=pg32, image={p: p for p in range(15)})
-    eps, a = _first_valid_config(pg32, 0)
-    pen = pencil(pg32, 0, eps)
+    plane_id, a = _first_valid_config(pg32, 0)
+    pen = pencil(pg32, 0, plane_id)
     with pytest.raises(BadConfiguration):
-        intersection_compatibility_check(lm, kappa, 0, eps, pen[0])
-    pts = subspace_points(pg32, eps)
+        intersection_compatibility_check(lm, kappa, 0, plane_id, pen[0])
+    pts = plane_points(pg32, plane_id)
     outside = next(
         l for l in range(35) if not pg32.line_sets[l] <= pts
     )
     with pytest.raises(BadConfiguration):
-        intersection_compatibility_check(lm, kappa, 0, eps, outside)
+        intersection_compatibility_check(lm, kappa, 0, plane_id, outside)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -682,6 +675,21 @@ def test_map_tables_must_be_total(pg22):
         PointMap(source=pg22, target=pg22, image={0: 0})
     with pytest.raises(PreconditionViolated):
         LineMap(source=pg22, target=pg22, image={0: 0})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda sp: LineMap(sp, sp, {**identity_line_map(sp).image, 0: -35}),
+        lambda sp: LineMap(sp, sp, {**identity_line_map(sp).image, 0: 35}),
+        lambda sp: PointMap(sp, sp, {**{p: p for p in range(15)}, 0: -1}),
+    ],
+    ids=["line-negative", "line-past-the-end", "point-negative"],
+)
+def test_map_tables_must_stay_inside_the_target(pg32, make):
+    # A negative id would wrap onto a real line or point of the target.
+    with pytest.raises(PreconditionViolated, match="outside the target"):
+        make(pg32)
 
 
 @pytest.mark.parametrize(

@@ -35,9 +35,7 @@ from grasspace.projspace import (
     planes_through_point,
     point_id_of_vector,
     quotient,
-    span_subspace,
     star,
-    subspace_points,
     verify_projective_axioms,
 )
 
@@ -235,32 +233,33 @@ def test_plane_counts_pg33(pg33):
     assert all(len(planes_of_line(pg33, l)) == 4 for l in range(130))
 
 
-def test_span_and_subspace_points(pg32):
-    line = pg32.lines[0]
-    eps = span_subspace(pg32, line.point_ids[:2])
-    assert eps.dim == 2
-    assert subspace_points(pg32, eps) == frozenset(line.point_ids)
-    triple = (0, 1, 5) if not collinear(pg32, 0, 1, 5) else (0, 1, 6)
-    eps = span_subspace(pg32, triple)
-    assert eps.dim == 3
-    assert len(subspace_points(pg32, eps)) == 7
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (4, 2), (3, 3)])
+def test_pencil_matches_the_oracle_planes(n, q):
+    # Plane ids rank the sorted point sets, as the oracle's closures are sorted.
+    sp = build_space(n, q)
+    found = structure_planes(sp)
+    assert len(found) == len(planes(sp))
+    for plane_id, pts in enumerate(found):
+        assert plane_points(sp, plane_id) == pts
+        for p in pts:
+            want = tuple(l for l in star(sp, p) if sp.line_sets[l] <= pts)
+            assert pencil(sp, p, plane_id) == want, (p, plane_id)
 
 
 def test_pencil(pg32):
-    eps = planes(pg32)[0]
     pts = sorted(plane_points(pg32, 0))
     centre = pts[0]
-    pen = pencil(pg32, centre, eps)
+    pen = pencil(pg32, centre, 0)
     assert len(pen) == 3
     for l in pen:
         assert centre in pg32.line_sets[l]
         assert pg32.line_sets[l] <= plane_points(pg32, 0)
-    line_eps = span_subspace(pg32, pg32.lines[0].point_ids[:2])
-    with pytest.raises(NotAPlane):
-        pencil(pg32, centre, line_eps)
+    for plane_id in (-1, len(planes(pg32))):
+        with pytest.raises(NotAPlane):
+            pencil(pg32, centre, plane_id)
     outside = next(p for p in range(15) if p not in plane_points(pg32, 0))
     with pytest.raises(PointNotInPlane):
-        pencil(pg32, outside, eps)
+        pencil(pg32, outside, 0)
 
 
 @pytest.mark.parametrize(
@@ -384,12 +383,12 @@ def test_quotient_of_a_plane_is_one_line(pg23):
 
 
 def _corrupt(monkeypatch, name, bad_id, change):
-    """Make projspace.<name>(sp, bad_id) return change(true value)."""
+    """Make projspace.<name>(sp, ..., bad_id) return change(true value)."""
     real = getattr(projspace, name)
 
-    def patched(sp, i):
-        got = real(sp, i)
-        return change(got) if i == bad_id else got
+    def patched(sp, *args):
+        got = real(sp, *args)
+        return change(got) if args[-1] == bad_id else got
 
     monkeypatch.setattr(projspace, name, patched)
 
@@ -403,10 +402,10 @@ def _fresh(n, q):
 def test_quotient_certificate_rejects_a_short_pencil(monkeypatch, n):
     sp = _fresh(n, 2)
     plane_id = planes_through_point(sp, 0)[0]
-    dropped = next(l for l in lines_in_plane(sp, plane_id) if l in star(sp, 0))
+    dropped = pencil(sp, 0, plane_id)[0]
     _corrupt(
         monkeypatch,
-        "lines_in_plane",
+        "pencil",
         plane_id,
         lambda ls: tuple(l for l in ls if l != dropped),
     )
@@ -418,22 +417,21 @@ def test_quotient_certificate_rejects_swapped_pencil_lines(monkeypatch):
     # Line sizes and degrees survive the swap, so only the line check refutes it.
     sp = _fresh(3, 2)
     first, second = planes_through_point(sp, 0)[:2]
-    star_set = set(star(sp, 0))
-    a1 = next(l for l in lines_in_plane(sp, first) if l in star_set
-              and l not in lines_in_plane(sp, second))
-    b1 = next(l for l in lines_in_plane(sp, second) if l in star_set
-              and l not in lines_in_plane(sp, first))
+    a1 = next(l for l in pencil(sp, 0, first) if l not in pencil(sp, 0, second))
+    b1 = next(l for l in pencil(sp, 0, second) if l not in pencil(sp, 0, first))
     swap = lambda old, new: lambda ls: tuple(sorted(set(ls) - {old} | {new}))
-    _corrupt(monkeypatch, "lines_in_plane", first, swap(a1, b1))
-    _corrupt(monkeypatch, "lines_in_plane", second, swap(b1, a1))
+    _corrupt(monkeypatch, "pencil", first, swap(a1, b1))
+    _corrupt(monkeypatch, "pencil", second, swap(b1, a1))
     with pytest.raises(GeometryError, match="not isomorphic"):
         quotient(sp, 0)
     assert not sp._sections
 
 
 def test_plane_quotient_certificate_rejects_a_missing_line(monkeypatch):
+    # The line stays a point of the plane quotient, on none of its lines.
     sp = _fresh(3, 2)
-    _corrupt(monkeypatch, "lines_in_plane", 0, lambda ls: ls[1:])
+    dropped = lines_in_plane(sp, 0)[0]
+    _corrupt(monkeypatch, "pencil", 0, lambda ls: tuple(l for l in ls if l != dropped))
     with pytest.raises(GeometryError, match="not isomorphic"):
         plane_quotient(sp, 0)
 
@@ -444,6 +442,23 @@ def test_dual_certificate_rejects_a_short_line(monkeypatch):
     with pytest.raises(GeometryError, match="not isomorphic"):
         dual_space(sp)
     assert sp._dual is None
+
+
+@pytest.mark.parametrize(
+    "section,centre,error",
+    [
+        (plane_quotient, -1, NotAPlane),
+        (plane_quotient, 15, NotAPlane),
+        (quotient, -1, BadConfiguration),
+        (quotient, 15, BadConfiguration),
+    ],
+)
+def test_sections_reject_centres_outside_the_space(section, centre, error):
+    # A negative plane id must not wrap onto the last plane and be cached.
+    sp = _fresh(3, 2)
+    with pytest.raises(error):
+        section(sp, centre)
+    assert not sp._sections
 
 
 def _oracle_vectors(structure, native):
@@ -507,7 +522,7 @@ def test_plane_quotient_certificate_rejects_a_degenerate_kernel(monkeypatch):
     # entries at the plane's pivot columns vanish: the counts still agree,
     # but that line's rows in plane coordinates have a 2-dimensional kernel.
     sp = _fresh(3, 2)
-    basis = planes(sp)[0].basis
+    basis = planes(sp)[0]
     pivots = [row.index(1) for row in basis]
     (free,) = set(range(4)) - set(pivots)
     off = sp.point_index[tuple(int(c == free) for c in range(4))]
