@@ -8,18 +8,20 @@ graph of PG(n, q) is regular of degree (q+1)((q^n - 1)/(q - 1) - 1).  A
 set of lines is a clique when every two of them are equal or meet
 (`is_clique`); both line-map preservation verdicts are star-clique tests.
 
-The automorphism search pairs the first path, which individualises the
-smallest vertex of the smallest non-singleton cell, with each candidate
-path, and refines both equitably by a splitter queue, one side at a time
-(McKay and Piperno 2014).  Each first-path partition is refined once per
-search and cached by depth with its trace; a candidate side replays that
-trace and is cut off at the first entry that differs.  A leaf, and every
-generator again before the report, must pass a certificate: a permutation
-of the vertices that maps each neighbour list onto its image's
-neighbourhood.  Reports are deterministic, and the group order is exact
-without materializing the group.  MAX_AUT_VERTICES sits between PG(5,2)
-(651 lines, 191 search nodes) and PG(3,5) (806 lines, 6425 nodes, about
-seven times the time); the node budget bounds every search below it.
+The automorphism search fixes the base first: one path individualises the
+smallest vertex of the first largest non-singleton cell down to a discrete
+partition.  Deepest level first, each base vertex's orbit is closed under
+every generator found so far, and only the cell's vertices outside it are
+searched (McKay 1981).  A search refines the first path and a candidate
+path equitably by a splitter queue, one side at a time (McKay and Piperno
+2014); each first-path partition is refined once per search and cached by
+depth with its trace, which a candidate replays up to the first entry that
+differs.  A leaf, and every generator again before the report, must pass a
+certificate: a permutation of the vertices that maps each neighbour list
+onto its image's neighbourhood.  MAX_AUT_VERTICES sits between PG(5,2)
+(651 lines, 29 nodes, 0.5 s on 2 cores) and PG(3,5) (806 lines, 218 nodes,
+1.5 s): the Chow chain is still slow there (ROADMAP item 3), and raising
+the cap is item 4.  The node budget bounds every search below it.
 """
 
 import collections
@@ -266,10 +268,10 @@ def _refine_side(masks, p, splitter, expect=None):
 
 
 def _branch_cell(partition):
-    """Index of the smallest non-singleton cell (first on ties), or None."""
+    """Index of the first largest non-singleton cell, or None."""
     best = None
     for i, cell in enumerate(partition):
-        if len(cell) > 1 and (best is None or len(cell) < len(partition[best])):
+        if len(cell) > 1 and (best is None or len(cell) > len(partition[best])):
             best = i
     return best
 
@@ -357,10 +359,11 @@ def _orbit_close(seed, generators):
 def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> AutomorphismReport:
     """Exact automorphism group order of an adjacency structure.
 
-    Accepts a GrassmannSpace or a sequence of neighbour bitmasks.  At each
-    level of the stabilizer chain the orbit of the smallest vertex in the
-    branch cell is closed under the generators found so far, so failed
-    searches happen only for vertices genuinely outside the orbit.
+    Accepts a GrassmannSpace or a sequence of neighbour bitmasks.  The base
+    is fixed first, branching on the first largest cell; then, deepest
+    level first, each base vertex's orbit is closed under all generators
+    found so far, which fix the base above it.  The order is the product
+    of these exact orbits, and reports are deterministic.
     """
     masks = g.masks if isinstance(g, GrassmannSpace) else tuple(g)
     count = len(masks)
@@ -370,22 +373,20 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
         return AutomorphismReport(1, (), 0, ())
 
     search = _Search(masks, node_budget)
-    generators = []
-    base = []
-    order = 1
+    levels = []  # (partition, branch cell, base vertex, individualised) per depth
     partition = search.first(0, [tuple(range(count))], 0)[0]
-
-    while True:
-        ci = _branch_cell(partition)
-        if ci is None:
-            break
-        cell = partition[ci]
-        v0 = min(cell)
+    while (ci := _branch_cell(partition)) is not None:
+        v0 = min(partition[ci])
         first = _individualize(partition, ci, v0)
-        depth = len(base) + 1
-        level_gens = []
-        orbit = {v0}
-        for u in sorted(cell):
+        levels.append((partition, ci, v0, first))
+        partition = search.first(len(levels), first, ci)[0]
+
+    generators = []
+    order = 1
+    for depth in range(len(levels), 0, -1):
+        partition, ci, v0, first = levels[depth - 1]
+        orbit = {v0}  # every generator found so far fixes the base down to v0
+        for u in sorted(partition[ci]):
             if u in orbit:
                 continue
             found = search.find(first, _individualize(partition, ci, u), ci, depth)
@@ -394,12 +395,9 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
                     raise GeometryError(
                         f"search for {v0} -> {u} returned {v0} -> {found[v0]}"
                     )
-                level_gens.append(found)
                 generators.append(found)
-                orbit = _orbit_close(orbit, level_gens)
+                orbit = _orbit_close(orbit, generators)
         order *= len(orbit)
-        base.append(v0)
-        partition = search.first(depth, first, ci)[0]
 
     for perm in generators:
         if not _is_automorphism(masks, perm, search.neighbours):
@@ -408,5 +406,5 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
         group_order=order,
         generators=tuple(generators),
         nodes_explored=search.nodes,
-        base=tuple(base),
+        base=tuple(v0 for _, _, v0, _ in levels),
     )

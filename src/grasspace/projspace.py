@@ -301,7 +301,10 @@ def collinear(sp, a: int, b: int, c: int) -> bool:
 
 
 def star(sp, q_point: int) -> tuple:
-    """Ids of all lines through a point, ascending."""
+    """Ids of all lines through a point, ascending; BadConfiguration for an
+    id that names no point."""
+    if q_point not in sp.lines_through:
+        raise BadConfiguration(f"{sp!r} has no point {q_point}")
     return sp.lines_through[q_point]
 
 
@@ -355,11 +358,17 @@ def lines_in_plane(sp, plane_id: int) -> tuple:
 
 
 def planes_of_line(sp, line_id: int) -> frozenset:
-    """Ids of the planes containing a line."""
+    """Ids of the planes containing a line; BadConfiguration for an id that
+    names no line."""
+    if not 0 <= line_id < len(sp.lines):
+        raise BadConfiguration(f"{sp!r} has no line {line_id}")
     return _planes(sp)[3][line_id]
 
 
 def planes_through_point(sp, point_id: int) -> tuple:
+    """Ids of the planes through a point; `star` rejects an id that names
+    no point."""
+    star(sp, point_id)
     return _planes(sp)[4][point_id]
 
 
@@ -443,8 +452,7 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
     A line through P goes to X - X[i]·P for any other point X on it, with
     coordinate i (P's leading 1) dropped: its projection from P onto the
     coordinate hyperplane x_i = 0, which misses P."""
-    if q_point not in sp.lines_through:
-        raise BadConfiguration(f"{sp!r} has no point {q_point}")
+    members = star(sp, q_point)
     f = sp.field
     p = sp.points[q_point].coords
     i = p.index(1)
@@ -455,7 +463,7 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
         return v[:i] + v[i + 1 :]
 
     pencils = (pencil(sp, q_point, pl) for pl in planes_through_point(sp, q_point))
-    return _section(sp, False, q_point, star(sp, q_point), pencils, vector_of)
+    return _section(sp, False, q_point, members, pencils, vector_of)
 
 
 def dual_space(sp) -> IncidenceStructure:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +66,16 @@ def test_aut_pg32(capsys):
     code, out, _ = run(capsys, "aut", "-n", "3", "-q", "2")
     assert code == EXIT_OK
     assert out == "40320\n"
+
+
+def test_aut_pg27_in_1596_nodes(capsys):
+    # Every two lines of a plane meet, so its line graph is K_57.
+    code, out, _ = run(capsys, "aut", "-n", "2", "-q", "7", "--budget", "1596")
+    assert code == EXIT_OK
+    assert out == f"{math.factorial(57)}\n"
+    code, _, err = run(capsys, "aut", "-n", "2", "-q", "7", "--budget", "1595")
+    assert code == EXIT_BUDGET
+    assert "exceeded 1595 nodes" in err
 
 
 def test_aut_budget_exhaustion(capsys):

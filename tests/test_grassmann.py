@@ -210,18 +210,19 @@ def test_automorphism_order_matches_brute_force(masks):
 def test_automorphism_group_pg32(pg32):
     report = automorphism_group(build_grassmann(pg32))
     assert report.group_order == 40320
-    assert report.nodes_explored == 63
+    assert report.nodes_explored == 24
 
 
 # sha256 of repr((group_order, generators, nodes_explored, base)), recorded
-# before the search refined each side on its own: the search path is pinned.
+# when the base became fixed first and orbits closed deepest level first:
+# the search path is pinned.
 @pytest.mark.parametrize(
     "n, q, digest",
     [
-        (2, 3, "d7c461a96d58b340"),
-        (3, 2, "26c8d622f5eb0a39"),
-        (3, 3, "935555beca86d471"),
-        (4, 2, "edbb13ec5af5d393"),
+        (2, 3, "d26599de838fdca5"),
+        (3, 2, "a7b6d57136a416b0"),
+        (3, 3, "8568814157e342cc"),
+        (4, 2, "a06ee69d66dc64bb"),
     ],
 )
 def test_automorphism_search_path_is_pinned(n, q, digest):
@@ -413,26 +414,51 @@ def test_collineation_perms_are_graph_automorphisms(pg32):
         assert _is_automorphism(g.masks, perm)
 
 
-def test_automorphism_group_rejects_a_corrupted_generator(pg32, monkeypatch):
-    # Swap two images in every generator the top-level search returns; the
-    # Grassmann graph has no twin lines, so none stays an automorphism.
+def _corrupt_top_level_finds(monkeypatch, corrupt):
+    """Pass each permutation a top-level search returns through `corrupt`,
+    with the base vertex of its level; deeper searches are left alone."""
     find = grassmann._Search.find
     depth = []
 
-    def corrupted(self, pa, pb, *rest):
+    def corrupted(self, pa, pb, splitter, *rest):
         depth.append(None)
         try:
-            perm = find(self, pa, pb, *rest)
+            perm = find(self, pa, pb, splitter, *rest)
         finally:
             depth.pop()
         if perm is None or depth:
             return perm
-        perm = list(perm)
-        perm[-2], perm[-1] = perm[-1], perm[-2]
-        return tuple(perm)
+        return tuple(corrupt(list(perm), pa[splitter][0]))
 
     monkeypatch.setattr(grassmann._Search, "find", corrupted)
+
+
+def test_automorphism_group_rejects_a_corrupted_generator(pg32, monkeypatch):
+    # Swap the images of two vertices off the base in every generator, so
+    # each still sends its base vertex where it was asked to; the Grassmann
+    # graph has no twin lines, so none stays an automorphism.
+    g = build_grassmann(pg32)
+    a, b = [v for v in range(35) if v not in automorphism_group(g).base][-2:]
+
+    def swap(perm, v0):
+        perm[a], perm[b] = perm[b], perm[a]
+        return perm
+
+    _corrupt_top_level_finds(monkeypatch, swap)
     with pytest.raises(GeometryError, match="non-automorphism"):
+        automorphism_group(g)
+
+
+def test_automorphism_group_rejects_a_generator_that_moves_the_base(pg32, monkeypatch):
+    # Send the level's base vertex somewhere other than the vertex the
+    # search was asked for.
+    def move_base_image(perm, v0):
+        w = next(v for v in range(len(perm)) if v != v0)
+        perm[v0], perm[w] = perm[w], perm[v0]
+        return perm
+
+    _corrupt_top_level_finds(monkeypatch, move_base_image)
+    with pytest.raises(GeometryError, match=r"search for \d+ -> \d+ returned"):
         automorphism_group(build_grassmann(pg32))
 
 

@@ -18,6 +18,7 @@ from grasspace.errors import (
     UnsupportedOrder,
 )
 from grasspace.linalg import nullspace
+from grasspace.maps import noncollinear_witness
 from grasspace.projspace import (
     IncidenceStructure,
     build_space,
@@ -459,6 +460,24 @@ def test_sections_reject_centres_outside_the_space(section, centre, error):
     with pytest.raises(error):
         section(sp, centre)
     assert not sp._sections
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        (planes_of_line, (-1,)),
+        (planes_of_line, (35,)),
+        (planes_through_point, (-1,)),
+        (planes_through_point, (15,)),
+        (star, (-1,)),
+        (star, (15,)),
+        (noncollinear_witness, (-1, 0, 1, 2)),
+    ],
+)
+def test_ids_outside_the_space_raise_bad_configuration(pg32, call, args):
+    # A negative id must not wrap onto the last line or point.
+    with pytest.raises(BadConfiguration):
+        call(pg32, *args)
 
 
 def _oracle_vectors(structure, native):
