@@ -76,7 +76,7 @@ def main(argv=None):
         sp = build_space(n, q)
         g = build_grassmann(sp)
         edges = sum(m.bit_count() for m in g.masks) // 2
-        expected = expected_order(n, q, len(sp.lines))
+        expected = expected_order(n, q, len(sp.line_sets))
         geometric = geometric_order(sp)
         geometric_text = "-" if geometric is None else str(geometric)
         geometric_ok = geometric in (None, expected)
@@ -89,7 +89,7 @@ def main(argv=None):
             match = f"skipped ({exc.__class__.__name__})" if geometric_ok else "NO"
         failures += match == "NO"
         print(
-            f"{f'PG({n},{q})':>9} {len(sp.points):>6} {len(sp.lines):>6} "
+            f"{f'PG({n},{q})':>9} {len(sp.point_labels):>6} {len(sp.line_sets):>6} "
             f"{g.degree():>6} {edges:>7} {found_text:>22} {expected:>22} "
             f"{geometric_text:>22} {match}"
         )

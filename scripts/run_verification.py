@@ -51,10 +51,11 @@ def run_counts():
     for n, q in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2)):
         sp = build_space(n, q)
         good = (
-            sp.point_count() == gaussian_binomial(n + 1, 1, q)
-            and sp.line_count() == gaussian_binomial(n + 1, 2, q)
+            len(sp.point_labels) == gaussian_binomial(n + 1, 1, q)
+            and len(sp.line_sets) == gaussian_binomial(n + 1, 2, q)
         )
-        ok &= check(f"PG({n},{q}) {sp.point_count()} points {sp.line_count()} lines", good)
+        counts = f"{len(sp.point_labels)} points {len(sp.line_sets)} lines"
+        ok &= check(f"PG({n},{q}) {counts}", good)
     return ok
 
 
@@ -62,7 +63,7 @@ def run_quotients():
     section("quotient spaces of PG(3,2)")
     sp = build_space(3, 2)
     ok = True
-    for q_point in range(sp.point_count()):
+    for q_point in sp.point_labels:
         # quotient() returns only a structure certified isomorphic to PG(2,2)
         try:
             ok &= verify_projective_axioms(quotient(sp, q_point)).passed

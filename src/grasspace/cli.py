@@ -91,7 +91,7 @@ def serialize_grassmap(lm: LineMap) -> str:
         f"TARGET PG {lm.target.n} {lm.target.q}{dual}",
         "MAP",
     ]
-    rows = [f"{src} {lm.image[src]}" for src in range(len(lm.source.lines))]
+    rows = [f"{src} {lm.image[src]}" for src in range(len(lm.source.line_sets))]
     return "\n".join(head + rows + ["END"]) + "\n"
 
 
@@ -151,13 +151,13 @@ def line_map_from_grassmap(gf: GrassmapFile) -> LineMap:
         raise FormatError(3, "DUAL requires a 3-dimensional target")
     source = build_space(gf.source_n, gf.source_q)
     target = build_space(gf.target_n, gf.target_q)
-    expected = len(source.lines)
+    expected = len(source.line_sets)
     if len(gf.pairs) != expected:
         raise FormatError(
             5 + min(len(gf.pairs), expected),
             f"expected {expected} map rows, found {len(gf.pairs)}",
         )
-    limit = len(target.lines)
+    limit = len(target.line_sets)
     for src, tgt in gf.pairs:
         if tgt >= limit:
             raise FormatError(
@@ -178,8 +178,8 @@ def cmd_stats(args) -> int:
     degree = sum(1 for b in range(1, len(sets)) if first & sets[b])
     plane_id = planes_through_point(sp, 0)[0]
     pencil_size = len(pencil(sp, 0, plane_id))
-    print(f"points {len(sp.points)}")
-    print(f"lines {len(sp.lines)}")
+    print(f"points {len(sp.point_labels)}")
+    print(f"lines {len(sp.line_sets)}")
     print(f"star {len(star(sp, 0))}")
     print(f"pencil {pencil_size}")
     print(f"degree {degree}")

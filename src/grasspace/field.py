@@ -161,9 +161,6 @@ class FieldTable:
             e >>= 1
         return result
 
-    def apply_automorphism(self, j, a):
-        return self.automorphisms[j][a]
-
 
 def _code_to_poly(code, p, k):
     coeffs = []

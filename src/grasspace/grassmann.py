@@ -39,9 +39,6 @@ class GrassmannSpace:
     space: object
     masks: tuple  # neighbour bitmask per line: bit b set when b meets it, b != it
 
-    def line_count(self):
-        return len(self.masks)
-
     def degree(self):
         q = self.space.q
         n = self.space.n

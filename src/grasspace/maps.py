@@ -102,9 +102,6 @@ class PointMap:
         if not set(self.image.values()) <= set(self.target.point_labels):
             raise PreconditionViolated("point map sends a point outside the target")
 
-    def apply(self, p):
-        return self.image[p]
-
 
 @dataclasses.dataclass(eq=False)
 class LineMap:
@@ -114,17 +111,14 @@ class LineMap:
     dual: bool = False  # images meant as lines of the target's dual space
 
     def __post_init__(self):
-        if set(self.image) != set(range(len(self.source.lines))):
+        if set(self.image) != set(range(len(self.source.line_sets))):
             raise PreconditionViolated("line map table is not total on the source")
         if not set(self.image.values()) <= set(range(len(self.target.line_sets))):
             raise PreconditionViolated("line map sends a line outside the target")
 
-    def apply(self, l):
-        return self.image[l]
-
     def is_bijective(self):
         values = set(self.image.values())
-        return len(values) == len(self.image) == len(self.target.lines)
+        return len(values) == len(self.image) == len(self.target.line_sets)
 
 
 @dataclasses.dataclass(eq=False)
@@ -168,9 +162,9 @@ def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
     _check_semilinear(sp, c)
     f = sp.field
     image = {}
-    for pt in sp.points:
-        vec = apply_auto(f, c.auto_index, pt.coords)
-        image[pt.id] = point_id_of_vector(sp2, mat_vec(f, vec, c.matrix))
+    for pid, coords in enumerate(sp.coords):
+        vec = apply_auto(f, c.auto_index, coords)
+        image[pid] = point_id_of_vector(sp2, mat_vec(f, vec, c.matrix))
     return PointMap(source=sp, target=sp2, image=image)
 
 
@@ -184,22 +178,22 @@ def induced_line_map(pm: PointMap) -> LineMap:
     sp, sp2 = pm.source, pm.target
     _require_coordinates(sp, sp2, "induced line maps")
     image = {}
-    for line in sp.lines:
-        imgs = [pm.image[p] for p in line.point_ids]
+    for l, points in enumerate(sp.line_sets):
+        imgs = [pm.image[p] for p in points]
         if len(set(imgs)) != len(imgs):
-            raise NotLineConsistent(f"line {line.id}: point images collapse")
+            raise NotLineConsistent(f"line {l}: point images collapse")
         lid = sp2.joins[(imgs[0], imgs[1])]
         pts = sp2.line_sets[lid]
         for x in imgs[2:]:
             if x not in pts:
-                raise NotLineConsistent(f"line {line.id}: point images not collinear")
-        image[line.id] = lid
+                raise NotLineConsistent(f"line {l}: point images not collinear")
+        image[l] = lid
     return LineMap(source=sp, target=sp2, image=image)
 
 
 def duality_line_map(d: Duality, sp, sp2) -> LineMap:
-    """Line map of a duality: each line goes to the annihilator of its
-    transformed basis, which is again a line.  Marked dual=True."""
+    """Line map of a duality: each line goes to the annihilator of two of
+    its transformed points, which is again a line.  Marked dual=True."""
     if sp.n != 3 or sp2.n != 3:
         raise IncompatibleSpaces("dualities need 3-dimensional spaces")
     if sp.q != sp2.q:
@@ -207,15 +201,17 @@ def duality_line_map(d: Duality, sp, sp2) -> LineMap:
     _check_semilinear(sp, d)
     f = sp.field
     image = {}
-    for line in sp.lines:
+    for l, points in enumerate(sp.line_sets):
+        a, b, *_ = points
         rows = [
-            mat_vec(f, apply_auto(f, d.auto_index, v), d.matrix) for v in line.basis
+            mat_vec(f, apply_auto(f, d.auto_index, sp.coords[x]), d.matrix)
+            for x in (a, b)
         ]
         kernel = nullspace(f, rows)
         if len(kernel) != 2:
-            raise GeometryError(f"line {line.id} has a {len(kernel)}-dim annihilator")
+            raise GeometryError(f"line {l} has a {len(kernel)}-dim annihilator")
         a, b = (point_id_of_vector(sp2, v) for v in kernel)
-        image[line.id] = join(sp2, a, b)
+        image[l] = join(sp2, a, b)
     return LineMap(source=sp, target=sp2, image=image, dual=True)
 
 
@@ -226,19 +222,19 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     _check_semilinear(sp, d)
     f = sp.field
     table = {}
-    for pt in sp.points:
-        row = mat_vec(f, apply_auto(f, d.auto_index, pt.coords), d.matrix)
+    for pid, coords in enumerate(sp.coords):
+        row = mat_vec(f, apply_auto(f, d.auto_index, coords), d.matrix)
         kernel = nullspace(f, (row,))
         if len(kernel) != 3:
-            raise GeometryError(f"point {pt.id} has a {len(kernel)}-dim annihilator")
+            raise GeometryError(f"point {pid} has a {len(kernel)}-dim annihilator")
         ids = [point_id_of_vector(sp2, v) for v in kernel]
         first = join(sp2, ids[0], ids[1])
         candidates = [
             pid for pid in planes_of_line(sp2, first) if ids[2] in plane_points(sp2, pid)
         ]
         if len(candidates) != 1:
-            raise GeometryError(f"point {pt.id} maps to {len(candidates)} planes")
-        table[pt.id] = candidates[0]
+            raise GeometryError(f"point {pid} maps to {len(candidates)} planes")
+        table[pid] = candidates[0]
     return table
 
 
@@ -360,7 +356,7 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
     cores = [sp2, None] if sp2.n == 3 else [sp2]  # None: the dual, not built yet
     tables = ({}, {})
     unresolved = set()
-    for pid in range(len(sp.points)):
+    for pid in sp.point_labels:
         family = [lm.image[l] for l in star(sp, pid)]
         for i, core in enumerate(cores):
             if core is None:
@@ -377,7 +373,7 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
             unresolved.add(pid)
     statuses = (KappaStatus.INDUCED_INTO_TARGET, KappaStatus.INDUCED_INTO_DUAL)
     for status, core, table in zip(statuses, cores, tables):
-        if len(table) == len(sp.points):
+        if len(table) == len(sp.point_labels):
             return KappaReport(
                 status=status,
                 kappa=PointMap(source=sp, target=core, image=table),
@@ -403,15 +399,7 @@ def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
     section = quotient if _kappa_core(lm, kappa) is lm.target else plane_quotient
     src_struct = quotient(lm.source, q_point)
     tgt_struct = section(lm.target, kappa.image[q_point])
-    allowed = set(tgt_struct.point_labels)
-    image = {}
-    for l in src_struct.point_labels:
-        img = lm.image[l]
-        if img not in allowed:
-            raise PreconditionViolated(
-                f"image of line {l} falls outside the target star"
-            )
-        image[l] = img
+    image = {l: lm.image[l] for l in src_struct.point_labels}
     return PointMap(source=src_struct, target=tgt_struct, image=image)
 
 
@@ -429,7 +417,7 @@ def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):
             f"need three distinct lines through point {q_point}, got {a},{b},{c}"
         )
     g = build_grassmann(sp)
-    meeting = (l for l in range(len(sp.lines)) if related(g, l, a) and related(g, l, b))
+    meeting = (l for l in range(len(sp.line_sets)) if related(g, l, a) and related(g, l, b))
     return next((l for l in meeting if skew(g, l, c)), None)
 
 

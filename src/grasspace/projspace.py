@@ -2,17 +2,18 @@
 
 `IncidenceStructure` is the only incidence representation: point labels,
 each line as the frozenset of its labels and the lines through each label,
-built once at construction.  `ProjSpace` is that core plus coordinates and
-one table from point pairs to their line: points are the 1-dimensional
-subspaces of GF(q)^(n+1), represented by the unique coordinate vector whose
-leftmost nonzero entry is 1, labelled by their ids; lines are the
-2-dimensional subspaces, stored as reduced-row-echelon bases.  A plane is
-its id: every plane query takes one, `planes` lists the RREF bases by id,
-and an id outside that list is `NotAPlane`.  `pencil` is the one path to the
-lines through a point inside a plane, which are the lines of quotient
-spaces and plane quotients alike.  Quotient spaces, dual spaces and plane
-pencil-structures are plain cores, so every incidence query and every map
-check reads one code path.
+built once at construction.  `ProjSpace` is that core plus one coordinate
+table and one table from point pairs to their line.  A point is its id:
+the points are the 1-dimensional subspaces of GF(q)^(n+1), and `coords[id]`
+is the unique coordinate vector whose leftmost nonzero entry is 1.  A line
+is its id: the lines are the 2-dimensional subspaces, `line_sets[id]` holds
+their point ids, and any two of those points span the line, so no basis is
+stored.  A plane is its id: every plane query takes one, `planes` lists the
+RREF bases by id, and an id outside that list is `NotAPlane`.  `pencil` is
+the one path to the lines through a point inside a plane, which are the
+lines of quotient spaces and plane quotients alike.  Quotient spaces, dual
+spaces and plane pencil-structures are plain cores, so every incidence
+query and every map check reads one code path.
 
 Derived structures are certified isomorphic to the native space they must
 be (PG(n-1, q) for a quotient or plane quotient, the space itself for a
@@ -63,19 +64,6 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
-@dataclasses.dataclass(frozen=True)
-class Point:
-    coords: tuple
-    id: int
-
-
-@dataclasses.dataclass(frozen=True)
-class Line:
-    basis: tuple
-    point_ids: tuple
-    id: int
-
-
 @dataclasses.dataclass(eq=False)
 class IncidenceStructure:
     """Point/line incidence structure with hashable point labels.
@@ -109,12 +97,6 @@ class IncidenceStructure:
                 through[lab].append(i)
         self.lines_through = {lab: tuple(ls) for lab, ls in through.items()}
 
-    def point_count(self):
-        return len(self.point_labels)
-
-    def line_count(self):
-        return len(self.line_sets)
-
     def line_through(self, a, b):
         """Index of the first line through two distinct labels, or None."""
         if a != b:
@@ -143,13 +125,14 @@ class IncidenceStructure:
 
 @dataclasses.dataclass(eq=False, kw_only=True)
 class ProjSpace(IncidenceStructure):
-    """PG(n, q): the incidence core over point ids, plus coordinates and
-    joins, which maps both orders of every point pair to their line."""
+    """PG(n, q): the incidence core over point ids, plus coords (the
+    normalized coordinate tuple of each point id), point_index (its
+    inverse) and joins, which maps both orders of every point pair to their
+    line."""
 
     n: int
     field: object
-    points: tuple
-    lines: tuple
+    coords: tuple
     point_index: dict
 
     def __post_init__(self):
@@ -198,7 +181,7 @@ def _rref_bases(q, m, k):
             yield tuple(tuple(r) for r in rows)
 
 
-def _span_point_ids(field, point_index, basis):
+def _span_points(field, point_index, basis):
     """Point ids on the span of an RREF basis.
 
     Combining RREF rows with a normalized coefficient vector yields an
@@ -220,7 +203,7 @@ def _subspaces(field, point_index, m, k):
     """Every k-dimensional subspace of GF(q)^m as (sorted point ids, RREF
     basis), ascending by point ids: the canonical order of lines and planes."""
     return sorted(
-        (tuple(sorted(_span_point_ids(field, point_index, basis))), basis)
+        (tuple(sorted(_span_points(field, point_index, basis))), basis)
         for basis in _rref_bases(field.q, m, k)
     )
 
@@ -231,30 +214,23 @@ def _build_space(n, q):
     f = field_make(q)
     m = n + 1
 
-    points = []
-    point_index = {}
-    for i, coords in enumerate(_normalized_vectors(q, m)):
-        points.append(Point(coords=coords, id=i))
-        point_index[coords] = i
-    if len(points) != gaussian_binomial(m, 1, q):
-        raise GeometryError(f"PG({n},{q}) built {len(points)} points")
+    coords = tuple(_normalized_vectors(q, m))
+    if len(coords) != gaussian_binomial(m, 1, q):
+        raise GeometryError(f"PG({n},{q}) built {len(coords)} points")
+    point_index = {c: i for i, c in enumerate(coords)}
 
-    lines = tuple(
-        Line(basis=basis, point_ids=pids, id=i)
-        for i, (pids, basis) in enumerate(_subspaces(f, point_index, m, 2))
-    )
-    if len(lines) != gaussian_binomial(m, 2, q):
-        raise GeometryError(f"PG({n},{q}) built {len(lines)} lines")
+    line_sets = tuple(frozenset(pids) for pids, _ in _subspaces(f, point_index, m, 2))
+    if len(line_sets) != gaussian_binomial(m, 2, q):
+        raise GeometryError(f"PG({n},{q}) built {len(line_sets)} lines")
 
     sp = ProjSpace(
-        point_labels=tuple(range(len(points))),
-        line_sets=tuple(frozenset(line.point_ids) for line in lines),
+        point_labels=tuple(range(len(coords))),
+        line_sets=line_sets,
         kind="native",
         detail=f"PG({n},{q})",
         n=n,
         field=f,
-        points=tuple(points),
-        lines=lines,
+        coords=coords,
         point_index=point_index,
     )
     star_size = gaussian_binomial(n, 1, q)
@@ -319,8 +295,8 @@ def _planes(sp):
             for a, b in combinations(pids, 2):
                 seen.add(sp.joins[(a, b)])
             lines_in.append(tuple(sorted(seen)))
-        through_line = [set() for _ in sp.lines]
-        through_point = [[] for _ in sp.points]
+        through_line = [set() for _ in sp.line_sets]
+        through_point = [[] for _ in sp.point_labels]
         for idx, pids in enumerate(point_sets):
             for lid in lines_in[idx]:
                 through_line[lid].add(idx)
@@ -360,7 +336,7 @@ def lines_in_plane(sp, plane_id: int) -> tuple:
 def planes_of_line(sp, line_id: int) -> frozenset:
     """Ids of the planes containing a line; BadConfiguration for an id that
     names no line."""
-    if not 0 <= line_id < len(sp.lines):
+    if not 0 <= line_id < len(sp.line_sets):
         raise BadConfiguration(f"{sp!r} has no line {line_id}")
     return _planes(sp)[3][line_id]
 
@@ -454,11 +430,11 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
     coordinate hyperplane x_i = 0, which misses P."""
     members = star(sp, q_point)
     f = sp.field
-    p = sp.points[q_point].coords
+    p = sp.coords[q_point]
     i = p.index(1)
 
     def vector_of(l):
-        x = sp.points[next(pid for pid in sp.lines[l].point_ids if pid != q_point)].coords
+        x = sp.coords[min(sp.line_sets[l] - {q_point})]
         v = vec_add(f, x, vec_scale(f, f.neg_table[x[i]], p))
         return v[:i] + v[i + 1 :]
 
@@ -479,7 +455,7 @@ def dual_space(sp) -> IncidenceStructure:
     if sp._dual is None:
         structure = IncidenceStructure(
             point_labels=tuple(range(len(planes(sp)))),
-            line_sets=tuple(planes_of_line(sp, l) for l in range(len(sp.lines))),
+            line_sets=tuple(planes_of_line(sp, l) for l in range(len(sp.line_sets))),
             kind="dual",
             detail=repr(sp),
         )
@@ -492,15 +468,16 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     """Quotient of the dual space at a plane: the plane's lines as points,
     its pencils as lines.  Certified isomorphic to PG(2, q).
 
-    A line of π goes to the vector orthogonal to its basis rows written in
-    π's coordinates, which are their entries at π's pivot columns."""
+    A line of π goes to the vector orthogonal to two of its points written
+    in π's coordinates, which are their entries at π's pivot columns."""
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
     pivots = [row.index(1) for row in planes(sp)[plane_id]]
 
     def vector_of(l):
-        return _normal(sp.field, [[row[c] for c in pivots] for row in sp.lines[l].basis])
+        a, b, *_ = sp.line_sets[l]
+        return _normal(sp.field, [[sp.coords[x][c] for c in pivots] for x in (a, b)])
 
     pencils = (pencil(sp, pid, plane_id) for pid in plane_points(sp, plane_id))
     return _section(sp, True, plane_id, members, pencils, vector_of)

@@ -113,7 +113,7 @@ def generate_instance(gen: InstanceGenerator, sp, sp2) -> LineMap:
     lm = induced_line_map(collineation_point_map(c, sp, sp2))
     if gen.kind is InstanceKind.COLLINEATION:
         return lm
-    count = len(sp.lines)
+    count = len(sp.line_sets)
     i = rng.below(count)
     j = rng.below(count - 1)
     if j >= i:
@@ -210,7 +210,7 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
     clauses.append(ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}"))
     clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
     bad_centre = None
-    for pid in range(len(lm.source.points)):
+    for pid in lm.source.point_labels:
         flags = check_properties(restrict_to_star(lm, pid, report.kappa))
         if not (flags.injective and flags.surjective and flags.preserves_collinearity):
             bad_centre = pid
@@ -243,7 +243,7 @@ def theorem2_predicates(lm: LineMap) -> tuple:
 
     pred_c = False
     if kappa is not None:
-        for pid in range(len(lm.source.points)):
+        for pid in lm.source.point_labels:
             restricted = restrict_to_star(lm, pid, kappa)
             if classify_point_map(restricted) is MapKind.COLLINEATION:
                 pred_c = True
@@ -251,7 +251,7 @@ def theorem2_predicates(lm: LineMap) -> tuple:
 
     pred_d = False
     sp = lm.source
-    for pid in range(len(sp.points)):
+    for pid in sp.point_labels:
         for plane_id in planes_through_point(sp, pid):
             if pencil_image_is_pencil(lm, pid, plane_id):
                 pred_d = True
@@ -328,26 +328,20 @@ def all_collineation_line_perms(sp):
     f = sp.field
     size = sp.n + 1
     joins = sp.joins
-    lines = sp.lines
-    points = sp.points
     index = sp.point_index
+    pairs = [tuple(points)[:2] for points in sp.line_sets]
     auto_count = len(f.automorphisms)
     for matrix in _invertible_matrices(f, size):
         for j in range(auto_count):
-            point_img = [0] * len(points)
-            for pt in points:
-                vec = apply_auto(f, j, pt.coords) if j else pt.coords
-                point_img[pt.id] = index[normalize(f, mat_vec(f, vec, matrix))]
-            perm = [0] * len(lines)
-            for line in lines:
-                a = point_img[line.point_ids[0]]
-                b = point_img[line.point_ids[1]]
-                perm[line.id] = joins[(a, b)]
-            yield tuple(perm)
+            point_img = []
+            for coords in sp.coords:
+                vec = apply_auto(f, j, coords) if j else coords
+                point_img.append(index[normalize(f, mat_vec(f, vec, matrix))])
+            yield tuple(joins[(point_img[a], point_img[b])] for a, b in pairs)
 
 
 def _line_perm(lm: LineMap) -> tuple:
-    return tuple(lm.image[l] for l in range(len(lm.source.lines)))
+    return tuple(lm.image[l] for l in range(len(lm.source.line_sets)))
 
 
 def _identity_matrix(size):
@@ -530,8 +524,8 @@ def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport
         raise UnsupportedDimension(
             f"the cross-check needs a 3-dimensional space, got dimension {sp.n}"
         )
-    if len(sp.lines) > MAX_AUT_VERTICES:
-        raise TooLarge(f"{len(sp.lines)} lines exceed the {MAX_AUT_VERTICES} limit")
+    if len(sp.line_sets) > MAX_AUT_VERTICES:
+        raise TooLarge(f"{len(sp.line_sets)} lines exceed the {MAX_AUT_VERTICES} limit")
     collineation_order = pgammal_order(sp.n, sp.q)
     expected = 2 * collineation_order
     aut = automorphism_group(build_grassmann(sp), node_budget)

@@ -68,8 +68,8 @@ def test_criterion_1_structure_counts():
         sp = build_space.__wrapped__(n, q)
         single = time.perf_counter() - t0
         ok = ok and single < 1.0
-        ok = ok and sp.point_count() == points == gaussian_binomial(n + 1, 1, q)
-        ok = ok and sp.line_count() == lines == gaussian_binomial(n + 1, 2, q)
+        ok = ok and len(sp.point_labels) == points == gaussian_binomial(n + 1, 1, q)
+        ok = ok and len(sp.line_sets) == lines == gaussian_binomial(n + 1, 2, q)
     elapsed = time.perf_counter() - started
     assert report(1, "structure counts", ok, elapsed, 3.0)
 
@@ -122,7 +122,7 @@ def test_criterion_4_theorem2_chain_and_witnesses():
                 break
     for key in ((3, 2), (3, 3)):
         sp, _ = pool[key]
-        for q_point in range(sp.point_count()):
+        for q_point in range(len(sp.point_labels)):
             struct = quotient(sp, q_point)
             for a, b, c in combinations(star(sp, q_point), 3):
                 witness = noncollinear_witness(sp, q_point, a, b, c)

@@ -49,9 +49,9 @@ def test_adjacency_matches_meet(pg32):
 def test_adjacency_matches_rank_oracle(pg32):
     g = build_grassmann(pg32)
     for a in range(35):
-        ba = [list(r) for r in pg32.lines[a].basis]
+        ba = [list(pg32.coords[x]) for x in pg32.line_sets[a]]
         for b in range(a + 1, 35):
-            bb = [list(r) for r in pg32.lines[b].basis]
+            bb = [list(pg32.coords[x]) for x in pg32.line_sets[b]]
             meets = prime_rank(ba + bb, 2) <= 3
             assert related(g, a, b) == meets
 

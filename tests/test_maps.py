@@ -66,7 +66,7 @@ def identity_matrix(m):
 
 def identity_line_map(sp):
     return LineMap(
-        source=sp, target=sp, image={l: l for l in range(len(sp.lines))}
+        source=sp, target=sp, image={l: l for l in range(len(sp.line_sets))}
     )
 
 
@@ -111,7 +111,7 @@ def test_frobenius_collineation_pg24():
     assert classify_point_map(pm) == MapKind.COLLINEATION
     assert any(pm.image[p] != p for p in pm.image)
     twice = {p: pm.image[pm.image[p]] for p in pm.image}
-    assert twice == {p: p for p in range(sp.point_count())}
+    assert twice == {p: p for p in sp.point_labels}
 
 
 def test_collineation_rejects_incompatible_spaces(pg22, pg32, pg33):
@@ -122,7 +122,7 @@ def test_collineation_rejects_incompatible_spaces(pg22, pg32, pg33):
 
 
 def test_linear_embedding_is_embedding(pg22, pg32):
-    image = {p.id: pg32.point_index[p.coords + (0,)] for p in pg22.points}
+    image = {p: pg32.point_index[c + (0,)] for p, c in enumerate(pg22.coords)}
     pm = PointMap(source=pg22, target=pg32, image=image)
     flags = check_properties(pm)
     assert flags.injective
@@ -271,7 +271,7 @@ MAP_FAMILIES = [
 @settings(max_examples=150, deadline=None)
 def test_preservation_verdicts_match_the_pairwise_oracle(data, nq, family):
     sp = build_space(*nq)
-    count = len(sp.lines)
+    count = len(sp.line_sets)
     line = st.integers(0, count - 1)
     if family == "permutation":
         image = data.draw(st.permutations(range(count)))
@@ -330,8 +330,11 @@ def test_restrict_to_star_preconditions(pg32, pg33):
         restrict_to_star(lm, 0, foreign)
     broken = dict(kappa.image)
     broken[0] = 1 if kappa.image[0] != 1 else 2
-    with pytest.raises(PreconditionViolated):
-        restrict_to_star(lm, 0, PointMap(source=pg32, target=pg32, image=broken))
+    shifted = {p: (p + 1) % 15 for p in range(15)}
+    for image in (broken, shifted):
+        # kappa moves point 0, so the identity sends star lines outside the target star
+        with pytest.raises(PreconditionViolated, match="outside the target"):
+            restrict_to_star(lm, 0, PointMap(source=pg32, target=pg32, image=image))
 
 
 def test_kappa_must_map_into_the_target_or_its_dual(pg32):
@@ -409,7 +412,7 @@ def test_pencil_image_in_a_plane_is_a_whole_star(q):
     sp = build_space(2, q)
     stars = [set(star(sp, p)) for p in sp.point_labels]
     rng = random.Random(q)
-    line_ids = list(range(len(sp.lines)))
+    line_ids = list(range(len(sp.line_sets)))
     line_maps = [identity_line_map(sp)]
     for seed in range(100):
         c = sample_collineation(sp, seed)
@@ -441,7 +444,7 @@ def test_pencil_image_collapse_is_rejected(pg32):
 def _first_valid_config(sp, q_point):
     for plane_id in planes_through_point(sp, q_point):
         pts = plane_points(sp, plane_id)
-        for l in range(len(sp.lines)):
+        for l in range(len(sp.line_sets)):
             if sp.line_sets[l] <= pts and q_point not in sp.line_sets[l]:
                 return plane_id, l
     raise AssertionError("no configuration found")
@@ -571,7 +574,7 @@ def _table_cases(rng):
     """Random, constant, collapsed and perturbed image tables."""
     for n, q in ((2, 2), (3, 2), (2, 3), (3, 3)):
         sp = build_space(n, q)
-        labels = range(sp.point_count())
+        labels = range(len(sp.point_labels))
         on_line = sorted(sp.line_sets[0])
         off_line = next(p for p in labels if p not in sp.line_sets[0])
         yield PointMap(sp, sp, {p: rng.randrange(len(labels)) for p in labels})
@@ -589,9 +592,9 @@ def _table_cases(rng):
             yield PointMap(sp, sp, _merged(image, a, b))
     for small, big in (((2, 2), (3, 2)), ((2, 3), (3, 3))):
         sp, sp2 = build_space(*small), build_space(*big)
-        image = {p.id: sp2.point_index[p.coords + (0,)] for p in sp.points}
+        image = {p: sp2.point_index[c + (0,)] for p, c in enumerate(sp.coords)}
         yield PointMap(sp, sp2, image)
-        yield PointMap(sp, sp2, _swapped(image, 0, sp.point_count() - 1))
+        yield PointMap(sp, sp2, _swapped(image, 0, len(sp.point_labels) - 1))
 
 
 def _star_swapped(lm, q_point, i, j):
@@ -604,7 +607,7 @@ def _kappa_cases():
     target, its quotients, its dual and the dual's plane quotients."""
     for n, q in ((3, 2), (3, 3)):
         sp = build_space(n, q)
-        last = sp.point_count() - 1
+        last = len(sp.point_labels) - 1
         for kind in (InstanceKind.COLLINEATION, InstanceKind.DUALITY):
             lm = generate_instance(InstanceGenerator(1, kind), sp, sp)
             kappa = reconstruct_point_map(lm).kappa

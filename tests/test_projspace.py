@@ -95,8 +95,8 @@ def test_gaussian_binomial_symmetry(m, k, q):
 )
 def test_space_counts(n, q, points, lines):
     sp = build_space(n, q)
-    assert sp.point_count() == points
-    assert sp.line_count() == lines
+    assert len(sp.point_labels) == points
+    assert len(sp.line_sets) == lines
     assert points == gaussian_binomial(n + 1, 1, q)
     assert lines == gaussian_binomial(n + 1, 2, q)
 
@@ -109,7 +109,7 @@ def test_build_space_rejects_bad_parameters():
 
 
 def test_canonical_point_order_pg22(pg22):
-    coords = [p.coords for p in pg22.points]
+    coords = list(pg22.coords)
     assert coords == [
         (0, 0, 1),
         (0, 1, 0),
@@ -120,11 +120,10 @@ def test_canonical_point_order_pg22(pg22):
         (1, 1, 1),
     ]
     assert coords == sorted(coords)
-    assert all(pg22.points[i].id == i for i in range(7))
 
 
 def test_points_sorted_and_normalized(pg33):
-    coords = [p.coords for p in pg33.points]
+    coords = list(pg33.coords)
     assert coords == sorted(coords)
     for vec in coords:
         leading = next(c for c in vec if c)
@@ -132,26 +131,24 @@ def test_points_sorted_and_normalized(pg33):
 
 
 def test_lines_sorted_by_point_tuples(pg32):
-    tuples = [l.point_ids for l in pg32.lines]
+    tuples = [tuple(sorted(s)) for s in pg32.line_sets]
     assert tuples == sorted(tuples)
-    assert all(t == tuple(sorted(t)) for t in tuples)
-    assert all(pg32.lines[i].id == i for i in range(35))
 
 
 def test_line_sizes(pg32, pg33):
-    assert all(len(l.point_ids) == 3 for l in pg32.lines)
-    assert all(len(l.point_ids) == 4 for l in pg33.lines)
+    assert all(len(s) == 3 for s in pg32.line_sets)
+    assert all(len(s) == 4 for s in pg33.line_sets)
 
 
 def test_star_sizes(pg32, pg33, pg42):
-    assert all(len(star(pg32, p.id)) == 7 for p in pg32.points)
-    assert all(len(star(pg33, p.id)) == 13 for p in pg33.points)
-    assert all(len(star(pg42, p.id)) == 15 for p in pg42.points)
+    assert all(len(star(pg32, p)) == 7 for p in pg32.point_labels)
+    assert all(len(star(pg33, p)) == 13 for p in pg33.point_labels)
+    assert all(len(star(pg42, p)) == 15 for p in pg42.point_labels)
 
 
 def test_join_meet_collinear_basics(pg22):
     l = join(pg22, 0, 1)
-    assert set(pg22.lines[l].point_ids) == {0, 1, 2}
+    assert pg22.line_sets[l] == {0, 1, 2}
     assert collinear(pg22, 0, 1, 2)
     assert not collinear(pg22, 0, 1, 3)
     other = join(pg22, 3, 4)
@@ -165,10 +162,10 @@ def test_join_meet_collinear_basics(pg22):
 
 
 def test_join_meet_are_mutually_consistent(pg32):
-    for l in pg32.lines[:10]:
-        a, b, c = l.point_ids
-        assert join(pg32, a, b) == l.id
-        assert join(pg32, b, c) == l.id
+    for l in range(10):
+        a, b, c = sorted(pg32.line_sets[l])
+        assert join(pg32, a, b) == l
+        assert join(pg32, b, c) == l
         assert collinear(pg32, a, b, c)
     assert meet(pg32, 0, 1) is not None
     skew_found = False
@@ -181,7 +178,7 @@ def test_join_meet_are_mutually_consistent(pg32):
 
 
 def test_collinear_triple_count_matches_rank_oracle(pg22, pg23):
-    coords = [p.coords for p in pg22.points]
+    coords = list(pg22.coords)
     expected = collinear_triple_count(coords, 2)
     assert expected == 7
     got = sum(
@@ -192,7 +189,7 @@ def test_collinear_triple_count_matches_rank_oracle(pg22, pg23):
         if collinear(pg22, a, b, c)
     )
     assert got == expected
-    coords = [p.coords for p in pg23.points]
+    coords = list(pg23.coords)
     got = sum(
         1
         for a in range(13)
@@ -207,9 +204,9 @@ def test_collinear_triple_count_matches_rank_oracle(pg22, pg23):
 @settings(max_examples=60)
 def test_point_id_of_vector_is_scale_invariant(data):
     sp = build_space(*data.draw(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])))
-    p = data.draw(st.integers(0, sp.point_count() - 1))
+    p = data.draw(st.integers(0, len(sp.point_labels) - 1))
     s = data.draw(st.integers(1, sp.q - 1))
-    scaled = tuple(sp.field.mul(s, c) for c in sp.points[p].coords)
+    scaled = tuple(sp.field.mul(s, c) for c in sp.coords[p])
     assert point_id_of_vector(sp, scaled) == p
 
 
@@ -309,10 +306,9 @@ def test_line_through_and_collinear_match_a_scan_of_the_lines(make):
 
 def test_space_is_its_own_incidence_core(pg32):
     assert pg32.point_labels == tuple(range(15))
-    for l in pg32.lines:
-        assert pg32.line_sets[l.id] == frozenset(l.point_ids)
-        a, b = l.point_ids[:2]
-        assert pg32.line_through(a, b) == pg32.line_through(b, a) == l.id
+    for l, s in enumerate(pg32.line_sets):
+        a, b = sorted(s)[:2]
+        assert pg32.line_through(a, b) == pg32.line_through(b, a) == l
     for p in range(15):
         assert star(pg32, p) == tuple(
             l for l in range(35) if p in pg32.line_sets[l]
@@ -331,13 +327,13 @@ def test_native_spaces_pass_axioms():
 def test_quotient_structures(pg32, pg33):
     inc = quotient(pg32, 0)
     assert inc.kind == "quotient"
-    assert inc.point_count() == 7
-    assert inc.line_count() == 7
+    assert len(inc.point_labels) == 7
+    assert len(inc.line_sets) == 7
     assert set(inc.point_labels) == set(star(pg32, 0))
     assert verify_projective_axioms(inc).passed
     assert incidence_isomorphic(inc, build_space(2, 2)) is not None
     inc = quotient(pg33, 5)
-    assert inc.point_count() == 13
+    assert len(inc.point_labels) == 13
     assert incidence_isomorphic(inc, build_space(2, 3)) is not None
 
 
@@ -351,8 +347,8 @@ def test_quotient_lines_are_pencils(pg32):
 def test_dual_space(pg32):
     inc = dual_space(pg32)
     assert inc.kind == "dual"
-    assert inc.point_count() == 15
-    assert inc.line_count() == 35
+    assert len(inc.point_labels) == 15
+    assert len(inc.line_sets) == 35
     assert verify_projective_axioms(inc).passed
     assert incidence_isomorphic(inc, pg32) is not None
     with pytest.raises(UnsupportedDimension):
@@ -369,8 +365,8 @@ def test_dual_line_sets_are_planes_through_line(pg32):
 
 def test_plane_quotient(pg32):
     inc = plane_quotient(pg32, 0)
-    assert inc.point_count() == 7
-    assert inc.line_count() == 7
+    assert len(inc.point_labels) == 7
+    assert len(inc.line_sets) == 7
     assert set(inc.point_labels) == set(lines_in_plane(pg32, 0))
     assert verify_projective_axioms(inc).passed
     assert incidence_isomorphic(inc, build_space(2, 2)) is not None
@@ -483,7 +479,7 @@ def test_ids_outside_the_space_raise_bad_configuration(pg32, call, args):
 def _oracle_vectors(structure, native):
     """label -> native coordinates along the oracle's isomorphism."""
     mapping = incidence_isomorphic(structure, native)
-    return {lab: native.points[mapping[lab]].coords for lab in structure.point_labels}
+    return {lab: native.coords[mapping[lab]] for lab in structure.point_labels}
 
 
 def test_certificate_rejects_a_swapped_map(pg32):
@@ -517,7 +513,7 @@ def test_certificate_rejects_a_map_that_is_not_injective(pg22):
         kind="quotient",
         detail="doubled point",
     )
-    vector_of = lambda lab: pg22.points[c if lab == 7 else lab].coords
+    vector_of = lambda lab: pg22.coords[c if lab == 7 else lab]
     with pytest.raises(GeometryError, match="not isomorphic"):
         projspace._certified(structure, pg22, vector_of)
 
@@ -531,7 +527,7 @@ def test_certificate_rejects_a_missing_line(pg22):
         kind="quotient",
         detail="missing line",
     )
-    vector_of = lambda lab: pg22.points[lab].coords
+    vector_of = lambda lab: pg22.coords[lab]
     with pytest.raises(GeometryError, match="not isomorphic"):
         projspace._certified(structure, pg22, vector_of)
 
@@ -546,7 +542,8 @@ def test_plane_quotient_certificate_rejects_a_degenerate_kernel(monkeypatch):
     (free,) = set(range(4)) - set(pivots)
     off = sp.point_index[tuple(int(c == free) for c in range(4))]
     outside = star(sp, off)[0]
-    rows = [[row[c] for c in pivots] for row in sp.lines[outside].basis]
+    a, b, *_ = sp.line_sets[outside]
+    rows = [[sp.coords[x][c] for c in pivots] for x in (a, b)]
     assert len(nullspace(sp.field, rows)) == 2
     _corrupt(monkeypatch, "lines_in_plane", 0, lambda ls: tuple(sorted(ls[1:] + (outside,))))
     with pytest.raises(GeometryError, match="not isomorphic"):
@@ -688,6 +685,6 @@ def test_structure_planes_recovers_plane_point_sets(pg32):
 
 def test_incidence_dual_agrees_with_coordinate_dual(pg32):
     dual = incidence_dual(pg32)
-    assert dual.point_count() == 15
-    assert dual.line_count() == 35
+    assert len(dual.point_labels) == 15
+    assert len(dual.line_sets) == 35
     assert dual.line_sets == dual_space(pg32).line_sets

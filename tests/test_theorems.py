@@ -264,7 +264,7 @@ def test_collineation_perm_count_pg32(pg32):
 
 
 def line_perm(lm):
-    return tuple(lm.image[l] for l in range(len(lm.source.lines)))
+    return tuple(lm.image[l] for l in range(len(lm.source.line_sets)))
 
 
 def test_stabiliser_chain_rejects_non_members(pg32):
