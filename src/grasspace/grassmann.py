@@ -60,7 +60,7 @@ def build_grassmann(sp) -> GrassmannSpace:
     """Neighbour bitmasks of the line-intersection graph of a space (cached
     on it): each line ORs the star masks of its points, less its own bit."""
     if sp._grassmann is None:
-        stars = {p: _cell_bits(ls) for p, ls in sp.lines_through.items()}
+        stars = sp.star_bits
         masks = []
         for a, s in enumerate(sp.line_sets):
             bits = 0

@@ -20,12 +20,15 @@ Both preservation properties are decided exactly from lines, at every
 size.  They are defined on triples of pairwise distinct source points,
 with the degenerate-triple rule: an image triple that is not pairwise
 distinct counts as collinear, so constant maps fail non-collinearity
-preservation and honest embeddings are unaffected.  See
-`check_properties` for the line rule that decides them.
+preservation and honest embeddings are unaffected.  `check_properties`
+decides them line by line with the star-mask rule: a set of labels lies on
+one line exactly when the AND of their `star_bits` masks is nonzero.
 """
 
 import dataclasses
 import enum
+from functools import reduce
+from operator import and_
 
 from .errors import (
     BadConfiguration,
@@ -238,44 +241,45 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     return table
 
 
-def _collinear_set(space, pts):
-    """Whether a set of points has at most two members or lies on one line."""
-    if len(pts) <= 2:
-        return True
-    sets = space.line_sets
-    return any(pts <= sets[i] for i in space.lines_through[next(iter(pts))])
+def _collinear_images(label_sets, table, bits):
+    """Whether each label set's images under table, labels outside it
+    dropped, are at most two or have a nonzero AND of their masks in bits."""
+    for s in label_sets:
+        common = -1
+        for x in s:
+            if x in table:
+                common &= bits[table[x]]
+        if not common and len({table[x] for x in s if x in table}) > 2:
+            return False
+    return True
 
 
 def check_properties(pm: PointMap) -> PropertyFlags:
-    """Evaluate the four point-map properties exactly, from lines.
+    """Evaluate the four point-map properties exactly, from star masks.
 
-    Call a point set collinear when it has at most two points or lies on
-    one line.  Collinearity is preserved exactly when every source line's
-    image set is collinear.  Non-collinearity is preserved exactly when the
-    map is injective or the whole source is one collinear set, and every
-    target line's preimage is collinear.  On partial linear spaces (two
-    points share at most one line: every structure this package builds)
-    both rules agree with the definitions over all triples, degenerate
-    images counting as collinear.  The cost is one pass over the lines of
-    each side.
+    Call a label set collinear when it has at most two labels or lies on
+    one line, that is, when the AND of its labels' `star_bits` is nonzero:
+    a line holds every label exactly when it lies in every label's star.
+    Collinearity is preserved exactly when every source line's image set is
+    collinear; non-collinearity when the whole source is one collinear set,
+    or the map is injective and every target line's preimage is collinear.
+    On partial linear spaces (two points share at most one line: every
+    structure this package builds) both rules agree with the definitions
+    over all triples, degenerate images counting as collinear.  The cost is
+    one AND per label of each line on each side.
     """
     source, target, img = pm.source, pm.target, pm.image
     values = set(img.values())
     injective = len(values) == len(img)
     surjective = values == set(target.point_labels)
-    col_ok = all(
-        _collinear_set(target, {img[p] for p in s}) for s in source.line_sets
-    )
-    if _collinear_set(source, set(source.point_labels)):
+    col_ok = _collinear_images(source.line_sets, img, target.star_bits)
+    if len(img) <= 2 or reduce(and_, source.star_bits.values()):
         noncol_ok = True  # no non-collinear triple to preserve
     elif not injective:
         noncol_ok = False
     else:
         inverse = {x: p for p, x in img.items()}
-        noncol_ok = all(
-            _collinear_set(source, {inverse[x] for x in s if x in inverse})
-            for s in target.line_sets
-        )
+        noncol_ok = _collinear_images(target.line_sets, inverse, source.star_bits)
     return PropertyFlags(injective, surjective, col_ok, noncol_ok)
 
 

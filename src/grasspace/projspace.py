@@ -70,8 +70,11 @@ class IncidenceStructure:
 
     kind is one of "native", "quotient", "dual" (plus free-form detail);
     line_sets[i] is the set of labels on line i, and lines_through maps each
-    label to the ascending indices of its lines.  Only `ProjSpace` also
-    keeps a table from point pairs to lines.
+    label to the ascending indices of its lines.  star_bits, the index for
+    "which line holds these labels", maps each label to the bitmask of its
+    lines: a set of labels lies on line i exactly when bit i survives the
+    AND of their masks.  Only `ProjSpace` also keeps a table from point
+    pairs to lines.
     """
 
     point_labels: tuple
@@ -96,21 +99,18 @@ class IncidenceStructure:
             for lab in s:
                 through[lab].append(i)
         self.lines_through = {lab: tuple(ls) for lab, ls in through.items()}
+        self.star_bits = {lab: sum(1 << i for i in ls) for lab, ls in through.items()}
 
     def line_through(self, a, b):
         """Index of the first line through two distinct labels, or None."""
-        if a != b:
-            for i in self.lines_through.get(a, ()):
-                if b in self.line_sets[i]:
-                    return i
-        return None
+        bits = self.star_bits
+        common = bits.get(a, 0) & bits.get(b, 0) if a != b else 0
+        return (common & -common).bit_length() - 1 if common else None
 
     def collinear(self, a, b, c):
         """Whether one line holds all three labels; False when a == b."""
-        return a != b and any(
-            b in self.line_sets[i] and c in self.line_sets[i]
-            for i in self.lines_through.get(a, ())
-        )
+        bits = self.star_bits
+        return a != b and bits.get(a, 0) & bits.get(b, 0) & bits.get(c, 0) != 0
 
     def degree(self, label):
         return len(self.lines_through[label])
@@ -520,15 +520,9 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
 
     report = AxiomReport(unique_join=True)
 
-    counts = {}
-    first_line = {}  # both orders of each pair on a line -> the first such line
-    for i, s in enumerate(sets):
-        for a, b in combinations(s, 2):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
-            first_line.setdefault((a, b), i)
-            first_line.setdefault((b, a), i)
+    bits = inc.star_bits
     for a, b in combinations(labels, 2):
-        c = counts.get((a, b), 0) + counts.get((b, a), 0)
+        c = (bits[a] & bits[b]).bit_count()  # the lines through both
         if c != 1:
             report.unique_join = False
             report.unique_join_witness = (a, b, c)
@@ -540,31 +534,31 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
             report.line_size_witness = tuple(sorted(s, key=repr))
             break
 
-    report.veblen_witness = _veblen_witness(inc, first_line)
+    report.veblen_witness = _veblen_witness(inc)
     report.veblen = report.veblen_witness is None
     return report
 
 
-def _veblen_witness(inc, first_line):
+def _veblen_witness(inc):
     """The first (A, B, C, P, R) in scan order where the line through P and
     R misses the side B|C, or None.  Triangle form: sides g = A|B and
     h = A|C through a common vertex A; the line through P on g and R on h
-    (both away from A) must meet B|C.  first_line maps each ordered pair
-    of labels on a line to the first such line."""
-    sets = inc.line_sets
+    (both away from A) must meet B|C.  Each of those lines is the first
+    line through its two labels."""
+    sets, line_through = inc.line_sets, inc.line_through
     for a in inc.point_labels:
         for g, h in combinations(inc.lines_through[a], 2):
             g_rest = [x for x in sets[g] if x != a]
             h_rest = [x for x in sets[h] if x != a]
             for p_lab, r_lab in product(g_rest, h_rest):
-                li = first_line.get((p_lab, r_lab))
+                li = line_through(p_lab, r_lab)
                 if li is None:
                     continue
                 lset = sets[li]
                 for b_lab, c_lab in product(g_rest, h_rest):
                     if b_lab == p_lab or c_lab == r_lab:
                         continue
-                    side = first_line.get((b_lab, c_lab))
+                    side = line_through(b_lab, c_lab)
                     if side is not None and not (lset & sets[side]):
                         return (a, b_lab, c_lab, p_lab, r_lab)
     return None

@@ -6,7 +6,8 @@ come from span collection, collinearity from matrix rank over the prime
 field, monomorphism counts from constraint propagation over raw operation
 tables, automorphism orders of tiny graphs from filtering all vertex
 permutations, equitable refinement from whole-partition signature passes,
-point-map properties from walking every point triple, line-map
+point-map properties from walking every point triple (and, where two
+lines may share two points, from subset tests over every line), line-map
 preservation of intersections and skewness from walking every line pair
 and intersecting point sets, isomorphisms of incidence structures from a
 backtracking search over point bijections, and dual spaces from planes
@@ -234,6 +235,42 @@ def triple_property_flags(pm):
             col_ok = col_ok and image_col
         else:
             noncol_ok = noncol_ok and not image_col
+    return injective, surjective, col_ok, noncol_ok
+
+
+def line_rule_property_flags(pm):
+    """The same four flags by the line rule `check_properties` documents,
+    from subset tests over every line: a label set is collinear when it
+    has at most two members or some line contains it.
+
+    On partial linear spaces this agrees with `triple_property_flags`.
+    Where two lines share two points it need not: source lines {0, 1, 2}
+    and {0, 1, 3} with 0 and 1 sent to one point fail non-collinearity
+    preservation here (the map is not injective and the source is not one
+    line), while every non-collinear source triple holds 2 and 3 and may
+    keep a non-collinear image.
+    """
+
+    def collinear(space, labels):
+        return len(labels) <= 2 or any(labels <= s for s in space.line_sets)
+
+    img = pm.image
+    values = set(img.values())
+    injective = len(values) == len(img)
+    surjective = values == set(pm.target.point_labels)
+    col_ok = all(
+        collinear(pm.target, {img[p] for p in s}) for s in pm.source.line_sets
+    )
+    if collinear(pm.source, set(img)):
+        noncol_ok = True
+    elif not injective:
+        noncol_ok = False
+    else:
+        inverse = {x: p for p, x in img.items()}
+        noncol_ok = all(
+            collinear(pm.source, {inverse[x] for x in s if x in inverse})
+            for s in pm.target.line_sets
+        )
     return injective, surjective, col_ok, noncol_ok
 
 

@@ -101,9 +101,9 @@ def test_build_grassmann_is_cached(pg32):
 
 def test_build_grassmann_rejects_a_wrong_degree():
     sp = build_space.__wrapped__(3, 2)
-    through = dict(sp.lines_through)
-    through[0] = through[0][1:]
-    sp.lines_through = through
+    bits = dict(sp.star_bits)
+    bits[0] &= bits[0] - 1  # drop the first line through point 0
+    sp.star_bits = bits
     with pytest.raises(GeometryError, match="degree"):
         build_grassmann(sp)
 

@@ -1,8 +1,9 @@
 import dataclasses
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grasspace import maps, projspace
 from grasspace.errors import (
@@ -54,6 +55,7 @@ from grasspace.theorems import (
 )
 
 from oracles import (
+    line_rule_property_flags,
     pairwise_preserves_intersections,
     pairwise_preserves_skewness,
     triple_property_flags,
@@ -353,8 +355,6 @@ def test_kappa_must_map_into_the_target_or_its_dual(pg32):
 
 
 def test_noncollinear_witness_matches_quotient_collinearity(pg32):
-    from itertools import combinations
-
     q_point = 0
     members = star(pg32, q_point)
     struct = quotient(pg32, q_point)
@@ -659,6 +659,76 @@ def test_check_properties_matches_triple_oracle():
         seen.update(enumerate(flags))
     # every flag is seen both true and false, so no rule is checked vacuously
     assert seen == {(k, v) for k in range(4) for v in (False, True)}
+
+
+def _drawn_structure(data):
+    """A small incidence structure over labels that are not 0..n-1, as a
+    quotient's are (parent line ids).  Its lines share at most one label
+    with every earlier line, some labels may lie on no line, and sometimes
+    one more line passes through two labels of the first, so that two
+    lines share two points."""
+    labels = data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=7, unique=True))
+    lines = []
+    if len(labels) >= 2:
+        subsets = st.frozensets(st.sampled_from(labels), min_size=2)
+        for s in data.draw(st.lists(subsets, max_size=6)):
+            if all(len(s & l) <= 1 for l in lines):
+                lines.append(s)
+    if lines and data.draw(st.booleans()):
+        pair = set(sorted(lines[0])[:2])
+        doubled = data.draw(st.frozensets(st.sampled_from(labels))) | pair
+        if doubled not in lines:
+            lines.append(doubled)
+    return IncidenceStructure(
+        point_labels=tuple(labels), line_sets=tuple(lines), kind="native", detail="drawn"
+    )
+
+
+def _grown(data, source):
+    """A copy of source with one more label, put on some of its lines."""
+    new = max(source.point_labels) + 1
+    lines = source.line_sets
+    grown = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    return IncidenceStructure(
+        point_labels=source.point_labels + (new,),
+        line_sets=tuple(s | {new} if g else s for s, g in zip(lines, grown)),
+        kind="native",
+        detail="grown",
+    )
+
+
+POINT_TABLES = ["constant", "collapsing", "injective", "into a grown copy", "total"]
+
+
+@given(data=st.data(), family=st.sampled_from(POINT_TABLES))
+@settings(max_examples=300, deadline=None)
+def test_check_properties_matches_the_oracles_on_drawn_structures(data, family):
+    source = _drawn_structure(data)
+    labels = source.point_labels
+    size = len(labels)
+    if family == "into a grown copy":  # injective, and target lines hold unmapped labels
+        target, image = _grown(data, source), labels
+    else:
+        target = _drawn_structure(data)
+        values = st.sampled_from(target.point_labels)
+    if family == "constant":
+        image = [data.draw(values)] * size
+    elif family == "collapsing":  # fewer distinct images than labels
+        chosen = data.draw(st.lists(values, min_size=1, max_size=max(1, size - 1)))
+        image = data.draw(st.lists(st.sampled_from(chosen), min_size=size, max_size=size))
+    elif family == "injective":
+        assume(len(target.point_labels) >= size)
+        image = data.draw(st.permutations(target.point_labels))[:size]
+    elif family == "total":
+        image = data.draw(st.lists(values, min_size=size, max_size=size))
+    pm = PointMap(source, target, dict(zip(labels, image)))
+    flags = dataclasses.astuple(check_properties(pm))
+    assert flags == line_rule_property_flags(pm)
+    # the definitions over triples match the line rule only where two
+    # lines share at most one point (see `line_rule_property_flags`)
+    pairs = (pair for s in (source, target) for pair in combinations(s.line_sets, 2))
+    if all(len(a & b) <= 1 for a, b in pairs):
+        assert flags == triple_property_flags(pm)
 
 
 def test_check_properties_matches_full_triple_walk_pg34():
