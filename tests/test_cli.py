@@ -20,6 +20,7 @@ from grasspace.errors import FormatError
 from grasspace.grassmann import parse_graph
 from grasspace.maps import LineMap
 from grasspace.projspace import build_space
+from grasspace.theorems import InstanceGenerator, InstanceKind, generate_instance
 
 
 def run(capsys, *argv):
@@ -119,6 +120,14 @@ def test_gen_is_byte_deterministic(tmp_path, capsys):
         (("gen", "-n", "3", "-q", "3", "--kind", "collineation"), "b737b3e69e007baa"),
         (("gen", "-n", "3", "-q", "3", "--kind", "duality"), "a8f90bb5b86ec948"),
         (("gen", "-n", "3", "-q", "3", "--kind", "perturbed"), "a8671901d237c691"),
+        (("gen", "-n", "3", "-q", "4", "--kind", "collineation"), "30a28fd7993e2bab"),
+        (("gen", "-n", "3", "-q", "4", "--kind", "duality"), "982ea260f6646fc5"),
+        (("gen", "-n", "3", "-q", "4", "--kind", "perturbed"), "deaf9d0c84dd1d87"),
+        (("gen", "-n", "3", "-q", "5", "--kind", "collineation"), "adf23c644e2c7496"),
+        (("gen", "-n", "3", "-q", "5", "--kind", "duality"), "42236ff903ef9dfa"),
+        (("gen", "-n", "3", "-q", "5", "--kind", "perturbed"), "ddab3f39ce123355"),
+        (("gen", "-n", "4", "-q", "2", "--kind", "collineation"), "877765f39632e0d2"),
+        (("gen", "-n", "4", "-q", "2", "--kind", "perturbed"), "8adb372c3ffa9d0a"),
         (("graph", "-n", "3", "-q", "2"), "86279664f4a5de42"),
         (("graph", "-n", "3", "-q", "3"), "bd2e06e5aa261550"),
     ],
@@ -131,6 +140,21 @@ def test_gen_and_graph_bytes_are_fixed(capsys, argv, prefix):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+@pytest.mark.parametrize(
+    "n,q,prefix", [(3, 2, "9bde87f64c5f320d"), (3, 4, "489ff970d4352b41")]
+)
+def test_instance_population_bytes_are_fixed(n, q, prefix):
+    # Seeds 0-49 of every kind fix the whole rejection-sampling stream: the
+    # redrawn matrices, the automorphism draw and the perturbing swap.
+    sp = build_space(n, q)
+    h = hashlib.sha256()
+    for kind in InstanceKind:
+        for seed in range(50):
+            lm = generate_instance(InstanceGenerator(seed, kind), sp, sp)
+            h.update(serialize_grassmap(lm).encode())
+    assert h.hexdigest()[:16] == prefix
 
 
 def test_gen_seeds_differ(capsys):
