@@ -27,26 +27,6 @@ def vec_scale(f, c, v):
     return tuple(row[x] for x in v)
 
 
-def mat_vec(f, vec, mat):
-    """Row vector times matrix."""
-    add = f.add_table
-    mul = f.mul_table
-    width = len(mat[0])
-    out = [0] * width
-    for x, row in zip(vec, mat):
-        if x:
-            mrow = mul[x]
-            for j in range(width):
-                out[j] = add[out[j]][mrow[row[j]]]
-    return tuple(out)
-
-
-def apply_auto(f, j, vec):
-    """Apply the j-th field automorphism coordinatewise."""
-    perm = f.automorphisms[j]
-    return tuple(perm[x] for x in vec)
-
-
 def rref(f, rows):
     """Reduced row echelon form; returns the tuple of nonzero rows."""
     add = f.add_table
@@ -83,13 +63,27 @@ def rref(f, rows):
     return tuple(tuple(r) for r in m[:pivot_row] if any(r))
 
 
-def rank(f, rows):
-    return len(rref(f, rows))
-
-
 def is_invertible(f, mat):
+    """Whether mat is square with full rank, by forward elimination alone:
+    False at the first column with no pivot left, no back-substitution."""
     n = len(mat)
-    return all(len(r) == n for r in mat) and rank(f, mat) == n
+    if any(len(r) != n for r in mat):
+        return False
+    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
+    rows = list(mat)
+    for col in range(n):
+        for i, r in enumerate(rows):
+            if r[col]:
+                break
+        else:
+            return False
+        pivot = rows.pop(i)
+        scale = mul[neg[inv[pivot[col]]]]
+        for k, r in enumerate(rows):
+            if r[col]:
+                frow = mul[scale[r[col]]]
+                rows[k] = [add[x][frow[y]] for x, y in zip(r, pivot)]
+    return True
 
 
 def nullspace(f, rows):

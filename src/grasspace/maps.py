@@ -39,12 +39,11 @@ from .errors import (
     PreconditionViolated,
 )
 from .grassmann import build_grassmann, is_clique, related, skew
-from .linalg import apply_auto, is_invertible, mat_vec, nullspace
+from .linalg import is_invertible, nullspace
 from .projspace import (
     IncidenceStructure,
     ProjSpace,
     dual_space,
-    join,
     meet,
     pencil,
     plane_points,
@@ -155,6 +154,34 @@ def _check_semilinear(sp, t):
         )
 
 
+def _semilinear_rows(t, sp, sp2) -> list:
+    """Row kernel of a checked collineation or duality t: per point of sp,
+    the sp2 point id of normalize(auto(coords) . matrix), the image point of
+    a collineation or the image plane's normal of a duality.  Matrix rows
+    are scaled by every field element once (scaled[i][c] is c times row i)
+    and the automorphism is a permutation lookup."""
+    f = sp.field
+    add, mul, inv = f.add_table, f.mul_table, f.inv_table
+    auto = f.automorphisms[t.auto_index]
+    scaled = [[tuple(mul[c][x] for x in row) for c in range(f.q)] for row in t.matrix]
+    index = sp2.point_index
+    ids = []
+    for coords in sp.coords:
+        out = None
+        for x, table in zip(coords, scaled):
+            if x:
+                term = table[auto[x]]
+                out = term if out is None else [add[a][b] for a, b in zip(out, term)]
+        for lead in out:
+            if lead:
+                break
+        if lead != 1:
+            row = mul[inv[lead]]
+            out = [row[x] for x in out]
+        ids.append(index[tuple(out)])
+    return ids
+
+
 def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
     """Point action P -> normalize(auto(P) . matrix) between equal-type spaces."""
     _require_coordinates(sp, sp2, "collineations")
@@ -163,58 +190,54 @@ def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
             f"cannot map PG({sp.n},{sp.q}) onto PG({sp2.n},{sp2.q}) linearly"
         )
     _check_semilinear(sp, c)
-    f = sp.field
-    image = {}
-    for pid, coords in enumerate(sp.coords):
-        vec = apply_auto(f, c.auto_index, coords)
-        image[pid] = point_id_of_vector(sp2, mat_vec(f, vec, c.matrix))
+    image = dict(enumerate(_semilinear_rows(c, sp, sp2)))
     return PointMap(source=sp, target=sp2, image=image)
 
 
 def induced_line_map(pm: PointMap) -> LineMap:
-    """Line map sending each line to the join of its point images.
-
-    Raises NotLineConsistent when some line's images collapse or fail to be
-    collinear; checking every point of every line also certifies that the
-    choice of spanning pair does not matter.
+    """Line map sending each line to the line through its point images: the
+    one set bit of the AND of their `star_bits`, which is nonzero exactly
+    when every image lies on that line.  Raises NotLineConsistent at the
+    first line whose images collapse (tested only when the point map is
+    not injective) or are not collinear.
     """
     sp, sp2 = pm.source, pm.target
     _require_coordinates(sp, sp2, "induced line maps")
+    img = pm.image
+    bits = sp2.star_bits
+    injective = len(set(img.values())) == len(img)
     image = {}
     for l, points in enumerate(sp.line_sets):
-        imgs = [pm.image[p] for p in points]
-        if len(set(imgs)) != len(imgs):
+        if not injective and len({img[p] for p in points}) != len(points):
             raise NotLineConsistent(f"line {l}: point images collapse")
-        lid = sp2.joins[(imgs[0], imgs[1])]
-        pts = sp2.line_sets[lid]
-        for x in imgs[2:]:
-            if x not in pts:
-                raise NotLineConsistent(f"line {l}: point images not collinear")
-        image[l] = lid
+        common = -1
+        for p in points:
+            common &= bits[img[p]]
+        if not common:
+            raise NotLineConsistent(f"line {l}: point images not collinear")
+        image[l] = common.bit_length() - 1
     return LineMap(source=sp, target=sp2, image=image)
 
 
 def duality_line_map(d: Duality, sp, sp2) -> LineMap:
-    """Line map of a duality: each line goes to the annihilator of two of
-    its transformed points, which is again a line.  Marked dual=True."""
+    """Line map of a duality: each line goes to the annihilator of the rows
+    (see `_semilinear_rows`) of two of its points, which is again a line,
+    found by `line_through` from two kernel points.  Marked dual=True."""
     if sp.n != 3 or sp2.n != 3:
         raise IncompatibleSpaces("dualities need 3-dimensional spaces")
     if sp.q != sp2.q:
         raise IncompatibleSpaces(f"field orders differ: {sp.q} vs {sp2.q}")
     _check_semilinear(sp, d)
     f = sp.field
+    rows = [sp2.coords[r] for r in _semilinear_rows(d, sp, sp2)]
     image = {}
     for l, points in enumerate(sp.line_sets):
         a, b, *_ = points
-        rows = [
-            mat_vec(f, apply_auto(f, d.auto_index, sp.coords[x]), d.matrix)
-            for x in (a, b)
-        ]
-        kernel = nullspace(f, rows)
+        kernel = nullspace(f, (rows[a], rows[b]))
         if len(kernel) != 2:
             raise GeometryError(f"line {l} has a {len(kernel)}-dim annihilator")
         a, b = (point_id_of_vector(sp2, v) for v in kernel)
-        image[l] = join(sp2, a, b)
+        image[l] = sp2.line_through(a, b)
     return LineMap(source=sp, target=sp2, image=image, dual=True)
 
 
@@ -225,13 +248,12 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     _check_semilinear(sp, d)
     f = sp.field
     table = {}
-    for pid, coords in enumerate(sp.coords):
-        row = mat_vec(f, apply_auto(f, d.auto_index, coords), d.matrix)
-        kernel = nullspace(f, (row,))
+    for pid, row in enumerate(_semilinear_rows(d, sp, sp2)):
+        kernel = nullspace(f, (sp2.coords[row],))
         if len(kernel) != 3:
             raise GeometryError(f"point {pid} has a {len(kernel)}-dim annihilator")
         ids = [point_id_of_vector(sp2, v) for v in kernel]
-        first = join(sp2, ids[0], ids[1])
+        first = sp2.line_through(ids[0], ids[1])
         candidates = [
             pid for pid in planes_of_line(sp2, first) if ids[2] in plane_points(sp2, pid)
         ]

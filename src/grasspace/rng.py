@@ -8,11 +8,14 @@ are the standard splitmix64 ones:
     mix 1     0xBF58476D1CE4E5B9
     mix 2     0x94D049BB133111EB
 
-``below(n)`` reduces by plain modulo; the tiny bias is irrelevant at the
-sizes used here and keeps the stream easy to reproduce in other languages.
+A seed is an integer in [0, 2**64), never reduced into it.  ``below(n)``
+reduces by plain modulo; the tiny bias is irrelevant at the sizes used here
+and keeps the stream easy to reproduce in other languages.  ``draws(n, k)``
+is k calls of ``below(n)`` batched into one.
 """
 
-_MASK = (1 << 64) - 1
+SEED_LIMIT = 1 << 64
+_MASK = SEED_LIMIT - 1
 
 INCREMENT = 0x9E3779B97F4A7C15
 MIX1 = 0xBF58476D1CE4E5B9
@@ -23,7 +26,9 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed {seed} is outside [0, 2**64)")
+        self.state = seed
 
     def next_u64(self) -> int:
         self.state = (self.state + INCREMENT) & _MASK
@@ -37,3 +42,9 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
+
+    def draws(self, n: int, count: int) -> list:
+        """The values of `count` calls of below(n), in one call."""
+        if n <= 0:
+            raise ValueError("draws() needs a positive bound")
+        return [self.next_u64() % n for _ in range(count)]

@@ -1,12 +1,13 @@
 """Verification suites for the line-map isomorphism theorems.
 
 Instances are generated from seeded semilinear transformations so every
-report is reproducible from (kind, seed) alone.  The sampling procedure is
-part of the contract: a SplitMix64 stream seeded with the instance seed
-yields matrix entries row-major, whole matrices are redrawn until
-invertible, then one draw picks the field automorphism; perturbed
-instances continue the same stream with two draws selecting the image
-transposition (i = below(L), j = below(L-1) skipping i).
+report is reproducible from (kind, seed) alone, for a seed in [0, 2**64).
+The sampling procedure is part of the contract: a SplitMix64 stream seeded
+with the instance seed yields the (n+1)^2 matrix entries row-major as
+below(q) draws, whole matrices are redrawn until invertible, then one draw
+picks the field automorphism; perturbed instances continue the same stream
+with two draws selecting the image transposition (i = below(L),
+j = below(L-1) skipping i).
 
 `population` is the one seed layout: a block of consecutive seeds per
 instance kind.  `verify_population` folds a suite over it into a single
@@ -32,7 +33,7 @@ from .grassmann import (
     automorphism_group,
     build_grassmann,
 )
-from .linalg import apply_auto, is_invertible, mat_vec, normalize
+from .linalg import is_invertible
 from .maps import (
     Collineation,
     Duality,
@@ -51,7 +52,7 @@ from .maps import (
     restrict_to_star,
 )
 from .projspace import planes_through_point
-from .rng import SplitMix64
+from .rng import SEED_LIMIT, SplitMix64
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -86,9 +87,7 @@ def _sample_semilinear(sp, seed):
     size = sp.n + 1
     rng = SplitMix64(seed)
     while True:
-        matrix = tuple(
-            tuple(rng.below(f.q) for _ in range(size)) for _ in range(size)
-        )
+        matrix = tuple(zip(*[iter(rng.draws(f.q, size * size))] * size))  # row-major
         if is_invertible(f, matrix):
             break
     return matrix, rng.below(len(f.automorphisms)), rng
@@ -118,22 +117,26 @@ def generate_instance(gen: InstanceGenerator, sp, sp2) -> LineMap:
     j = rng.below(count - 1)
     if j >= i:
         j += 1
-    image = dict(lm.image)
+    image = lm.image
     image[i], image[j] = image[j], image[i]
-    return LineMap(source=sp, target=sp2, image=image)
+    return lm
 
 
 def population(sp, samples, seed=0, kinds=None):
     """Yield (kind, seed, line map on sp): one block of `samples` consecutive
     seeds per kind, block b starting at seed + b*samples.  The default kinds
     are the suites': collineations, plus dualities when n = 3.  An empty
-    population is an error, never a passing run."""
+    population, or one whose seeds leave [0, 2**64), is an error, never a
+    passing run."""
     if kinds is None:
         kinds = (InstanceKind.COLLINEATION,)
         if sp.n == 3:
             kinds += (InstanceKind.DUALITY,)
     if samples < 1 or not kinds:
         raise ValueError(f"empty population: {samples} samples of {len(kinds)} kinds")
+    last = seed + len(kinds) * samples - 1
+    if seed < 0 or last >= SEED_LIMIT:
+        raise ValueError(f"seeds {seed}..{last} leave [0, 2**64)")
     return (
         (kind, s, generate_instance(InstanceGenerator(s, kind), sp, sp))
         for block, kind in enumerate(kinds)
@@ -326,18 +329,10 @@ def all_collineation_line_perms(sp):
     number of distinct values is the full collineation group order.
     """
     f = sp.field
-    size = sp.n + 1
-    joins = sp.joins
-    index = sp.point_index
-    pairs = [tuple(points)[:2] for points in sp.line_sets]
-    auto_count = len(f.automorphisms)
-    for matrix in _invertible_matrices(f, size):
-        for j in range(auto_count):
-            point_img = []
-            for coords in sp.coords:
-                vec = apply_auto(f, j, coords) if j else coords
-                point_img.append(index[normalize(f, mat_vec(f, vec, matrix))])
-            yield tuple(joins[(point_img[a], point_img[b])] for a, b in pairs)
+    for matrix in _invertible_matrices(f, sp.n + 1):
+        for j in range(len(f.automorphisms)):
+            c = Collineation(matrix, j)
+            yield _line_perm(induced_line_map(collineation_point_map(c, sp, sp)))
 
 
 def _line_perm(lm: LineMap) -> tuple:

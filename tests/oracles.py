@@ -10,12 +10,16 @@ point-map properties from walking every point triple (and, where two
 lines may share two points, from subset tests over every line), line-map
 preservation of intersections and skewness from walking every line pair
 and intersecting point sets, isomorphisms of incidence structures from a
-backtracking search over point bijections, and dual spaces from planes
-found as closures of non-collinear triples.
+backtracking search over point bijections, dual spaces from planes
+found as closures of non-collinear triples, invertibility from the rank of
+the full reduced echelon form, and induced line maps from a scan for the
+line through two image points plus a membership test for the rest.
 """
 
 from itertools import combinations, permutations, product
 
+from grasspace.errors import NotLineConsistent
+from grasspace.linalg import rref
 from grasspace.projspace import IncidenceStructure
 
 
@@ -69,6 +73,36 @@ def prime_rank(rows, p):
         if r == len(work):
             break
     return r
+
+
+def rank(f, rows):
+    """Rank over a FieldTable: the nonzero rows of the reduced echelon form."""
+    return len(rref(f, rows))
+
+
+def invertible_by_rank(f, mat):
+    """Whether mat is square with rank equal to its size."""
+    n = len(mat)
+    return all(len(r) == n for r in mat) and rank(f, mat) == n
+
+
+def joined_line_map(pm):
+    """Induced line table of a point map between coordinate spaces: each line
+    goes to the target line through its first two point images, and every
+    further image must lie on it.  Raises NotLineConsistent as
+    `maps.induced_line_map` does: collapse first, then non-collinearity,
+    at the first line that fails."""
+    lines = pm.target.line_sets
+    image = {}
+    for l, points in enumerate(pm.source.line_sets):
+        imgs = [pm.image[p] for p in points]
+        if len(set(imgs)) != len(imgs):
+            raise NotLineConsistent(f"line {l}: point images collapse")
+        lid = next(i for i, s in enumerate(lines) if imgs[0] in s and imgs[1] in s)
+        if any(x not in lines[lid] for x in imgs[2:]):
+            raise NotLineConsistent(f"line {l}: point images not collinear")
+        image[l] = lid
+    return image
 
 
 def collinear_triple_count(coords, p):

@@ -167,6 +167,25 @@ def test_gen_seeds_differ(capsys):
     assert out0 != out1
 
 
+def test_gen_and_verify_seeds_stay_in_64_bits(capsys):
+    gen = ("gen", "-n", "3", "-q", "2", "--kind", "collineation", "--seed")
+    verify = ("verify", "--suite", "thm1", "-n", "3", "-q", "2", "--samples", "1", "--seed")
+    for argv, seed, code in [
+        (gen, 0, EXIT_OK),
+        (gen, 2**64 - 1, EXIT_OK),
+        (gen, -1, EXIT_PARAMS),
+        (gen, 2**64, EXIT_PARAMS),
+        (verify, 0, EXIT_OK),
+        (verify, 2**64 - 2, EXIT_OK),  # its duality block ends at 2**64 - 1
+        (verify, 2**64 - 1, EXIT_PARAMS),
+        (verify, -1, EXIT_PARAMS),
+    ]:
+        got, out, err = run(capsys, *argv, str(seed))
+        assert got == code, (argv[0], seed)
+        assert (out == "") == (code == EXIT_PARAMS)
+        assert ("error:" in err) == (code == EXIT_PARAMS)
+
+
 def test_gen_duality_needs_dimension_three(capsys):
     code, _, err = run(
         capsys, "gen", "-n", "2", "-q", "3", "--kind", "duality"

@@ -55,6 +55,7 @@ from grasspace.theorems import (
 )
 
 from oracles import (
+    joined_line_map,
     line_rule_property_flags,
     pairwise_preserves_intersections,
     pairwise_preserves_skewness,
@@ -782,6 +783,36 @@ def test_semilinear_maps_reject_bad_input(pg32, matrix, auto_index):
         duality_line_map(Duality(matrix, auto_index), pg32, pg32)
     with pytest.raises(BadConfiguration):
         duality_point_to_plane(Duality(matrix, auto_index), pg32, pg32)
+
+
+POINT_MAPS = ["collineation", "swapped collineation", "permutation", "total"]
+
+
+@given(data=st.data(), n=st.sampled_from([2, 3]), family=st.sampled_from(POINT_MAPS))
+@settings(max_examples=300, deadline=None)
+def test_induced_line_map_matches_the_join_oracle(data, n, family):
+    sp = build_space(n, 2)
+    points = sp.point_labels
+    some_point = st.sampled_from(points)
+    if family == "permutation":  # injective, almost never collinear
+        image = data.draw(st.permutations(points))
+    elif family == "total":  # mostly collapsing
+        image = data.draw(st.lists(some_point, min_size=len(points), max_size=len(points)))
+    else:
+        c = sample_collineation(sp, data.draw(st.integers(0, 1000)))
+        image = list(collineation_point_map(c, sp, sp).image.values())
+        if family == "swapped collineation":
+            i, j = data.draw(st.lists(some_point, min_size=2, max_size=2, unique=True))
+            image[i], image[j] = image[j], image[i]
+    pm = PointMap(sp, sp, dict(zip(points, image)))
+    try:
+        expected = joined_line_map(pm)
+    except NotLineConsistent as exc:
+        with pytest.raises(NotLineConsistent) as got:
+            induced_line_map(pm)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert induced_line_map(pm).image == expected
 
 
 def test_induced_line_map_needs_coordinate_spaces(pg32):

@@ -89,6 +89,32 @@ def test_splitmix_reference_stream():
     assert all(0 <= rng.below(7) < 7 for _ in range(100))
 
 
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2**64), count=st.integers(0, 40))
+def test_draws_are_repeated_below(seed, n, count):
+    batch, single = SplitMix64(seed), SplitMix64(seed)
+    assert batch.draws(n, count) == [single.below(n) for _ in range(count)]
+    assert batch.state == single.state
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_rejected(pg32, seed):
+    with pytest.raises(ValueError, match="outside"):
+        SplitMix64(seed)
+    with pytest.raises(ValueError, match="outside"):
+        generate_instance(InstanceGenerator(seed, InstanceKind.COLLINEATION), pg32, pg32)
+
+
+def test_population_seeds_stay_in_64_bits(pg32):
+    assert one_way_shadow(pg32, 2, base_seed=2**64 - 2).instances == 2
+    for count, base in ((2, 2**64 - 1), (1, -1)):
+        with pytest.raises(ValueError, match="leave"):
+            one_way_shadow(pg32, count, base_seed=base)
+    kinds = (InstanceKind.COLLINEATION, InstanceKind.DUALITY)
+    with pytest.raises(ValueError, match="leave"):
+        population(pg32, 3, 2**64 - 5, kinds)
+    assert [s for _, s, _ in population(pg32, 3, 2**64 - 6, kinds)][-1] == 2**64 - 1
+
+
 def test_generate_instance_is_deterministic(pg32):
     for kind in InstanceKind:
         a = generate_instance(InstanceGenerator(5, kind), pg32, pg32)
