@@ -186,15 +186,18 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_graph(args) -> int:
-    sp = build_space(args.n, args.q)
-    text = export_graph(build_grassmann(sp))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+def _emit(text, out) -> int:
+    """Write text to the --out path, or to stdout without one."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
+
+
+def cmd_graph(args) -> int:
+    return _emit(export_graph(build_grassmann(build_space(args.n, args.q))), args.out)
 
 
 def cmd_aut(args) -> int:
@@ -207,13 +210,7 @@ def cmd_aut(args) -> int:
 def cmd_gen(args) -> int:
     sp = build_space(args.n, args.q)
     gen = InstanceGenerator(seed=args.seed, kind=InstanceKind(args.kind))
-    text = serialize_grassmap(generate_instance(gen, sp, sp))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(serialize_grassmap(generate_instance(gen, sp, sp)), args.out)
 
 
 def cmd_check(args) -> int:

@@ -152,15 +152,6 @@ def parse_graph(text: str):
     return v_count, tuple(edges)
 
 
-def adjacency_from_edges(v_count: int, edges) :
-    """Neighbor bitmasks from an edge list."""
-    masks = [0] * v_count
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
-
-
 def _cell_bits(cell):
     """Bitmask of a set of vertex ids."""
     bits = 0

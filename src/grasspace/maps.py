@@ -5,8 +5,11 @@ which a `ProjSpace` is) and carries four checkable properties:
 injectivity, surjectivity, preservation of collinearity, preservation of
 non-collinearity.  The four flags classify it as a collineation,
 semicollineation, embedding, or other.  Line maps arise either by joining
-point images or, in dimension 3, from dualities via annihilator
-subspaces.  Reconstruction goes the opposite way: a bijective
+point images or, in dimension 3, from dualities.  A duality is the
+standard polarity (`projspace.polarity`) applied after the collineation
+with the same matrix and automorphism: its line map is that collineation's
+induced line map followed by the polar-line table, and a point goes to
+the polar plane of its image.  Reconstruction goes the opposite way: a bijective
 intersection-preserving line map determines a point map kappa through the
 common points of its star images in one incidence core: the target or, in
 dimension 3, its dual (`dual_space`, whose line i holds the planes through
@@ -39,7 +42,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .grassmann import build_grassmann, is_clique, related, skew
-from .linalg import is_invertible, nullspace
+from .linalg import is_invertible
 from .projspace import (
     IncidenceStructure,
     ProjSpace,
@@ -49,7 +52,7 @@ from .projspace import (
     plane_points,
     plane_quotient,
     planes_of_line,
-    point_id_of_vector,
+    polarity,
     quotient,
     star,
 )
@@ -220,47 +223,30 @@ def induced_line_map(pm: PointMap) -> LineMap:
 
 
 def duality_line_map(d: Duality, sp, sp2) -> LineMap:
-    """Line map of a duality: each line goes to the annihilator of the rows
-    (see `_semilinear_rows`) of two of its points, which is again a line,
-    found by `line_through` from two kernel points.  Marked dual=True."""
+    """Line map of a duality: the line through the rows (see
+    `_semilinear_rows`) of two points of each line, the one bit of the AND
+    of their star masks, then its polar line.  Marked dual=True."""
     if sp.n != 3 or sp2.n != 3:
         raise IncompatibleSpaces("dualities need 3-dimensional spaces")
     if sp.q != sp2.q:
         raise IncompatibleSpaces(f"field orders differ: {sp.q} vs {sp2.q}")
     _check_semilinear(sp, d)
-    f = sp.field
-    rows = [sp2.coords[r] for r in _semilinear_rows(d, sp, sp2)]
-    image = {}
-    for l, points in enumerate(sp.line_sets):
-        a, b, *_ = points
-        kernel = nullspace(f, (rows[a], rows[b]))
-        if len(kernel) != 2:
-            raise GeometryError(f"line {l} has a {len(kernel)}-dim annihilator")
-        a, b = (point_id_of_vector(sp2, v) for v in kernel)
-        image[l] = sp2.line_through(a, b)
+    rows, bits = _semilinear_rows(d, sp, sp2), sp2.star_bits
+    polar_line = polarity(sp2).polar_line
+    image = {
+        l: polar_line[(bits[rows[a]] & bits[rows[b]]).bit_length() - 1]
+        for l, (a, b, *_) in enumerate(sp.line_sets)
+    }
     return LineMap(source=sp, target=sp2, image=image, dual=True)
 
 
 def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
-    """Point -> plane-id table of a duality (annihilator planes)."""
+    """Point -> plane-id table of a duality: the polar plane of each row."""
     if sp.n != 3 or sp2.n != 3 or sp.q != sp2.q:
         raise IncompatibleSpaces("dualities need equal-order 3-dimensional spaces")
     _check_semilinear(sp, d)
-    f = sp.field
-    table = {}
-    for pid, row in enumerate(_semilinear_rows(d, sp, sp2)):
-        kernel = nullspace(f, (sp2.coords[row],))
-        if len(kernel) != 3:
-            raise GeometryError(f"point {pid} has a {len(kernel)}-dim annihilator")
-        ids = [point_id_of_vector(sp2, v) for v in kernel]
-        first = sp2.line_through(ids[0], ids[1])
-        candidates = [
-            pid for pid in planes_of_line(sp2, first) if ids[2] in plane_points(sp2, pid)
-        ]
-        if len(candidates) != 1:
-            raise GeometryError(f"point {pid} maps to {len(candidates)} planes")
-        table[pid] = candidates[0]
-    return table
+    polar_plane = polarity(sp2).polar_plane
+    return {pid: polar_plane[row] for pid, row in enumerate(_semilinear_rows(d, sp, sp2))}
 
 
 def _collinear_images(label_sets, table, bits):

@@ -3,26 +3,31 @@
 `IncidenceStructure` is the only incidence representation: point labels,
 each line as the frozenset of its labels and the lines through each label,
 built once at construction.  `ProjSpace` is that core plus one coordinate
-table and one table from point pairs to their line.  A point is its id:
-the points are the 1-dimensional subspaces of GF(q)^(n+1), and `coords[id]`
-is the unique coordinate vector whose leftmost nonzero entry is 1.  A line
-is its id: the lines are the 2-dimensional subspaces, `line_sets[id]` holds
-their point ids, and any two of those points span the line, so no basis is
-stored.  A plane is its id: every plane query takes one, `planes` lists the
-RREF bases by id, and an id outside that list is `NotAPlane`.  `pencil` is
-the one path to the lines through a point inside a plane, which are the
-lines of quotient spaces and plane quotients alike.  Quotient spaces, dual
+table; the line through two points is the one bit of the AND of their
+star masks.  A point is its id: the points are the 1-dimensional
+subspaces of GF(q)^(n+1), and `coords[id]` is the unique coordinate
+vector whose leftmost nonzero entry is 1.  A line is its id: the lines
+are the 2-dimensional subspaces, `line_sets[id]` holds their point ids,
+and any two of those points span the line, so no basis is stored.  A
+plane is its id: every plane query takes one, `planes` lists the RREF
+bases by id, and an id outside that list is `NotAPlane`.  `pencil` is the
+one path to the lines through a point inside a plane, which are the lines
+of quotient spaces and plane quotients alike.  Quotient spaces, dual
 spaces and plane pencil-structures are plain cores, so every incidence
 query and every map check reads one code path.
+
+A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
+plane's normal point, each point's polar plane and each line's polar line.
 
 Derived structures are certified isomorphic to the native space they must
 be (PG(n-1, q) for a quotient or plane quotient, the space itself for a
 dual; one line for a quotient of a plane), else `GeometryError`.  Each
 construction writes the isomorphism down as a coordinate vector per point
-(a projection from the centre, or a normal vector), and one linear check
-confirms it: a bijection onto the native points that sends every line onto
-a native line, with equal line counts.  The tests scan the natives' axioms
-with `verify_projective_axioms`.
+(a projection from the centre, after the polarity for a plane quotient,
+or a plane's normal), and one linear check confirms it: a bijection onto
+the native points that sends every line onto a native line, with equal
+line counts.  The tests scan the natives' axioms with
+`verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -33,9 +38,11 @@ Canonical order contract (used by the interchange formats in `cli`):
 * plane id = the same rank construction over sorted point-id tuples.
 """
 
+import collections
 import dataclasses
 import functools
 from itertools import combinations, product
+from operator import and_
 
 from .errors import (
     BadConfiguration,
@@ -73,8 +80,7 @@ class IncidenceStructure:
     label to the ascending indices of its lines.  star_bits, the index for
     "which line holds these labels", maps each label to the bitmask of its
     lines: a set of labels lies on line i exactly when bit i survives the
-    AND of their masks.  Only `ProjSpace` also keeps a table from point
-    pairs to lines.
+    AND of their masks.
     """
 
     point_labels: tuple
@@ -126,9 +132,8 @@ class IncidenceStructure:
 @dataclasses.dataclass(eq=False, kw_only=True)
 class ProjSpace(IncidenceStructure):
     """PG(n, q): the incidence core over point ids, plus coords (the
-    normalized coordinate tuple of each point id), point_index (its
-    inverse) and joins, which maps both orders of every point pair to their
-    line."""
+    normalized coordinate tuple of each point id) and point_index (its
+    inverse)."""
 
     n: int
     field: object
@@ -137,12 +142,8 @@ class ProjSpace(IncidenceStructure):
 
     def __post_init__(self):
         super().__post_init__()
-        joins = {}
-        for i, s in enumerate(self.line_sets):
-            for a, b in combinations(s, 2):
-                joins[(a, b)] = joins[(b, a)] = i
-        self.joins = joins
         self._plane_tables = None
+        self._polarity = None
         self._sections = {}
         self._dual = None
         self._grassmann = None
@@ -253,10 +254,13 @@ def point_id_of_vector(sp, vec):
 
 
 def join(sp, a: int, b: int) -> int:
-    """Id of the unique line through two distinct points."""
+    """Id of the unique line through two distinct points: the one bit of
+    the AND of their star masks.  `star` rejects an id that names no point."""
     if a == b:
         raise EqualPoints(f"join needs two distinct points, got {a} twice")
-    return sp.joins[(a, b)]
+    star(sp, a)
+    star(sp, b)
+    return sp.line_through(a, b)
 
 
 def meet(sp, a: int, b: int):
@@ -285,15 +289,17 @@ def star(sp, q_point: int) -> tuple:
 
 
 def _planes(sp):
-    """Canonical plane tables: RREF bases, point sets, membership indexes."""
+    """Canonical plane tables: RREF bases, point sets, membership indexes.
+    Every line of a plane meets the line through its first two points (one
+    bit of their star masks), so the plane's lines are read off the stars
+    of that line's points."""
     if sp._plane_tables is None:
         raw = _subspaces(sp.field, sp.point_index, sp.n + 1, 3)
         point_sets = tuple(frozenset(pids) for pids, _ in raw)
-        lines_in = []
-        for pids, _ in raw:
-            seen = set()
-            for a, b in combinations(pids, 2):
-                seen.add(sp.joins[(a, b)])
+        sets, lines_in = sp.line_sets, []
+        for (pids, _), inside in zip(raw, point_sets):
+            first = sets[sp.line_through(pids[0], pids[1])]
+            seen = {l for p in first for l in sp.lines_through[p] if sets[l] <= inside}
             lines_in.append(tuple(sorted(seen)))
         through_line = [set() for _ in sp.line_sets]
         through_point = [[] for _ in sp.point_labels]
@@ -373,10 +379,11 @@ def _maps_onto(structure, native, vector_of) -> bool:
         image[lab] = point_id_of_vector(native, vec)
     if len(set(image.values())) != len(image):
         return False
+    bits = native.star_bits
     for s in structure.line_sets:
         ids = {image[lab] for lab in s}
-        a, b, *_ = ids
-        if native.line_sets[native.joins[(a, b)]] != ids:
+        common = functools.reduce(and_, (bits[x] for x in ids))
+        if not common or len(native.line_sets[common.bit_length() - 1]) != len(ids):
             return False
     return True
 
@@ -404,6 +411,39 @@ def _normal(f, rows):
     return kernel[0] if len(kernel) == 1 else None
 
 
+Polarity = collections.namedtuple("Polarity", "normal polar_plane polar_line")
+
+
+def polarity(sp) -> Polarity:
+    """x -> x⊥ on a 3-space as id tables, built once from `planes` and
+    cached: each plane's normal point (one `_normal` per plane), its
+    inverse polar_plane, and each line's polar line through the normals of
+    the planes on it (one AND of star masks per line).  GeometryError if a
+    plane has no 1-dimensional normal, if two planes share a normal, or if
+    the normals of the planes through a line are not collinear."""
+    if sp.n != 3:
+        raise UnsupportedDimension(f"polarity needs dimension 3, got {sp.n}")
+    if sp._polarity is None:
+        vecs = [_normal(sp.field, basis) for basis in planes(sp)]
+        if None in vecs:
+            raise GeometryError(f"plane {vecs.index(None)} has no 1-dimensional normal")
+        normal = tuple(point_id_of_vector(sp, v) for v in vecs)
+        by_point = {p: pl for pl, p in enumerate(normal)}
+        if len(by_point) != len(sp.point_labels):
+            raise GeometryError(f"two planes share a normal: {len(by_point)} normals")
+        bits = sp.star_bits
+        polar_line = tuple(  # -1 where the AND is empty
+            functools.reduce(and_, (bits[normal[pl]] for pl in on_line)).bit_length() - 1
+            for on_line in _planes(sp)[3]
+        )
+        if -1 in polar_line:
+            l = polar_line.index(-1)
+            raise GeometryError(f"normals of the planes through line {l} are not collinear")
+        polar_plane = tuple(by_point[p] for p in sp.point_labels)
+        sp._polarity = Polarity(normal, polar_plane, polar_line)
+    return sp._polarity
+
+
 def _section(sp, dual: bool, centre: int, members, pencils, vector_of):
     """Quotient at a point, or at a plane of the dual: the member lines as
     points and the pencils as lines, sorted, certified as PG(n-1, q) through
@@ -421,25 +461,32 @@ def _section(sp, dual: bool, centre: int, members, pencils, vector_of):
     return cached
 
 
-def quotient(sp, q_point: int) -> IncidenceStructure:
-    """Quotient space at a point: star lines as points, pencils as lines.
-    Certified isomorphic to PG(n-1, q); for n = 2 it is one line.
-
-    A line through P goes to X - X[i]·P for any other point X on it, with
-    coordinate i (P's leading 1) dropped: its projection from P onto the
-    coordinate hyperplane x_i = 0, which misses P."""
-    members = star(sp, q_point)
+def _projector(sp, centre: int):
+    """Line id -> X - X[i]·P for any other point X on the line through the
+    centre P, coordinate i (P's leading 1) dropped: its projection from P
+    onto the hyperplane x_i = 0, which misses P.  None for a line off P."""
     f = sp.field
-    p = sp.coords[q_point]
+    p = sp.coords[centre]
     i = p.index(1)
 
     def vector_of(l):
-        x = sp.coords[min(sp.line_sets[l] - {q_point})]
+        points = sp.line_sets[l]
+        if centre not in points:
+            return None
+        x = sp.coords[min(points - {centre})]
         v = vec_add(f, x, vec_scale(f, f.neg_table[x[i]], p))
         return v[:i] + v[i + 1 :]
 
+    return vector_of
+
+
+def quotient(sp, q_point: int) -> IncidenceStructure:
+    """Quotient space at a point: star lines as points, pencils as lines.
+    Certified isomorphic to PG(n-1, q) by `_projector`; for n = 2 it is
+    one line."""
+    members = star(sp, q_point)
     pencils = (pencil(sp, q_point, pl) for pl in planes_through_point(sp, q_point))
-    return _section(sp, False, q_point, members, pencils, vector_of)
+    return _section(sp, False, q_point, members, pencils, _projector(sp, q_point))
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -447,8 +494,8 @@ def dual_space(sp) -> IncidenceStructure:
 
     Point labels are canonical plane ids; line i of the dual is the set of
     planes containing line i of the source, so line ids carry over.
-    Certified isomorphic to the space itself by sending each plane to the
-    normal vector of its basis.
+    Certified isomorphic to the space itself by sending each plane to its
+    normal point in the `polarity` table.
     """
     if sp.n != 3:
         raise UnsupportedDimension(f"dual_space needs dimension 3, got {sp.n}")
@@ -459,8 +506,8 @@ def dual_space(sp) -> IncidenceStructure:
             kind="dual",
             detail=repr(sp),
         )
-        bases = planes(sp)
-        sp._dual = _certified(structure, sp, lambda pl: _normal(sp.field, bases[pl]))
+        normal = polarity(sp).normal
+        sp._dual = _certified(structure, sp, lambda pl: sp.coords[normal[pl]])
     return sp._dual
 
 
@@ -468,19 +515,17 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     """Quotient of the dual space at a plane: the plane's lines as points,
     its pencils as lines.  Certified isomorphic to PG(2, q).
 
-    A line of π goes to the vector orthogonal to two of its points written
-    in π's coordinates, which are their entries at π's pivot columns."""
+    The polarity sends the lines of π onto the lines through its normal N,
+    and the pencil at a point P of π onto the pencil at N in P's polar
+    plane.  So a line of π goes to its polar line projected from N, the
+    vector path of the quotient at N."""
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
-    pivots = [row.index(1) for row in planes(sp)[plane_id]]
-
-    def vector_of(l):
-        a, b, *_ = sp.line_sets[l]
-        return _normal(sp.field, [[sp.coords[x][c] for c in pivots] for x in (a, b)])
-
+    table = polarity(sp)
+    project, polar_line = _projector(sp, table.normal[plane_id]), table.polar_line
     pencils = (pencil(sp, pid, plane_id) for pid in plane_points(sp, plane_id))
-    return _section(sp, True, plane_id, members, pencils, vector_of)
+    return _section(sp, True, plane_id, members, pencils, lambda l: project(polar_line[l]))
 
 
 @dataclasses.dataclass

@@ -212,19 +212,13 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
     ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
     clauses.append(ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}"))
     clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
-    bad_centre = None
     for pid in lm.source.point_labels:
         flags = check_properties(restrict_to_star(lm, pid, report.kappa))
         if not (flags.injective and flags.surjective and flags.preserves_collinearity):
-            bad_centre = pid
+            clauses.append(ClauseVerdict("d", False, f"star centre {pid}"))
             break
-    clauses.append(
-        ClauseVerdict(
-            "d",
-            bad_centre is None,
-            "" if bad_centre is None else f"star centre {bad_centre}",
-        )
-    )
+    else:
+        clauses.append(ClauseVerdict("d", True))
     return TheoremReport("THM1", tuple(clauses), _describe(lm))
 
 
@@ -234,33 +228,19 @@ def theorem2_predicates(lm: LineMap) -> tuple:
     (b) skew lines go to skew lines,
     (c) some star restriction is a quotient collineation,
     (d) some pencil maps onto a pencil."""
-    report = reconstruct_point_map(lm)
-    if report.status is KappaStatus.MIXED:
-        pred_a = False
-        kappa = None
-    else:
-        kappa = report.kappa
-        pred_a = classify_point_map(kappa) is MapKind.COLLINEATION
-
+    kappa = reconstruct_point_map(lm).kappa  # None when the stars are mixed
+    pred_a = kappa is not None and classify_point_map(kappa) is MapKind.COLLINEATION
     pred_b = preserves_skewness(lm)
-
-    pred_c = False
-    if kappa is not None:
-        for pid in lm.source.point_labels:
-            restricted = restrict_to_star(lm, pid, kappa)
-            if classify_point_map(restricted) is MapKind.COLLINEATION:
-                pred_c = True
-                break
-
-    pred_d = False
     sp = lm.source
-    for pid in sp.point_labels:
-        for plane_id in planes_through_point(sp, pid):
-            if pencil_image_is_pencil(lm, pid, plane_id):
-                pred_d = True
-                break
-        if pred_d:
-            break
+    pred_c = kappa is not None and any(
+        classify_point_map(restrict_to_star(lm, pid, kappa)) is MapKind.COLLINEATION
+        for pid in sp.point_labels
+    )
+    pred_d = any(
+        pencil_image_is_pencil(lm, pid, plane_id)
+        for pid in sp.point_labels
+        for plane_id in planes_through_point(sp, pid)
+    )
     return (pred_a, pred_b, pred_c, pred_d)
 
 

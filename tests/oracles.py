@@ -12,15 +12,18 @@ preservation of intersections and skewness from walking every line pair
 and intersecting point sets, isomorphisms of incidence structures from a
 backtracking search over point bijections, dual spaces from planes
 found as closures of non-collinear triples, invertibility from the rank of
-the full reduced echelon form, and induced line maps from a scan for the
-line through two image points plus a membership test for the rest.
+the full reduced echelon form, induced line maps from a scan for the
+line through two image points plus a membership test for the rest, and
+duality maps from annihilators: each point's image row by a plain matrix
+product, then the kernel of one or two rows and a scan for the line or
+plane it spans.
 """
 
 from itertools import combinations, permutations, product
 
 from grasspace.errors import NotLineConsistent
-from grasspace.linalg import rref
-from grasspace.projspace import IncidenceStructure
+from grasspace.linalg import normalize, nullspace, rref
+from grasspace.projspace import IncidenceStructure, plane_points, planes
 
 
 def prime_span(vectors, p):
@@ -103,6 +106,49 @@ def joined_line_map(pm):
             raise NotLineConsistent(f"line {l}: point images not collinear")
         image[l] = lid
     return image
+
+
+def semilinear_image_rows(t, sp):
+    """Coordinates of normalize(auto(x) . matrix) for every point x of sp,
+    by a plain matrix product over the field tables."""
+    f = sp.field
+    add, mul = f.add_table, f.mul_table
+    auto = f.automorphisms[t.auto_index]
+    rows = []
+    for x in sp.coords:
+        out = [0] * len(x)
+        for c, row in zip(x, t.matrix):
+            out = [add[o][mul[auto[c]][r]] for o, r in zip(out, row)]
+        rows.append(normalize(f, out))
+    return rows
+
+
+def _kernel_ids(sp, rows):
+    return {sp.point_index[normalize(sp.field, v)] for v in nullspace(sp.field, rows)}
+
+
+def annihilator_line_map(d, sp, sp2):
+    """Line table of a duality: each line goes to the annihilator of the
+    image rows of two of its points, the sp2 line that holds both kernel
+    points, found by a scan."""
+    rows = semilinear_image_rows(d, sp)
+    image = {}
+    for l, points in enumerate(sp.line_sets):
+        a, b, *_ = points
+        kernel = _kernel_ids(sp2, (rows[a], rows[b]))
+        (image[l],) = [i for i, s in enumerate(sp2.line_sets) if kernel <= s]
+    return image
+
+
+def annihilator_point_to_plane(d, sp, sp2):
+    """Point -> plane table of a duality: the one sp2 plane that holds the
+    annihilator of each point's image row, found by a scan."""
+    plane_sets = [plane_points(sp2, pl) for pl in range(len(planes(sp2)))]
+    table = {}
+    for pid, row in enumerate(semilinear_image_rows(d, sp)):
+        kernel = _kernel_ids(sp2, (row,))
+        (table[pid],) = [pl for pl, s in enumerate(plane_sets) if kernel <= s]
+    return table
 
 
 def collinear_triple_count(coords, p):

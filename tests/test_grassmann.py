@@ -9,7 +9,6 @@ from grasspace.grassmann import (
     _individualize,
     _is_automorphism,
     _refine_side,
-    adjacency_from_edges,
     automorphism_group,
     build_grassmann,
     export_graph,
@@ -137,7 +136,7 @@ def test_parse_graph_round_trip(pg32, pg23):
         text = export_graph(g)
         v_count, edges = parse_graph(text)
         assert v_count == len(g.masks)
-        assert adjacency_from_edges(v_count, edges) == g.masks
+        assert masks_from_pairs(v_count, edges) == g.masks
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from grasspace.errors import (
     UnsupportedDimension,
     UnsupportedOrder,
 )
-from grasspace.linalg import nullspace
 from grasspace.maps import noncollinear_witness
 from grasspace.projspace import (
     IncidenceStructure,
@@ -35,6 +34,7 @@ from grasspace.projspace import (
     planes_of_line,
     planes_through_point,
     point_id_of_vector,
+    polarity,
     quotient,
     star,
     verify_projective_axioms,
@@ -467,6 +467,8 @@ def test_sections_reject_centres_outside_the_space(section, centre, error):
         (planes_through_point, (15,)),
         (star, (-1,)),
         (star, (15,)),
+        (join, (-1, 0)),
+        (join, (0, 15)),
         (noncollinear_witness, (-1, 0, 1, 2)),
     ],
 )
@@ -532,23 +534,64 @@ def test_certificate_rejects_a_missing_line(pg22):
         projspace._certified(structure, pg22, vector_of)
 
 
-def test_plane_quotient_certificate_rejects_a_degenerate_kernel(monkeypatch):
-    # Swap a line of the plane for one through the point off it whose
-    # entries at the plane's pivot columns vanish: the counts still agree,
-    # but that line's rows in plane coordinates have a 2-dimensional kernel.
+def test_plane_quotient_certificate_rejects_a_line_off_the_plane(monkeypatch):
+    # Swap a line of the plane for one that meets it in one point: the
+    # counts still agree, but that line's polar line misses the plane's
+    # normal, so the projector from the normal gives it no vector.
     sp = _fresh(3, 2)
-    basis = planes(sp)[0]
-    pivots = [row.index(1) for row in basis]
-    (free,) = set(range(4)) - set(pivots)
-    off = sp.point_index[tuple(int(c == free) for c in range(4))]
-    outside = star(sp, off)[0]
-    a, b, *_ = sp.line_sets[outside]
-    rows = [[sp.coords[x][c] for c in pivots] for x in (a, b)]
-    assert len(nullspace(sp.field, rows)) == 2
+    inside = plane_points(sp, 0)
+    outside = next(l for l, s in enumerate(sp.line_sets) if len(s & inside) == 1)
+    table = polarity(sp)
+    assert table.normal[0] not in sp.line_sets[table.polar_line[outside]]
     _corrupt(monkeypatch, "lines_in_plane", 0, lambda ls: tuple(sorted(ls[1:] + (outside,))))
+    message = r"quotient:dual\(PG\(3,2\)\)/0, .* not isomorphic to PG\(2,2\)"
+    with pytest.raises(GeometryError, match=message):
+        plane_quotient(sp, 0)
+    assert not sp._sections
+
+
+def test_plane_quotient_certificate_rejects_a_corrupted_polar_line_table():
+    # Two lines of the plane trade polar lines: both still pass through the
+    # normal, but their projections trade places, which no collineation does.
+    sp = _fresh(3, 2)
+    table = polarity(sp)
+    a, b = lines_in_plane(sp, 0)[:2]
+    polar = list(table.polar_line)
+    polar[a], polar[b] = polar[b], polar[a]
+    sp._polarity = table._replace(polar_line=tuple(polar))
     with pytest.raises(GeometryError, match="not isomorphic"):
         plane_quotient(sp, 0)
     assert not sp._sections
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_polarity_is_an_incidence_reversing_involution(q):
+    sp = build_space(3, q)
+    f, table = sp.field, polarity(sp)
+    plane_ids, points = range(len(planes(sp))), sp.point_labels
+    assert sorted(table.normal) == list(points)
+    assert all(table.polar_plane[table.normal[pl]] == pl for pl in plane_ids)
+    assert all(table.normal[table.polar_plane[p]] == p for p in points)
+    for l in range(len(sp.line_sets)):
+        assert table.polar_line[table.polar_line[l]] == l
+        normals = {table.normal[pl] for pl in planes_of_line(sp, l)}
+        assert sp.line_sets[table.polar_line[l]] == normals
+    for pl in plane_ids:
+        n = sp.coords[table.normal[pl]]
+        for p in points:
+            dot = 0
+            for x, y in zip(sp.coords[p], n):
+                dot = f.add_table[dot][f.mul_table[x][y]]
+            assert (p in plane_points(sp, pl)) == (dot == 0)
+            assert (p in plane_points(sp, pl)) == (
+                table.normal[pl] in plane_points(sp, table.polar_plane[p])
+            )
+
+
+def test_polarity_needs_dimension_3(pg22, pg42):
+    for sp in (pg22, pg42):
+        with pytest.raises(UnsupportedDimension):
+            polarity(sp)
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2)])
@@ -584,6 +627,31 @@ def test_sections_match_the_golden_digest(pg33):
     assert digest.hexdigest() == (
         "32567cefb10d2f773a61385c5c337b446a7c4fbb47d79ecadaeb3ad3f7159ee2"
     )
+
+
+SECTION_DIGESTS = {  # sha256 prefixes of every quotient, every plane quotient
+    2: ("57c56a793382c785", "6f24b6e4873bdc67"),
+    3: ("bea4d250ff0f6b4f", "b55f22d6c6277e93"),
+    4: ("f735196fd329c646", "4485943463499cc3"),
+    5: ("90a86e7f67d879d1", "6c110389b0a48916"),
+}
+
+
+@pytest.mark.parametrize("q", sorted(SECTION_DIGESTS))
+def test_quotients_and_plane_quotients_are_pinned(q):
+    # (point_labels, line_sets) of each section in centre order, whatever
+    # vectors certified them.
+    sp = build_space(3, q)
+    got = []
+    plane_ids = range(len(planes(sp)))
+    for section, centres in ((quotient, sp.point_labels), (plane_quotient, plane_ids)):
+        digest = hashlib.sha256()
+        for centre in centres:
+            s = section(sp, centre)
+            lines = tuple(tuple(sorted(ls)) for ls in s.line_sets)
+            digest.update(repr((s.point_labels, lines)).encode())
+        got.append(digest.hexdigest()[:16])
+    assert tuple(got) == SECTION_DIGESTS[q]
 
 
 @pytest.mark.parametrize(
