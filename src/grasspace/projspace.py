@@ -11,10 +11,10 @@ are the 2-dimensional subspaces, `line_sets[id]` holds their point ids,
 and any two of those points span the line, so no basis is stored.  A
 plane is its id: every plane query takes one, `planes` lists the RREF
 bases by id, and an id outside that list is `NotAPlane`.  `pencil` is the
-one path to the lines through a point inside a plane, which are the lines
-of quotient spaces and plane quotients alike.  Quotient spaces, dual
-spaces and plane pencil-structures are plain cores, so every incidence
-query and every map check reads one code path.
+one path to the lines through a point inside a plane (its star mask AND
+the plane's line mask), which are the lines of quotient spaces and plane
+quotients alike.  Quotient spaces, dual spaces and plane pencil-structures
+are plain cores, so every query and every map check reads one code path.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
@@ -22,11 +22,12 @@ plane's normal point, each point's polar plane and each line's polar line.
 Derived structures are certified isomorphic to the native space they must
 be (PG(n-1, q) for a quotient or plane quotient, the space itself for a
 dual; one line for a quotient of a plane), else `GeometryError`.  Each
-construction writes the isomorphism down as a coordinate vector per point
-(a projection from the centre, after the polarity for a plane quotient,
-or a plane's normal), and one linear check confirms it: a bijection onto
-the native points that sends every line onto a native line, with equal
-line counts.  The tests scan the natives' axioms with
+construction writes the isomorphism down as a native point id per label
+(a star line's projection from the centre, read as its one point on
+x_i = 0 for the centre's leading 1 at i, after the polarity for a plane
+quotient; or a plane's normal), and one check confirms it: a bijection
+onto the native points that sends every line onto a native line, with
+equal line counts.  The tests scan the natives' axioms with
 `verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
@@ -145,6 +146,7 @@ class ProjSpace(IncidenceStructure):
         self._plane_tables = None
         self._polarity = None
         self._sections = {}
+        self._projections = {}
         self._dual = None
         self._grassmann = None
 
@@ -200,12 +202,12 @@ def _span_points(field, point_index, basis):
     return ids
 
 
-def _subspaces(field, point_index, m, k):
-    """Every k-dimensional subspace of GF(q)^m as (sorted point ids, RREF
-    basis), ascending by point ids: the canonical order of lines and planes."""
+def _subspaces(field, point_index, m):
+    """Every 2-dimensional subspace of GF(q)^m as its sorted point ids,
+    ascending: the canonical order of lines."""
     return sorted(
-        (tuple(sorted(_span_points(field, point_index, basis))), basis)
-        for basis in _rref_bases(field.q, m, k)
+        tuple(sorted(_span_points(field, point_index, basis)))
+        for basis in _rref_bases(field.q, m, 2)
     )
 
 
@@ -220,7 +222,7 @@ def _build_space(n, q):
         raise GeometryError(f"PG({n},{q}) built {len(coords)} points")
     point_index = {c: i for i, c in enumerate(coords)}
 
-    line_sets = tuple(frozenset(pids) for pids, _ in _subspaces(f, point_index, m, 2))
+    line_sets = tuple(frozenset(pids) for pids in _subspaces(f, point_index, m))
     if len(line_sets) != gaussian_binomial(m, 2, q):
         raise GeometryError(f"PG({n},{q}) built {len(line_sets)} lines")
 
@@ -267,16 +269,14 @@ def meet(sp, a: int, b: int):
     """Common point id of two distinct lines, or None when they are skew."""
     if a == b:
         raise EqualLines(f"meet needs two distinct lines, got {a} twice")
-    common = sp.line_sets[a] & sp.line_sets[b]
-    if common:
-        return next(iter(common))
-    return None
+    return next(iter(_line(sp, a) & _line(sp, b)), None)
 
 
 def collinear(sp, a: int, b: int, c: int) -> bool:
     """Whether three pairwise distinct points lie on one line."""
     if a == b or a == c or b == c:
         raise RepeatedPoints(f"collinear needs pairwise distinct points: {a},{b},{c}")
+    star(sp, c)
     return c in sp.line_sets[join(sp, a, b)]
 
 
@@ -288,32 +288,54 @@ def star(sp, q_point: int) -> tuple:
     return sp.lines_through[q_point]
 
 
+def _line(sp, line_id: int) -> frozenset:
+    """Point ids of a line; BadConfiguration for an id that names no line."""
+    if not 0 <= line_id < len(sp.line_sets):
+        raise BadConfiguration(f"{sp!r} has no line {line_id}")
+    return sp.line_sets[line_id]
+
+
+def _set_bits(mask: int, ids: tuple) -> tuple:
+    """ids[i] for every set bit i of mask, ascending (stored ids, not fresh ints)."""
+    out = []
+    while mask:
+        out.append(ids[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return tuple(out)
+
+
 def _planes(sp):
-    """Canonical plane tables: RREF bases, point sets, membership indexes.
-    Every line of a plane meets the line through its first two points (one
-    bit of their star masks), so the plane's lines are read off the stars
-    of that line's points."""
+    """Canonical plane tables: RREF bases, point sets, lines (tuples and
+    masks), membership indexes, shared line ids.  Basis points (a, b, c) span
+    the union of the lines a|y for y on b|c; its lines hold two of its points."""
     if sp._plane_tables is None:
-        raw = _subspaces(sp.field, sp.point_index, sp.n + 1, 3)
-        point_sets = tuple(frozenset(pids) for pids, _ in raw)
-        sets, lines_in = sp.line_sets, []
-        for (pids, _), inside in zip(raw, point_sets):
-            first = sets[sp.line_through(pids[0], pids[1])]
-            seen = {l for p in first for l in sp.lines_through[p] if sets[l] <= inside}
-            lines_in.append(tuple(sorted(seen)))
-        through_line = [set() for _ in sp.line_sets]
-        through_point = [[] for _ in sp.point_labels]
-        for idx, pids in enumerate(point_sets):
-            for lid in lines_in[idx]:
-                through_line[lid].add(idx)
+        sets, bits, through = sp.line_sets, sp.star_bits, sp.line_through
+        raw = []
+        for basis in _rref_bases(sp.q, sp.n + 1, 3):
+            a, b, c = (sp.point_index[row] for row in basis)
+            pts = frozenset().union(*(sets[through(a, y)] for y in sets[through(b, c)]))
+            raw.append((sorted(pts), basis, pts))
+        raw.sort()
+        ids, lines_in, masks = tuple(range(len(sets))), [], []
+        through_line, through_point = [set() for _ in sets], [[] for _ in sp.point_labels]
+        for idx, (pids, _, _) in enumerate(raw):
+            once = twice = 0
             for pid in pids:
+                twice |= once & bits[pid]
+                once |= bits[pid]
                 through_point[pid].append(idx)
+            masks.append(twice)
+            lines_in.append(_set_bits(twice, ids))
+            for lid in lines_in[-1]:
+                through_line[lid].add(idx)
         sp._plane_tables = (
-            tuple(basis for _, basis in raw),
-            point_sets,
+            tuple(basis for _, basis, _ in raw),
+            tuple(pts for _, _, pts in raw),
             tuple(lines_in),
             tuple(frozenset(s) for s in through_line),
             tuple(tuple(v) for v in through_point),
+            tuple(masks),
+            ids,
         )
     return sp._plane_tables
 
@@ -342,8 +364,7 @@ def lines_in_plane(sp, plane_id: int) -> tuple:
 def planes_of_line(sp, line_id: int) -> frozenset:
     """Ids of the planes containing a line; BadConfiguration for an id that
     names no line."""
-    if not 0 <= line_id < len(sp.line_sets):
-        raise BadConfiguration(f"{sp!r} has no line {line_id}")
+    _line(sp, line_id)
     return _planes(sp)[3][line_id]
 
 
@@ -355,49 +376,43 @@ def planes_through_point(sp, point_id: int) -> tuple:
 
 
 def pencil(sp, q_point: int, plane_id: int) -> tuple:
-    """Lines through a point inside a plane containing it, ascending ids:
-    the lines of the quotient at the point and of the plane quotient."""
+    """Lines through a point inside a plane containing it, ascending ids (its
+    star mask AND the plane's): the lines of quotients and plane quotients."""
     if q_point not in plane_points(sp, plane_id):
         raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
-    inside = set(lines_in_plane(sp, plane_id))
-    return tuple(l for l in sp.lines_through[q_point] if l in inside)
+    tables = _planes(sp)
+    return _set_bits(sp.star_bits[q_point] & tables[5][plane_id], tables[6])
 
 
-def _maps_onto(structure, native, vector_of) -> bool:
-    """Whether label -> point of vector_of(label) is an isomorphism onto
-    native, whatever computed the vectors: every vector nonzero, the map
-    injective, every line onto a native line, and as many lines as native
-    has.  Injective on points, the map is injective on lines, so equal line
-    counts make it onto every native line, hence onto every native point."""
+def _maps_onto(structure, native, image) -> bool:
+    """Whether label -> native point id image[label] is an isomorphism onto
+    native, whatever computed the ids: no image None, the map injective,
+    every line onto a native line, and as many lines as native has.
+    Injective on points, the map is injective on lines, so equal line counts
+    make it onto every native line, hence onto every native point."""
     if len(structure.line_sets) != len(native.line_sets):
         return False
-    image = {}
-    for lab in structure.point_labels:
-        vec = vector_of(lab)
-        if not (vec and any(vec)):
-            return False
-        image[lab] = point_id_of_vector(native, vec)
-    if len(set(image.values())) != len(image):
+    ids = [image[lab] for lab in structure.point_labels]
+    if None in ids or len(set(ids)) != len(ids):
         return False
     bits = native.star_bits
     for s in structure.line_sets:
-        ids = {image[lab] for lab in s}
-        common = functools.reduce(and_, (bits[x] for x in ids))
-        if not common or len(native.line_sets[common.bit_length() - 1]) != len(ids):
+        common = functools.reduce(and_, (bits[image[lab]] for lab in s))
+        if not common or len(native.line_sets[common.bit_length() - 1]) != len(s):
             return False
     return True
 
 
-def _certified(structure, native, vector_of):
-    """The structure, once vector_of (label -> nonzero coordinate vector
-    over native) is checked to be an isomorphism onto native, whose axioms
-    it then shares (native None: a projective line, one line through all of
-    at least three points, where vector_of is not read)."""
+def _certified(structure, native, image):
+    """The structure, once image (label -> native point id) is checked to
+    be an isomorphism onto native, whose axioms it then shares (native
+    None: a projective line, one line through all of at least three points,
+    where image is not read)."""
     labels = structure.point_labels
     if native is None:
         ok = len(labels) >= 3 and structure.line_sets == (frozenset(labels),)
     else:
-        ok = _maps_onto(structure, native, vector_of)
+        ok = _maps_onto(structure, native, image)
     if not ok:
         expected = "a projective line" if native is None else repr(native)
         raise GeometryError(f"{structure!r} is not isomorphic to {expected}")
@@ -444,40 +459,42 @@ def polarity(sp) -> Polarity:
     return sp._polarity
 
 
-def _section(sp, dual: bool, centre: int, members, pencils, vector_of):
+def _section(sp, dual: bool, centre: int, members, pencils, image):
     """Quotient at a point, or at a plane of the dual: the member lines as
-    points and the pencils as lines, sorted, certified as PG(n-1, q) through
-    vector_of and cached.  pencils is read only on a cache miss."""
+    points and the pencils (ascending tuples) as lines, sorted, certified as
+    PG(n-1, q) through image() (label -> native point id, not called for
+    n = 2) and cached.  pencils and image are read only on a cache miss."""
     cached = sp._sections.get((dual, centre))
     if cached is None:
         structure = IncidenceStructure(
             point_labels=members,
-            line_sets=tuple(sorted((frozenset(p) for p in pencils), key=sorted)),
+            line_sets=tuple(frozenset(p) for p in sorted(pencils)),
             kind="quotient",
             detail=f"dual({sp!r})/{centre}" if dual else f"{sp!r}/{centre}",
         )
         native = build_space(sp.n - 1, sp.q) if sp.n > 2 else None
-        cached = sp._sections[(dual, centre)] = _certified(structure, native, vector_of)
+        ids = image() if native else None
+        cached = sp._sections[(dual, centre)] = _certified(structure, native, ids)
     return cached
 
 
-def _projector(sp, centre: int):
-    """Line id -> X - X[i]·P for any other point X on the line through the
-    centre P, coordinate i (P's leading 1) dropped: its projection from P
-    onto the hyperplane x_i = 0, which misses P.  None for a line off P."""
-    f = sp.field
-    p = sp.coords[centre]
-    i = p.index(1)
-
-    def vector_of(l):
-        points = sp.line_sets[l]
-        if centre not in points:
-            return None
-        x = sp.coords[min(points - {centre})]
-        v = vec_add(f, x, vec_scale(f, f.neg_table[x[i]], p))
-        return v[:i] + v[i + 1 :]
-
-    return vector_of
+def _projector(sp, centre: int) -> dict:
+    """Line through the centre P -> native id of its projection from P onto
+    the hyperplane x_i = 0 (i: P's leading 1), which misses P: the line's
+    one point X with X[i] = 0, already normalized with coordinate i
+    dropped, so one lookup in PG(n-1, q).  The ids are cached per centre, in
+    star order; the dict is built on each call."""
+    table = sp._projections.get(centre)
+    if table is None:
+        coords, native = sp.coords, build_space(sp.n - 1, sp.q).point_index
+        i = coords[centre].index(1)
+        table = sp._projections[centre] = tuple(
+            native[x[:i] + x[i + 1 :]]
+            for l in sp.lines_through[centre]
+            for x in (coords[p] for p in sp.line_sets[l])
+            if x[i] == 0
+        )
+    return dict(zip(sp.lines_through[centre], table))
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
@@ -486,7 +503,7 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
     one line."""
     members = star(sp, q_point)
     pencils = (pencil(sp, q_point, pl) for pl in planes_through_point(sp, q_point))
-    return _section(sp, False, q_point, members, pencils, _projector(sp, q_point))
+    return _section(sp, False, q_point, members, pencils, lambda: _projector(sp, q_point))
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -506,8 +523,7 @@ def dual_space(sp) -> IncidenceStructure:
             kind="dual",
             detail=repr(sp),
         )
-        normal = polarity(sp).normal
-        sp._dual = _certified(structure, sp, lambda pl: sp.coords[normal[pl]])
+        sp._dual = _certified(structure, sp, polarity(sp).normal)
     return sp._dual
 
 
@@ -517,15 +533,19 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
 
     The polarity sends the lines of π onto the lines through its normal N,
     and the pencil at a point P of π onto the pencil at N in P's polar
-    plane.  So a line of π goes to its polar line projected from N, the
-    vector path of the quotient at N."""
+    plane.  So a line of π goes to its polar line projected from N, through
+    the table of the quotient at N (None for a polar line off N)."""
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
-    table = polarity(sp)
-    project, polar_line = _projector(sp, table.normal[plane_id]), table.polar_line
     pencils = (pencil(sp, pid, plane_id) for pid in plane_points(sp, plane_id))
-    return _section(sp, True, plane_id, members, pencils, lambda l: project(polar_line[l]))
+
+    def image():
+        table = polarity(sp)
+        project = _projector(sp, table.normal[plane_id])
+        return {l: project.get(table.polar_line[l]) for l in members}
+
+    return _section(sp, True, plane_id, members, pencils, image)
 
 
 @dataclasses.dataclass

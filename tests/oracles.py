@@ -16,14 +16,24 @@ the full reduced echelon form, induced line maps from a scan for the
 line through two image points plus a membership test for the rest, and
 duality maps from annihilators: each point's image row by a plain matrix
 product, then the kernel of one or two rows and a scan for the line or
-plane it spans.
+plane it spans.  Plane tables come from the span of each RREF basis and a
+subset test over every line, pencils from a set filter over the star, and
+projections from a centre by X - X[i]·P on any other point X of the line,
+normalized and looked up.
 """
 
 from itertools import combinations, permutations, product
 
 from grasspace.errors import NotLineConsistent
-from grasspace.linalg import normalize, nullspace, rref
-from grasspace.projspace import IncidenceStructure, plane_points, planes
+from grasspace.linalg import normalize, nullspace, rref, vec_add, vec_scale
+from grasspace.projspace import (
+    IncidenceStructure,
+    _span_points,
+    build_space,
+    plane_points,
+    planes,
+    point_id_of_vector,
+)
 
 
 def prime_span(vectors, p):
@@ -148,6 +158,38 @@ def annihilator_point_to_plane(d, sp, sp2):
     for pid, row in enumerate(semilinear_image_rows(d, sp)):
         kernel = _kernel_ids(sp2, (row,))
         (table[pid],) = [pl for pl, s in enumerate(plane_sets) if kernel <= s]
+    return table
+
+
+def spanned_planes(sp):
+    """(point set, ascending line ids) of every plane, by plane id: the span
+    of its RREF basis, combined row by row, and every line inside it."""
+    rows = []
+    for basis in planes(sp):
+        pts = frozenset(_span_points(sp.field, sp.point_index, basis))
+        rows.append((pts, tuple(l for l, s in enumerate(sp.line_sets) if s <= pts)))
+    return rows
+
+
+def filtered_pencil(sp, plane_lines, point):
+    """Lines through a point among a plane's lines, by a set filter over the
+    point's star."""
+    inside = set(plane_lines)
+    return tuple(l for l in sp.lines_through[point] if l in inside)
+
+
+def projected_star(sp, centre):
+    """Line through the centre P -> PG(n-1, q) point id of X - X[i]·P, for
+    the smallest other point X of the line and i P's leading 1, with
+    coordinate i dropped, normalized and looked up."""
+    f, p = sp.field, sp.coords[centre]
+    i = p.index(1)
+    native = build_space(sp.n - 1, sp.q)
+    table = {}
+    for l in sp.lines_through[centre]:
+        x = sp.coords[min(sp.line_sets[l] - {centre})]
+        v = vec_add(f, x, vec_scale(f, f.neg_table[x[i]], p))
+        table[l] = point_id_of_vector(native, v[:i] + v[i + 1 :])
     return table
 
 

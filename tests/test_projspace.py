@@ -42,9 +42,12 @@ from grasspace.projspace import (
 
 from oracles import (
     collinear_triple_count,
+    filtered_pencil,
     incidence_dual,
     incidence_isomorphic,
     prime_subspace_count,
+    projected_star,
+    spanned_planes,
     structure_planes,
 )
 
@@ -242,6 +245,50 @@ def test_pencil_matches_the_oracle_planes(n, q):
         for p in pts:
             want = tuple(l for l in star(sp, p) if sp.line_sets[l] <= pts)
             assert pencil(sp, p, plane_id) == want, (p, plane_id)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2), (3, 4)])
+def test_section_tables_match_the_span_and_filter_oracles(n, q):
+    sp = _fresh(n, q)
+    rows = spanned_planes(sp)
+    assert [sorted(pts) for pts, _ in rows] == sorted(sorted(pts) for pts, _ in rows)
+    assert len(rows) == gaussian_binomial(n + 1, 3, q)
+    tables = projspace._planes(sp)
+    pencils = {}
+    for plane_id, (pts, lines) in enumerate(rows):
+        assert plane_points(sp, plane_id) == pts
+        assert lines_in_plane(sp, plane_id) == lines
+        assert tables[5][plane_id] == sum(1 << l for l in lines)  # the line mask
+        for p in sp.point_labels:
+            if p in pts:
+                pencils[p, plane_id] = want = filtered_pencil(sp, lines, p)
+                got = pencil(sp, p, plane_id)
+                assert got == want
+                assert all(l is tables[6][l] for l in got)  # shared ids, not fresh ints
+            else:
+                with pytest.raises(PointNotInPlane):
+                    pencil(sp, p, plane_id)
+    for l in range(len(sp.line_sets)):
+        assert planes_of_line(sp, l) == {pl for pl, (_, ls) in enumerate(rows) if l in ls}
+    for p in sp.point_labels:
+        assert planes_through_point(sp, p) == tuple(
+            pl for pl, (pts, _) in enumerate(rows) if p in pts
+        )
+
+    def sorted_pencils(keys):
+        return tuple(sorted((frozenset(pencils[k]) for k in keys), key=sorted))
+
+    for p in sp.point_labels:
+        on = [(p, pl) for pl in planes_through_point(sp, p)]
+        assert quotient(sp, p).line_sets == sorted_pencils(on)
+        if n > 2:
+            assert projspace._projector(sp, p) == projected_star(sp, p)
+    if n == 2:
+        assert not sp._projections  # PG(1, q) is never built
+    if n == 3:
+        for plane_id, (pts, _) in enumerate(rows):
+            on = [(p, plane_id) for p in pts]
+            assert plane_quotient(sp, plane_id).line_sets == sorted_pencils(on)
 
 
 def test_pencil(pg32):
@@ -469,6 +516,9 @@ def test_sections_reject_centres_outside_the_space(section, centre, error):
         (star, (15,)),
         (join, (-1, 0)),
         (join, (0, 15)),
+        (meet, (-1, 0)),
+        (meet, (0, 35)),
+        (collinear, (0, 1, 99)),
         (noncollinear_witness, (-1, 0, 1, 2)),
     ],
 )
@@ -478,28 +528,23 @@ def test_ids_outside_the_space_raise_bad_configuration(pg32, call, args):
         call(pg32, *args)
 
 
-def _oracle_vectors(structure, native):
-    """label -> native coordinates along the oracle's isomorphism."""
-    mapping = incidence_isomorphic(structure, native)
-    return {lab: native.coords[mapping[lab]] for lab in structure.point_labels}
-
-
 def test_certificate_rejects_a_swapped_map(pg32):
+    # label -> native point id along the oracle's isomorphism
     structure, native = quotient(pg32, 0), build_space(2, 2)
-    vectors = _oracle_vectors(structure, native)
-    assert projspace._certified(structure, native, vectors.get) is structure
+    ids = incidence_isomorphic(structure, native)
+    assert projspace._certified(structure, native, ids) is structure
     a, b = structure.point_labels[:2]
-    vectors[a], vectors[b] = vectors[b], vectors[a]
+    ids[a], ids[b] = ids[b], ids[a]
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, native, vectors.get)
+        projspace._certified(structure, native, ids)
 
 
-def test_certificate_rejects_a_zero_vector(pg32):
+def test_certificate_rejects_a_label_without_an_image(pg32):
     structure, native = dual_space(pg32), pg32
-    vectors = _oracle_vectors(structure, native)
-    vectors[0] = (0, 0, 0, 0)
+    ids = incidence_isomorphic(structure, native)
+    ids[0] = None
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, native, vectors.get)
+        projspace._certified(structure, native, ids)
 
 
 def test_certificate_rejects_a_map_that_is_not_injective(pg22):
@@ -515,9 +560,9 @@ def test_certificate_rejects_a_map_that_is_not_injective(pg22):
         kind="quotient",
         detail="doubled point",
     )
-    vector_of = lambda lab: pg22.coords[c if lab == 7 else lab]
+    ids = {lab: c if lab == 7 else lab for lab in structure.point_labels}
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, pg22, vector_of)
+        projspace._certified(structure, pg22, ids)
 
 
 def test_certificate_rejects_a_missing_line(pg22):
@@ -529,21 +574,26 @@ def test_certificate_rejects_a_missing_line(pg22):
         kind="quotient",
         detail="missing line",
     )
-    vector_of = lambda lab: pg22.coords[lab]
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, pg22, vector_of)
+        projspace._certified(structure, pg22, pg22.point_labels)
 
 
-def test_plane_quotient_certificate_rejects_a_line_off_the_plane(monkeypatch):
-    # Swap a line of the plane for one that meets it in one point: the
+def test_plane_quotient_certificate_rejects_a_line_off_the_plane():
+    # Swap a line of the plane for one that meets it in one point, in the
+    # plane's lines tuple and in its mask (which the pencils read): the
     # counts still agree, but that line's polar line misses the plane's
-    # normal, so the projector from the normal gives it no vector.
+    # normal, so the projection table at the normal gives it no image.
     sp = _fresh(3, 2)
     inside = plane_points(sp, 0)
     outside = next(l for l, s in enumerate(sp.line_sets) if len(s & inside) == 1)
     table = polarity(sp)
     assert table.normal[0] not in sp.line_sets[table.polar_line[outside]]
-    _corrupt(monkeypatch, "lines_in_plane", 0, lambda ls: tuple(sorted(ls[1:] + (outside,))))
+    tables = list(projspace._planes(sp))
+    lines, masks = list(tables[2]), list(tables[5])
+    masks[0] ^= 1 << lines[0][0] | 1 << outside
+    lines[0] = tuple(sorted(lines[0][1:] + (outside,)))
+    tables[2], tables[5] = tuple(lines), tuple(masks)
+    sp._plane_tables = tuple(tables)
     message = r"quotient:dual\(PG\(3,2\)\)/0, .* not isomorphic to PG\(2,2\)"
     with pytest.raises(GeometryError, match=message):
         plane_quotient(sp, 0)
