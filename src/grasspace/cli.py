@@ -218,7 +218,8 @@ def cmd_check(args) -> int:
         text = fh.read()
     gf = parse_grassmap(text)
     for n, q in ((gf.source_n, gf.source_q), (gf.target_n, gf.target_q)):
-        if n >= 2 and q >= 2 and gaussian_binomial(n + 1, 2, q) > MAX_CHECK_LINES:
+        too_large = max(n, q) >= MAX_CHECK_LINES  # PG(n, q) has more lines than n or q
+        if n >= 2 and q >= 2 and (too_large or gaussian_binomial(n + 1, 2, q) > MAX_CHECK_LINES):
             raise TooLarge(
                 f"PG({n},{q}) exceeds the {MAX_CHECK_LINES}-line checking limit"
             )

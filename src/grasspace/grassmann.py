@@ -353,6 +353,8 @@ def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> Automorphis
     found so far, which fix the base above it.  The order is the product
     of these exact orbits, and reports are deterministic.
     """
+    if node_budget < 0:
+        raise ValueError(f"the node budget must be at least 0, got {node_budget}")
     masks = g.masks if isinstance(g, GrassmannSpace) else tuple(g)
     count = len(masks)
     if count > MAX_AUT_VERTICES:

@@ -462,6 +462,7 @@ def intersection_compatibility_check(
     coincide share a whole line and fail.
     """
     sp = lm.source
+    planes_of_line(sp, a)  # BadConfiguration for an id that names no line
     if not sp.line_sets[a] <= plane_points(sp, plane_id):
         raise BadConfiguration(f"line {a} does not lie in the given plane")
     if q_point in sp.line_sets[a]:

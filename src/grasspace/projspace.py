@@ -1,20 +1,21 @@
 """Finite projective spaces PG(n, q) on one incidence core.
 
 `IncidenceStructure` is the only incidence representation: point labels,
-each line as the frozenset of its labels and the lines through each label,
-built once at construction.  `ProjSpace` is that core plus one coordinate
-table; the line through two points is the one bit of the AND of their
-star masks.  A point is its id: the points are the 1-dimensional
-subspaces of GF(q)^(n+1), and `coords[id]` is the unique coordinate
-vector whose leftmost nonzero entry is 1.  A line is its id: the lines
-are the 2-dimensional subspaces, `line_sets[id]` holds their point ids,
-and any two of those points span the line, so no basis is stored.  A
-plane is its id: every plane query takes one, `planes` lists the RREF
-bases by id, and an id outside that list is `NotAPlane`.  `pencil` is the
-one path to the lines through a point inside a plane (its star mask AND
-the plane's line mask), which are the lines of quotient spaces and plane
-quotients alike.  Quotient spaces, dual spaces and plane pencil-structures
-are plain cores, so every query and every map check reads one code path.
+each line as the frozenset of its labels and each label's star as a mask
+of its lines, built once at construction.  `ProjSpace` is that core plus
+each star as a tuple and one coordinate table; the line through two
+points is the one bit of the AND of their star masks.  A point is its
+id: the points are the 1-dimensional subspaces of GF(q)^(n+1), and
+`coords[id]` is the unique coordinate vector whose leftmost nonzero entry
+is 1.  A line is its id: the lines are the 2-dimensional subspaces,
+`line_sets[id]` holds their point ids, and any two of those points span
+the line, so no basis is stored.  A plane is its id: every plane query
+takes one, `planes` lists the RREF bases by id, and an id outside that
+list is `NotAPlane`.  Every pencil is the flag rule p ∈ l ⊂ π read off
+the tables: a section groups its member lines by the planes (or points)
+on them, and `pencil` filters one star by the planes on each line.
+Quotient spaces, dual spaces and plane pencil-structures are plain cores,
+so every query and every map check reads one code path.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
@@ -72,16 +73,23 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
+def _grouped(members, holders) -> dict:
+    """Holder -> the members m with that holder in holders[m], in member order."""
+    groups = collections.defaultdict(list)
+    for m in members:
+        for h in holders[m]:
+            groups[h].append(m)
+    return groups
+
+
 @dataclasses.dataclass(eq=False)
 class IncidenceStructure:
     """Point/line incidence structure with hashable point labels.
 
     kind is one of "native", "quotient", "dual" (plus free-form detail);
-    line_sets[i] is the set of labels on line i, and lines_through maps each
-    label to the ascending indices of its lines.  star_bits, the index for
-    "which line holds these labels", maps each label to the bitmask of its
-    lines: a set of labels lies on line i exactly when bit i survives the
-    AND of their masks.
+    line_sets[i] is the set of labels on line i.  star_bits, the one star
+    index, maps each label to the bitmask of its lines: a set of labels lies
+    on line i exactly when bit i survives the AND of their masks.
     """
 
     point_labels: tuple
@@ -93,7 +101,7 @@ class IncidenceStructure:
         labels = set(self.point_labels)
         if len(labels) != len(self.point_labels):
             raise BadConfiguration("repeated point labels")
-        through = {lab: [] for lab in self.point_labels}
+        bits = dict.fromkeys(self.point_labels, 0)
         seen = set()
         for i, s in enumerate(self.line_sets):
             if len(s) < 2:
@@ -104,9 +112,8 @@ class IncidenceStructure:
                 raise BadConfiguration(f"line {i} passes through an unknown point")
             seen.add(s)
             for lab in s:
-                through[lab].append(i)
-        self.lines_through = {lab: tuple(ls) for lab, ls in through.items()}
-        self.star_bits = {lab: sum(1 << i for i in ls) for lab, ls in through.items()}
+                bits[lab] |= 1 << i
+        self.star_bits = bits
 
     def line_through(self, a, b):
         """Index of the first line through two distinct labels, or None."""
@@ -120,7 +127,7 @@ class IncidenceStructure:
         return a != b and bits.get(a, 0) & bits.get(b, 0) & bits.get(c, 0) != 0
 
     def degree(self, label):
-        return len(self.lines_through[label])
+        return self.star_bits[label].bit_count()
 
     def __repr__(self):
         tag = f"{self.kind}:{self.detail}" if self.detail else self.kind
@@ -132,9 +139,10 @@ class IncidenceStructure:
 
 @dataclasses.dataclass(eq=False, kw_only=True)
 class ProjSpace(IncidenceStructure):
-    """PG(n, q): the incidence core over point ids, plus coords (the
-    normalized coordinate tuple of each point id) and point_index (its
-    inverse)."""
+    """PG(n, q): the incidence core over point ids, plus lines_through (each
+    point's star as ascending line ids, which `star` reads with no mask to
+    decode), coords (each point id's normalized coordinate tuple) and its
+    inverse point_index."""
 
     n: int
     field: object
@@ -143,6 +151,8 @@ class ProjSpace(IncidenceStructure):
 
     def __post_init__(self):
         super().__post_init__()
+        through = _grouped(range(len(self.line_sets)), self.line_sets)
+        self.lines_through = {p: tuple(through[p]) for p in self.point_labels}
         self._plane_tables = None
         self._polarity = None
         self._sections = {}
@@ -295,47 +305,32 @@ def _line(sp, line_id: int) -> frozenset:
     return sp.line_sets[line_id]
 
 
-def _set_bits(mask: int, ids: tuple) -> tuple:
-    """ids[i] for every set bit i of mask, ascending (stored ids, not fresh ints)."""
-    out = []
-    while mask:
-        out.append(ids[(mask & -mask).bit_length() - 1])
-        mask &= mask - 1
-    return tuple(out)
-
-
 def _planes(sp):
-    """Canonical plane tables: RREF bases, point sets, lines (tuples and
-    masks), membership indexes, shared line ids.  Basis points (a, b, c) span
-    the union of the lines a|y for y on b|c; its lines hold two of its points."""
+    """Canonical plane tables, one per relation: RREF bases, point sets,
+    ascending line ids (one shared object per id), the planes on each line
+    and the planes through each point.  With basis points (a, b, c), the
+    plane's lines are the spokes a|y for y on b|c and, since every line of
+    the plane that misses a meets a|b and a|c, the joins x|z of x on a|b
+    and z on a|c other than a."""
     if sp._plane_tables is None:
-        sets, bits, through = sp.line_sets, sp.star_bits, sp.line_through
+        sets, through = sp.line_sets, sp.line_through
+        ids = tuple(range(len(sets)))
         raw = []
         for basis in _rref_bases(sp.q, sp.n + 1, 3):
             a, b, c = (sp.point_index[row] for row in basis)
-            pts = frozenset().union(*(sets[through(a, y)] for y in sets[through(b, c)]))
-            raw.append((sorted(pts), basis, pts))
+            spokes = [through(a, y) for y in sets[through(b, c)]]
+            sides = sets[through(a, b)] - {a}, sets[through(a, c)] - {a}
+            lines = spokes + [through(x, z) for x, z in product(*sides)]
+            pts = frozenset().union(*(sets[l] for l in spokes))
+            raw.append((sorted(pts), basis, pts, tuple(ids[l] for l in sorted(lines))))
         raw.sort()
-        ids, lines_in, masks = tuple(range(len(sets))), [], []
-        through_line, through_point = [set() for _ in sets], [[] for _ in sp.point_labels]
-        for idx, (pids, _, _) in enumerate(raw):
-            once = twice = 0
-            for pid in pids:
-                twice |= once & bits[pid]
-                once |= bits[pid]
-                through_point[pid].append(idx)
-            masks.append(twice)
-            lines_in.append(_set_bits(twice, ids))
-            for lid in lines_in[-1]:
-                through_line[lid].add(idx)
+        bases, point_sets, line_ids = zip(*(row[1:] for row in raw))
+        on_line = _grouped(range(len(raw)), line_ids)
+        on_point = _grouped(range(len(raw)), point_sets)
         sp._plane_tables = (
-            tuple(basis for _, basis, _ in raw),
-            tuple(pts for _, _, pts in raw),
-            tuple(lines_in),
-            tuple(frozenset(s) for s in through_line),
-            tuple(tuple(v) for v in through_point),
-            tuple(masks),
-            ids,
+            bases, point_sets, line_ids,
+            tuple(frozenset(on_line[l]) for l in ids),
+            tuple(tuple(on_point[p]) for p in sp.point_labels),
         )
     return sp._plane_tables
 
@@ -376,12 +371,13 @@ def planes_through_point(sp, point_id: int) -> tuple:
 
 
 def pencil(sp, q_point: int, plane_id: int) -> tuple:
-    """Lines through a point inside a plane containing it, ascending ids (its
-    star mask AND the plane's): the lines of quotients and plane quotients."""
+    """Lines through a point inside a plane containing it, ascending ids: by
+    the flag rule p ∈ l ⊂ π, the point's star filtered by the planes on each
+    line.  Sections group their pencils in `_section` instead."""
     if q_point not in plane_points(sp, plane_id):
         raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
-    tables = _planes(sp)
-    return _set_bits(sp.star_bits[q_point] & tables[5][plane_id], tables[6])
+    on_line = _planes(sp)[3]
+    return tuple(l for l in sp.lines_through[q_point] if plane_id in on_line[l])
 
 
 def _maps_onto(structure, native, image) -> bool:
@@ -459,16 +455,18 @@ def polarity(sp) -> Polarity:
     return sp._polarity
 
 
-def _section(sp, dual: bool, centre: int, members, pencils, image):
-    """Quotient at a point, or at a plane of the dual: the member lines as
-    points and the pencils (ascending tuples) as lines, sorted, certified as
+def _section(sp, dual: bool, centre: int, members, holders, image):
+    """Quotient at a point, or at a plane of the dual: the member lines
+    (ascending) as points and, as lines, the members grouped under each
+    holder in holders[l] (the planes on l, or the points of l), sorted.
+    Each group is the pencil of one flag p ∈ l ⊂ π.  Certified as
     PG(n-1, q) through image() (label -> native point id, not called for
-    n = 2) and cached.  pencils and image are read only on a cache miss."""
+    n = 2) and cached; holders and image are read only on a cache miss."""
     cached = sp._sections.get((dual, centre))
     if cached is None:
         structure = IncidenceStructure(
             point_labels=members,
-            line_sets=tuple(frozenset(p) for p in sorted(pencils)),
+            line_sets=tuple(map(frozenset, sorted(_grouped(members, holders).values()))),
             kind="quotient",
             detail=f"dual({sp!r})/{centre}" if dual else f"{sp!r}/{centre}",
         )
@@ -501,9 +499,8 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
     """Quotient space at a point: star lines as points, pencils as lines.
     Certified isomorphic to PG(n-1, q) by `_projector`; for n = 2 it is
     one line."""
-    members = star(sp, q_point)
-    pencils = (pencil(sp, q_point, pl) for pl in planes_through_point(sp, q_point))
-    return _section(sp, False, q_point, members, pencils, lambda: _projector(sp, q_point))
+    project = functools.partial(_projector, sp, q_point)
+    return _section(sp, False, q_point, star(sp, q_point), _planes(sp)[3], project)
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -538,14 +535,13 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
-    pencils = (pencil(sp, pid, plane_id) for pid in plane_points(sp, plane_id))
 
     def image():
         table = polarity(sp)
         project = _projector(sp, table.normal[plane_id])
         return {l: project.get(table.polar_line[l]) for l in members}
 
-    return _section(sp, True, plane_id, members, pencils, image)
+    return _section(sp, True, plane_id, members, sp.line_sets, image)
 
 
 @dataclasses.dataclass
@@ -612,7 +608,7 @@ def _veblen_witness(inc):
     line through its two labels."""
     sets, line_through = inc.line_sets, inc.line_through
     for a in inc.point_labels:
-        for g, h in combinations(inc.lines_through[a], 2):
+        for g, h in combinations([i for i, s in enumerate(sets) if a in s], 2):
             g_rest = [x for x in sets[g] if x != a]
             h_rest = [x for x in sets[h] if x != a]
             for p_lab, r_lab in product(g_rest, h_rest):

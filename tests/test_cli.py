@@ -86,6 +86,21 @@ def test_aut_budget_exhaustion(capsys):
     assert "exceeded 5 nodes" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aut", "-n", "3", "-q", "2", "--budget", "-1"),
+        ("verify", "--suite", "chow", "-n", "3", "-q", "2", "--budget", "-3"),
+    ],
+)
+def test_negative_budget_is_a_bad_parameter(capsys, argv):
+    # Budget 0 stays valid; below it nothing was searched, so nothing ran out.
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "node budget must be at least 0" in err
+
+
 def test_aut_too_large(capsys):
     code, _, err = run(capsys, "aut", "-n", "4", "-q", "3")
     assert code == EXIT_PARAMS
@@ -277,15 +292,17 @@ def test_check_parse_error_carries_line_number(tmp_path, capsys):
     assert "line 5" in err
 
 
-def test_check_size_guard(tmp_path, capsys):
+@pytest.mark.parametrize("n,q", [(9, 9), (10**8, 2), (2, 10**1000)])
+def test_check_size_guard(tmp_path, capsys, n, q):
+    # A huge dimension or order is refused before its lines are counted.
     path = tmp_path / "huge.grassmap"
     path.write_text(
-        "GRASSMAP 1\nSOURCE PG 9 9\nTARGET PG 9 9\nMAP\nEND\n",
+        f"GRASSMAP 1\nSOURCE PG {n} {q}\nTARGET PG 2 2\nMAP\nEND\n",
         encoding="utf-8",
     )
     code, _, err = run(capsys, "check", str(path))
     assert code == EXIT_PARAMS
-    assert "limit" in err
+    assert "checking limit" in err
 
 
 def test_verify_thm1_and_thm2(capsys):

@@ -467,5 +467,8 @@ def test_automorphism_group_too_large():
 
 
 def test_automorphism_group_budget(pg32):
-    with pytest.raises(BudgetExceeded):
-        automorphism_group(build_grassmann(pg32), node_budget=5)
+    for budget in (0, 5):
+        with pytest.raises(BudgetExceeded):
+            automorphism_group(build_grassmann(pg32), node_budget=budget)
+    with pytest.raises(ValueError, match="at least 0"):
+        automorphism_group(build_grassmann(pg32), node_budget=-1)

@@ -548,6 +548,9 @@ def test_intersection_compatibility_bad_configurations(pg32):
     )
     with pytest.raises(BadConfiguration):
         intersection_compatibility_check(lm, kappa, 0, plane_id, outside)
+    for a in (-1, 35):  # a negative id must not wrap onto the last line
+        with pytest.raises(BadConfiguration, match=f"no line {a}"):
+            intersection_compatibility_check(lm, kappa, 0, plane_id, a)
 
 
 @given(seed=st.integers(0, 10_000))

@@ -253,18 +253,21 @@ def test_section_tables_match_the_span_and_filter_oracles(n, q):
     rows = spanned_planes(sp)
     assert [sorted(pts) for pts, _ in rows] == sorted(sorted(pts) for pts, _ in rows)
     assert len(rows) == gaussian_binomial(n + 1, 3, q)
-    tables = projspace._planes(sp)
+    # Ids are shared objects, not fresh ints: a pencil's are its star's,
+    # and each line id is one object in every plane that holds it.
+    star_ids = {id(l) for ls in sp.lines_through.values() for l in ls}
+    plane_ids = {}
     pencils = {}
     for plane_id, (pts, lines) in enumerate(rows):
         assert plane_points(sp, plane_id) == pts
         assert lines_in_plane(sp, plane_id) == lines
-        assert tables[5][plane_id] == sum(1 << l for l in lines)  # the line mask
+        assert all(plane_ids.setdefault(l, l) is l for l in lines_in_plane(sp, plane_id))
         for p in sp.point_labels:
             if p in pts:
                 pencils[p, plane_id] = want = filtered_pencil(sp, lines, p)
                 got = pencil(sp, p, plane_id)
                 assert got == want
-                assert all(l is tables[6][l] for l in got)  # shared ids, not fresh ints
+                assert all(id(l) in star_ids for l in got)
             else:
                 with pytest.raises(PointNotInPlane):
                     pencil(sp, p, plane_id)
@@ -281,6 +284,7 @@ def test_section_tables_match_the_span_and_filter_oracles(n, q):
     for p in sp.point_labels:
         on = [(p, pl) for pl in planes_through_point(sp, p)]
         assert quotient(sp, p).line_sets == sorted_pencils(on)
+        assert not hasattr(quotient(sp, p), "lines_through")  # one star index: the masks
         if n > 2:
             assert projspace._projector(sp, p) == projected_star(sp, p)
     if n == 2:
@@ -426,15 +430,17 @@ def test_quotient_of_a_plane_is_one_line(pg23):
         assert inc.line_sets == (frozenset(star(pg23, p)),)
 
 
-def _corrupt(monkeypatch, name, bad_id, change):
-    """Make projspace.<name>(sp, ..., bad_id) return change(true value)."""
-    real = getattr(projspace, name)
+def _corrupt(monkeypatch, change):
+    """Make projspace._section group its members by a list copy of its
+    holders table (line id -> holders) that change edits in place."""
+    real = projspace._section
 
-    def patched(sp, *args):
-        got = real(sp, *args)
-        return change(got) if args[-1] == bad_id else got
+    def patched(sp, dual, centre, members, holders, image):
+        holders = list(holders)
+        change(holders)
+        return real(sp, dual, centre, members, holders, image)
 
-    monkeypatch.setattr(projspace, name, patched)
+    monkeypatch.setattr(projspace, "_section", patched)
 
 
 def _fresh(n, q):
@@ -447,12 +453,11 @@ def test_quotient_certificate_rejects_a_short_pencil(monkeypatch, n):
     sp = _fresh(n, 2)
     plane_id = planes_through_point(sp, 0)[0]
     dropped = pencil(sp, 0, plane_id)[0]
-    _corrupt(
-        monkeypatch,
-        "pencil",
-        plane_id,
-        lambda ls: tuple(l for l in ls if l != dropped),
-    )
+
+    def drop(holders):  # the dropped line leaves the plane's pencil at 0
+        holders[dropped] -= {plane_id}
+
+    _corrupt(monkeypatch, drop)
     with pytest.raises(GeometryError, match="not isomorphic"):
         quotient(sp, 0)
 
@@ -463,9 +468,12 @@ def test_quotient_certificate_rejects_swapped_pencil_lines(monkeypatch):
     first, second = planes_through_point(sp, 0)[:2]
     a1 = next(l for l in pencil(sp, 0, first) if l not in pencil(sp, 0, second))
     b1 = next(l for l in pencil(sp, 0, second) if l not in pencil(sp, 0, first))
-    swap = lambda old, new: lambda ls: tuple(sorted(set(ls) - {old} | {new}))
-    _corrupt(monkeypatch, "pencil", first, swap(a1, b1))
-    _corrupt(monkeypatch, "pencil", second, swap(b1, a1))
+
+    def swap(holders):  # a1 moves to the pencil in second, b1 to first
+        holders[a1] = holders[a1] - {first} | {second}
+        holders[b1] = holders[b1] - {second} | {first}
+
+    _corrupt(monkeypatch, swap)
     with pytest.raises(GeometryError, match="not isomorphic"):
         quotient(sp, 0)
     assert not sp._sections
@@ -475,14 +483,20 @@ def test_plane_quotient_certificate_rejects_a_missing_line(monkeypatch):
     # The line stays a point of the plane quotient, on none of its lines.
     sp = _fresh(3, 2)
     dropped = lines_in_plane(sp, 0)[0]
-    _corrupt(monkeypatch, "pencil", 0, lambda ls: tuple(l for l in ls if l != dropped))
+    _corrupt(monkeypatch, lambda holders: holders.__setitem__(dropped, ()))
     with pytest.raises(GeometryError, match="not isomorphic"):
         plane_quotient(sp, 0)
 
 
 def test_dual_certificate_rejects_a_short_line(monkeypatch):
     sp = _fresh(3, 2)
-    _corrupt(monkeypatch, "planes_of_line", 0, lambda pls: frozenset(sorted(pls)[1:]))
+    real = projspace.planes_of_line
+
+    def short(sp, l):  # line 0 loses its first plane
+        pls = real(sp, l)
+        return frozenset(sorted(pls)[1:]) if l == 0 else pls
+
+    monkeypatch.setattr(projspace, "planes_of_line", short)
     with pytest.raises(GeometryError, match="not isomorphic"):
         dual_space(sp)
     assert sp._dual is None
@@ -580,22 +594,17 @@ def test_certificate_rejects_a_missing_line(pg22):
 
 def test_plane_quotient_certificate_rejects_a_line_off_the_plane():
     # Swap a line of the plane for one that meets it in one point, in the
-    # plane's lines tuple and in its mask (which the pencils read): the
-    # counts still agree, but that line's polar line misses the plane's
-    # normal, so the projection table at the normal gives it no image.
+    # plane's lines tuple: grouped by their points, the lines give that
+    # line alone as the pencil at each of its points off the plane.
     sp = _fresh(3, 2)
     inside = plane_points(sp, 0)
     outside = next(l for l, s in enumerate(sp.line_sets) if len(s & inside) == 1)
-    table = polarity(sp)
-    assert table.normal[0] not in sp.line_sets[table.polar_line[outside]]
     tables = list(projspace._planes(sp))
-    lines, masks = list(tables[2]), list(tables[5])
-    masks[0] ^= 1 << lines[0][0] | 1 << outside
+    lines = list(tables[2])
     lines[0] = tuple(sorted(lines[0][1:] + (outside,)))
-    tables[2], tables[5] = tuple(lines), tuple(masks)
+    tables[2] = tuple(lines)
     sp._plane_tables = tuple(tables)
-    message = r"quotient:dual\(PG\(3,2\)\)/0, .* not isomorphic to PG\(2,2\)"
-    with pytest.raises(GeometryError, match=message):
+    with pytest.raises(BadConfiguration, match="fewer than two points"):
         plane_quotient(sp, 0)
     assert not sp._sections
 
