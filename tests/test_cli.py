@@ -143,6 +143,14 @@ def test_gen_is_byte_deterministic(tmp_path, capsys):
         (("gen", "-n", "3", "-q", "5", "--kind", "perturbed"), "ddab3f39ce123355"),
         (("gen", "-n", "4", "-q", "2", "--kind", "collineation"), "877765f39632e0d2"),
         (("gen", "-n", "4", "-q", "2", "--kind", "perturbed"), "8adb372c3ffa9d0a"),
+        (("gen", "-n", "2", "-q", "9", "--kind", "collineation"), "30f70c5d1be1d313"),
+        (("gen", "-n", "2", "-q", "9", "--kind", "perturbed"), "de72a0b171779a0b"),
+        (("gen", "-n", "2", "-q", "16", "--kind", "collineation"), "c30e4862fb4167aa"),
+        (("gen", "-n", "2", "-q", "16", "--kind", "perturbed"), "88bcf74b42d500cf"),
+        (("gen", "-n", "2", "-q", "25", "--kind", "collineation"), "4a70d6e8952db30f"),
+        (("gen", "-n", "2", "-q", "25", "--kind", "perturbed"), "4f9606079ff97179"),
+        (("gen", "-n", "2", "-q", "27", "--kind", "collineation"), "34ce3146688c9f16"),
+        (("gen", "-n", "2", "-q", "27", "--kind", "perturbed"), "9dd4346e42eaf914"),
         (("graph", "-n", "3", "-q", "2"), "86279664f4a5de42"),
         (("graph", "-n", "3", "-q", "3"), "bd2e06e5aa261550"),
     ],

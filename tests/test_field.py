@@ -1,9 +1,13 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from grasspace.errors import GeometryError, UnsupportedOrder
 from grasspace.field import (
+    _MODULI,
     SUPPORTED_ORDERS,
+    FieldSpec,
     _check_axioms,
     field_make,
     monomorphisms_all_surjective,
@@ -21,6 +25,40 @@ def test_construction_and_spec(q):
     assert f.spec.p ** f.spec.k == q
     assert len(f.automorphisms) == f.spec.k
     assert f.automorphisms[0] == tuple(range(q))
+
+
+def test_tables_are_fixed():
+    # Element codes feed every coordinate, canonical id and generator, so
+    # the tables of all supported orders must not drift between versions.
+    h = hashlib.sha256()
+    for q in SUPPORTED_ORDERS:
+        f = field_make(q)
+        h.update(repr((q, f.add_table, f.mul_table, f.neg_table, f.inv_table,
+                       f.automorphisms)).encode())
+    assert h.hexdigest()[:16] == "ddfd609e017d02b7"
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_field_spec_accepts_every_modulus(q):
+    p, k, modulus = _MODULI[q]
+    assert FieldSpec(p=p, k=k, q=q, modulus=modulus).q == q
+
+
+@pytest.mark.parametrize(
+    "p,k,q,modulus",
+    [
+        (4, 1, 4, (1, 1)),  # p not prime
+        (2, 2, 4, (1, 0, 1)),  # x^2 + 1 = (x + 1)^2 over GF(2)
+        (2, 2, 4, (1, 1, 2)),  # not monic
+        (2, 2, 4, (1, 1)),  # degree below k
+        (2, 2, 8, (1, 1, 1)),  # p^k != q
+        (2, 0, 1, (1,)),  # k < 1
+        (2, 6, 64, (1, 1, 0, 0, 0, 0, 1)),  # above MAX_ORDER
+    ],
+)
+def test_field_spec_refuses(p, k, q, modulus):
+    with pytest.raises(ValueError):
+        FieldSpec(p=p, k=k, q=q, modulus=modulus)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
