@@ -214,8 +214,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    with open(args.input, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    with open(args.input, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
     gf = parse_grassmap(text)
     for n, q in ((gf.source_n, gf.source_q), (gf.target_n, gf.target_q)):
         too_large = max(n, q) >= MAX_CHECK_LINES  # PG(n, q) has more lines than n or q

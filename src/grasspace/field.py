@@ -2,16 +2,20 @@
 
 Elements are integer codes 0..q-1: the polynomial c0 + c1*x + ... +
 c_{k-1}*x^(k-1) over GF(p) gets the code c0 + c1*p + ... + c_{k-1}*p^(k-1).
-Extension fields are built on one fixed modulus per order (the standard
-primitive choices listed in _MODULI), so element codes are stable across
-runs and platforms:
+Every field is built on one fixed modulus per order, listed in _MODULI, so
+element codes are stable across runs and platforms.  Every modulus is
+primitive (x generates GF(q)*), prime orders included, where the modulus
+x - w names the primitive root w:
 
     GF(4)  x^2 + x + 1          GF(16) x^4 + x + 1
     GF(8)  x^3 + x + 1          GF(25) x^2 + 4x + 2
     GF(9)  x^2 + 2x + 2         GF(27) x^3 + 2x + 1
 
-Every table is verified exhaustively at construction (field axioms over
-all q^3 triples, automorphisms over all pairs), which is cheap for q <= 32.
+The sum table adds base-p digits; products, inverses and the Frobenius
+maps are read off the powers of x: a*b = x^(log a + log b), a^-1 =
+x^(-log a), a^(p^j) = x^(p^j log a).  Every table is still verified
+exhaustively at construction (field axioms over all q^3 triples,
+automorphisms over all pairs), which is cheap for q <= 32.
 """
 
 import dataclasses
@@ -39,58 +43,31 @@ SUPPORTED_ORDERS = tuple(sorted(_MODULI))
 MAX_ORDER = 32
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _poly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a, b, p):
-    """Quotient and remainder of coefficient lists over GF(p)."""
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], p - 2, p) if b[-1] != 1 else 1
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    while len(rem) >= len(b) and any(rem):
-        shift = len(rem) - len(b)
-        factor = (rem[-1] * inv_lead) % p
-        quot[shift] = factor
-        for i, bc in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bc) % p
-        rem = _poly_trim(rem)
-    return quot, rem
-
-
-def _is_irreducible(modulus, p):
-    """Exhaustive trial division by every monic polynomial of degree <= k/2."""
-    deg = len(_poly_trim(modulus)) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod(modulus, divisor, p)
-            if not rem:
-                return False
-    return True
+def _powers_of_x(p, k, modulus):
+    """Codes of x^0, x^1, ... modulo `modulus` over Z/p, up to the first
+    return to 1 and at most p^k of them.  Multiplying by x shifts the base-p
+    digits up one place and subtracts the top digit times the modulus."""
+    digits, powers = [1] + [0] * (k - 1), []
+    while len(powers) < p ** k:
+        code = sum(d * p ** i for i, d in enumerate(digits))
+        if code == 1 and powers:
+            break
+        powers.append(code)
+        top = digits[-1]
+        digits = [(low - top * c) % p for low, c in zip([0] + digits[:-1], modulus)]
+    return powers
 
 
 @dataclasses.dataclass(frozen=True)
 class FieldSpec:
-    """Order data of one supported field: q = p^k with its defining modulus."""
+    """Order data of one supported field: q = p^k with its defining modulus.
+
+    The modulus must be primitive: x has multiplicative order q - 1 modulo
+    it.  That one check also shows that p is prime and the modulus
+    irreducible, since otherwise fewer than q - 1 residues are invertible.
+    An irreducible modulus that is not primitive, such as x^2 + 1 over
+    GF(3), is refused.
+    """
 
     p: int
     k: int
@@ -98,16 +75,14 @@ class FieldSpec:
     modulus: tuple
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.k < 1 or self.p ** self.k != self.q:
-            raise ValueError("q must equal p^k with k >= 1")
+        if self.p < 2 or self.k < 1 or self.p ** self.k != self.q:
+            raise ValueError("q must equal p^k with p >= 2 and k >= 1")
         if self.q > MAX_ORDER:
             raise ValueError(f"order {self.q} above supported maximum {MAX_ORDER}")
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _is_irreducible(self.modulus, self.p):
-            raise ValueError("modulus is reducible")
+        if len(_powers_of_x(self.p, self.k, self.modulus)) != self.q - 1:
+            raise ValueError("modulus is not primitive: x does not have order q - 1")
 
 
 @dataclasses.dataclass(eq=False)
@@ -116,8 +91,9 @@ class FieldTable:
 
     automorphisms[j] is the permutation a -> a^(p^j); index 0 is the
     identity and the tuple has exactly k entries (the full automorphism
-    group, cyclic of order k).  Instances are immutable after construction
-    and safe to share.
+    group, cyclic of order k).  primitive is the code of x, a generator of
+    GF(q)* and the smallest element of order q - 1 on every supported
+    order.  Instances are immutable after construction and safe to share.
     """
 
     spec: FieldSpec
@@ -126,6 +102,7 @@ class FieldTable:
     neg_table: tuple
     inv_table: tuple
     automorphisms: tuple
+    primitive: int
 
     @property
     def q(self):
@@ -152,6 +129,8 @@ class FieldTable:
         return self.inv_table[a]
 
     def power(self, a, e):
+        if e < 0:
+            a, e = self.inv(a), -e
         result = 1
         base = a
         while e > 0:
@@ -160,21 +139,6 @@ class FieldTable:
             base = self.mul_table[base][base]
             e >>= 1
         return result
-
-
-def _code_to_poly(code, p, k):
-    coeffs = []
-    for _ in range(k):
-        coeffs.append(code % p)
-        code //= p
-    return coeffs
-
-
-def _poly_to_code(coeffs, p):
-    code = 0
-    for c in reversed(coeffs):
-        code = code * p + c
-    return code
 
 
 def _check_axioms(q, add, mul, neg, inv):
@@ -215,45 +179,28 @@ def field_make(q: int) -> FieldTable:
     p, k, modulus = _MODULI[q]
     spec = FieldSpec(p=p, k=k, q=q, modulus=modulus)
 
-    polys = [_code_to_poly(a, p, k) for a in range(q)]
-    add = []
-    mul = []
-    for a in range(q):
-        add_row = []
-        mul_row = []
-        for b in range(q):
-            s = [(x + y) % p for x, y in zip(polys[a], polys[b])]
-            add_row.append(_poly_to_code(s, p))
-            prod = [0] * (2 * k - 1)
-            for i, x in enumerate(polys[a]):
-                if x:
-                    for j, y in enumerate(polys[b]):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            _, rem = _poly_divmod(prod, modulus, p)
-            rem += [0] * (k - len(rem))
-            mul_row.append(_poly_to_code(rem, p))
-        add.append(tuple(add_row))
-        mul.append(tuple(mul_row))
-
+    exp = _powers_of_x(p, k, modulus)
+    log = {a: e for e, a in enumerate(exp)}
+    places = [p ** i for i in range(k)]
+    add = [
+        tuple(sum((a // w + b // w) % p * w for w in places) for b in range(q))
+        for a in range(q)
+    ]
+    mul = [(0,) * q] + [
+        (0,) + tuple(exp[(log[a] + log[b]) % (q - 1)] for b in range(1, q))
+        for a in range(1, q)
+    ]
     neg = tuple(add[a].index(0) for a in range(q))
-    inv = tuple(0 if a == 0 else mul[a].index(1) for a in range(q))
+    inv = (0,) + tuple(exp[-log[a] % (q - 1)] for a in range(1, q))
 
     _check_axioms(q, add, mul, neg, inv)
 
-    def pow_code(a, e):
-        r = 1
-        for _ in range(e):
-            r = mul[r][a]
-        return r if e else 1
-
-    frob = tuple(pow_code(a, p) if a else 0 for a in range(q))
-    autos = [tuple(range(q))]
-    current = frob
-    while current != autos[0]:
-        autos.append(current)
-        current = tuple(frob[x] for x in current)
-    if len(autos) != k:
-        raise GeometryError(f"GF({q}) Frobenius has order {len(autos)}, not {k}")
+    autos = tuple(
+        (0,) + tuple(exp[p ** j * log[a] % (q - 1)] for a in range(1, q))
+        for j in range(k)
+    )
+    if len(set(autos)) != k:
+        raise GeometryError(f"GF({q}) has {len(set(autos))} Frobenius maps, not {k}")
     for j, perm in enumerate(autos):
         for a, b in product(range(q), repeat=2):
             x, y = perm[a], perm[b]
@@ -266,7 +213,8 @@ def field_make(q: int) -> FieldTable:
         mul_table=tuple(mul),
         neg_table=neg,
         inv_table=inv,
-        automorphisms=tuple(autos),
+        automorphisms=autos,
+        primitive=exp[1 % (q - 1)],
     )
     _CACHE[q] = table
     return table

@@ -261,7 +261,10 @@ def build_space(n: int, q: int) -> ProjSpace:
 
 def point_id_of_vector(sp, vec):
     """Point id of a nonzero coordinate vector: the id of its normalized
-    multiple (a zero vector raises ValueError)."""
+    multiple.  BadConfiguration unless vec is n+1 codes in range(q); a zero
+    vector raises ValueError."""
+    if len(vec) != sp.n + 1 or not all(c in range(sp.q) for c in vec):
+        raise BadConfiguration(f"{vec!r} is not {sp.n + 1} codes below {sp.q}")
     return sp.point_index[normalize(sp.field, vec)]
 
 

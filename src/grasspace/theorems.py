@@ -323,17 +323,6 @@ def _identity_matrix(size):
     return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
 
 
-def _primitive_element(f):
-    """Smallest element of multiplicative order q - 1 (GF(q)* is cyclic)."""
-    for a in range(1, f.q):
-        x, order = a, 1
-        while x != 1:
-            x = f.mul(x, a)
-            order += 1
-        if order == f.q - 1:
-            return a
-
-
 def collineation_generators(sp) -> tuple:
     """Line permutations of collineations that generate the full group
     PGammaL(n+1, q): the transvections I + w^t E_ij (i != j, t < k) for a
@@ -341,7 +330,7 @@ def collineation_generators(sp) -> tuple:
     extends it to GL; then Frobenius (automorphism index 1) when k > 1."""
     f = sp.field
     size = sp.n + 1
-    omega = _primitive_element(f)
+    omega = f.primitive
     identity = _identity_matrix(size)
 
     def with_entry(i, j, value):

@@ -300,6 +300,14 @@ def test_check_parse_error_carries_line_number(tmp_path, capsys):
     assert "line 5" in err
 
 
+def test_check_non_utf8_file_carries_line_number(tmp_path, capsys):
+    path = tmp_path / "bad.grassmap"
+    path.write_bytes(b"GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 \xff\nEND\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == EXIT_PARSE
+    assert "line 5" in err
+
+
 @pytest.mark.parametrize("n,q", [(9, 9), (10**8, 2), (2, 10**1000)])
 def test_check_size_guard(tmp_path, capsys, n, q):
     # A huge dimension or order is refused before its lines are counted.

@@ -49,6 +49,7 @@ def test_field_spec_accepts_every_modulus(q):
     [
         (4, 1, 4, (1, 1)),  # p not prime
         (2, 2, 4, (1, 0, 1)),  # x^2 + 1 = (x + 1)^2 over GF(2)
+        (3, 2, 9, (1, 0, 1)),  # irreducible over GF(3), but x has order 4
         (2, 2, 4, (1, 1, 2)),  # not monic
         (2, 2, 4, (1, 1)),  # degree below k
         (2, 2, 8, (1, 1, 1)),  # p^k != q
@@ -59,6 +60,19 @@ def test_field_spec_accepts_every_modulus(q):
 def test_field_spec_refuses(p, k, q, modulus):
     with pytest.raises(ValueError):
         FieldSpec(p=p, k=k, q=q, modulus=modulus)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_primitive_is_the_smallest_generator(q):
+    f = field_make(q)
+
+    def order(a):
+        x, e = a, 1
+        while x != 1:
+            x, e = f.mul(x, a), e + 1
+        return e
+
+    assert f.primitive == min(a for a in range(1, q) if order(a) == q - 1)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -150,3 +164,8 @@ def test_distributivity_samples(q, data):
     c = data.draw(st.integers(0, q - 1))
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     assert f.power(a, q) == a
+    e = data.draw(st.integers(1, 2 * q))
+    for x in range(1, q):
+        assert f.mul(f.power(x, -e), f.power(x, e)) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.power(0, -e)

@@ -213,6 +213,19 @@ def test_point_id_of_vector_is_scale_invariant(data):
     assert point_id_of_vector(sp, scaled) == p
 
 
+@pytest.mark.parametrize(
+    "vec", [(-1, 0, 0, 0), (3, 0, 0, 0), (0, 1, 2, 7), (1, 0, 0), (1, 0, 0, 0, 0)]
+)
+def test_point_id_of_vector_refuses_non_codes(pg33, vec):
+    with pytest.raises(BadConfiguration):
+        point_id_of_vector(pg33, vec)
+
+
+def test_point_id_of_vector_refuses_zero(pg33):
+    with pytest.raises(ValueError, match="zero vector"):
+        point_id_of_vector(pg33, (0, 0, 0, 0))
+
+
 def test_plane_tables(pg32):
     assert len(planes(pg32)) == 15
     for pl in range(15):
