@@ -52,6 +52,7 @@ from .projspace import (
     plane_points,
     plane_quotient,
     planes_of_line,
+    point_parents,
     polarity,
     quotient,
     star,
@@ -146,41 +147,44 @@ def _require_coordinates(sp, sp2, what):
 
 def _check_semilinear(sp, t):
     """Reject a transformation whose matrix or automorphism does not fit sp."""
-    m = sp.n + 1
+    m, name, a = sp.n + 1, type(t).__name__, t.auto_index
     if len(t.matrix) != m or any(len(row) != m for row in t.matrix):
-        raise BadConfiguration(f"{type(t).__name__} of {sp!r} needs a {m}x{m} matrix")
+        raise BadConfiguration(f"{name} of {sp!r} needs a {m}x{m} matrix")
+    if not all(isinstance(c, int) and 0 <= c < sp.q for row in t.matrix for c in row):
+        raise BadConfiguration(f"{name} matrix entries must be ints in range({sp.q})")
     if not is_invertible(sp.field, t.matrix):
-        raise BadConfiguration(f"{type(t).__name__} matrix must be invertible")
-    if not 0 <= t.auto_index < len(sp.field.automorphisms):
-        raise BadConfiguration(
-            f"automorphism index {t.auto_index} out of range for GF({sp.q})"
-        )
+        raise BadConfiguration(f"{name} matrix must be invertible")
+    if not (isinstance(a, int) and 0 <= a < len(sp.field.automorphisms)):
+        raise BadConfiguration(f"automorphism index {a!r} out of range for GF({sp.q})")
 
 
 def _semilinear_rows(t, sp, sp2) -> list:
     """Row kernel of a checked collineation or duality t: per point of sp,
     the sp2 point id of normalize(auto(coords) . matrix), the image point of
-    a collineation or the image plane's normal of a duality.  Matrix rows
-    are scaled by every field element once (scaled[i][c] is c times row i)
-    and the automorphism is a permutation lookup."""
+    a collineation or the image plane's normal of a duality.  Along
+    `point_parents`, a point's vector is its parent's plus auto(x) times
+    matrix row j: one vector add per point.  terms[j][x] holds that product;
+    x = 1 gives the row itself, and x = 0 never occurs."""
     f = sp.field
     add, mul, inv = f.add_table, f.mul_table, f.inv_table
     auto = f.automorphisms[t.auto_index]
-    scaled = [[tuple(mul[c][x] for x in row) for c in range(f.q)] for row in t.matrix]
+    terms = [
+        (None, row, *(tuple(mul[auto[x]][y] for y in row) for x in range(2, f.q)))
+        for row in t.matrix
+    ]
     index = sp2.point_index
-    ids = []
-    for coords in sp.coords:
-        out = None
-        for x, table in zip(coords, scaled):
-            if x:
-                term = table[auto[x]]
-                out = term if out is None else [add[a][b] for a, b in zip(out, term)]
+    vecs, ids = [], []
+    for parent, j, x in point_parents(sp):
+        out = terms[j][x]
+        if parent >= 0:
+            out = [add[a][b] for a, b in zip(vecs[parent], out)]
+        vecs.append(out)
         for lead in out:
             if lead:
                 break
         if lead != 1:
             row = mul[inv[lead]]
-            out = [row[x] for x in out]
+            out = [row[y] for y in out]
         ids.append(index[tuple(out)])
     return ids
 

@@ -155,6 +155,7 @@ class ProjSpace(IncidenceStructure):
         self.lines_through = {p: tuple(through[p]) for p in self.point_labels}
         self._plane_tables = None
         self._polarity = None
+        self._parents = None
         self._sections = {}
         self._projections = {}
         self._dual = None
@@ -266,6 +267,24 @@ def point_id_of_vector(sp, vec):
     if len(vec) != sp.n + 1 or not all(c in range(sp.q) for c in vec):
         raise BadConfiguration(f"{vec!r} is not {sp.n + 1} codes below {sp.q}")
     return sp.point_index[normalize(sp.field, vec)]
+
+
+def point_parents(sp) -> tuple:
+    """Each point's (parent, j, x), built once and cached: j is the last
+    nonzero coordinate of coords[p], x its value, and parent the id of
+    coords[p] with coordinate j zeroed, or -1 for a unit vector, which that
+    leaves zero.  Zeroing a coordinate after the leading 1 keeps the vector
+    normalized and lowers its lex rank, so every parent precedes its point."""
+    if sp._parents is None:
+        table = []
+        for c in sp.coords:
+            j = len(c) - 1
+            while not c[j]:
+                j -= 1
+            parent = sp.point_index.get(c[:j] + (0,) * (len(c) - j), -1)
+            table.append((parent, j, c[j]))
+        sp._parents = tuple(table)
+    return sp._parents
 
 
 def join(sp, a: int, b: int) -> int:

@@ -7,7 +7,10 @@ with the instance seed yields the (n+1)^2 matrix entries row-major as
 below(q) draws, whole matrices are redrawn until invertible, then one draw
 picks the field automorphism; perturbed instances continue the same stream
 with two draws selecting the image transposition (i = below(L),
-j = below(L-1) skipping i).
+j = below(L-1) skipping i).  The sampler keeps that contract while drawing
+one row at a time: each row is eliminated against the rows before it, and a
+dependent row skips the rest of its matrix's draws with `SplitMix64.skip`,
+one state add, so no singular matrix is drawn in full.
 
 `population` is the one seed layout: a block of consecutive seeds per
 instance kind.  `verify_population` folds a suite over it into a single
@@ -33,7 +36,6 @@ from .grassmann import (
     automorphism_group,
     build_grassmann,
 )
-from .linalg import is_invertible
 from .maps import (
     Collineation,
     Duality,
@@ -80,25 +82,42 @@ class InstanceGenerator:
     kind: InstanceKind
 
 
-def _sample_semilinear(sp, seed):
-    """Seeded (matrix, auto_index, stream) on the coordinates of sp; the
-    stream is left after the automorphism draw for callers that continue it."""
-    f = sp.field
-    size = sp.n + 1
+def _sample_semilinear(f, n, seed):
+    """Seeded (matrix, auto_index, stream) on the coordinates of PG(n, f.q);
+    the stream is left after the automorphism draw for callers that continue
+    it.  Each row is drawn and reduced against the rows before it, kept as
+    (pivot, row scaled to 1 there, zero at every earlier pivot).  A row that
+    reduces to zero is dependent: the rest of its matrix is skipped unmixed."""
+    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
+    size = n + 1
     rng = SplitMix64(seed)
     while True:
-        matrix = tuple(zip(*[iter(rng.draws(f.q, size * size))] * size))  # row-major
-        if is_invertible(f, matrix):
-            break
-    return matrix, rng.below(len(f.automorphisms)), rng
+        rows, echelon = [], []
+        for left in range(size - 1, -1, -1):  # rows still to draw after this one
+            row = rng.draws(f.q, size)
+            v = row
+            for col, b in echelon:
+                if v[col]:
+                    frow = mul[neg[v[col]]]
+                    v = [add[x][frow[y]] for x, y in zip(v, b)]
+            for col, x in enumerate(v):
+                if x:
+                    break
+            else:
+                rng.skip(left * size)
+                break
+            echelon.append((col, v if x == 1 else [mul[inv[x]][y] for y in v]))
+            rows.append(tuple(row))
+        else:
+            return tuple(rows), rng.below(len(f.automorphisms)), rng
 
 
 def sample_collineation(sp, seed: int) -> Collineation:
-    return Collineation(*_sample_semilinear(sp, seed)[:2])
+    return Collineation(*_sample_semilinear(sp.field, sp.n, seed)[:2])
 
 
 def sample_duality(sp, seed: int) -> Duality:
-    return Duality(*_sample_semilinear(sp, seed)[:2])
+    return Duality(*_sample_semilinear(sp.field, sp.n, seed)[:2])
 
 
 def generate_instance(gen: InstanceGenerator, sp, sp2) -> LineMap:
@@ -107,7 +126,7 @@ def generate_instance(gen: InstanceGenerator, sp, sp2) -> LineMap:
         return duality_line_map(sample_duality(sp, gen.seed), sp, sp2)
     if gen.kind not in (InstanceKind.COLLINEATION, InstanceKind.PERTURBED):
         raise ValueError(f"unknown instance kind {gen.kind!r}")
-    matrix, auto_index, rng = _sample_semilinear(sp, gen.seed)
+    matrix, auto_index, rng = _sample_semilinear(sp.field, sp.n, gen.seed)
     c = Collineation(matrix, auto_index)
     lm = induced_line_map(collineation_point_map(c, sp, sp2))
     if gen.kind is InstanceKind.COLLINEATION:

@@ -12,8 +12,10 @@ preservation of intersections and skewness from walking every line pair
 and intersecting point sets, isomorphisms of incidence structures from a
 backtracking search over point bijections, dual spaces from planes
 found as closures of non-collinear triples, invertibility from the rank of
-the full reduced echelon form, induced line maps from a scan for the
-line through two image points plus a membership test for the rest, and
+the full reduced echelon form, the instance sampler from whole matrices
+drawn and ranked before any is kept, semilinear point images from the
+scaled rows of every nonzero coordinate, induced line maps from a scan for
+the line through two image points plus a membership test for the rest, and
 duality maps from annihilators: each point's image row by a plain matrix
 product, then the kernel of one or two rows and a scan for the line or
 plane it spans.  Plane tables come from the span of each RREF basis and a
@@ -34,6 +36,7 @@ from grasspace.projspace import (
     planes,
     point_id_of_vector,
 )
+from grasspace.rng import SplitMix64
 
 
 def prime_span(vectors, p):
@@ -99,6 +102,18 @@ def invertible_by_rank(f, mat):
     return all(len(r) == n for r in mat) and rank(f, mat) == n
 
 
+def whole_matrix_sample(f, n, seed):
+    """The instance sampling contract drawn whole: (n+1)^2 below(q) draws per
+    matrix, row-major, redrawn until its rank is full, then one draw for the
+    automorphism index.  Returns (matrix, auto_index, stream)."""
+    size = n + 1
+    rng = SplitMix64(seed)
+    while True:
+        matrix = tuple(zip(*[iter(rng.draws(f.q, size * size))] * size))
+        if invertible_by_rank(f, matrix):
+            return matrix, rng.below(len(f.automorphisms)), rng
+
+
 def joined_line_map(pm):
     """Induced line table of a point map between coordinate spaces: each line
     goes to the target line through its first two point images, and every
@@ -131,6 +146,31 @@ def semilinear_image_rows(t, sp):
             out = [add[o][mul[auto[c]][r]] for o, r in zip(out, row)]
         rows.append(normalize(f, out))
     return rows
+
+
+def per_point_row_ids(t, sp, sp2):
+    """The semilinear row kernel point by point: for each point of sp, the
+    sp2 id of the sum of auto(x_i) times matrix row i over its nonzero
+    coordinates, normalized.  Every multiple of every row is tabled once."""
+    f = sp.field
+    add, mul, inv = f.add_table, f.mul_table, f.inv_table
+    auto = f.automorphisms[t.auto_index]
+    scaled = [[tuple(mul[c][x] for x in row) for c in range(f.q)] for row in t.matrix]
+    ids = []
+    for coords in sp.coords:
+        out = None
+        for x, table in zip(coords, scaled):
+            if x:
+                term = table[auto[x]]
+                out = term if out is None else [add[a][b] for a, b in zip(out, term)]
+        for lead in out:
+            if lead:
+                break
+        if lead != 1:
+            row = mul[inv[lead]]
+            out = [row[x] for x in out]
+        ids.append(sp2.point_index[tuple(out)])
+    return ids
 
 
 def _kernel_ids(sp, rows):

@@ -14,6 +14,7 @@ from grasspace.errors import (
     NotLineConsistent,
     PreconditionViolated,
 )
+from grasspace.linalg import vec_add
 from grasspace.maps import (
     Collineation,
     Duality,
@@ -44,6 +45,7 @@ from grasspace.projspace import (
     plane_points,
     planes,
     planes_through_point,
+    point_parents,
     quotient,
     star,
 )
@@ -62,6 +64,7 @@ from oracles import (
     line_rule_property_flags,
     pairwise_preserves_intersections,
     pairwise_preserves_skewness,
+    per_point_row_ids,
     triple_property_flags,
 )
 
@@ -779,8 +782,13 @@ def test_map_tables_must_stay_inside_the_target(pg32, make):
         (((1, 0, 0, 0),) * 4, 0),
         (identity_matrix(4), 1),
         (identity_matrix(4), -1),
+        (identity_matrix(4)[:3] + ((0, 0, 0, -1),), 0),
+        (identity_matrix(4)[:3] + ((0, 0, 0, 2),), 0),
+        (identity_matrix(4)[:3] + ((0, 0, 0, 1.0),), 0),
+        (identity_matrix(4), 0.0),
     ],
-    ids=["shape", "singular", "auto-high", "auto-negative"],
+    ids=["shape", "singular", "auto-high", "auto-negative", "entry-negative",
+         "entry-q", "entry-float", "auto-float"],
 )
 def test_semilinear_maps_reject_bad_input(pg32, matrix, auto_index):
     with pytest.raises(BadConfiguration):
@@ -869,6 +877,33 @@ def test_duality_maps_agree_with_the_annihilator_oracles(q, seed, auto):
     d = Duality(sample_duality(sp, seed).matrix, auto % len(sp.field.automorphisms))
     assert duality_line_map(d, sp, sp).image == annihilator_line_map(d, sp, sp)
     assert duality_point_to_plane(d, sp, sp) == annihilator_point_to_plane(d, sp, sp)
+
+
+KERNEL_SPACES = [(2, 4), (3, 2), (3, 3), (3, 4), (3, 5), (3, 8), (2, 9), (4, 2)]
+
+
+@pytest.mark.parametrize("n,q", KERNEL_SPACES)
+def test_point_parents_add_one_coordinate(n, q):
+    sp = build_space(n, q)
+    for p, (parent, j, x) in enumerate(point_parents(sp)):
+        c = sp.coords[p]
+        assert x == c[j] != 0 and not any(c[j + 1:])
+        assert (parent < 0) == (sum(map(bool, c)) == 1)
+        if parent >= 0:
+            assert parent < p
+            step = tuple(x if i == j else 0 for i in range(n + 1))
+            assert c == vec_add(sp.field, sp.coords[parent], step)
+
+
+@pytest.mark.parametrize("n,q", KERNEL_SPACES)
+def test_semilinear_rows_match_the_per_point_oracle(n, q):
+    # Both kinds share the kernel; every automorphism index is tried.
+    sp = build_space(n, q)
+    for seed in range(3):
+        matrix = sample_collineation(sp, seed).matrix
+        for a in range(len(sp.field.automorphisms)):
+            for t in (Collineation(matrix, a), Duality(matrix, a)):
+                assert maps._semilinear_rows(t, sp, sp) == per_point_row_ids(t, sp, sp)
 
 
 @pytest.mark.parametrize(

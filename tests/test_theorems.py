@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grasspace.errors import DimensionTooSmall, TooLarge, UnsupportedDimension
 from grasspace.field import field_make
@@ -13,13 +13,14 @@ from grasspace.maps import (
     reconstruct_point_map,
 )
 from grasspace.projspace import build_space
-from grasspace.rng import SplitMix64
+from grasspace.rng import INCREMENT, SplitMix64
 from grasspace.theorems import (
     ClauseVerdict,
     InstanceGenerator,
     InstanceKind,
     StabiliserChain,
     TheoremReport,
+    _sample_semilinear,
     all_collineation_line_perms,
     chow_crosscheck,
     collineation_generators,
@@ -38,7 +39,7 @@ from grasspace.theorems import (
     verify_theorem3_preconditions,
 )
 
-from oracles import invertible_matrix_count
+from oracles import invertible_matrix_count, whole_matrix_sample
 
 
 def det2(f, m):
@@ -94,6 +95,38 @@ def test_draws_are_repeated_below(seed, n, count):
     batch, single = SplitMix64(seed), SplitMix64(seed)
     assert batch.draws(n, count) == [single.below(n) for _ in range(count)]
     assert batch.state == single.state
+
+
+@given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 40))
+def test_skip_is_repeated_next_u64(seed, count):
+    skipped, stepped = SplitMix64(seed), SplitMix64(seed)
+    skipped.skip(count)
+    for _ in range(count):
+        stepped.next_u64()
+    assert skipped.state == stepped.state
+
+
+def test_skip_wraps_and_refuses_negative_counts():
+    rng = SplitMix64(2**64 - 1)
+    rng.skip(1)
+    assert rng.state == INCREMENT - 1
+    rng.skip(2**64)  # 2**64 increments add a multiple of 2**64
+    assert rng.state == INCREMENT - 1
+    with pytest.raises(ValueError, match="count >= 0"):
+        rng.skip(-1)
+    assert rng.state == INCREMENT - 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=2**64 - 1)
+@settings(max_examples=40, deadline=None)
+def test_row_sampler_matches_the_whole_matrix_oracle(q, n, seed):
+    f = field_make(q)
+    matrix, auto_index, rng = _sample_semilinear(f, n, seed)
+    want, want_index, want_rng = whole_matrix_sample(f, n, seed)
+    assert (matrix, auto_index, rng.state) == (want, want_index, want_rng.state)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
