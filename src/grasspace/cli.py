@@ -91,7 +91,7 @@ def serialize_grassmap(lm: LineMap) -> str:
         f"TARGET PG {lm.target.n} {lm.target.q}{dual}",
         "MAP",
     ]
-    rows = [f"{src} {lm.image[src]}" for src in range(len(lm.source.line_sets))]
+    rows = [f"{src} {tgt}" for src, tgt in enumerate(lm.image)]
     return "\n".join(head + rows + ["END"]) + "\n"
 
 
@@ -163,12 +163,7 @@ def line_map_from_grassmap(gf: GrassmapFile) -> LineMap:
             raise FormatError(
                 5 + src, f"target id {tgt} out of range ({limit} lines)"
             )
-    return LineMap(
-        source=source,
-        target=target,
-        image={src: tgt for src, tgt in gf.pairs},
-        dual=gf.dual,
-    )
+    return LineMap(source, target, tuple(tgt for _, tgt in gf.pairs), gf.dual)
 
 
 def cmd_stats(args) -> int:

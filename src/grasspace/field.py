@@ -43,6 +43,11 @@ SUPPORTED_ORDERS = tuple(sorted(_MODULI))
 MAX_ORDER = 32
 
 
+def is_code(v, bound) -> bool:
+    """Whether v is an int code or id in range(bound); no bool or float is."""
+    return type(v) is int and 0 <= v < bound
+
+
 def _powers_of_x(p, k, modulus):
     """Codes of x^0, x^1, ... modulo `modulus` over Z/p, up to the first
     return to 1 and at most p^k of them.  Multiplying by x shifts the base-p

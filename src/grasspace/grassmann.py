@@ -20,8 +20,9 @@ differs.  A leaf, and every generator again before the report, must pass a
 certificate: a permutation of the vertices that maps each neighbour list
 onto its image's neighbourhood.  MAX_AUT_VERTICES sits between PG(5,2)
 (651 lines, 29 nodes, 0.5 s on 2 cores) and PG(3,5) (806 lines, 218 nodes,
-1.5 s): the Chow chain is still slow there (ROADMAP item 3), and raising
-the cap is item 4.  The node budget bounds every search below it.
+1.5 s): the Chow chain is still slow there (ROADMAP, "Known-order
+Schreier-Sims"), and raising the cap belongs to "Chow across the whole
+size ladder".  The node budget bounds every search below it.
 """
 
 import collections
@@ -34,20 +35,6 @@ MAX_AUT_VERTICES = 700
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-@dataclasses.dataclass(eq=False)
-class GrassmannSpace:
-    space: object
-    masks: tuple  # neighbour bitmask per line: bit b set when b meets it, b != it
-
-    def degree(self):
-        q = self.space.q
-        n = self.space.n
-        return (q + 1) * ((q**n - 1) // (q - 1) - 1)
-
-    def __repr__(self):
-        return f"Grassmann({self.space!r})"
-
-
 @dataclasses.dataclass(frozen=True)
 class AutomorphismReport:
     group_order: int
@@ -56,9 +43,11 @@ class AutomorphismReport:
     base: tuple  # vertices fixed along the first path
 
 
-def build_grassmann(sp) -> GrassmannSpace:
-    """Neighbour bitmasks of the line-intersection graph of a space (cached
-    on it): each line ORs the star masks of its points, less its own bit."""
+def build_grassmann(sp) -> tuple:
+    """Neighbour bitmasks of the line-intersection graph of a space, one per
+    line id (cached on it): each line ORs the star masks of its points, less
+    its own bit.  GeometryError unless every line has the closed-form
+    degree."""
     if sp._grassmann is None:
         stars = sp.star_bits
         masks = []
@@ -67,39 +56,36 @@ def build_grassmann(sp) -> GrassmannSpace:
             for p in s:
                 bits |= stars[p]
             masks.append(bits & ~(1 << a))
-        g = GrassmannSpace(space=sp, masks=tuple(masks))
-        expected = g.degree()
+        q = sp.q
+        expected = (q + 1) * ((q**sp.n - 1) // (q - 1) - 1)
         for a, row in enumerate(masks):
             if row.bit_count() != expected:
-                raise GeometryError(
-                    f"line {a} has degree {row.bit_count()}, not {expected}"
-                )
-        sp._grassmann = g
+                raise GeometryError(f"line {a} has degree {row.bit_count()}, not {expected}")
+        sp._grassmann = tuple(masks)
     return sp._grassmann
 
 
-def related(g: GrassmannSpace, a: int, b: int) -> bool:
+def related(masks, a: int, b: int) -> bool:
     """Reflexive intersection relation: a = b or the lines share a point."""
-    return a == b or bool(g.masks[a] >> b & 1)
+    return a == b or bool(masks[a] >> b & 1)
 
 
-def skew(g: GrassmannSpace, a: int, b: int) -> bool:
-    return not related(g, a, b)
+def skew(masks, a: int, b: int) -> bool:
+    return not related(masks, a, b)
 
 
-def is_clique(g: GrassmannSpace, lines) -> bool:
+def is_clique(masks, lines) -> bool:
     """Whether every two of the lines (a sequence of ids) are equal or meet;
     stops at the first line that misses another."""
     bits = _cell_bits(lines)
-    masks = g.masks
     return all(not bits & ~(masks[l] | 1 << l) for l in lines)
 
 
-def export_graph(g: GrassmannSpace) -> str:
+def export_graph(masks) -> str:
     """GRAPH format: header `GRAPH V E`, then `u v` rows with u < v, ascending."""
-    above = [m >> a + 1 << a + 1 for a, m in enumerate(g.masks)]
+    above = [m >> a + 1 << a + 1 for a, m in enumerate(masks)]
     rows = [f"{a} {b}" for a, row in enumerate(_neighbour_lists(above)) for b in row]
-    return "\n".join([f"GRAPH {len(g.masks)} {len(rows)}", *rows]) + "\n"
+    return "\n".join([f"GRAPH {len(masks)} {len(rows)}", *rows]) + "\n"
 
 
 _ID = re.compile("0|[1-9][0-9]*")
@@ -344,18 +330,17 @@ def _orbit_close(seed, generators):
     return orbit
 
 
-def automorphism_group(g, node_budget: int = DEFAULT_NODE_BUDGET) -> AutomorphismReport:
-    """Exact automorphism group order of an adjacency structure.
+def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> AutomorphismReport:
+    """Exact automorphism group order of a graph given as a sequence of
+    neighbour bitmasks, such as `build_grassmann` returns.
 
-    Accepts a GrassmannSpace or a sequence of neighbour bitmasks.  The base
-    is fixed first, branching on the first largest cell; then, deepest
-    level first, each base vertex's orbit is closed under all generators
-    found so far, which fix the base above it.  The order is the product
-    of these exact orbits, and reports are deterministic.
+    The base is fixed first, branching on the first largest cell; then,
+    deepest level first, each base vertex's orbit is closed under all
+    generators found so far, which fix the base above it.  The order is the
+    product of these exact orbits, and reports are deterministic.
     """
     if node_budget < 0:
         raise ValueError(f"the node budget must be at least 0, got {node_budget}")
-    masks = g.masks if isinstance(g, GrassmannSpace) else tuple(g)
     count = len(masks)
     if count > MAX_AUT_VERTICES:
         raise TooLarge(f"{count} vertices exceeds the {MAX_AUT_VERTICES} limit")

@@ -14,6 +14,7 @@ intersection-preserving line map determines a point map kappa through the
 common points of its star images in one incidence core: the target or, in
 dimension 3, its dual (`dual_space`, whose line i holds the planes through
 line i).  Every verdict that reads kappa intersects image lines there.
+A line map's image is a tuple, image[l] the target line of source line l.
 Map tables are total on the source and stay inside the target: a value
 that is no target label or line id is PreconditionViolated.  The two
 pencil verdicts name a plane by its id and read every pencil, source and
@@ -41,6 +42,7 @@ from .errors import (
     NotLineConsistent,
     PreconditionViolated,
 )
+from .field import is_code
 from .grassmann import build_grassmann, is_clique, related, skew
 from .linalg import is_invertible
 from .projspace import (
@@ -113,18 +115,19 @@ class PointMap:
 class LineMap:
     source: ProjSpace
     target: ProjSpace
-    image: dict
+    image: tuple  # image[l]: the target line id of source line l
     dual: bool = False  # images meant as lines of the target's dual space
 
     def __post_init__(self):
-        if set(self.image) != set(range(len(self.source.line_sets))):
-            raise PreconditionViolated("line map table is not total on the source")
-        if not set(self.image.values()) <= set(range(len(self.target.line_sets))):
+        count = len(self.source.line_sets)
+        if not isinstance(self.image, tuple) or len(self.image) != count:
+            raise PreconditionViolated(f"line map table is not a tuple of {count} line ids")
+        bound = len(self.target.line_sets)
+        if not all(is_code(m, bound) for m in self.image):
             raise PreconditionViolated("line map sends a line outside the target")
 
     def is_bijective(self):
-        values = set(self.image.values())
-        return len(values) == len(self.image) == len(self.target.line_sets)
+        return len(set(self.image)) == len(self.image) == len(self.target.line_sets)
 
 
 @dataclasses.dataclass(eq=False)
@@ -150,11 +153,11 @@ def _check_semilinear(sp, t):
     m, name, a = sp.n + 1, type(t).__name__, t.auto_index
     if len(t.matrix) != m or any(len(row) != m for row in t.matrix):
         raise BadConfiguration(f"{name} of {sp!r} needs a {m}x{m} matrix")
-    if not all(isinstance(c, int) and 0 <= c < sp.q for row in t.matrix for c in row):
+    if not all(is_code(c, sp.q) for row in t.matrix for c in row):
         raise BadConfiguration(f"{name} matrix entries must be ints in range({sp.q})")
     if not is_invertible(sp.field, t.matrix):
         raise BadConfiguration(f"{name} matrix must be invertible")
-    if not (isinstance(a, int) and 0 <= a < len(sp.field.automorphisms)):
+    if not is_code(a, len(sp.field.automorphisms)):
         raise BadConfiguration(f"automorphism index {a!r} out of range for GF({sp.q})")
 
 
@@ -213,7 +216,7 @@ def induced_line_map(pm: PointMap) -> LineMap:
     img = pm.image
     bits = sp2.star_bits
     injective = len(set(img.values())) == len(img)
-    image = {}
+    image = []
     for l, points in enumerate(sp.line_sets):
         if not injective and len({img[p] for p in points}) != len(points):
             raise NotLineConsistent(f"line {l}: point images collapse")
@@ -222,8 +225,8 @@ def induced_line_map(pm: PointMap) -> LineMap:
             common &= bits[img[p]]
         if not common:
             raise NotLineConsistent(f"line {l}: point images not collinear")
-        image[l] = common.bit_length() - 1
-    return LineMap(source=sp, target=sp2, image=image)
+        image.append(common.bit_length() - 1)
+    return LineMap(source=sp, target=sp2, image=tuple(image))
 
 
 def duality_line_map(d: Duality, sp, sp2) -> LineMap:
@@ -237,10 +240,10 @@ def duality_line_map(d: Duality, sp, sp2) -> LineMap:
     _check_semilinear(sp, d)
     rows, bits = _semilinear_rows(d, sp, sp2), sp2.star_bits
     polar_line = polarity(sp2).polar_line
-    image = {
-        l: polar_line[(bits[rows[a]] & bits[rows[b]]).bit_length() - 1]
-        for l, (a, b, *_) in enumerate(sp.line_sets)
-    }
+    image = tuple(
+        polar_line[(bits[rows[a]] & bits[rows[b]]).bit_length() - 1]
+        for a, b, *_ in sp.line_sets
+    )
     return LineMap(source=sp, target=sp2, image=image, dual=True)
 
 
@@ -327,7 +330,7 @@ def preserves_skewness(lm: LineMap) -> bool:
     gs = build_grassmann(lm.source)
     target = lm.target
     preimage = {p: [] for p in target.point_labels}
-    for l, m in lm.image.items():
+    for l, m in enumerate(lm.image):
         for p in target.line_sets[m]:
             preimage[p].append(l)
     return all(is_clique(gs, lines) for lines in preimage.values())

@@ -57,7 +57,7 @@ from .errors import (
     RepeatedPoints,
     UnsupportedDimension,
 )
-from .field import field_make
+from .field import field_make, is_code
 from .linalg import normalize, nullspace, vec_add, vec_scale
 
 
@@ -157,7 +157,6 @@ class ProjSpace(IncidenceStructure):
         self._polarity = None
         self._parents = None
         self._sections = {}
-        self._projections = {}
         self._dual = None
         self._grassmann = None
 
@@ -264,7 +263,7 @@ def point_id_of_vector(sp, vec):
     """Point id of a nonzero coordinate vector: the id of its normalized
     multiple.  BadConfiguration unless vec is n+1 codes in range(q); a zero
     vector raises ValueError."""
-    if len(vec) != sp.n + 1 or not all(c in range(sp.q) for c in vec):
+    if len(vec) != sp.n + 1 or not all(is_code(c, sp.q) for c in vec):
         raise BadConfiguration(f"{vec!r} is not {sp.n + 1} codes below {sp.q}")
     return sp.point_index[normalize(sp.field, vec)]
 
@@ -502,19 +501,16 @@ def _projector(sp, centre: int) -> dict:
     """Line through the centre P -> native id of its projection from P onto
     the hyperplane x_i = 0 (i: P's leading 1), which misses P: the line's
     one point X with X[i] = 0, already normalized with coordinate i
-    dropped, so one lookup in PG(n-1, q).  The ids are cached per centre, in
-    star order; the dict is built on each call."""
-    table = sp._projections.get(centre)
-    if table is None:
-        coords, native = sp.coords, build_space(sp.n - 1, sp.q).point_index
-        i = coords[centre].index(1)
-        table = sp._projections[centre] = tuple(
-            native[x[:i] + x[i + 1 :]]
-            for l in sp.lines_through[centre]
-            for x in (coords[p] for p in sp.line_sets[l])
-            if x[i] == 0
-        )
-    return dict(zip(sp.lines_through[centre], table))
+    dropped, so one lookup in PG(n-1, q).  Called only when a section at P
+    or at P's polar plane is built, which `_section` caches."""
+    coords, native = sp.coords, build_space(sp.n - 1, sp.q).point_index
+    i = coords[centre].index(1)
+    return {
+        l: native[x[:i] + x[i + 1 :]]
+        for l in sp.lines_through[centre]
+        for x in (coords[p] for p in sp.line_sets[l])
+        if x[i] == 0
+    }
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:

@@ -136,9 +136,9 @@ def generate_instance(gen: InstanceGenerator, sp, sp2) -> LineMap:
     j = rng.below(count - 1)
     if j >= i:
         j += 1
-    image = lm.image
+    image = list(lm.image)
     image[i], image[j] = image[j], image[i]
-    return lm
+    return LineMap(source=sp, target=sp2, image=tuple(image))
 
 
 def population(sp, samples, seed=0, kinds=None):
@@ -331,11 +331,7 @@ def all_collineation_line_perms(sp):
     for matrix in _invertible_matrices(f, sp.n + 1):
         for j in range(len(f.automorphisms)):
             c = Collineation(matrix, j)
-            yield _line_perm(induced_line_map(collineation_point_map(c, sp, sp)))
-
-
-def _line_perm(lm: LineMap) -> tuple:
-    return tuple(lm.image[l] for l in range(len(lm.source.line_sets)))
+            yield induced_line_map(collineation_point_map(c, sp, sp)).image
 
 
 def _identity_matrix(size):
@@ -368,15 +364,14 @@ def collineation_generators(sp) -> tuple:
     if f.spec.k > 1:
         transforms.append(Collineation(identity, 1))
     return tuple(
-        _line_perm(induced_line_map(collineation_point_map(c, sp, sp)))
-        for c in transforms
+        induced_line_map(collineation_point_map(c, sp, sp)).image for c in transforms
     )
 
 
 def duality_generator(sp) -> tuple:
     """Line permutation of the identity-matrix duality of a 3-space."""
     identity = _identity_matrix(sp.n + 1)
-    return _line_perm(duality_line_map(Duality(identity), sp, sp))
+    return duality_line_map(Duality(identity), sp, sp).image
 
 
 class StabiliserChain:

@@ -121,7 +121,7 @@ def joined_line_map(pm):
     `maps.induced_line_map` does: collapse first, then non-collinearity,
     at the first line that fails."""
     lines = pm.target.line_sets
-    image = {}
+    image = []
     for l, points in enumerate(pm.source.line_sets):
         imgs = [pm.image[p] for p in points]
         if len(set(imgs)) != len(imgs):
@@ -129,8 +129,8 @@ def joined_line_map(pm):
         lid = next(i for i, s in enumerate(lines) if imgs[0] in s and imgs[1] in s)
         if any(x not in lines[lid] for x in imgs[2:]):
             raise NotLineConsistent(f"line {l}: point images not collinear")
-        image[l] = lid
-    return image
+        image.append(lid)
+    return tuple(image)
 
 
 def semilinear_image_rows(t, sp):
@@ -182,12 +182,12 @@ def annihilator_line_map(d, sp, sp2):
     image rows of two of its points, the sp2 line that holds both kernel
     points, found by a scan."""
     rows = semilinear_image_rows(d, sp)
-    image = {}
-    for l, points in enumerate(sp.line_sets):
-        a, b, *_ = points
+    image = []
+    for a, b, *_ in sp.line_sets:
         kernel = _kernel_ids(sp2, (rows[a], rows[b]))
-        (image[l],) = [i for i, s in enumerate(sp2.line_sets) if kernel <= s]
-    return image
+        (lid,) = [i for i, s in enumerate(sp2.line_sets) if kernel <= s]
+        image.append(lid)
+    return tuple(image)
 
 
 def annihilator_point_to_plane(d, sp, sp2):

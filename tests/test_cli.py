@@ -447,9 +447,7 @@ def test_verify_chow_pg34(capsys):
 
 
 def test_grassmap_round_trip(pg32):
-    lm = LineMap(
-        source=pg32, target=pg32, image={l: (l * 3) % 35 for l in range(35)}
-    )
+    lm = LineMap(source=pg32, target=pg32, image=tuple((l * 3) % 35 for l in range(35)))
     text = serialize_grassmap(lm)
     gf = parse_grassmap(text)
     rebuilt = line_map_from_grassmap(gf)
@@ -526,7 +524,7 @@ def test_row_count_and_range_validation():
 @settings(max_examples=30, deadline=None)
 def test_grassmap_round_trip_random_permutations(perm):
     sp = build_space(2, 2)
-    lm = LineMap(source=sp, target=sp, image=dict(enumerate(perm)))
+    lm = LineMap(source=sp, target=sp, image=tuple(perm))
     text = serialize_grassmap(lm)
     rebuilt = line_map_from_grassmap(parse_grassmap(text))
     assert rebuilt.image == lm.image

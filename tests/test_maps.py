@@ -74,9 +74,7 @@ def identity_matrix(m):
 
 
 def identity_line_map(sp):
-    return LineMap(
-        source=sp, target=sp, image={l: l for l in range(len(sp.line_sets))}
-    )
+    return LineMap(source=sp, target=sp, image=tuple(range(len(sp.line_sets))))
 
 
 def test_enum_wire_values():
@@ -98,7 +96,7 @@ def test_identity_collineation(pg32):
     assert flags.preserves_collinearity and flags.preserves_noncollinearity
     assert classify_point_map(pm) == MapKind.COLLINEATION
     lm = induced_line_map(pm)
-    assert lm.image == {l: l for l in range(35)}
+    assert lm.image == tuple(range(35))
 
 
 def test_sampled_collineations_classify(pg32, pg33):
@@ -229,7 +227,7 @@ def test_duality_squared_is_induced_by_a_collineation(pg32):
     composed = LineMap(
         source=pg32,
         target=pg32,
-        image={l: lm.image[lm.image[l]] for l in range(35)},
+        image=tuple(lm.image[lm.image[l]] for l in range(35)),
     )
     report = reconstruct_point_map(composed)
     assert report.status == KappaStatus.INDUCED_INTO_TARGET
@@ -238,7 +236,7 @@ def test_duality_squared_is_induced_by_a_collineation(pg32):
 
 
 def test_reconstruct_requires_bijection(pg32):
-    lm = LineMap(source=pg32, target=pg32, image={l: 0 for l in range(35)})
+    lm = LineMap(source=pg32, target=pg32, image=(0,) * 35)
     with pytest.raises(PreconditionViolated):
         reconstruct_point_map(lm)
 
@@ -299,8 +297,8 @@ def test_preservation_verdicts_match_the_pairwise_oracle(data, nq, family):
             kind = InstanceKind.COLLINEATION
         seed = data.draw(st.integers(0, 2**16))
         instance = generate_instance(InstanceGenerator(seed, kind), sp, sp)
-        image = [instance.image[l] for l in range(count)]
-    lm = LineMap(source=sp, target=sp, image=dict(enumerate(image)))
+        image = instance.image
+    lm = LineMap(source=sp, target=sp, image=tuple(image))
     assert preserves_intersections(lm) == pairwise_preserves_intersections(lm)
     assert preserves_skewness(lm) == pairwise_preserves_skewness(lm)
 
@@ -406,9 +404,9 @@ def test_pencil_image_is_pencil_negative(pg32):
     outside = next(
         l for l in range(35) if 0 not in pg32.line_sets[l]
     )
-    image = {l: l for l in range(35)}
+    image = list(range(35))
     image[pen[0]], image[outside] = outside, pen[0]
-    lm = LineMap(source=pg32, target=pg32, image=image)
+    lm = LineMap(source=pg32, target=pg32, image=tuple(image))
     assert not pencil_image_is_pencil(lm, 0, plane_id)
 
 
@@ -428,7 +426,7 @@ def test_pencil_image_in_a_plane_is_a_whole_star(q):
         line_maps.append(LineMap(sp, sp, _swapped(lm.image, *rng.sample(line_ids, 2))))
     while len(line_maps) < 300:
         shuffled = rng.sample(line_ids, len(line_ids))
-        line_maps.append(LineMap(sp, sp, dict(zip(line_ids, shuffled))))
+        line_maps.append(LineMap(sp, sp, tuple(shuffled)))
     seen = set()
     for lm in line_maps:
         for centre in sp.point_labels:
@@ -442,9 +440,9 @@ def test_pencil_image_in_a_plane_is_a_whole_star(q):
 def test_pencil_image_collapse_is_rejected(pg32):
     plane_id = planes_through_point(pg32, 0)[0]
     pen = pencil(pg32, 0, plane_id)
-    image = {l: l for l in range(35)}
+    image = list(range(35))
     image[pen[0]] = pen[1]
-    lm = LineMap(source=pg32, target=pg32, image=image)
+    lm = LineMap(source=pg32, target=pg32, image=tuple(image))
     assert not pencil_image_is_pencil(lm, 0, plane_id)
 
 
@@ -516,9 +514,9 @@ def test_intersection_compatibility_follows_kappa_not_dual_flag(pg32):
 
 def test_intersection_compatibility_rejects_coinciding_images(pg32):
     plane_id, a = _first_valid_config(pg32, 0)
-    image = {l: l for l in range(35)}
+    image = list(range(35))
     image[pencil(pg32, 0, plane_id)[0]] = a
-    lm = LineMap(source=pg32, target=pg32, image=image)
+    lm = LineMap(source=pg32, target=pg32, image=tuple(image))
     kappa = PointMap(source=pg32, target=pg32, image={p: p for p in range(15)})
     assert not intersection_compatibility_check(lm, kappa, 0, plane_id, a)
 
@@ -569,9 +567,10 @@ def test_reconstruction_round_trip(seed):
 
 
 def _swapped(image, a, b):
-    out = dict(image)
+    """A copy of a point map's dict or a line map's tuple, a and b swapped."""
+    out = list(image) if isinstance(image, tuple) else dict(image)
     out[a], out[b] = image[b], image[a]
-    return out
+    return type(image)(out)
 
 
 def _merged(image, a, b):
@@ -761,42 +760,52 @@ def test_map_tables_must_be_total(pg22):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make,message",
     [
-        lambda sp: LineMap(sp, sp, {**identity_line_map(sp).image, 0: -35}),
-        lambda sp: LineMap(sp, sp, {**identity_line_map(sp).image, 0: 35}),
-        lambda sp: PointMap(sp, sp, {**{p: p for p in range(15)}, 0: -1}),
+        (lambda sp: LineMap(sp, sp, (-35, *range(1, 35))), "outside the target"),
+        (lambda sp: LineMap(sp, sp, (35, *range(1, 35))), "outside the target"),
+        (lambda sp: PointMap(sp, sp, {**{p: p for p in range(15)}, 0: -1}), "outside the target"),
+        (lambda sp: LineMap(sp, sp, tuple(range(34))), "not a tuple of 35 line ids"),
+        (lambda sp: LineMap(sp, sp, tuple(range(36))), "not a tuple of 35 line ids"),
+        (lambda sp: LineMap(sp, sp, (0, True, *range(2, 35))), "outside the target"),
+        (lambda sp: LineMap(sp, sp, (0, 1, 2, 3.0, *range(4, 35))), "outside the target"),
     ],
-    ids=["line-negative", "line-past-the-end", "point-negative"],
+    ids=["line-negative", "line-past-the-end", "point-negative", "line-short",
+         "line-long", "line-bool", "line-float"],
 )
-def test_map_tables_must_stay_inside_the_target(pg32, make):
-    # A negative id would wrap onto a real line or point of the target.
-    with pytest.raises(PreconditionViolated, match="outside the target"):
+def test_map_tables_must_stay_inside_the_target(pg32, make, message):
+    # A negative id would wrap onto a real line or point of the target; a
+    # bool or a float equal to an id is no id, and a table of the wrong
+    # length is no line map of PG(3,2).
+    with pytest.raises(PreconditionViolated, match=message):
         make(pg32)
 
 
 @pytest.mark.parametrize(
-    "matrix,auto_index",
+    "matrix,auto_index,q",
     [
-        (identity_matrix(3), 0),
-        (((1, 0, 0, 0),) * 4, 0),
-        (identity_matrix(4), 1),
-        (identity_matrix(4), -1),
-        (identity_matrix(4)[:3] + ((0, 0, 0, -1),), 0),
-        (identity_matrix(4)[:3] + ((0, 0, 0, 2),), 0),
-        (identity_matrix(4)[:3] + ((0, 0, 0, 1.0),), 0),
-        (identity_matrix(4), 0.0),
+        (identity_matrix(3), 0, 2),
+        (((1, 0, 0, 0),) * 4, 0, 2),
+        (identity_matrix(4), 1, 2),
+        (identity_matrix(4), -1, 2),
+        (identity_matrix(4)[:3] + ((0, 0, 0, -1),), 0, 2),
+        (identity_matrix(4)[:3] + ((0, 0, 0, 2),), 0, 2),
+        (identity_matrix(4)[:3] + ((0, 0, 0, 1.0),), 0, 2),
+        (identity_matrix(4), 0.0, 2),
+        (identity_matrix(4)[:3] + ((0, 0, 0, True),), 0, 2),
+        (identity_matrix(4), True, 4),  # index 1 is Frobenius on GF(4)
     ],
     ids=["shape", "singular", "auto-high", "auto-negative", "entry-negative",
-         "entry-q", "entry-float", "auto-float"],
+         "entry-q", "entry-float", "auto-float", "entry-bool", "auto-bool-pg34"],
 )
-def test_semilinear_maps_reject_bad_input(pg32, matrix, auto_index):
+def test_semilinear_maps_reject_bad_input(matrix, auto_index, q):
+    sp = build_space(3, q)
     with pytest.raises(BadConfiguration):
-        collineation_point_map(Collineation(matrix, auto_index), pg32, pg32)
+        collineation_point_map(Collineation(matrix, auto_index), sp, sp)
     with pytest.raises(BadConfiguration):
-        duality_line_map(Duality(matrix, auto_index), pg32, pg32)
+        duality_line_map(Duality(matrix, auto_index), sp, sp)
     with pytest.raises(BadConfiguration):
-        duality_point_to_plane(Duality(matrix, auto_index), pg32, pg32)
+        duality_point_to_plane(Duality(matrix, auto_index), sp, sp)
 
 
 POINT_MAPS = ["collineation", "swapped collineation", "permutation", "total"]
