@@ -25,12 +25,7 @@ if _src not in sys.path:
 from grasspace.errors import BudgetExceeded, TooLarge
 from grasspace.grassmann import automorphism_group, build_grassmann
 from grasspace.projspace import build_space
-from grasspace.theorems import (
-    StabiliserChain,
-    collineation_generators,
-    duality_generator,
-    pgammal_order,
-)
+from grasspace.theorems import geometric_orders, pgammal_order
 
 DEFAULT_CASES = ["2,2", "2,3", "2,4", "2,5", "3,2", "3,3", "4,2"]
 
@@ -46,10 +41,7 @@ def expected_order(n, q, line_count):
 def geometric_order(sp):
     if sp.n == 2:
         return None
-    generators = collineation_generators(sp)
-    if sp.n == 3:
-        generators += (duality_generator(sp),)
-    return StabiliserChain(generators).order
+    return geometric_orders(sp)[2]
 
 
 def main(argv=None):

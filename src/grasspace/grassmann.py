@@ -20,9 +20,11 @@ differs.  A leaf, and every generator again before the report, must pass a
 certificate: a permutation of the vertices that maps each neighbour list
 onto its image's neighbourhood.  MAX_AUT_VERTICES sits between PG(5,2)
 (651 lines, 29 nodes, 0.5 s on 2 cores) and PG(3,5) (806 lines, 218 nodes,
-1.5 s): the Chow chain is still slow there (ROADMAP, "Known-order
-Schreier-Sims"), and raising the cap belongs to "Chow across the whole
-size ladder".  The node budget bounds every search below it.
+1.5 s).  The Chow chains are no longer what holds it there: stopped at
+their proven orders, both chains of PG(3,4) take 0.2 s.  A cap that admits
+PG(3,5) also admits planes whose complete line graphs still cost about n^3
+to search, so raising it belongs to ROADMAP's "Chow across the whole size
+ladder".  The node budget bounds every search below it.
 """
 
 import collections
@@ -159,7 +161,11 @@ def _refine_side(masks, p, splitter, expect=None):
     neighbourhood is cut in place by neighbour count in W, ascending; a
     split queues every fragment if its cell was queued, else all but the
     first largest.  Each such cell adds `(W's start, cell start, counts)`
-    to the trace: its one count, or the (count, fragment size) pairs.
+    to the trace: its one count, or the (count, fragment size) pairs.  A
+    singleton W = {w} is cut by one AND, without counting per vertex: a
+    count is 0 or 1, so the cell's neighbours of w are `cell & masks[w]`,
+    the whole cell gives count 1, and anything less splits it into the
+    non-neighbours and then the neighbours, whose masks that AND gives.
 
     Returns (partition, trace).  Given `expect`, the trace of the paired
     partition, returns None at the first entry that differs or when the
@@ -182,41 +188,59 @@ def _refine_side(masks, p, splitter, expect=None):
         start += len(cell)
     queued = set(queue)
     trace = []
+    expect_len = None if expect is None else len(expect)
 
     while queue and open_cells:
         w = queue.popleft()
         queued.discard(w)
-        wbits = bits[w]
-        near = 0
-        for v in lab[w : end[w]]:
-            near |= masks[v]
+        single = end[w] - w == 1
+        if single:
+            near = masks[lab[w]]
+        else:
+            wbits = bits[w]
+            near = 0
+            for v in lab[w : end[w]]:
+                near |= masks[v]
         for s in list(open_cells):
-            if not bits[s] & near:
+            cb = bits[s]
+            inside = cb & near
+            if not inside:
                 continue
-            cell = lab[s : end[s]]
-            ks = [(masks[v] & wbits).bit_count() for v in cell]
-            counts = sorted(set(ks))
-            if len(counts) == 1:
-                entry = (w, s, counts[0])
+            fragments = None
+            if single:
+                if inside == cb:
+                    entry = (w, s, 1)
+                else:
+                    cell = lab[s : end[s]]
+                    out = [v for v in cell if not inside >> v & 1]
+                    into = [v for v in cell if inside >> v & 1]
+                    fragments = ((out, cb & ~inside), (into, inside))
+                    entry = (w, s, ((0, len(out)), (1, len(into))))
             else:
-                buckets = {k: [] for k in counts}
-                for v, k in zip(cell, ks):
-                    buckets[k].append(v)
-                entry = (w, s, tuple((k, len(buckets[k])) for k in counts))
+                cell = lab[s : end[s]]
+                ks = [(masks[v] & wbits).bit_count() for v in cell]
+                counts = sorted(set(ks))
+                if len(counts) == 1:
+                    entry = (w, s, counts[0])
+                else:
+                    buckets = {k: [] for k in counts}
+                    for v, k in zip(cell, ks):
+                        buckets[k].append(v)
+                    fragments = [(buckets[k], _cell_bits(buckets[k])) for k in counts]
+                    entry = (w, s, tuple((k, len(buckets[k])) for k in counts))
             if expect is not None and (
-                len(trace) == len(expect) or expect[len(trace)] != entry
+                len(trace) == expect_len or expect[len(trace)] != entry
             ):
                 return None
             trace.append(entry)
-            if len(counts) == 1:
+            if fragments is None:
                 continue
             starts = []
             pos = s
-            for k in counts:
-                fragment = buckets[k]
+            for fragment, fbits in fragments:
                 lab[pos : pos + len(fragment)] = fragment
                 end[pos] = pos + len(fragment)
-                bits[pos] = _cell_bits(fragment)
+                bits[pos] = fbits
                 if len(fragment) > 1:
                     open_cells[pos] = None
                 else:
@@ -231,7 +255,7 @@ def _refine_side(masks, p, splitter, expect=None):
             queue.extend(fresh)
             queued.update(fresh)
 
-    if expect is not None and len(trace) != len(expect):
+    if expect is not None and len(trace) != expect_len:
         return None
     partition = []
     s = 0

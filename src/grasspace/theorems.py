@@ -17,10 +17,18 @@ instance kind.  `verify_population` folds a suite over it into a single
 TheoremReport, which is what `grasspace verify` prints for Suites 1-2.
 
 `chow_crosscheck` compares the Grassmann graph's automorphism order with
-the geometry.  The geometric side is a `StabiliserChain` (Schreier-Sims) on
-line ids, generated by transvections, one diagonal and Frobenius, plus the
-identity duality; `all_collineation_line_perms` enumerates every
-collineation instead and stays as the brute-force oracle for small spaces.
+the geometry.  The geometric side, `geometric_orders`, is a
+`StabiliserChain` (Schreier-Sims) on line ids, generated by transvections,
+one diagonal and Frobenius, then extended by the identity duality d.  Each
+stage stops once its order meets a proven upper bound, which certifies the
+order (Seress 2003, ch. 4):
+- the collineations G: |PGammaL(n+1, q)|, since their line permutations are
+  an image of that group;
+- with d: 2|G|, once d^2 and d g d^-1 for every generator g sift into the
+  complete chain of G, since d then normalises G and d^2 lies in it.  When
+  a sift fails there is no bound, and the chain runs to completion.
+`all_collineation_line_perms` enumerates every collineation instead and
+stays as the brute-force oracle for small spaces.
 """
 
 import dataclasses
@@ -374,6 +382,13 @@ def duality_generator(sp) -> tuple:
     return duality_line_map(Duality(identity), sp, sp).image
 
 
+def _inverse(perm):
+    undo = [0] * len(perm)
+    for x, y in enumerate(perm):
+        undo[y] = x
+    return tuple(undo)
+
+
 class StabiliserChain:
     """Base and strong generating set of the group that a few permutations
     generate, built by deterministic Schreier-Sims (Sims 1970; Seress,
@@ -385,27 +400,40 @@ class StabiliserChain:
     with its inverse.  The group order is the product of the orbit sizes,
     and a permutation belongs to the group exactly when it sifts through
     the levels to the identity.
+
+    Given `order`, a proven upper bound on the order of the group, the
+    Schreier loop stops once the product of the orbit sizes meets it.  Each
+    orbit lies in the orbit of its base point under that base prefix's
+    stabiliser, so the product never exceeds the group's order; meeting the
+    bound proves every orbit whole, the chain complete and sifting exact.
+    A bound the product passes without meeting changes nothing, but a
+    wrong bound that it meets stops the chain short, so only a proof may
+    supply one.  The chain's degree is that of its first generator; every
+    later generator and every tuple tested for membership must be a
+    permutation of that degree (ValueError).
     """
 
-    def __init__(self, generators):
-        self._identity = ()  # of the degree of the first generator absorbed
+    def __init__(self, generators, order=None):
+        self._identity = None  # of the degree of the first generator absorbed
         self.base = []
         self._strong = []
         self._transversal = []
         self._inverse = []
         self._checked = []  # per level: (orbit point, generator index) pairs sifted
-        self.extend(generators)
+        self.extend(generators, order)
 
-    def extend(self, generators):
+    def extend(self, generators, order=None):
         """Absorb more generators (permutations of the chain's points) and
-        complete the chain again, so it is that of the larger group."""
-        generators = [tuple(g) for g in generators]
-        if generators and not self._identity:
-            self._identity = tuple(range(len(generators[0])))
+        complete the chain again, so it is that of the larger group.  Given
+        `order`, a proven upper bound on that group's order, the Schreier
+        loop stops once the chain's order reaches it: the chain is then
+        complete already.  ValueError for a generator that is not a
+        permutation of the chain's degree."""
+        generators = [self._permutation(g) for g in generators]
         for g in generators:
             self._absorb(g, 0)
         level = len(self.base) - 1
-        while level >= 0:
+        while level >= 0 and self.order != order:
             deeper = self._schreier_step(level)
             level = level - 1 if deeper is None else deeper
 
@@ -414,8 +442,27 @@ class StabiliserChain:
         return math.prod(len(orbit) for orbit in self._transversal)
 
     def __contains__(self, perm) -> bool:
-        residue, _ = self._sift(tuple(perm), 0)
+        """Exact membership; ValueError for a tuple that is not a
+        permutation of the chain's degree.  A chain that has absorbed no
+        generator holds exactly the identity of each degree."""
+        perm = self._permutation(perm, adopt=False)
+        if self._identity is None:
+            return perm == tuple(range(len(perm)))
+        residue, _ = self._sift(perm, 0)
         return residue == self._identity
+
+    def _permutation(self, perm, adopt=True):
+        """`perm` as a tuple, checked to be a permutation of the chain's
+        degree; the first one adopted fixes that degree."""
+        perm = tuple(perm)
+        identity = self._identity
+        if identity is None:
+            identity = tuple(range(len(perm)))
+        if len(perm) != len(identity) or set(perm) != set(identity):
+            raise ValueError(f"not a permutation of range({len(identity)})")
+        if adopt:
+            self._identity = identity
+        return perm
 
     def _sift(self, h, start):
         """Strip h through levels start.. of the chain: return the residue
@@ -460,10 +507,7 @@ class StabiliserChain:
                 if gamma not in transversal:
                     v = tuple(map(s.__getitem__, u))
                     transversal[gamma] = v
-                    undo = [0] * len(v)
-                    for x, y in enumerate(v):
-                        undo[y] = x
-                    inverse[gamma] = tuple(undo)
+                    inverse[gamma] = _inverse(v)
                     points.append(gamma)
 
     def _schreier_step(self, level):
@@ -489,15 +533,36 @@ class StabiliserChain:
         return None
 
 
+def geometric_orders(sp) -> tuple:
+    """Orders of the geometric groups on line ids: (collineation order,
+    whether the identity duality lies outside the collineations, order with
+    that duality joined), from one stabiliser chain stopped at each bound
+    the module docstring proves.  Outside dimension 3 there is no duality,
+    so (order, None, order)."""
+    generators = collineation_generators(sp)
+    chain = StabiliserChain(generators, order=pgammal_order(sp.n, sp.q))
+    collineations = chain.order
+    if sp.n != 3:
+        return collineations, None, collineations
+    d = duality_generator(sp)
+    disjoint = d not in chain
+    d_inverse = _inverse(d)
+    normalises = tuple(d[y] for y in d) in chain and all(
+        tuple(d[g[y]] for y in d_inverse) in chain for g in generators
+    )
+    chain.extend([d], order=2 * collineations if normalises else None)
+    return collineations, disjoint, chain.order
+
+
 def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport:
     """Tie the Grassmann graph's automorphism group to the geometry.  The
-    geometric side is a stabiliser chain on line ids, built from the
-    collineation generators (`collineation_generators`): its order must be
-    |PGammaL(4, q)|, which shows the generators give the whole group acting
-    faithfully on lines; the identity-matrix duality must not sift through
-    it; and the chain extended by that duality as one more generator gives
-    the group order, which must equal twice |PGammaL| and the order found by
-    the graph search.  Both sides are computed independently."""
+    geometric side is `geometric_orders`: the order of the collineation
+    generators' chain must be |PGammaL(4, q)|, which shows the generators
+    give the whole group acting faithfully on lines; the identity-matrix
+    duality must not sift through it; and the chain extended by that
+    duality gives the group order, which must equal twice |PGammaL| and the
+    order found by the graph search.  Both sides are computed
+    independently."""
     if sp.n != 3:
         raise UnsupportedDimension(
             f"the cross-check needs a 3-dimensional space, got dimension {sp.n}"
@@ -507,13 +572,7 @@ def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport
     collineation_order = pgammal_order(sp.n, sp.q)
     expected = 2 * collineation_order
     aut = automorphism_group(build_grassmann(sp), node_budget)
-
-    chain = StabiliserChain(collineation_generators(sp))
-    collineations = chain.order
-    dual_perm = duality_generator(sp)
-    disjoint = dual_perm not in chain
-    chain.extend([dual_perm])
-    total = chain.order
+    collineations, disjoint, total = geometric_orders(sp)
 
     clauses = (
         ClauseVerdict(

@@ -230,6 +230,31 @@ def test_automorphism_search_path_is_pinned(n, q, digest):
     assert hashlib.sha256(pinned.encode()).hexdigest()[:16] == digest
 
 
+# sha256 of repr of every refinement trace a search computes (None for a
+# failed replay), recorded before singleton splitters were cut by one AND.
+@pytest.mark.parametrize(
+    "n, q, calls, digest",
+    [
+        (2, 3, 91, "df2bf0d8e7159f1e"),
+        (3, 2, 30, "cda63bf131f6d982"),
+        (3, 3, 47, "e33592088194636f"),
+        (4, 2, 38, "169ed94d9bb3572e"),
+    ],
+)
+def test_refinement_traces_are_pinned(n, q, calls, digest, monkeypatch):
+    traces = []
+
+    def recorded(masks, p, splitter, expect=None):
+        result = _refine_side(masks, p, splitter, expect)
+        traces.append(None if result is None else result[1])
+        return result
+
+    monkeypatch.setattr(grassmann, "_refine_side", recorded)
+    automorphism_group(build_grassmann(build_space(n, q)))
+    assert len(traces) == calls
+    assert hashlib.sha256(repr(traces).encode()).hexdigest()[:16] == digest
+
+
 def test_first_path_is_refined_once_per_search(pg32, monkeypatch):
     # Every node replays a trace once; no first-path partition is refined twice.
     first, replays = [], []

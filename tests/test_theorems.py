@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from grasspace.theorems import (
     collineation_generators,
     duality_generator,
     generate_instance,
+    geometric_orders,
     one_way_shadow,
     pgammal_order,
     pgl_order,
@@ -317,9 +320,20 @@ def test_collineation_perm_count_pg32(pg32):
     assert len(distinct) == 20160
     identity = tuple(range(35))
     assert identity in distinct
-    chain = StabiliserChain(collineation_generators(pg32))
+    generators = collineation_generators(pg32)
+    chain = StabiliserChain(generators)
     assert chain.order == 20160
     assert all(perm in chain for perm in distinct)
+    # stopped at the proven bound, the chain sifts as exactly as the complete one
+    stopped = StabiliserChain(generators, order=pgammal_order(3, 2))
+    assert sum(map(len, stopped._checked)) < sum(map(len, chain._checked))
+    assert stopped.order == 20160
+    assert all(perm in stopped for perm in distinct)
+    d = duality_generator(pg32)
+    assert d not in stopped
+    stopped.extend([d], order=40320)
+    assert stopped.order == 40320 and d in stopped
+    assert all(tuple(d[x] for x in perm) in stopped for perm in distinct)
 
 
 def test_stabiliser_chain_rejects_non_members(pg32):
@@ -362,6 +376,68 @@ def test_stabiliser_chain_of_nothing_is_trivial():
     assert chain.order == 2 and (1, 0, 2) in chain and (0, 2, 1) not in chain
     assert StabiliserChain([(0, 1, 2)]).order == 1
     assert StabiliserChain([(1, 2, 0), (1, 0, 2)]).order == 6
+
+
+def test_empty_chain_holds_exactly_the_identity():
+    assert (0, 1, 2) in StabiliserChain(())
+    assert () in StabiliserChain(())
+    assert (1, 0) not in StabiliserChain(())
+    assert (0, 2, 1) not in StabiliserChain([(0, 1, 2)])
+    with pytest.raises(ValueError):
+        (0, 0) in StabiliserChain(())
+
+
+@pytest.mark.parametrize("perm", [(1, 0), (1, 0, 2, 3), (0, 0, 1), (0, 1, 3), ()])
+def test_chain_refuses_what_is_no_permutation_of_its_degree(perm):
+    chain = StabiliserChain([(1, 2, 0)])
+    with pytest.raises(ValueError, match="permutation of range"):
+        perm in chain
+    with pytest.raises(ValueError, match="permutation of range"):
+        chain.extend([perm])
+    assert chain.order == 3
+
+
+def test_chain_generators_share_one_degree():
+    with pytest.raises(ValueError, match=r"range\(2\)"):
+        StabiliserChain([(1, 0), (1, 0, 2)])
+    with pytest.raises(ValueError):
+        StabiliserChain([(0, 0, 1)])
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_chains_stopped_at_the_bound_match_complete_chains(n, q):
+    sp = build_space(n, q)
+    complete = StabiliserChain(collineation_generators(sp))
+    collineations, disjoint, total = geometric_orders(sp)
+    assert collineations == complete.order == pgammal_order(n, q)
+    if n == 3:
+        d = duality_generator(sp)
+        assert disjoint and d not in complete
+        complete.extend([d])
+        assert total == complete.order == 2 * collineations
+    else:
+        assert disjoint is None and total == collineations
+
+
+@pytest.mark.parametrize("n, q, divisor", [(3, 3, 2), (2, 4, 3)])
+def test_a_bound_below_the_order_stops_the_chain_short(n, q, divisor, monkeypatch):
+    # The chain trusts its bound: a wrong one that the product of the orbit
+    # sizes meets stops it below the group's order, and the verdicts say so.
+    from grasspace import theorems
+
+    class Cut(StabiliserChain):
+        def extend(self, generators, order=None):
+            super().extend(generators, order and order // divisor)
+
+    sp = build_space(n, q)
+    bound = pgammal_order(n, q)
+    cut = bound // divisor
+    assert StabiliserChain(collineation_generators(sp), order=cut).order == cut
+    monkeypatch.setattr(theorems, "StabiliserChain", Cut)
+    assert geometric_orders(sp)[0] == cut
+    if n == 3:
+        verdicts = {c.clause: (c.passed, c.witness) for c in chow_crosscheck(sp).clauses}
+        assert verdicts["collineations_distinct"] == (False, f"{cut} of {bound}")
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +487,41 @@ def test_chow_crosscheck_fails_when_the_duality_is_a_collineation(pg32, monkeypa
         "coset_disjoint": (False, ""),
         "order_match": (False, "20160 vs 40320"),
     }
+
+
+def test_chow_crosscheck_bounds_the_duality_only_when_it_normalises(pg32, monkeypatch):
+    # A transposition of two lines does not normalise the collineations, so
+    # the chain it joins runs to completion: the whole symmetric group.
+    from grasspace import theorems
+
+    swap = list(range(35))
+    swap[0], swap[1] = 1, 0
+    monkeypatch.setattr(theorems, "duality_generator", lambda sp: tuple(swap))
+    verdicts = {c.clause: (c.passed, c.witness) for c in chow_crosscheck(pg32).clauses}
+    assert verdicts["group_order"] == (False, str(math.factorial(35)))
+    assert verdicts["coset_disjoint"] == (True, "")
+
+
+@pytest.mark.parametrize(
+    "g, d, order",
+    [
+        ((1, 2, 0, 3, 4, 5), (0, 2, 1, 4, 5, 3), 18),  # d normalises G, d^2 lies outside
+        ((1, 2, 3, 0, 4, 5), (0, 1, 3, 2, 4, 5), 24),  # d^2 = 1, d does not normalise G
+    ],
+)
+def test_the_duality_bound_needs_both_sifts(pg32, monkeypatch, g, d, order):
+    # On the way to the true order, the product of the orbit sizes meets
+    # 2|G|, so a bound taken without its proof would stop the chain there.
+    from grasspace import theorems
+
+    group = StabiliserChain([g]).order
+    chain = StabiliserChain([g], order=group)
+    chain.extend([d], order=2 * group)
+    assert chain.order == 2 * group < order
+    monkeypatch.setattr(theorems, "collineation_generators", lambda sp: (g,))
+    monkeypatch.setattr(theorems, "pgammal_order", lambda n, q: group)
+    monkeypatch.setattr(theorems, "duality_generator", lambda sp: d)
+    assert geometric_orders(pg32) == (group, True, order)
 
 
 def test_chow_crosscheck_guards(pg22, pg42):
