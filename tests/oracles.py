@@ -11,8 +11,9 @@ lines may share two points, from subset tests over every line), line-map
 preservation of intersections and skewness from walking every line pair
 and intersecting point sets, isomorphisms of incidence structures from a
 backtracking search over point bijections, dual spaces from planes
-found as closures of non-collinear triples, invertibility from the rank of
-the full reduced echelon form, the instance sampler from whole matrices
+found as closures of non-collinear triples, reduced echelon forms and
+invertibility from column pivots with back-substitution, written here apart
+from `grasspace.linalg`, the instance sampler from whole matrices
 drawn and ranked before any is kept, semilinear point images from the
 scaled rows of every nonzero coordinate, induced line maps from a scan for
 the line through two image points plus a membership test for the rest, and
@@ -27,7 +28,7 @@ normalized and looked up.
 from itertools import combinations, permutations, product
 
 from grasspace.errors import NotLineConsistent
-from grasspace.linalg import normalize, nullspace, rref, vec_add, vec_scale
+from grasspace.linalg import normalize, nullspace, vec_add, vec_scale
 from grasspace.projspace import (
     IncidenceStructure,
     _span_points,
@@ -91,9 +92,46 @@ def prime_rank(rows, p):
     return r
 
 
+def reference_rref(f, rows):
+    """Reduced row echelon form by column pivots and back-substitution, kept
+    apart from `grasspace.linalg`; returns the tuple of nonzero rows."""
+    add = f.add_table
+    mul = f.mul_table
+    neg = f.neg_table
+    inv = f.inv_table
+    m = [list(r) for r in rows]
+    if not m:
+        return ()
+    width = len(m[0])
+    pivot_row = 0
+    for col in range(width):
+        pr = None
+        for r in range(pivot_row, len(m)):
+            if m[r][col]:
+                pr = r
+                break
+        if pr is None:
+            continue
+        m[pivot_row], m[pr] = m[pr], m[pivot_row]
+        lead = m[pivot_row][col]
+        if lead != 1:
+            s = inv[lead]
+            m[pivot_row] = [mul[s][x] for x in m[pivot_row]]
+        for r in range(len(m)):
+            if r != pivot_row and m[r][col]:
+                factor = neg[m[r][col]]
+                frow = mul[factor]
+                prow = m[pivot_row]
+                m[r] = [add[x][frow[y]] for x, y in zip(m[r], prow)]
+        pivot_row += 1
+        if pivot_row == len(m):
+            break
+    return tuple(tuple(r) for r in m[:pivot_row] if any(r))
+
+
 def rank(f, rows):
     """Rank over a FieldTable: the nonzero rows of the reduced echelon form."""
-    return len(rref(f, rows))
+    return len(reference_rref(f, rows))
 
 
 def invertible_by_rank(f, mat):
