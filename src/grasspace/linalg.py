@@ -27,62 +27,49 @@ def vec_scale(f, c, v):
     return tuple(row[x] for x in v)
 
 
+def reduce_row(f, echelon, row):
+    """Reduce row against a semi-echelon basis, a list of (pivot, row) whose
+    rows hold 1 at their pivot and 0 at every earlier pivot.  Returns
+    (pivot, row scaled to 1 there), which extends the basis, or None when
+    row lies in the basis's span.  The one row-reduction kernel."""
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    for col, b in echelon:
+        if row[col]:
+            frow = mul[neg[row[col]]]
+            row = [add[x][frow[y]] for x, y in zip(row, b)]
+    for col, x in enumerate(row):
+        if x:
+            return col, row if x == 1 else [mul[f.inv_table[x]][y] for y in row]
+    return None
+
+
 def rref(f, rows):
-    """Reduced row echelon form; returns the tuple of nonzero rows."""
-    add = f.add_table
-    mul = f.mul_table
-    neg = f.neg_table
-    inv = f.inv_table
-    m = [list(r) for r in rows]
-    if not m:
-        return ()
-    width = len(m[0])
-    pivot_row = 0
-    for col in range(width):
-        pr = None
-        for r in range(pivot_row, len(m)):
-            if m[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        m[pivot_row], m[pr] = m[pr], m[pivot_row]
-        lead = m[pivot_row][col]
-        if lead != 1:
-            s = inv[lead]
-            m[pivot_row] = [mul[s][x] for x in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col]:
-                factor = neg[m[r][col]]
-                frow = mul[factor]
-                prow = m[pivot_row]
-                m[r] = [add[x][frow[y]] for x, y in zip(m[r], prow)]
-        pivot_row += 1
-        if pivot_row == len(m):
-            break
-    return tuple(tuple(r) for r in m[:pivot_row] if any(r))
+    """Reduced row echelon form; returns the tuple of nonzero rows.  The
+    rows' semi-echelon basis, then back-substitution: each basis row, last
+    pivot first, reduced against the rows already finished."""
+    echelon = []
+    for row in rows:
+        reduced = reduce_row(f, echelon, row)
+        if reduced is not None:
+            echelon.append(reduced)
+    done = []
+    for _, row in sorted(echelon, reverse=True):
+        done.append(reduce_row(f, done, row))
+    return tuple(tuple(row) for _, row in reversed(done))
 
 
 def is_invertible(f, mat):
-    """Whether mat is square with full rank, by forward elimination alone:
-    False at the first column with no pivot left, no back-substitution."""
+    """Whether mat is square with full rank: False at the first row in the
+    span of the rows before it, with no back-substitution."""
     n = len(mat)
     if any(len(r) != n for r in mat):
         return False
-    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
-    rows = list(mat)
-    for col in range(n):
-        for i, r in enumerate(rows):
-            if r[col]:
-                break
-        else:
+    echelon = []
+    for row in mat:
+        reduced = reduce_row(f, echelon, row)
+        if reduced is None:
             return False
-        pivot = rows.pop(i)
-        scale = mul[neg[inv[pivot[col]]]]
-        for k, r in enumerate(rows):
-            if r[col]:
-                frow = mul[scale[r[col]]]
-                rows[k] = [add[x][frow[y]] for x, y in zip(r, pivot)]
+        echelon.append(reduced)
     return True
 
 

@@ -143,14 +143,18 @@ class KappaReport:
     unresolved_points: frozenset
 
 
-def _require_coordinates(sp, sp2, what):
+def _check_semilinear(t, sp, sp2):
+    """Reject a collineation or duality t that does not fit its spaces:
+    IncompatibleSpaces unless sp and sp2 are coordinate spaces with equal
+    (n, q), n = 3 for a duality; BadConfiguration unless the matrix is an
+    invertible (n+1)x(n+1) table of codes below q and the automorphism
+    index names an automorphism of GF(q)."""
+    name = type(t).__name__
     if not (isinstance(sp, ProjSpace) and isinstance(sp2, ProjSpace)):
-        raise IncompatibleSpaces(f"{what} act between coordinate spaces")
-
-
-def _check_semilinear(sp, t):
-    """Reject a transformation whose matrix or automorphism does not fit sp."""
-    m, name, a = sp.n + 1, type(t).__name__, t.auto_index
+        raise IncompatibleSpaces(f"a {name} acts between coordinate spaces")
+    if (sp.n, sp.q) != (sp2.n, sp2.q) or (isinstance(t, Duality) and sp.n != 3):
+        raise IncompatibleSpaces(f"no {name} maps {sp!r} onto {sp2!r}")
+    m, a = sp.n + 1, t.auto_index
     if len(t.matrix) != m or any(len(row) != m for row in t.matrix):
         raise BadConfiguration(f"{name} of {sp!r} needs a {m}x{m} matrix")
     if not all(is_code(c, sp.q) for row in t.matrix for c in row):
@@ -194,12 +198,7 @@ def _semilinear_rows(t, sp, sp2) -> list:
 
 def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
     """Point action P -> normalize(auto(P) . matrix) between equal-type spaces."""
-    _require_coordinates(sp, sp2, "collineations")
-    if sp.n != sp2.n or sp.q != sp2.q:
-        raise IncompatibleSpaces(
-            f"cannot map PG({sp.n},{sp.q}) onto PG({sp2.n},{sp2.q}) linearly"
-        )
-    _check_semilinear(sp, c)
+    _check_semilinear(c, sp, sp2)
     image = dict(enumerate(_semilinear_rows(c, sp, sp2)))
     return PointMap(source=sp, target=sp2, image=image)
 
@@ -212,7 +211,8 @@ def induced_line_map(pm: PointMap) -> LineMap:
     not injective) or are not collinear.
     """
     sp, sp2 = pm.source, pm.target
-    _require_coordinates(sp, sp2, "induced line maps")
+    if not (isinstance(sp, ProjSpace) and isinstance(sp2, ProjSpace)):
+        raise IncompatibleSpaces("induced line maps act between coordinate spaces")
     img = pm.image
     bits = sp2.star_bits
     injective = len(set(img.values())) == len(img)
@@ -233,11 +233,7 @@ def duality_line_map(d: Duality, sp, sp2) -> LineMap:
     """Line map of a duality: the line through the rows (see
     `_semilinear_rows`) of two points of each line, the one bit of the AND
     of their star masks, then its polar line.  Marked dual=True."""
-    if sp.n != 3 or sp2.n != 3:
-        raise IncompatibleSpaces("dualities need 3-dimensional spaces")
-    if sp.q != sp2.q:
-        raise IncompatibleSpaces(f"field orders differ: {sp.q} vs {sp2.q}")
-    _check_semilinear(sp, d)
+    _check_semilinear(d, sp, sp2)
     rows, bits = _semilinear_rows(d, sp, sp2), sp2.star_bits
     polar_line = polarity(sp2).polar_line
     image = tuple(
@@ -249,9 +245,7 @@ def duality_line_map(d: Duality, sp, sp2) -> LineMap:
 
 def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     """Point -> plane-id table of a duality: the polar plane of each row."""
-    if sp.n != 3 or sp2.n != 3 or sp.q != sp2.q:
-        raise IncompatibleSpaces("dualities need equal-order 3-dimensional spaces")
-    _check_semilinear(sp, d)
+    _check_semilinear(d, sp, sp2)
     polar_plane = polarity(sp2).polar_plane
     return {pid: polar_plane[row] for pid, row in enumerate(_semilinear_rows(d, sp, sp2))}
 

@@ -98,10 +98,11 @@ class IncidenceStructure:
     detail: str = ""
 
     def __post_init__(self):
+        """Check the lines, then group line ids by label once: each star mask
+        sums its lines' bits, and `ProjSpace` keeps the returned groups."""
         labels = set(self.point_labels)
         if len(labels) != len(self.point_labels):
             raise BadConfiguration("repeated point labels")
-        bits = dict.fromkeys(self.point_labels, 0)
         seen = set()
         for i, s in enumerate(self.line_sets):
             if len(s) < 2:
@@ -111,9 +112,9 @@ class IncidenceStructure:
             if not s <= labels:
                 raise BadConfiguration(f"line {i} passes through an unknown point")
             seen.add(s)
-            for lab in s:
-                bits[lab] |= 1 << i
-        self.star_bits = bits
+        through = _grouped(range(len(self.line_sets)), self.line_sets)
+        self.star_bits = {p: sum(map((1).__lshift__, through[p])) for p in self.point_labels}
+        return through
 
     def line_through(self, a, b):
         """Index of the first line through two distinct labels, or None."""
@@ -150,8 +151,7 @@ class ProjSpace(IncidenceStructure):
     point_index: dict
 
     def __post_init__(self):
-        super().__post_init__()
-        through = _grouped(range(len(self.line_sets)), self.line_sets)
+        through = super().__post_init__()
         self.lines_through = {p: tuple(through[p]) for p in self.point_labels}
         self._plane_tables = None
         self._polarity = None
@@ -314,15 +314,15 @@ def collinear(sp, a: int, b: int, c: int) -> bool:
 def star(sp, q_point: int) -> tuple:
     """Ids of all lines through a point, ascending; BadConfiguration for an
     id that names no point."""
-    if q_point not in sp.lines_through:
-        raise BadConfiguration(f"{sp!r} has no point {q_point}")
+    if not is_code(q_point, len(sp.point_labels)):
+        raise BadConfiguration(f"{sp!r} has no point {q_point!r}")
     return sp.lines_through[q_point]
 
 
 def _line(sp, line_id: int) -> frozenset:
     """Point ids of a line; BadConfiguration for an id that names no line."""
-    if not 0 <= line_id < len(sp.line_sets):
-        raise BadConfiguration(f"{sp!r} has no line {line_id}")
+    if not is_code(line_id, len(sp.line_sets)):
+        raise BadConfiguration(f"{sp!r} has no line {line_id!r}")
     return sp.line_sets[line_id]
 
 
@@ -364,8 +364,8 @@ def planes(sp) -> tuple:
 def _plane_row(sp, table: int, plane_id: int):
     """Entry of one plane table, or NotAPlane for an id that names no plane."""
     rows = _planes(sp)[table]
-    if not 0 <= plane_id < len(rows):
-        raise NotAPlane(f"{sp!r} has no plane {plane_id}")
+    if not is_code(plane_id, len(rows)):
+        raise NotAPlane(f"{sp!r} has no plane {plane_id!r}")
     return rows[plane_id]
 
 

@@ -8,9 +8,9 @@ below(q) draws, whole matrices are redrawn until invertible, then one draw
 picks the field automorphism; perturbed instances continue the same stream
 with two draws selecting the image transposition (i = below(L),
 j = below(L-1) skipping i).  The sampler keeps that contract while drawing
-one row at a time: each row is eliminated against the rows before it, and a
-dependent row skips the rest of its matrix's draws with `SplitMix64.skip`,
-one state add, so no singular matrix is drawn in full.
+one row at a time: `linalg.reduce_row` eliminates each row against the rows
+before it, and a dependent row skips the rest of its matrix's draws with
+`SplitMix64.skip`, one state add, so no singular matrix is drawn in full.
 
 `population` is the one seed layout: a block of consecutive seeds per
 instance kind.  `verify_population` folds a suite over it into a single
@@ -44,6 +44,7 @@ from .grassmann import (
     automorphism_group,
     build_grassmann,
 )
+from .linalg import reduce_row
 from .maps import (
     Collineation,
     Duality,
@@ -93,28 +94,20 @@ class InstanceGenerator:
 def _sample_semilinear(f, n, seed):
     """Seeded (matrix, auto_index, stream) on the coordinates of PG(n, f.q);
     the stream is left after the automorphism draw for callers that continue
-    it.  Each row is drawn and reduced against the rows before it, kept as
-    (pivot, row scaled to 1 there, zero at every earlier pivot).  A row that
-    reduces to zero is dependent: the rest of its matrix is skipped unmixed."""
-    add, mul, neg, inv = f.add_table, f.mul_table, f.neg_table, f.inv_table
+    it.  Each row is drawn and reduced by `linalg.reduce_row` against the
+    rows before it.  A row in their span is dependent: the rest of its
+    matrix is skipped unmixed."""
     size = n + 1
     rng = SplitMix64(seed)
     while True:
         rows, echelon = [], []
         for left in range(size - 1, -1, -1):  # rows still to draw after this one
             row = rng.draws(f.q, size)
-            v = row
-            for col, b in echelon:
-                if v[col]:
-                    frow = mul[neg[v[col]]]
-                    v = [add[x][frow[y]] for x, y in zip(v, b)]
-            for col, x in enumerate(v):
-                if x:
-                    break
-            else:
+            reduced = reduce_row(f, echelon, row)
+            if reduced is None:
                 rng.skip(left * size)
                 break
-            echelon.append((col, v if x == 1 else [mul[inv[x]][y] for y in v]))
+            echelon.append(reduced)
             rows.append(tuple(row))
         else:
             return tuple(rows), rng.below(len(f.automorphisms)), rng

@@ -126,6 +126,8 @@ def test_collineation_rejects_incompatible_spaces(pg22, pg32, pg33):
         collineation_point_map(Collineation(identity_matrix(3)), pg22, pg32)
     with pytest.raises(IncompatibleSpaces):
         collineation_point_map(Collineation(identity_matrix(4)), pg32, pg33)
+    with pytest.raises(IncompatibleSpaces):
+        collineation_point_map(Collineation(identity_matrix(3)), quotient(pg32, 0), pg22)
 
 
 def test_linear_embedding_is_embedding(pg22, pg32):
@@ -187,6 +189,9 @@ def test_duality_rejects_wrong_dimension(pg22, pg42, pg32, pg33):
         duality_line_map(Duality(identity_matrix(5)), pg42, pg42)
     with pytest.raises(IncompatibleSpaces):
         duality_line_map(Duality(identity_matrix(4)), pg32, pg33)
+    for call in (duality_line_map, duality_point_to_plane):
+        with pytest.raises(IncompatibleSpaces):
+            call(Duality(identity_matrix(4)), pg32, quotient(pg32, 0))
 
 
 def test_reconstruct_collineation_instance(pg32):

@@ -557,6 +557,28 @@ def test_ids_outside_the_space_raise_bad_configuration(pg32, call, args):
         call(pg32, *args)
 
 
+@pytest.mark.parametrize(
+    "call,args,error",
+    [
+        (star, (1.0,), BadConfiguration),
+        (star, (True,), BadConfiguration),
+        (join, (1.0, 2), BadConfiguration),
+        (collinear, (0, 1.0, 2), BadConfiguration),
+        (meet, (1.0, 2), BadConfiguration),
+        (planes_of_line, (True,), BadConfiguration),
+        (planes_through_point, (2.0,), BadConfiguration),
+        (quotient, (1.0,), BadConfiguration),
+        (lines_in_plane, (True,), NotAPlane),
+        (plane_points, (1.0,), NotAPlane),
+        (pencil, (0, 1.0), NotAPlane),
+    ],
+)
+def test_ids_that_are_no_ints_are_refused(call, args, error):
+    # A bool or a float equal to an id names nothing (`field.is_code`).
+    with pytest.raises(error):
+        call(_fresh(3, 2), *args)
+
+
 def test_certificate_rejects_a_swapped_map(pg32):
     # label -> native point id along the oracle's isomorphism
     structure, native = quotient(pg32, 0), build_space(2, 2)
