@@ -38,7 +38,7 @@ def test_rref_and_nullspace_match_the_column_pivot_oracle(data, q, width):
     rows = tuple(data.draw(st.lists(st.sampled_from(pool) | row, max_size=6)))
     reduced = rref(f, rows)
     assert reduced == reference_rref(f, rows)
-    if rows:
+    if rows:  # nullspace reads the width off the first row
         add, mul = f.add_table, f.mul_table
         kernel = nullspace(f, rows)
         assert len(kernel) == width - len(reduced)
