@@ -23,7 +23,7 @@ if _src not in sys.path:
     sys.path.insert(0, _src)
 
 from grasspace.errors import BudgetExceeded, TooLarge
-from grasspace.grassmann import automorphism_group, build_grassmann
+from grasspace.grassmann import DEFAULT_NODE_BUDGET, automorphism_group, build_grassmann
 from grasspace.projspace import build_space
 from grasspace.theorems import geometric_orders, pgammal_order
 
@@ -53,7 +53,7 @@ def main(argv=None):
         help="space parameters as n,q pairs",
     )
     parser.add_argument(
-        "--budget", type=int, default=10_000_000, help="search node budget"
+        "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget"
     )
     args = parser.parse_args(argv)
 

@@ -14,17 +14,18 @@ partition.  Deepest level first, each base vertex's orbit is closed under
 every generator found so far, and only the cell's vertices outside it are
 searched (McKay 1981).  A search refines the first path and a candidate
 path equitably by a splitter queue, one side at a time (McKay and Piperno
-2014); each first-path partition is refined once per search and cached by
-depth with its trace, which a candidate replays up to the first entry that
-differs.  A leaf, and every generator again before the report, must pass a
-certificate: a permutation of the vertices that maps each neighbour list
-onto its image's neighbourhood.  MAX_AUT_VERTICES sits between PG(5,2)
-(651 lines, 29 nodes, 0.5 s on 2 cores) and PG(3,5) (806 lines, 218 nodes,
-1.5 s).  The Chow chains are no longer what holds it there: stopped at
-their proven orders, both chains of PG(3,4) take 0.2 s.  A cap that admits
-PG(3,5) also admits planes whose complete line graphs still cost about n^3
-to search, so raising it belongs to ROADMAP's "Chow across the whole size
-ladder".  The node budget bounds every search below it.
+2014).  The first path is refined once, into one list of (partition,
+trace) by depth, and a candidate at that depth replays the trace up to the
+first entry that differs.  A leaf, and every generator again before the
+report, must pass a certificate: a permutation of the vertices that maps
+each neighbour list onto its image's neighbourhood.  MAX_AUT_VERTICES sits
+between PG(5,2) (651 lines, 29 nodes, 0.5 s on 2 cores) and PG(3,5) (806
+lines, 218 nodes, 1.5 s).  The Chow chains are no longer what holds it
+there: stopped at their proven orders, both chains of PG(3,4) take 0.2 s.
+A cap that admits PG(3,5) also admits planes whose complete line graphs
+still cost about n^3 to search, so raising it belongs to ROADMAP's "Chow
+across the whole size ladder".  The node budget bounds every search below
+it.
 """
 
 import collections
@@ -298,44 +299,37 @@ def _is_automorphism(masks, perm, neighbours=None):
 
 
 class _Search:
-    def __init__(self, masks, node_budget):
+    def __init__(self, masks, node_budget, path, cells):
         self.masks = masks
         self.neighbours = _neighbour_lists(masks)
         self.budget = node_budget
         self.nodes = 0
-        self.first_path = {}  # depth -> the first path's (partition, trace)
+        self.path = path  # the first path's (partition, trace) by depth
+        self.cells = cells  # (branch cell, base vertex) of each non-discrete depth
 
-    def first(self, depth, pa, splitter):
-        """The first path's side at `depth` below the unit partition, refined
-        once per search: each level's first path continues the last one's."""
-        if depth not in self.first_path:
-            self.first_path[depth] = _refine_side(self.masks, pa, splitter)
-        return self.first_path[depth]
-
-    def find(self, pa, pb, splitter, depth):
-        """One adjacency-preserving bijection respecting the paired cells;
-        `splitter` is the cell individualised last, `pa` on the first path."""
+    def find(self, pb, splitter, depth):
+        """One adjacency-preserving bijection pairing `pb` with the first
+        path at `depth`; `splitter` is the cell individualised last."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceeded(
                 f"automorphism search exceeded {self.budget} nodes"
             )
-        pa, trace = self.first(depth, pa, splitter)
+        pa, trace = self.path[depth]
         refined = _refine_side(self.masks, pb, splitter, trace)
         if refined is None:
             return None
         pb = refined[0]
-        ci = _branch_cell(pa)
-        if ci is None:
+        if depth == len(self.cells):
             perm = [0] * len(self.masks)
             for ca, cb in zip(pa, pb):
                 perm[ca[0]] = cb[0]
             if _is_automorphism(self.masks, perm, self.neighbours):
                 return tuple(perm)
             return None
-        child = _individualize(pa, ci, min(pa[ci]))
+        ci = self.cells[depth][0]
         for u in sorted(pb[ci]):
-            result = self.find(child, _individualize(pb, ci, u), ci, depth + 1)
+            result = self.find(_individualize(pb, ci, u), ci, depth + 1)
             if result is not None:
                 return result
         return None
@@ -371,24 +365,25 @@ def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> Automor
     if count == 0:
         return AutomorphismReport(1, (), 0, ())
 
-    search = _Search(masks, node_budget)
-    levels = []  # (partition, branch cell, base vertex, individualised) per depth
-    partition = search.first(0, [tuple(range(count))], 0)[0]
-    while (ci := _branch_cell(partition)) is not None:
+    path = [_refine_side(masks, [tuple(range(count))], 0)]
+    cells = []
+    while (ci := _branch_cell(path[-1][0])) is not None:
+        partition = path[-1][0]
         v0 = min(partition[ci])
-        first = _individualize(partition, ci, v0)
-        levels.append((partition, ci, v0, first))
-        partition = search.first(len(levels), first, ci)[0]
+        cells.append((ci, v0))
+        path.append(_refine_side(masks, _individualize(partition, ci, v0), ci))
+    search = _Search(masks, node_budget, path, cells)
 
     generators = []
     order = 1
-    for depth in range(len(levels), 0, -1):
-        partition, ci, v0, first = levels[depth - 1]
+    for depth in range(len(cells), 0, -1):
+        partition = path[depth - 1][0]
+        ci, v0 = cells[depth - 1]
         orbit = {v0}  # every generator found so far fixes the base down to v0
         for u in sorted(partition[ci]):
             if u in orbit:
                 continue
-            found = search.find(first, _individualize(partition, ci, u), ci, depth)
+            found = search.find(_individualize(partition, ci, u), ci, depth)
             if found is not None:
                 if found[v0] != u:
                     raise GeometryError(
@@ -405,5 +400,5 @@ def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> Automor
         group_order=order,
         generators=tuple(generators),
         nodes_explored=search.nodes,
-        base=tuple(v0 for _, _, v0, _ in levels),
+        base=tuple(v0 for _, v0 in cells),
     )

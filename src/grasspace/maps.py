@@ -353,50 +353,39 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
     """Recover the point map behind a bijective intersection-preserving
     line map from its star images.
 
-    Each source star's image lines are intersected in the target; when they
-    share no point and the target has dimension 3, they are intersected in
-    its dual, whose line i holds the planes through line i.  The one common
-    label goes to that core's table: points of the target, or planes read
-    as points of the dual.  The target comes first: a full star image in
-    dimension 3 or more is never a single pencil, so the two cores cannot
-    clash.  The dual is built only once some star needs it.
+    Each core takes one pass over the points still unresolved, in label
+    order: the target first, then, in dimension 3, its dual, whose line i
+    holds the planes through line i.  A point whose star image lines share
+    one label of the core goes to that core's table: points of the target,
+    or planes read as points of the dual.  A full star image in dimension
+    3 or more is never a single pencil, so the two cores cannot clash.
+    The dual is built only when the target pass leaves a point unresolved.
     """
     if not lm.is_bijective():
         raise PreconditionViolated("line map must be bijective")
     if not preserves_intersections(lm):
         raise PreconditionViolated("line map must preserve intersections")
     sp, sp2 = lm.source, lm.target
-    cores = [sp2, None] if sp2.n == 3 else [sp2]  # None: the dual, not built yet
-    tables = ({}, {})
-    unresolved = set()
-    for pid in sp.point_labels:
-        family = [lm.image[l] for l in star(sp, pid)]
-        for i, core in enumerate(cores):
-            if core is None:
-                core = cores[i] = dual_space(sp2)
-            common = _common(core, family)
-            if common:
-                if len(common) != 1:
-                    raise GeometryError(
-                        f"star image of point {pid} shares {len(common)} points of {core!r}"
-                    )
-                tables[i][pid] = next(iter(common))
-                break
-        else:
-            unresolved.add(pid)
-    statuses = (KappaStatus.INDUCED_INTO_TARGET, KappaStatus.INDUCED_INTO_DUAL)
-    for status, core, table in zip(statuses, cores, tables):
+    unresolved = sp.point_labels
+    for status in (KappaStatus.INDUCED_INTO_TARGET, KappaStatus.INDUCED_INTO_DUAL):
+        core = sp2 if status is KappaStatus.INDUCED_INTO_TARGET else dual_space(sp2)
+        table, rest = {}, []
+        for pid in unresolved:
+            common = _common(core, [lm.image[l] for l in star(sp, pid)])
+            if not common:
+                rest.append(pid)
+            elif len(common) == 1:
+                (table[pid],) = common
+            else:
+                raise GeometryError(
+                    f"star image of point {pid} shares {len(common)} points of {core!r}"
+                )
         if len(table) == len(sp.point_labels):
-            return KappaReport(
-                status=status,
-                kappa=PointMap(source=sp, target=core, image=table),
-                unresolved_points=frozenset(),
-            )
-    return KappaReport(
-        status=KappaStatus.MIXED,
-        kappa=None,
-        unresolved_points=frozenset(unresolved),
-    )
+            return KappaReport(status, PointMap(sp, core, table), frozenset())
+        unresolved = rest
+        if sp2.n != 3:
+            break
+    return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved))
 
 
 def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:

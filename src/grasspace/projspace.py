@@ -288,27 +288,31 @@ def point_parents(sp) -> tuple:
 
 def join(sp, a: int, b: int) -> int:
     """Id of the unique line through two distinct points: the one bit of
-    the AND of their star masks.  `star` rejects an id that names no point."""
-    if a == b:
-        raise EqualPoints(f"join needs two distinct points, got {a} twice")
+    the AND of their star masks.  `star` rejects an id that names no point
+    before the points are compared."""
     star(sp, a)
     star(sp, b)
+    if a == b:
+        raise EqualPoints(f"join needs two distinct points, got {a} twice")
     return sp.line_through(a, b)
 
 
 def meet(sp, a: int, b: int):
     """Common point id of two distinct lines, or None when they are skew."""
+    common = _line(sp, a) & _line(sp, b)
     if a == b:
         raise EqualLines(f"meet needs two distinct lines, got {a} twice")
-    return next(iter(_line(sp, a) & _line(sp, b)), None)
+    return next(iter(common), None)
 
 
 def collinear(sp, a: int, b: int, c: int) -> bool:
     """Whether three pairwise distinct points lie on one line."""
+    star(sp, a)
+    star(sp, b)
+    star(sp, c)
     if a == b or a == c or b == c:
         raise RepeatedPoints(f"collinear needs pairwise distinct points: {a},{b},{c}")
-    star(sp, c)
-    return c in sp.line_sets[join(sp, a, b)]
+    return sp.collinear(a, b, c)
 
 
 def star(sp, q_point: int) -> tuple:
@@ -326,7 +330,10 @@ def _line(sp, line_id: int) -> frozenset:
     return sp.line_sets[line_id]
 
 
-def _planes(sp):
+PlaneTables = collections.namedtuple("PlaneTables", "bases points lines on_line on_point")
+
+
+def _planes(sp) -> PlaneTables:
     """Canonical plane tables, one per relation: RREF bases, point sets,
     ascending line ids (one shared object per id), the planes on each line
     and the planes through each point.  With basis points (a, b, c), the
@@ -348,7 +355,7 @@ def _planes(sp):
         bases, point_sets, line_ids = zip(*(row[1:] for row in raw))
         on_line = _grouped(range(len(raw)), line_ids)
         on_point = _grouped(range(len(raw)), point_sets)
-        sp._plane_tables = (
+        sp._plane_tables = PlaneTables(
             bases, point_sets, line_ids,
             tuple(frozenset(on_line[l]) for l in ids),
             tuple(tuple(on_point[p]) for p in sp.point_labels),
@@ -358,37 +365,36 @@ def _planes(sp):
 
 def planes(sp) -> tuple:
     """The RREF basis of every plane, indexed by plane id."""
-    return _planes(sp)[0]
+    return _planes(sp).bases
 
 
-def _plane_row(sp, table: int, plane_id: int):
+def _plane_row(sp, rows, plane_id: int):
     """Entry of one plane table, or NotAPlane for an id that names no plane."""
-    rows = _planes(sp)[table]
     if not is_code(plane_id, len(rows)):
         raise NotAPlane(f"{sp!r} has no plane {plane_id!r}")
     return rows[plane_id]
 
 
 def plane_points(sp, plane_id: int) -> frozenset:
-    return _plane_row(sp, 1, plane_id)
+    return _plane_row(sp, _planes(sp).points, plane_id)
 
 
 def lines_in_plane(sp, plane_id: int) -> tuple:
-    return _plane_row(sp, 2, plane_id)
+    return _plane_row(sp, _planes(sp).lines, plane_id)
 
 
 def planes_of_line(sp, line_id: int) -> frozenset:
     """Ids of the planes containing a line; BadConfiguration for an id that
     names no line."""
     _line(sp, line_id)
-    return _planes(sp)[3][line_id]
+    return _planes(sp).on_line[line_id]
 
 
 def planes_through_point(sp, point_id: int) -> tuple:
     """Ids of the planes through a point; `star` rejects an id that names
     no point."""
     star(sp, point_id)
-    return _planes(sp)[4][point_id]
+    return _planes(sp).on_point[point_id]
 
 
 def pencil(sp, q_point: int, plane_id: int) -> tuple:
@@ -397,7 +403,7 @@ def pencil(sp, q_point: int, plane_id: int) -> tuple:
     line.  Sections group their pencils in `_section` instead."""
     if q_point not in plane_points(sp, plane_id):
         raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
-    on_line = _planes(sp)[3]
+    on_line = _planes(sp).on_line
     return tuple(l for l in sp.lines_through[q_point] if plane_id in on_line[l])
 
 
@@ -466,7 +472,7 @@ def polarity(sp) -> Polarity:
         bits = sp.star_bits
         polar_line = tuple(  # -1 where the AND is empty
             functools.reduce(and_, (bits[normal[pl]] for pl in on_line)).bit_length() - 1
-            for on_line in _planes(sp)[3]
+            for on_line in _planes(sp).on_line
         )
         if -1 in polar_line:
             l = polar_line.index(-1)
@@ -518,7 +524,7 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
     Certified isomorphic to PG(n-1, q) by `_projector`; for n = 2 it is
     one line."""
     project = functools.partial(_projector, sp, q_point)
-    return _section(sp, False, q_point, star(sp, q_point), _planes(sp)[3], project)
+    return _section(sp, False, q_point, star(sp, q_point), _planes(sp).on_line, project)
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -562,28 +568,18 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     return _section(sp, True, plane_id, members, sp.line_sets, image)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class AxiomReport:
-    """Result of the projective-axiom check, with witnesses on failure."""
+    """Result of the projective-axiom check: each axiom's first witness, or
+    None where the axiom holds."""
 
-    unique_join: bool
-    unique_join_witness: tuple = None
-    veblen: bool = True
-    veblen_witness: tuple = None
-    line_size: bool = True
-    line_size_witness: tuple = None
+    unique_join: tuple | None
+    veblen: tuple | None
+    line_size: tuple | None
 
     @property
     def passed(self):
-        return self.unique_join and self.veblen and self.line_size
-
-    def __str__(self):
-        parts = []
-        for name in ("unique_join", "veblen", "line_size"):
-            ok = getattr(self, name)
-            wit = getattr(self, f"{name}_witness")
-            parts.append(f"{name}: {'ok' if ok else f'FAIL {wit}'}")
-        return "; ".join(parts)
+        return self.unique_join is None and self.veblen is None and self.line_size is None
 
 
 def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
@@ -594,28 +590,15 @@ def verify_projective_axioms(inc: IncidenceStructure) -> AxiomReport:
     side; (iii) every line has at least three points.  Failures are report
     content, never exceptions.
     """
-    labels = list(inc.point_labels)
-    sets = inc.line_sets
-
-    report = AxiomReport(unique_join=True)
-
     bits = inc.star_bits
-    for a, b in combinations(labels, 2):
+    unique_join = None
+    for a, b in combinations(inc.point_labels, 2):
         c = (bits[a] & bits[b]).bit_count()  # the lines through both
         if c != 1:
-            report.unique_join = False
-            report.unique_join_witness = (a, b, c)
+            unique_join = (a, b, c)
             break
-
-    for s in sets:
-        if len(s) < 3:
-            report.line_size = False
-            report.line_size_witness = tuple(sorted(s, key=repr))
-            break
-
-    report.veblen_witness = _veblen_witness(inc)
-    report.veblen = report.veblen_witness is None
-    return report
+    short = (tuple(sorted(s, key=repr)) for s in inc.line_sets if len(s) < 3)
+    return AxiomReport(unique_join, _veblen_witness(inc), next(short, None))
 
 
 def _veblen_witness(inc):

@@ -220,26 +220,24 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
     (clause ab), the source dimension dominates (clause c), and every star
     restriction is a quotient semicollineation (clause d)."""
     report = reconstruct_point_map(lm)
-    clauses = []
-    dim_ok = lm.source.n >= lm.target.n
+    n, n2 = lm.source.n, lm.target.n
+    c = ClauseVerdict("c", n >= n2, f"{n}>={n2}")
     if report.status is KappaStatus.MIXED:
         sample = tuple(sorted(report.unresolved_points))[:4]
-        clauses.append(ClauseVerdict("ab", False, f"unresolved stars at {sample}"))
-        clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
-        clauses.append(ClauseVerdict("d", False, "no induced point map"))
-        return TheoremReport("THM1", tuple(clauses), _describe(lm))
-    kind = classify_point_map(report.kappa)
-    ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
-    clauses.append(ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}"))
-    clauses.append(ClauseVerdict("c", dim_ok, f"{lm.source.n}>={lm.target.n}"))
-    for pid in lm.source.point_labels:
-        flags = check_properties(restrict_to_star(lm, pid, report.kappa))
-        if not (flags.injective and flags.surjective and flags.preserves_collinearity):
-            clauses.append(ClauseVerdict("d", False, f"star centre {pid}"))
-            break
+        ab = ClauseVerdict("ab", False, f"unresolved stars at {sample}")
+        d = ClauseVerdict("d", False, "no induced point map")
     else:
-        clauses.append(ClauseVerdict("d", True))
-    return TheoremReport("THM1", tuple(clauses), _describe(lm))
+        kind = classify_point_map(report.kappa)
+        ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
+        ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}")
+        for pid in lm.source.point_labels:
+            flags = check_properties(restrict_to_star(lm, pid, report.kappa))
+            if not (flags.injective and flags.surjective and flags.preserves_collinearity):
+                d = ClauseVerdict("d", False, f"star centre {pid}")
+                break
+        else:
+            d = ClauseVerdict("d", True)
+    return TheoremReport("THM1", (ab, c, d), _describe(lm))
 
 
 def theorem2_predicates(lm: LineMap) -> tuple:

@@ -443,15 +443,15 @@ def _corrupt_top_level_finds(monkeypatch, corrupt):
     find = grassmann._Search.find
     depth = []
 
-    def corrupted(self, pa, pb, splitter, *rest):
+    def corrupted(self, pb, splitter, level):
         depth.append(None)
         try:
-            perm = find(self, pa, pb, splitter, *rest)
+            perm = find(self, pb, splitter, level)
         finally:
             depth.pop()
         if perm is None or depth:
             return perm
-        return tuple(corrupt(list(perm), pa[splitter][0]))
+        return tuple(corrupt(list(perm), self.cells[level - 1][1]))
 
     monkeypatch.setattr(grassmann._Search, "find", corrupted)
 

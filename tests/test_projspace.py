@@ -571,6 +571,12 @@ def test_ids_outside_the_space_raise_bad_configuration(pg32, call, args):
         (lines_in_plane, (True,), NotAPlane),
         (plane_points, (1.0,), NotAPlane),
         (pencil, (0, 1.0), NotAPlane),
+        # ids are checked before the arguments are compared
+        (join, (True, 1), BadConfiguration),
+        (join, (99, 99), BadConfiguration),
+        (meet, (1.0, 1), BadConfiguration),
+        (collinear, (1.0, 1, 2), BadConfiguration),
+        (collinear, (0, 2, 2.0), BadConfiguration),
     ],
 )
 def test_ids_that_are_no_ints_are_refused(call, args, error):
@@ -636,11 +642,10 @@ def test_plane_quotient_certificate_rejects_a_line_off_the_plane():
     sp = _fresh(3, 2)
     inside = plane_points(sp, 0)
     outside = next(l for l, s in enumerate(sp.line_sets) if len(s & inside) == 1)
-    tables = list(projspace._planes(sp))
-    lines = list(tables[2])
+    tables = projspace._planes(sp)
+    lines = list(tables.lines)
     lines[0] = tuple(sorted(lines[0][1:] + (outside,)))
-    tables[2] = tuple(lines)
-    sp._plane_tables = tuple(tables)
+    sp._plane_tables = tables._replace(lines=tuple(lines))
     with pytest.raises(BadConfiguration, match="fewer than two points"):
         plane_quotient(sp, 0)
     assert not sp._sections
@@ -777,9 +782,8 @@ def test_axiom_failure_unique_join():
     )
     report = verify_projective_axioms(trimmed)
     assert not report.passed
-    assert not report.unique_join
-    assert report.unique_join_witness == (0, 1, 0)
-    assert report.veblen_witness is None
+    assert report.unique_join == (0, 1, 0)
+    assert report.veblen is None
 
 
 def test_axiom_failure_double_join():
@@ -795,9 +799,8 @@ def test_axiom_failure_double_join():
     )
     report = verify_projective_axioms(inc)
     assert not report.passed
-    assert not report.unique_join
-    assert report.unique_join_witness == (0, 1, 2)
-    assert report.veblen_witness is None
+    assert report.unique_join == (0, 1, 2)
+    assert report.veblen is None
 
 
 def test_axiom_failure_short_line():
@@ -809,18 +812,17 @@ def test_axiom_failure_short_line():
     )
     report = verify_projective_axioms(inc)
     assert not report.passed
-    assert not report.line_size
+    assert report.line_size is not None
 
 
 def test_axiom_failure_veblen_on_affine_plane():
     inc = affine_plane_order3()
     report = verify_projective_axioms(inc)
-    assert report.unique_join
-    assert report.line_size
-    assert not report.veblen
+    assert report.unique_join is None
+    assert report.line_size is None
+    assert report.veblen is not None
     assert not report.passed
-    assert report.unique_join_witness is None
-    assert report.veblen_witness == (0, 2, 6, 1, 3)
+    assert report.veblen == (0, 2, 6, 1, 3)
 
 
 def test_incidence_isomorphic_returns_real_bijection(pg32):
