@@ -13,7 +13,8 @@ the polar plane of its image.  Reconstruction goes the opposite way: a bijective
 intersection-preserving line map determines a point map kappa through the
 common points of its star images in one incidence core: the target or, in
 dimension 3, its dual (`dual_space`, whose line i holds the planes through
-line i).  Every verdict that reads kappa intersects image lines there.
+line i).  Every verdict that reads kappa intersects image lines there, and
+restricts it to stars in the target's quotients (`restrict_to_star`).
 A line map's image is a tuple, image[l] the target line of source line l.
 Map tables are total on the source and stay inside the target: a value
 that is no target label or line id is PreconditionViolated.  The two
@@ -27,6 +28,7 @@ distinct counts as collinear, so constant maps fail non-collinearity
 preservation and honest embeddings are unaffected.  `check_properties`
 decides them line by line with the star-mask rule: a set of labels lies on
 one line exactly when the AND of their `star_bits` masks is nonzero.
+`semicollineation_flags` decides its first three flags alone.
 """
 
 import dataclasses
@@ -52,7 +54,6 @@ from .projspace import (
     meet,
     pencil,
     plane_points,
-    plane_quotient,
     planes_of_line,
     point_parents,
     polarity,
@@ -263,6 +264,14 @@ def _collinear_images(label_sets, table, bits):
     return True
 
 
+def semicollineation_flags(pm: PointMap) -> tuple:
+    """The first three `check_properties` flags, injective, surjective and
+    collinearity preserved, with no pass over the target's lines."""
+    values = set(pm.image.values())
+    col_ok = _collinear_images(pm.source.line_sets, pm.image, pm.target.star_bits)
+    return len(values) == len(pm.image), values == set(pm.target.point_labels), col_ok
+
+
 def check_properties(pm: PointMap) -> PropertyFlags:
     """Evaluate the four point-map properties exactly, from star masks.
 
@@ -277,18 +286,15 @@ def check_properties(pm: PointMap) -> PropertyFlags:
     over all triples, degenerate images counting as collinear.  The cost is
     one AND per label of each line on each side.
     """
-    source, target, img = pm.source, pm.target, pm.image
-    values = set(img.values())
-    injective = len(values) == len(img)
-    surjective = values == set(target.point_labels)
-    col_ok = _collinear_images(source.line_sets, img, target.star_bits)
+    source, img = pm.source, pm.image
+    injective, surjective, col_ok = semicollineation_flags(pm)
     if len(img) <= 2 or reduce(and_, source.star_bits.values()):
         noncol_ok = True  # no non-collinear triple to preserve
     elif not injective:
         noncol_ok = False
     else:
         inverse = {x: p for p, x in img.items()}
-        noncol_ok = _collinear_images(target.line_sets, inverse, source.star_bits)
+        noncol_ok = _collinear_images(pm.target.line_sets, inverse, source.star_bits)
     return PropertyFlags(injective, surjective, col_ok, noncol_ok)
 
 
@@ -389,20 +395,21 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
 
 
 def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
-    """Restriction of a line map to one star, as a map between quotient
-    structures.
-
-    The target quotient is taken at kappa's value in kappa's core (see
-    `_kappa_core`): the quotient at a target point, or the plane quotient
-    at a plane when kappa maps into the dual.
-    """
+    """Restriction of a line map to one star, as a map between quotients of
+    the source and the target: at kappa's value, or, for a kappa into the
+    dual (see `_kappa_core`), at its plane's normal with each image read
+    through `polar_line`: the restriction into that plane's `plane_quotient`
+    carried over by the polarity, which `dual_space` certifies."""
     if kappa is None or q_point not in kappa.image:
         raise PreconditionViolated(f"kappa undefined at point {q_point}")
-    section = quotient if _kappa_core(lm, kappa) is lm.target else plane_quotient
-    src_struct = quotient(lm.source, q_point)
-    tgt_struct = section(lm.target, kappa.image[q_point])
-    image = {l: lm.image[l] for l in src_struct.point_labels}
-    return PointMap(source=src_struct, target=tgt_struct, image=image)
+    sp2, centre = lm.target, kappa.image[q_point]
+    dual = _kappa_core(lm, kappa) is not sp2
+    image = {l: lm.image[l] for l in star(lm.source, q_point)}
+    if dual:
+        table = polarity(sp2)
+        centre = table.normal[centre]
+        image = {l: table.polar_line[m] for l, m in image.items()}
+    return PointMap(quotient(lm.source, q_point), quotient(sp2, centre), image)
 
 
 def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):

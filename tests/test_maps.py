@@ -43,9 +43,11 @@ from grasspace.projspace import (
     meet,
     pencil,
     plane_points,
+    plane_quotient,
     planes,
     planes_through_point,
     point_parents,
+    polarity,
     quotient,
     star,
 )
@@ -320,14 +322,72 @@ def test_restrict_to_star_collineation(pg32):
         assert classify_point_map(restriction) == MapKind.COLLINEATION
 
 
-def test_restrict_to_star_duality_targets_plane_quotient(pg32):
+def test_restrict_to_star_duality_targets_the_quotient_at_the_normal(pg32):
+    # A plane-valued kappa is read through the polarity: the quotient of the
+    # target at the plane's normal, each star line sent to its image's polar.
     d = sample_duality(pg32, 5)
     lm = duality_line_map(d, pg32, pg32)
     kappa = reconstruct_point_map(lm).kappa
+    table = polarity(pg32)
     restriction = restrict_to_star(lm, 0, kappa)
-    assert restriction.target.kind == "quotient"
-    assert restriction.target.detail.startswith("dual(")
+    assert restriction.target is quotient(pg32, table.normal[kappa.image[0]])
+    assert restriction.image == {l: table.polar_line[lm.image[l]] for l in star(pg32, 0)}
     assert classify_point_map(restriction) == MapKind.COLLINEATION
+
+
+def _plane_quotient_restriction(lm, q_point, kappa):
+    """A dual kappa's star restriction read in the dual's plane quotient at
+    kappa's plane, with the line map's own images: the reading that the
+    transported restriction must agree with."""
+    image = {l: lm.image[l] for l in star(lm.source, q_point)}
+    target = plane_quotient(lm.target, kappa.image[q_point])
+    return PointMap(quotient(lm.source, q_point), target, image)
+
+
+def _star_merged(lm, q_point, i, j):
+    """A copy of lm in which star line i at q_point takes star line j's image."""
+    members = star(lm.source, q_point)
+    image = list(lm.image)
+    image[members[i]] = lm.image[members[j]]
+    return LineMap(lm.source, lm.target, tuple(image), lm.dual)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_transported_restrictions_match_the_plane_quotient_oracle(q):
+    # At every centre of several dualities, as generated and with two star
+    # lines swapped or merged, the four flags of the restriction into the
+    # quotient at the normal equal those of the restriction into the plane
+    # quotient.  Both kinds of copy keep every image inside kappa's plane.
+    sp = build_space(3, q)
+    rng = random.Random(q)
+    seen = set()
+    for seed in range(3):
+        lm = generate_instance(InstanceGenerator(seed, InstanceKind.DUALITY), sp, sp)
+        kappa = reconstruct_point_map(lm).kappa
+        assert kappa.target is dual_space(sp)
+        for p in sp.point_labels:
+            i, j = rng.sample(range(len(star(sp, p))), 2)
+            for variant in (lm, _star_swapped(lm, p, i, j), _star_merged(lm, p, i, j)):
+                flags = dataclasses.astuple(check_properties(restrict_to_star(variant, p, kappa)))
+                oracle = check_properties(_plane_quotient_restriction(variant, p, kappa))
+                assert flags == dataclasses.astuple(oracle), f"seed {seed} centre {p}"
+                seen.update(enumerate(flags))
+    assert seen == {(k, v) for k in range(4) for v in (False, True)}
+
+
+def test_transported_restrictions_need_the_dual_certificate():
+    # With two normals swapped, the dual is not isomorphic to the space
+    # through them, so no duality reaches a transported restriction.
+    sp = projspace._build_space(3, 2)  # not cached: its dual is not built yet
+    lm = generate_instance(InstanceGenerator(0, InstanceKind.DUALITY), sp, sp)
+    table = polarity(sp)
+    normal = list(table.normal)
+    normal[0], normal[1] = normal[1], normal[0]
+    sp._polarity = table._replace(normal=tuple(normal))
+    with pytest.raises(GeometryError, match="is not isomorphic to PG"):
+        kappa = reconstruct_point_map(lm).kappa
+        for p in sp.point_labels:
+            restrict_to_star(lm, p, kappa)
 
 
 def test_restrict_to_star_preconditions(pg32, pg33):
@@ -618,7 +678,8 @@ def _star_swapped(lm, q_point, i, j):
 
 def _kappa_cases():
     """Reconstructed point maps and their star restrictions, into the
-    target, its quotients, its dual and the dual's plane quotients."""
+    target, its dual and the target's quotients, and for a duality the
+    same restrictions read in the dual's plane quotients."""
     for n, q in ((3, 2), (3, 3)):
         sp = build_space(n, q)
         last = len(sp.point_labels) - 1
@@ -630,7 +691,11 @@ def _kappa_cases():
             yield PointMap(kappa.source, kappa.target, _merged(kappa.image, 0, last))
             for q_point in (0, last):
                 yield restrict_to_star(lm, q_point, kappa)
-            yield restrict_to_star(_star_swapped(lm, 0, 0, 1), 0, kappa)
+            swapped = _star_swapped(lm, 0, 0, 1)
+            yield restrict_to_star(swapped, 0, kappa)
+            if kind is InstanceKind.DUALITY:
+                for variant in (lm, swapped):
+                    yield _plane_quotient_restriction(variant, 0, kappa)
 
 
 def _two_line_cases():
