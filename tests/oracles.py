@@ -20,7 +20,8 @@ the line through two image points plus a membership test for the rest, and
 duality maps from annihilators: each point's image row by a plain matrix
 product, then the kernel of one or two rows and a scan for the line or
 plane it spans.  Plane tables come from the span of each RREF basis and a
-subset test over every line, pencils from a set filter over the star, and
+subset test over every line, lines from every combination of two
+points' coordinates, pencils from a set filter over the star, and
 projections from a centre by X - X[i]·P on any other point X of the line,
 normalized and looked up.
 """
@@ -247,6 +248,29 @@ def spanned_planes(sp):
         pts = frozenset(_span_points(sp.field, sp.point_index, basis))
         rows.append((pts, tuple(l for l, s in enumerate(sp.line_sets) if s <= pts)))
     return rows
+
+
+def spanned_lines(sp):
+    """Every line of a coordinate space as its sorted point ids, ascending:
+    for each pair of points on no line found yet, every combination
+    λu + μv of their coordinates, scaled to a leading 1 and looked up."""
+    f = sp.field
+    add, mul, inv = f.add_table, f.mul_table, f.inv_table
+    found, covered = [], set()
+    for a, b in combinations(sp.point_labels, 2):
+        if (a, b) in covered:
+            continue
+        u, v = sp.coords[a], sp.coords[b]
+        ids = set()
+        for lam, mu in product(range(f.q), repeat=2):
+            w = [add[mul[lam][x]][mul[mu][y]] for x, y in zip(u, v)]
+            lead = next((c for c in w if c), 0)
+            if lead:
+                ids.add(sp.point_index[tuple(mul[inv[lead]][c] for c in w)])
+        line = tuple(sorted(ids))
+        covered.update(combinations(line, 2))
+        found.append(line)
+    return sorted(found)
 
 
 def filtered_pencil(sp, plane_lines, point):

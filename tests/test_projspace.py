@@ -47,6 +47,7 @@ from oracles import (
     incidence_isomorphic,
     prime_subspace_count,
     projected_star,
+    spanned_lines,
     spanned_planes,
     structure_planes,
 )
@@ -753,6 +754,28 @@ def test_quotients_and_plane_quotients_are_pinned(q):
             digest.update(repr((s.point_labels, lines)).encode())
         got.append(digest.hexdigest()[:16])
     assert tuple(got) == SECTION_DIGESTS[q]
+
+
+LINE_DIGESTS = {  # sha256 of every line's sorted point ids, in line id order
+    (2, 9): "e743438d7c48e3b4ea9cc7490e885870f40fc5fe7ecdead12483e86d25f59904",
+    (3, 4): "074af8f947e29926d78aa1e748a15a6380f64dabb24ea4073137dbf0993a7d6b",
+    (3, 8): "f86eb90d904367aa066d1293944b6150dc8a6d0f61a683c1dfbf688b95255993",
+    (4, 3): "e55ecb5f4affddcbd9a4de0439c266c2b42b072d68b1cff7d28d8928bf6fe011",
+    (5, 2): "223764f0a109175c7b9fd7fe18568285b0f0310d391b275b92fa73d01af8cfe7",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(LINE_DIGESTS))
+def test_line_tables_are_pinned(n, q):
+    # Line ids are the interchange formats' ids, whatever builds the table.
+    lines = tuple(tuple(sorted(s)) for s in build_space(n, q).line_sets)
+    assert hashlib.sha256(repr(lines).encode()).hexdigest() == LINE_DIGESTS[n, q]
+
+
+@pytest.mark.parametrize("n,q", [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)] + [(3, 2), (3, 3), (3, 4)])
+def test_line_tables_match_the_span_oracle(n, q):
+    sp = build_space(n, q)
+    assert tuple(tuple(sorted(s)) for s in sp.line_sets) == tuple(spanned_lines(sp))
 
 
 @pytest.mark.parametrize(
