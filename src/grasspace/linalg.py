@@ -17,16 +17,6 @@ def normalize(f, vec):
     raise ValueError("zero vector has no projective representative")
 
 
-def vec_add(f, u, v):
-    add = f.add_table
-    return tuple(add[x][y] for x, y in zip(u, v))
-
-
-def vec_scale(f, c, v):
-    row = f.mul_table[c]
-    return tuple(row[x] for x in v)
-
-
 def reduce_row(f, echelon, row):
     """Reduce row against a semi-echelon basis, a list of (pivot, row) whose
     rows hold 1 at their pivot and 0 at every earlier pivot.  Returns

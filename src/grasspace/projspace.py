@@ -24,12 +24,12 @@ Derived structures are certified isomorphic to the native space they must
 be (PG(n-1, q) for a quotient or plane quotient, the space itself for a
 dual; one line for a quotient of a plane), else `GeometryError`.  Each
 construction writes the isomorphism down as a native point id per label
-(a star line's projection from the centre, read as its one point on
-x_i = 0 for the centre's leading 1 at i, after the polarity for a plane
-quotient; or a plane's normal), and one check confirms it: a bijection
-onto the native points that sends every line onto a native line, with
-equal line counts.  The tests scan the natives' axioms with
-`verify_projective_axioms`.
+(a star line's projection from the centre onto x_i = 0, for the centre's
+leading 1 at i, which is the line's rank in the star, after the polarity
+for a plane quotient; or a plane's normal), and one check confirms it: a
+bijection onto the native points under which the lines, as many as the
+native's, go onto exactly the native's set of lines.  The tests scan the
+natives' axioms with `verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import field_make, is_code
-from .linalg import normalize, nullspace, vec_add, vec_scale
+from .linalg import normalize, nullspace
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -98,10 +98,10 @@ class IncidenceStructure:
     detail: str = ""
 
     def __post_init__(self):
-        """Check the lines, then group line ids by label once: each star mask
-        sums its lines' bits, and `ProjSpace` keeps the returned groups."""
-        labels = set(self.point_labels)
-        if len(labels) != len(self.point_labels):
+        """Check each line and group line ids by label in one loop: each
+        star mask sums its lines' bits, and `ProjSpace` keeps the groups."""
+        through = {p: [] for p in self.point_labels}
+        if len(through) != len(self.point_labels):
             raise BadConfiguration("repeated point labels")
         seen = set()
         for i, s in enumerate(self.line_sets):
@@ -109,11 +109,13 @@ class IncidenceStructure:
                 raise BadConfiguration(f"line {i} has fewer than two points")
             if s in seen:
                 raise BadConfiguration(f"line {i} repeats an earlier line")
-            if not s <= labels:
-                raise BadConfiguration(f"line {i} passes through an unknown point")
             seen.add(s)
-        through = _grouped(range(len(self.line_sets)), self.line_sets)
-        self.star_bits = {p: sum(map((1).__lshift__, through[p])) for p in self.point_labels}
+            try:
+                for p in s:
+                    through[p].append(i)
+            except KeyError:
+                raise BadConfiguration(f"line {i} passes through an unknown point") from None
+        self.star_bits = {p: sum(map((1).__lshift__, ls)) for p, ls in through.items()}
         return through
 
     def line_through(self, a, b):
@@ -177,48 +179,34 @@ def _normalized_vectors(q, m):
 
 
 def _rref_bases(q, m, k):
-    """Every k-row RREF matrix over GF(q)^m, one per k-dimensional subspace."""
+    """Every k-row RREF matrix over GF(q)^m, one per k-dimensional subspace:
+    for each choice of pivot columns, each row's 1 at its pivot, 0 before it
+    and in the other pivot columns, and every code in each column left."""
+    codes = range(q)
     for pivots in combinations(range(m), k):
-        pivot_set = set(pivots)
-        slots = []  # (row, col) positions that may hold arbitrary values
-        for i, p in enumerate(pivots):
-            for col in range(p + 1, m):
-                if col not in pivot_set:
-                    slots.append((i, col))
-        for values in product(range(q), repeat=len(slots)):
-            rows = [[0] * m for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, col), v in zip(slots, values):
-                rows[i][col] = v
-            yield tuple(tuple(r) for r in rows)
-
-
-def _span_points(field, point_index, basis):
-    """Point ids on the span of an RREF basis.
-
-    Combining RREF rows with a normalized coefficient vector yields an
-    already-normalized coordinate vector, so no per-point rescaling happens.
-    """
-    q = field.q
-    k = len(basis)
-    ids = []
-    for coeffs in _normalized_vectors(q, k):
-        vec = None
-        for c, row in zip(coeffs, basis):
-            term = row if c == 1 else vec_scale(field, c, row)
-            vec = term if vec is None else vec_add(field, vec, term)
-        ids.append(point_index[vec])
-    return ids
+        rows = (
+            product(*((1,) if c == p else codes if c > p and c not in pivots else (0,)
+                      for c in range(m)))
+            for p in pivots
+        )
+        yield from product(*rows)
 
 
 def _subspaces(field, point_index, m):
     """Every 2-dimensional subspace of GF(q)^m as its sorted point ids,
-    ascending: the canonical order of lines."""
-    return sorted(
-        tuple(sorted(_span_points(field, point_index, basis)))
-        for basis in _rref_bases(field.q, m, 2)
-    )
+    ascending: the canonical order of lines.  An RREF pair (a, b) spans
+    the normalized vectors b, then a + t·b for each code t; b leads later
+    than a, and a + t·b is a up to b's pivot, where it holds t, so the ids
+    come out ascending."""
+    add = [row.__getitem__ for row in field.add_table]
+    mul, point = field.mul_table, point_index.__getitem__
+    lines = []
+    for a, b in _rref_bases(field.q, m, 2):
+        # column x + y·t over t = 0..q-1, for each column (x, y) of (a, b)
+        columns = [map(add[x], mul[y]) for x, y in zip(a, b)]
+        lines.append((point(b), *map(point, zip(*columns))))
+    lines.sort()
+    return lines
 
 
 def _build_space(n, q):
@@ -339,16 +327,19 @@ def _planes(sp) -> PlaneTables:
     and the planes through each point.  With basis points (a, b, c), the
     plane's lines are the spokes a|y for y on b|c and, since every line of
     the plane that misses a meets a|b and a|c, the joins x|z of x on a|b
-    and z on a|c other than a."""
+    and z on a|c other than a.  Two distinct points share one line, the one
+    bit of the AND of their star masks."""
     if sp._plane_tables is None:
-        sets, through = sp.line_sets, sp.line_through
+        sets, bits, through = sp.line_sets, sp.star_bits, sp.line_through
         ids = tuple(range(len(sets)))
         raw = []
         for basis in _rref_bases(sp.q, sp.n + 1, 3):
-            a, b, c = (sp.point_index[row] for row in basis)
-            spokes = [through(a, y) for y in sets[through(b, c)]]
-            sides = sets[through(a, b)] - {a}, sets[through(a, c)] - {a}
-            lines = spokes + [through(x, z) for x, z in product(*sides)]
+            a, b, c = map(sp.point_index.__getitem__, basis)
+            mask = bits[a]
+            spokes = [(mask & bits[y]).bit_length() - 1 for y in sets[through(b, c)]]
+            side_b = [bits[x] for x in sets[through(a, b)] if x != a]
+            side_c = [bits[z] for z in sets[through(a, c)] if z != a]
+            lines = spokes + [(x & z).bit_length() - 1 for x, z in product(side_b, side_c)]
             pts = frozenset().union(*(sets[l] for l in spokes))
             raw.append((sorted(pts), basis, pts, tuple(ids[l] for l in sorted(lines))))
         raw.sort()
@@ -410,20 +401,20 @@ def pencil(sp, q_point: int, plane_id: int) -> tuple:
 def _maps_onto(structure, native, image) -> bool:
     """Whether label -> native point id image[label] is an isomorphism onto
     native, whatever computed the ids: no image None, the map injective,
-    every line onto a native line, and as many lines as native has.
-    Injective on points, the map is injective on lines, so equal line counts
-    make it onto every native line, hence onto every native point."""
-    if len(structure.line_sets) != len(native.line_sets):
-        return False
+    as many labels as native points, as many lines as native lines, and
+    the images of the lines are exactly native's set of lines: each image
+    is a native line, and they name as many distinct native lines as
+    there are, so no line is repeated.  Each image set is dropped once
+    its line id is found, so one is held at a time."""
     ids = [image[lab] for lab in structure.point_labels]
-    if None in ids or len(set(ids)) != len(ids):
+    if None in ids or len(set(ids)) != len(ids) or len(ids) != len(native.point_labels):
         return False
-    bits = native.star_bits
-    for s in structure.line_sets:
-        common = functools.reduce(and_, (bits[image[lab]] for lab in s))
-        if not common or len(native.line_sets[common.bit_length() - 1]) != len(s):
-            return False
-    return True
+    lines = native.line_sets
+    if len(structure.line_sets) != len(lines):
+        return False
+    get, line_id = image.__getitem__, dict(zip(lines, range(len(lines)))).get
+    found = {line_id(frozenset(map(get, s))) for s in structure.line_sets}
+    return None not in found and len(found) == len(lines)
 
 
 def _certified(structure, native, image):
@@ -487,8 +478,9 @@ def _section(sp, dual: bool, centre: int, members, holders, image):
     (ascending) as points and, as lines, the members grouped under each
     holder in holders[l] (the planes on l, or the points of l), sorted.
     Each group is the pencil of one flag p ∈ l ⊂ π.  Certified as
-    PG(n-1, q) through image() (label -> native point id, not called for
-    n = 2) and cached; holders and image are read only on a cache miss."""
+    PG(n-1, q) through image(sp, centre) (label -> native point id, not
+    called for n = 2) and cached; holders and image are read only on a
+    cache miss."""
     cached = sp._sections.get((dual, centre))
     if cached is None:
         structure = IncidenceStructure(
@@ -498,33 +490,30 @@ def _section(sp, dual: bool, centre: int, members, holders, image):
             detail=f"dual({sp!r})/{centre}" if dual else f"{sp!r}/{centre}",
         )
         native = build_space(sp.n - 1, sp.q) if sp.n > 2 else None
-        ids = image() if native else None
+        ids = image(sp, centre) if native else None
         cached = sp._sections[(dual, centre)] = _certified(structure, native, ids)
     return cached
 
 
 def _projector(sp, centre: int) -> dict:
     """Line through the centre P -> native id of its projection from P onto
-    the hyperplane x_i = 0 (i: P's leading 1), which misses P: the line's
-    one point X with X[i] = 0, already normalized with coordinate i
-    dropped, so one lookup in PG(n-1, q).  Called only when a section at P
+    the hyperplane x_i = 0 (i: P's leading 1), read as the line's rank in
+    P's star.  The projection is the line's one point X with X[i] = 0,
+    coordinate i dropped, and X is the line's least point other than P:
+    either X leads after i and is the least point, or X leads before i, P
+    is the least, and X is the least of the points X + t·P, which agree
+    with X before i and hold t at i.  So the star's lines, ascending, go
+    onto PG(n-1, q)'s points, ascending.  Called only when a section at P
     or at P's polar plane is built, which `_section` caches."""
-    coords, native = sp.coords, build_space(sp.n - 1, sp.q).point_index
-    i = coords[centre].index(1)
-    return {
-        l: native[x[:i] + x[i + 1 :]]
-        for l in sp.lines_through[centre]
-        for x in (coords[p] for p in sp.line_sets[l])
-        if x[i] == 0
-    }
+    lines = sp.lines_through[centre]
+    return dict(zip(lines, range(len(lines))))
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
     """Quotient space at a point: star lines as points, pencils as lines.
     Certified isomorphic to PG(n-1, q) by `_projector`; for n = 2 it is
     one line."""
-    project = functools.partial(_projector, sp, q_point)
-    return _section(sp, False, q_point, star(sp, q_point), _planes(sp).on_line, project)
+    return _section(sp, False, q_point, star(sp, q_point), _planes(sp).on_line, _projector)
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -559,13 +548,15 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
+    return _section(sp, True, plane_id, members, sp.line_sets, _polar_projection)
 
-    def image():
-        table = polarity(sp)
-        project = _projector(sp, table.normal[plane_id])
-        return {l: project.get(table.polar_line[l]) for l in members}
 
-    return _section(sp, True, plane_id, members, sp.line_sets, image)
+def _polar_projection(sp, plane_id: int) -> dict:
+    """Line of the plane -> native id of its polar line projected from the
+    plane's normal, None for a polar line off the normal."""
+    table = polarity(sp)
+    project = _projector(sp, table.normal[plane_id])
+    return {l: project.get(table.polar_line[l]) for l in lines_in_plane(sp, plane_id)}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -29,16 +29,40 @@ normalized and looked up.
 from itertools import combinations, permutations, product
 
 from grasspace.errors import NotLineConsistent
-from grasspace.linalg import normalize, nullspace, vec_add, vec_scale
+from grasspace.linalg import normalize, nullspace
 from grasspace.projspace import (
     IncidenceStructure,
-    _span_points,
+    _normalized_vectors,
     build_space,
     plane_points,
     planes,
     point_id_of_vector,
 )
 from grasspace.rng import SplitMix64
+
+
+def vec_add(f, u, v):
+    add = f.add_table
+    return tuple(add[x][y] for x, y in zip(u, v))
+
+
+def vec_scale(f, c, v):
+    row = f.mul_table[c]
+    return tuple(row[x] for x in v)
+
+
+def _span_points(field, point_index, basis):
+    """Point ids on the span of an RREF basis, row by row: combining RREF
+    rows with a normalized coefficient vector yields an already-normalized
+    coordinate vector, so no per-point rescaling happens."""
+    ids = []
+    for coeffs in _normalized_vectors(field.q, len(basis)):
+        vec = None
+        for c, row in zip(coeffs, basis):
+            term = row if c == 1 else vec_scale(field, c, row)
+            vec = term if vec is None else vec_add(field, vec, term)
+        ids.append(point_index[vec])
+    return ids
 
 
 def prime_span(vectors, p):

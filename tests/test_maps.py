@@ -14,7 +14,6 @@ from grasspace.errors import (
     NotLineConsistent,
     PreconditionViolated,
 )
-from grasspace.linalg import vec_add
 from grasspace.maps import (
     Collineation,
     Duality,
@@ -68,6 +67,7 @@ from oracles import (
     pairwise_preserves_skewness,
     per_point_row_ids,
     triple_property_flags,
+    vec_add,
 )
 
 

@@ -311,6 +311,16 @@ def test_section_tables_match_the_span_and_filter_oracles(n, q, monkeypatch):
             assert plane_quotient(sp, plane_id).line_sets == sorted_pencils(on)
 
 
+@pytest.mark.parametrize("n,q", [(3, 5), (3, 8), (4, 3), (5, 2)])
+def test_projection_from_a_centre_keeps_the_order_of_ids(n, q):
+    # The certificates read each star line's projection as its rank in the
+    # star; the coordinate oracle projects every star of spaces the section
+    # tables test above does not reach, GF(8) among them.
+    sp = build_space(n, q)
+    for p in sp.point_labels:
+        assert projected_star(sp, p) == dict(zip(star(sp, p), range(len(star(sp, p)))))
+
+
 def test_pencil(pg32):
     pts = sorted(plane_points(pg32, 0))
     centre = pts[0]
@@ -328,17 +338,22 @@ def test_pencil(pg32):
 
 
 @pytest.mark.parametrize(
-    "labels,line_sets",
+    "labels,line_sets,message",
     [
-        ((0, 0, 1), (frozenset({0, 1}),)),
-        ((0, 1, 2), (frozenset({0}),)),
-        ((0, 1, 2), (frozenset({0, 1}), frozenset({0, 1}))),
-        ((0, 1, 2), (frozenset({0, 3}),)),
+        ((0, 0, 1), (frozenset({0, 3}),), "repeated point labels"),
+        ((0, 1, 2), (frozenset({0, 1}), frozenset({0}), frozenset({0, 3})),
+         "line 1 has fewer than two points"),
+        ((0, 1, 2), (frozenset({0, 2}), frozenset({0, 2}), frozenset({0, 3})),
+         "line 1 repeats an earlier line"),
+        ((0, 1, 2), (frozenset({1, 2}), frozenset({0, 3}), frozenset({1, 2})),
+         "line 1 passes through an unknown point"),
     ],
     ids=["repeated-label", "short-line", "repeated-line", "unknown-point"],
 )
-def test_incidence_structure_rejects_bad_input(labels, line_sets):
-    with pytest.raises(BadConfiguration):
+def test_incidence_structure_rejects_bad_input(labels, line_sets, message):
+    # Each line is checked in turn, so a later bad line never hides an
+    # earlier one and the message names the first.
+    with pytest.raises(BadConfiguration, match=f"^{message}$"):
         IncidenceStructure(point_labels=labels, line_sets=line_sets, kind="native")
 
 
@@ -504,6 +519,41 @@ def test_plane_quotient_certificate_rejects_a_missing_line(monkeypatch):
         plane_quotient(sp, 0)
 
 
+def test_quotient_certificate_rejects_a_repeated_pencil(monkeypatch):
+    # The pencil in one plane becomes a copy of the pencil in another: one
+    # line is repeated and one is missing.
+    sp = _fresh(3, 2)
+    first, second = planes_through_point(sp, 0)[:2]
+    copied, replaced = set(pencil(sp, 0, second)), set(pencil(sp, 0, first))
+
+    def repeat(holders):
+        for l in replaced - copied:
+            holders[l] = holders[l] - {first}
+        for l in copied - replaced:
+            holders[l] = holders[l] | {first}
+
+    _corrupt(monkeypatch, repeat)
+    with pytest.raises(BadConfiguration, match="repeats an earlier line"):
+        quotient(sp, 0)
+    assert not sp._sections
+
+
+def test_quotient_certificate_rejects_an_image_that_is_not_injective(monkeypatch):
+    sp = _fresh(3, 2)
+    real = projspace._projector
+
+    def doubled(sp, centre):  # the second star line takes the first one's image
+        table = real(sp, centre)
+        a, b = sorted(table)[:2]
+        table[b] = table[a]
+        return table
+
+    monkeypatch.setattr(projspace, "_projector", doubled)
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        quotient(sp, 0)
+    assert not sp._sections
+
+
 def test_dual_certificate_rejects_a_short_line(monkeypatch):
     sp = _fresh(3, 2)
     real = projspace.planes_of_line
@@ -634,6 +684,38 @@ def test_certificate_rejects_a_missing_line(pg22):
     )
     with pytest.raises(GeometryError, match="not isomorphic"):
         projspace._certified(structure, pg22, pg22.point_labels)
+
+
+def test_certificate_rejects_a_repeated_line(pg32):
+    # One pencil of a quotient replaced by a copy of another, after
+    # construction, so only the certificate sees it: every line still maps
+    # onto a native line, the map is a bijection and the line counts agree,
+    # but the images miss one native line.
+    section = quotient(pg32, 0)
+    structure = IncidenceStructure(
+        point_labels=section.point_labels,
+        line_sets=section.line_sets,
+        kind="quotient",
+        detail="repeated pencil",
+    )
+    structure.line_sets = (structure.line_sets[0],) + structure.line_sets[:-1]
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        projspace._certified(structure, build_space(2, 2), projspace._projector(pg32, 0))
+
+
+def test_certificate_rejects_an_extra_label(pg22):
+    # A label on no line, sent to an id that names no native point: the map
+    # is injective, every line maps onto a native line and the line counts
+    # agree, so only the label count refutes it.
+    structure = IncidenceStructure(
+        point_labels=pg22.point_labels + (7,),
+        line_sets=pg22.line_sets,
+        kind="quotient",
+        detail="extra label",
+    )
+    ids = {lab: lab for lab in structure.point_labels}
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        projspace._certified(structure, pg22, ids)
 
 
 def test_plane_quotient_certificate_rejects_a_line_off_the_plane():
