@@ -64,22 +64,22 @@ def is_invertible(f, mat):
 
 
 def nullspace(f, rows):
-    """Basis of the right nullspace {x : rows . x^T = 0}, one vector per free column."""
-    reduced = rref(f, rows)
-    width = len(rows[0])
-    pivot_cols = []
-    for r in reduced:
-        for j, c in enumerate(r):
-            if c:
-                pivot_cols.append(j)
-                break
-    free_cols = [j for j in range(width) if j not in pivot_cols]
-    neg = f.neg_table
+    """Basis of the right nullspace {x : rows . x^T = 0}: `rref_kernel` of
+    the rows' reduced form."""
+    return rref_kernel(f, rref(f, rows), len(rows[0]))
+
+
+def rref_kernel(f, reduced, width):
+    """Right nullspace of rows in RREF, each width codes long, one vector
+    per free column: 1 there and, at each row's pivot (its leading 1),
+    minus the row's entry in that column."""
+    pivots = [row.index(1) for row in reduced]
     basis = []
-    for j in free_cols:
-        vec = [0] * width
-        vec[j] = 1
-        for r, pc in zip(reduced, pivot_cols):
-            vec[pc] = neg[r[j]]
-        basis.append(tuple(vec))
+    for j in range(width):
+        if j not in pivots:
+            vec = [0] * width
+            vec[j] = 1
+            for row, p in zip(reduced, pivots):
+                vec[p] = f.neg_table[row[j]]
+            basis.append(tuple(vec))
     return tuple(basis)

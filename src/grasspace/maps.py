@@ -9,11 +9,12 @@ point images or, in dimension 3, from dualities.  A duality is the
 standard polarity (`projspace.polarity`) applied after the collineation
 with the same matrix and automorphism: its line map is that collineation's
 induced line map followed by the polar-line table, and a point goes to
-the polar plane of its image.  Reconstruction goes the opposite way: a bijective
-intersection-preserving line map determines a point map kappa through the
-common points of its star images in one incidence core: the target or, in
-dimension 3, its dual (`dual_space`, whose line i holds the planes through
-line i).  Every verdict that reads kappa intersects image lines there, and
+the polar plane of its image.  Reconstruction goes the opposite way: a
+bijective intersection-preserving line map sends each star to the one
+label that two of its image lines share in one incidence core, the target
+or, in dimension 3, its dual (`dual_space`, whose line i holds the planes
+through line i), when one mask test finds every image line on it.  Every
+verdict that reads kappa intersects image lines in that core, and
 restricts it to stars in the target's quotients (`restrict_to_star`).
 A line map's image is a tuple, image[l] the target line of source line l.
 Map tables are total on the source and stay inside the target: a value
@@ -135,9 +136,9 @@ class LineMap:
 class KappaReport:
     """Outcome of point-map reconstruction from star images.
 
-    unresolved_points holds sources whose image family shares neither a
-    point nor a plane (mutually skew families land here).
-    """
+    unresolved_points holds the sources whose star images pairwise meet
+    yet share no label of either core: in a plane, lines through no common
+    point.  Star images that do not pairwise meet raise instead."""
 
     status: KappaStatus
     kappa: PointMap | None
@@ -336,12 +337,6 @@ def preserves_skewness(lm: LineMap) -> bool:
     return all(is_clique(gs, lines) for lines in preimage.values())
 
 
-def _common(core, lines):
-    """Labels of an incidence core that lie on every one of the given lines."""
-    sets = core.line_sets
-    return frozenset.intersection(*(sets[l] for l in lines))
-
-
 def _kappa_core(lm: LineMap, kappa: PointMap):
     """The incidence core kappa maps into: the line map's target or, in
     dimension 3, the target's `dual_space`, compared by identity (an equal
@@ -355,42 +350,46 @@ def _kappa_core(lm: LineMap, kappa: PointMap):
     raise PreconditionViolated("kappa must map into the target or its dual")
 
 
+def _star_label(core, lines, mask, pid):
+    """The label of core on every line of a star image, or None: the one
+    label that its first and last line share, if the mask of its lines has
+    no bit outside that label's `star_bits`.  GeometryError if they share more."""
+    common = core.line_sets[lines[0]] & core.line_sets[lines[-1]]
+    if len(common) > 1:
+        raise GeometryError(f"star image of point {pid} shares {len(common)} points of {core!r}")
+    for x in common:
+        if not mask & ~core.star_bits[x]:
+            return x
+    return None
+
+
 def reconstruct_point_map(lm: LineMap) -> KappaReport:
     """Recover the point map behind a bijective intersection-preserving
-    line map from its star images.
-
-    Each core takes one pass over the points still unresolved, in label
-    order: the target first, then, in dimension 3, its dual, whose line i
-    holds the planes through line i.  A point whose star image lines share
-    one label of the core goes to that core's table: points of the target,
-    or planes read as points of the dual.  A full star image in dimension
-    3 or more is never a single pencil, so the two cores cannot clash.
-    The dual is built only when the target pass leaves a point unresolved.
-    """
+    line map in one pass over the source points: each star goes to the one
+    label on all its image lines (`_star_label`) in the target or, failing
+    that in dimension 3, the dual, built at the first star that reaches it.
+    Lines through one point or in one plane meet pairwise, so only a star
+    that neither core takes is tested as a clique of the target graph."""
     if not lm.is_bijective():
         raise PreconditionViolated("line map must be bijective")
-    if not preserves_intersections(lm):
-        raise PreconditionViolated("line map must preserve intersections")
-    sp, sp2 = lm.source, lm.target
-    unresolved = sp.point_labels
-    for status in (KappaStatus.INDUCED_INTO_TARGET, KappaStatus.INDUCED_INTO_DUAL):
-        core = sp2 if status is KappaStatus.INDUCED_INTO_TARGET else dual_space(sp2)
-        table, rest = {}, []
-        for pid in unresolved:
-            common = _common(core, [lm.image[l] for l in star(sp, pid)])
-            if not common:
-                rest.append(pid)
-            elif len(common) == 1:
-                (table[pid],) = common
-            else:
-                raise GeometryError(
-                    f"star image of point {pid} shares {len(common)} points of {core!r}"
-                )
+    sp, sp2, img = lm.source, lm.target, lm.image
+    tables = {KappaStatus.INDUCED_INTO_TARGET: {}, KappaStatus.INDUCED_INTO_DUAL: {}}
+    (into_target, into_dual), unresolved = tables.values(), []
+    for pid in sp.point_labels:
+        lines = [img[l] for l in star(sp, pid)]
+        mask = sum(map((1).__lshift__, lines))  # distinct lines: the map is bijective
+        if (x := _star_label(sp2, lines, mask, pid)) is not None:
+            into_target[pid] = x
+        elif sp2.n == 3 and (x := _star_label(dual_space(sp2), lines, mask, pid)) is not None:
+            into_dual[pid] = x
+        elif is_clique(build_grassmann(sp2), lines):
+            unresolved.append(pid)
+        else:
+            raise PreconditionViolated("line map must preserve intersections")
+    for status, table in tables.items():
         if len(table) == len(sp.point_labels):
+            core = sp2 if status is KappaStatus.INDUCED_INTO_TARGET else dual_space(sp2)
             return KappaReport(status, PointMap(sp, core, table), frozenset())
-        unresolved = rest
-        if sp2.n != 3:
-            break
     return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved))
 
 
@@ -439,7 +438,7 @@ def pencil_image_is_pencil(lm: LineMap, q_point: int, plane_id: int) -> bool:
     if len(images) != len(source_pencil):
         return False
     sp2 = lm.target
-    common_pts = _common(sp2, images)
+    common_pts = frozenset.intersection(*(sp2.line_sets[l] for l in images))
     if len(common_pts) != 1:
         return False
     common_planes = frozenset.intersection(*(planes_of_line(sp2, l) for l in images))
@@ -466,12 +465,12 @@ def intersection_compatibility_check(
         raise BadConfiguration(f"point {q_point} must not lie on line {a}")
     if kappa is None:
         raise PreconditionViolated("kappa is undefined")
-    core = _kappa_core(lm, kappa)
-    a_img = lm.image[a]
+    sets = _kappa_core(lm, kappa).line_sets
+    on_a = sets[lm.image[a]]
     for l in pencil(sp, q_point, plane_id):
         crossing = meet(sp, l, a)
         if crossing is None:
             raise GeometryError(f"coplanar lines {l} and {a} do not meet")
-        if _common(core, (lm.image[l], a_img)) != {kappa.image[crossing]}:
+        if sets[lm.image[l]] & on_a != {kappa.image[crossing]}:
             return False
     return True

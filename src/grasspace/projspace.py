@@ -58,7 +58,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .field import field_make, is_code
-from .linalg import normalize, nullspace
+from .linalg import normalize, rref_kernel
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -434,9 +434,9 @@ def _certified(structure, native, image):
 
 
 def _normal(f, rows):
-    """The vector orthogonal to every row, or None unless the rows span a
-    hyperplane (a 1-dimensional kernel)."""
-    kernel = nullspace(f, rows)
+    """The vector orthogonal to every row of an RREF basis, read off the
+    basis with no elimination, or None unless the rows span a hyperplane."""
+    kernel = rref_kernel(f, rows, len(rows[0]))
     return kernel[0] if len(kernel) == 1 else None
 
 

@@ -9,7 +9,8 @@ permutations, equitable refinement from whole-partition signature passes,
 point-map properties from walking every point triple (and, where two
 lines may share two points, from subset tests over every line), line-map
 preservation of intersections and skewness from walking every line pair
-and intersecting point sets, isomorphisms of incidence structures from a
+and intersecting point sets, point-map reconstruction from whole star
+images intersected one core at a time, isomorphisms of incidence structures from a
 backtracking search over point bijections, dual spaces from planes
 found as closures of non-collinear triples, reduced echelon forms and
 invertibility from column pivots with back-substitution, written here apart
@@ -28,12 +29,14 @@ normalized and looked up.
 
 from itertools import combinations, permutations, product
 
-from grasspace.errors import NotLineConsistent
+from grasspace.errors import GeometryError, NotLineConsistent, PreconditionViolated
 from grasspace.linalg import normalize, nullspace
+from grasspace.maps import KappaReport, KappaStatus, PointMap
 from grasspace.projspace import (
     IncidenceStructure,
     _normalized_vectors,
     build_space,
+    dual_space,
     plane_points,
     planes,
     point_id_of_vector,
@@ -545,6 +548,41 @@ def pairwise_preserves_skewness(lm):
         for a, b in combinations(range(len(lm.source.line_sets)), 2)
         if not _lines_related(lm.source, a, b)
     )
+
+
+def two_pass_reconstruction(lm):
+    """Point-map reconstruction one core at a time: the pairwise
+    intersection check first, then a pass over the target that intersects
+    every star image whole, then, in dimension 3, the same pass in
+    `dual_space(target)` over the points the target left.  Returns the
+    same report, and raises the same errors, as `reconstruct_point_map`."""
+    if not lm.is_bijective():
+        raise PreconditionViolated("line map must be bijective")
+    if not pairwise_preserves_intersections(lm):
+        raise PreconditionViolated("line map must preserve intersections")
+    sp, sp2 = lm.source, lm.target
+    unresolved = sp.point_labels
+    for status in (KappaStatus.INDUCED_INTO_TARGET, KappaStatus.INDUCED_INTO_DUAL):
+        core = sp2 if status is KappaStatus.INDUCED_INTO_TARGET else dual_space(sp2)
+        table, rest = {}, []
+        for pid in unresolved:
+            common = frozenset.intersection(
+                *(core.line_sets[lm.image[l]] for l in sp.lines_through[pid])
+            )
+            if not common:
+                rest.append(pid)
+            elif len(common) == 1:
+                (table[pid],) = common
+            else:
+                raise GeometryError(
+                    f"star image of point {pid} shares {len(common)} points of {core!r}"
+                )
+        if len(table) == len(sp.point_labels):
+            return KappaReport(status, PointMap(sp, core, table), frozenset())
+        unresolved = rest
+        if sp2.n != 3:
+            break
+    return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved))
 
 
 def incidence_isomorphic(a: IncidenceStructure, b: IncidenceStructure):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 from itertools import combinations
@@ -54,6 +55,7 @@ from grasspace.theorems import (
     InstanceGenerator,
     InstanceKind,
     generate_instance,
+    population,
     sample_collineation,
     sample_duality,
 )
@@ -67,6 +69,7 @@ from oracles import (
     pairwise_preserves_skewness,
     per_point_row_ids,
     triple_property_flags,
+    two_pass_reconstruction,
     vec_add,
 )
 
@@ -265,6 +268,56 @@ def test_perturbed_instances_break_a_preservation_property(pg32):
             InstanceGenerator(seed, InstanceKind.PERTURBED), pg32, pg32
         )
         assert not (preserves_intersections(lm) and preserves_skewness(lm))
+
+
+def _reconstruction(call, lm):
+    """What a reconstruction reports: its status, unresolved points,
+    kappa's items in key order and kappa's target (compared by identity),
+    or the type and message of what it raised."""
+    try:
+        report = call(lm)
+    except (GeometryError, PreconditionViolated) as exc:
+        return type(exc), str(exc)
+    kappa = report.kappa
+    if kappa is None:
+        return report.status, report.unresolved_points, None, None
+    return report.status, report.unresolved_points, list(kappa.image.items()), kappa.target
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_reconstruction_matches_the_two_pass_oracle(n, q):
+    sp = build_space(n, q)
+    kinds = [InstanceKind.COLLINEATION, InstanceKind.PERTURBED]
+    if n == 3:
+        kinds.append(InstanceKind.DUALITY)
+    seen = collections.Counter()
+    for kind, seed, lm in population(sp, 30, kinds=kinds):
+        got = _reconstruction(reconstruct_point_map, lm)
+        assert got == _reconstruction(two_pass_reconstruction, lm), (kind, seed)
+        seen[kind, got[0]] += 1
+    assert seen[InstanceKind.COLLINEATION, KappaStatus.INDUCED_INTO_TARGET] == 30
+    if n == 3:
+        assert seen[InstanceKind.DUALITY, KappaStatus.INDUCED_INTO_DUAL] == 30
+    # A perturbed map is Mixed in a plane and breaks intersections above it.
+    perturbed = KappaStatus.MIXED if n == 2 else PreconditionViolated
+    assert seen[InstanceKind.PERTURBED, perturbed] == 30
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_reconstruction_checks_intersections_and_builds_the_dual_lazily(q):
+    sp = projspace._build_space(3, q)
+    for _, _, lm in population(sp, 30, kinds=[InstanceKind.COLLINEATION]):
+        assert reconstruct_point_map(lm).status is KappaStatus.INDUCED_INTO_TARGET
+    assert sp._dual is None
+    for _, seed, lm in population(sp, 30, kinds=[InstanceKind.PERTURBED]):
+        try:
+            reconstruct_point_map(lm)
+        except PreconditionViolated as exc:
+            assert str(exc) == "line map must preserve intersections"
+            raised = True
+        else:
+            raised = False
+        assert raised is not preserves_intersections(lm), seed
 
 
 ORACLE_SPACES = [(2, 3), (3, 2), (4, 2)]
@@ -929,7 +982,7 @@ def _swap_first_two_normals(real, bases):
     [
         (_swap_first_two_normals, duality_line_map,
          r"normals of the planes through line \d+ are not collinear"),
-        (lambda real, bases: lambda f, rows: real(f, rows) * 2, duality_point_to_plane,
+        (lambda real, bases: lambda f, rows: real(f, rows[:2]), duality_point_to_plane,
          "plane 0 has no 1-dimensional normal"),
         (lambda real, bases: lambda f, rows: real(f, bases[0]), duality_point_to_plane,
          "two planes share a normal: 1 normals"),
@@ -941,7 +994,7 @@ def test_duality_maps_raise_on_a_broken_polarity(monkeypatch, fake, call, messag
     # checked per line or point: a 2-dimensional line annihilator is a
     # polar line, a 3-dimensional point annihilator is one plane's normal.
     sp = projspace._build_space(3, 2)
-    monkeypatch.setattr(projspace, "nullspace", fake(projspace.nullspace, planes(sp)))
+    monkeypatch.setattr(projspace, "_normal", fake(projspace._normal, planes(sp)))
     with pytest.raises(GeometryError, match=message):
         call(Duality(identity_matrix(4)), sp, sp)
     assert sp._polarity is None
