@@ -12,10 +12,11 @@ is 1.  A line is its id: the lines are the 2-dimensional subspaces,
 the line, so no basis is stored.  A plane is its id: every plane query
 takes one, `planes` lists the RREF bases by id, and an id outside that
 list is `NotAPlane`.  Every pencil is the flag rule p ∈ l ⊂ π read off
-the tables: a section groups its member lines by the planes (or points)
-on them, and `pencil` filters one star by the planes on each line.
-Quotient spaces, dual spaces and plane pencil-structures are plain cores,
-so every query and every map check reads one code path.
+the tables: `_pencils` groups a section's member lines by the planes (or
+points) on them, and `pencil` filters one star by the planes on each
+line.  Quotient spaces, dual spaces and plane pencil-structures are plain
+cores, so every query and every map check reads one code path.  A space
+caches its dual and its quotients by point id, but no plane quotient.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
@@ -26,10 +27,10 @@ dual; one line for a quotient of a plane), else `GeometryError`.  Each
 construction writes the isomorphism down as a native point id per label
 (a star line's projection from the centre onto x_i = 0, for the centre's
 leading 1 at i, which is the line's rank in the star, after the polarity
-for a plane quotient; or a plane's normal), and one check confirms it: a
-bijection onto the native points under which the lines, as many as the
-native's, go onto exactly the native's set of lines.  The tests scan the
-natives' axioms with `verify_projective_axioms`.
+for a plane quotient; or a plane's normal), and one check, `_certified`,
+confirms it: a bijection onto the native points under which the lines, as
+many as the native's, go onto exactly the native's set of lines.  The
+tests scan the natives' axioms with `verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -391,42 +392,37 @@ def planes_through_point(sp, point_id: int) -> tuple:
 def pencil(sp, q_point: int, plane_id: int) -> tuple:
     """Lines through a point inside a plane containing it, ascending ids: by
     the flag rule p ∈ l ⊂ π, the point's star filtered by the planes on each
-    line.  Sections group their pencils in `_section` instead."""
+    line.  Sections group their pencils in `_pencils` instead."""
     if q_point not in plane_points(sp, plane_id):
         raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
     on_line = _planes(sp).on_line
     return tuple(l for l in sp.lines_through[q_point] if plane_id in on_line[l])
 
 
-def _maps_onto(structure, native, image) -> bool:
-    """Whether label -> native point id image[label] is an isomorphism onto
-    native, whatever computed the ids: no image None, the map injective,
-    as many labels as native points, as many lines as native lines, and
-    the images of the lines are exactly native's set of lines: each image
-    is a native line, and they name as many distinct native lines as
-    there are, so no line is repeated.  Each image set is dropped once
-    its line id is found, so one is held at a time."""
-    ids = [image[lab] for lab in structure.point_labels]
-    if None in ids or len(set(ids)) != len(ids) or len(ids) != len(native.point_labels):
-        return False
-    lines = native.line_sets
-    if len(structure.line_sets) != len(lines):
-        return False
-    get, line_id = image.__getitem__, dict(zip(lines, range(len(lines)))).get
-    found = {line_id(frozenset(map(get, s))) for s in structure.line_sets}
-    return None not in found and len(found) == len(lines)
+def _pencils(members, holders) -> tuple:
+    """Members grouped under each holder in holders[m], sorted: the pencils."""
+    return tuple(map(frozenset, sorted(_grouped(members, holders).values())))
 
 
 def _certified(structure, native, image):
-    """The structure, once image (label -> native point id) is checked to
-    be an isomorphism onto native, whose axioms it then shares (native
-    None: a projective line, one line through all of at least three points,
-    where image is not read)."""
+    """The structure, once image (label -> native point id, whatever computed
+    it) is checked to be an isomorphism onto native, whose axioms it then
+    shares: no image None, the map injective, as many labels as native
+    points and lines as native lines, each line's image a native line and
+    none hit twice.  One image set is held at a time.  Native None: a
+    projective line, one line through all of at least three points."""
     labels = structure.point_labels
     if native is None:
         ok = len(labels) >= 3 and structure.line_sets == (frozenset(labels),)
     else:
-        ok = _maps_onto(structure, native, image)
+        ids = [image[lab] for lab in labels]
+        lines = native.line_sets
+        ok = (None not in ids and len(set(ids)) == len(ids) == len(native.point_labels)
+              and len(structure.line_sets) == len(lines))
+        if ok:
+            line_id = dict(zip(lines, range(len(lines)))).get
+            found = {line_id(frozenset(map(image.__getitem__, s))) for s in structure.line_sets}
+            ok = None not in found and len(found) == len(lines)
     if not ok:
         expected = "a projective line" if native is None else repr(native)
         raise GeometryError(f"{structure!r} is not isomorphic to {expected}")
@@ -473,28 +469,6 @@ def polarity(sp) -> Polarity:
     return sp._polarity
 
 
-def _section(sp, dual: bool, centre: int, members, holders, image):
-    """Quotient at a point, or at a plane of the dual: the member lines
-    (ascending) as points and, as lines, the members grouped under each
-    holder in holders[l] (the planes on l, or the points of l), sorted.
-    Each group is the pencil of one flag p ∈ l ⊂ π.  Certified as
-    PG(n-1, q) through image(sp, centre) (label -> native point id, not
-    called for n = 2) and cached; holders and image are read only on a
-    cache miss."""
-    cached = sp._sections.get((dual, centre))
-    if cached is None:
-        structure = IncidenceStructure(
-            point_labels=members,
-            line_sets=tuple(map(frozenset, sorted(_grouped(members, holders).values()))),
-            kind="quotient",
-            detail=f"dual({sp!r})/{centre}" if dual else f"{sp!r}/{centre}",
-        )
-        native = build_space(sp.n - 1, sp.q) if sp.n > 2 else None
-        ids = image(sp, centre) if native else None
-        cached = sp._sections[(dual, centre)] = _certified(structure, native, ids)
-    return cached
-
-
 def _projector(sp, centre: int) -> dict:
     """Line through the centre P -> native id of its projection from P onto
     the hyperplane x_i = 0 (i: P's leading 1), read as the line's rank in
@@ -503,17 +477,29 @@ def _projector(sp, centre: int) -> dict:
     either X leads after i and is the least point, or X leads before i, P
     is the least, and X is the least of the points X + t·P, which agree
     with X before i and hold t at i.  So the star's lines, ascending, go
-    onto PG(n-1, q)'s points, ascending.  Called only when a section at P
-    or at P's polar plane is built, which `_section` caches."""
+    onto PG(n-1, q)'s points, ascending.  Called only when the quotient at
+    P, which is cached, or a plane quotient with normal P is built."""
     lines = sp.lines_through[centre]
     return dict(zip(lines, range(len(lines))))
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
     """Quotient space at a point: star lines as points, pencils as lines.
-    Certified isomorphic to PG(n-1, q) by `_projector`; for n = 2 it is
-    one line."""
-    return _section(sp, False, q_point, star(sp, q_point), _planes(sp).on_line, _projector)
+    Certified isomorphic to PG(n-1, q) by `_projector` (for n = 2, one
+    line) and cached by point id."""
+    members = star(sp, q_point)
+    cached = sp._sections.get(q_point)
+    if cached is None:
+        structure = IncidenceStructure(
+            point_labels=members,
+            line_sets=_pencils(members, _planes(sp).on_line),
+            kind="quotient",
+            detail=f"{sp!r}/{q_point}",
+        )
+        native = build_space(sp.n - 1, sp.q) if sp.n > 2 else None
+        ids = _projector(sp, q_point) if native else None
+        cached = sp._sections[q_point] = _certified(structure, native, ids)
+    return cached
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -539,7 +525,7 @@ def dual_space(sp) -> IncidenceStructure:
 
 def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     """Quotient of the dual space at a plane: the plane's lines as points,
-    its pencils as lines.  Certified isomorphic to PG(2, q).
+    its pencils as lines.  Certified isomorphic to PG(2, q), never cached.
 
     The polarity sends the lines of π onto the lines through its normal N,
     and the pencil at a point P of π onto the pencil at N in P's polar
@@ -548,15 +534,16 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
-    return _section(sp, True, plane_id, members, sp.line_sets, _polar_projection)
-
-
-def _polar_projection(sp, plane_id: int) -> dict:
-    """Line of the plane -> native id of its polar line projected from the
-    plane's normal, None for a polar line off the normal."""
+    structure = IncidenceStructure(
+        point_labels=members,
+        line_sets=_pencils(members, sp.line_sets),
+        kind="quotient",
+        detail=f"dual({sp!r})/{plane_id}",
+    )
     table = polarity(sp)
     project = _projector(sp, table.normal[plane_id])
-    return {l: project.get(table.polar_line[l]) for l in lines_in_plane(sp, plane_id)}
+    image = {l: project.get(table.polar_line[l]) for l in members}
+    return _certified(structure, build_space(2, sp.q), image)
 
 
 @dataclasses.dataclass(frozen=True)

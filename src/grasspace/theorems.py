@@ -176,7 +176,6 @@ class ClauseVerdict:
 class TheoremReport:
     theorem: str
     clauses: tuple
-    instance: str = ""
 
     @property
     def passed(self):
@@ -207,12 +206,7 @@ def verify_population(sp, verify, samples, seed=0) -> TheoremReport:
             if held.passed and not c.passed:
                 witness = f"kind={kind.value} seed={s} {c.witness}".strip()
                 merged[c.clause] = ClauseVerdict(c.clause, False, witness)
-    return TheoremReport(theorem, tuple(merged.values()), f"{sp!r}")
-
-
-def _describe(lm: LineMap) -> str:
-    tag = " dual" if lm.dual else ""
-    return f"{lm.source!r}->{lm.target!r}{tag}"
+    return TheoremReport(theorem, tuple(merged.values()))
 
 
 def verify_theorem1(lm: LineMap) -> TheoremReport:
@@ -239,7 +233,7 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
                 break
         else:
             d = ClauseVerdict("d", True)
-    return TheoremReport("THM1", (ab, c, d), _describe(lm))
+    return TheoremReport("THM1", (ab, c, d))
 
 
 def theorem2_predicates(lm: LineMap) -> tuple:
@@ -278,7 +272,7 @@ def verify_theorem2(lm: LineMap) -> TheoremReport:
         ClauseVerdict("d", d),
         ClauseVerdict("equivalence", len(set(preds)) == 1, f"{preds}"),
     )
-    return TheoremReport("THM2", clauses, _describe(lm))
+    return TheoremReport("THM2", clauses)
 
 
 def verify_theorem3_preconditions(sp, sp2) -> TheoremReport:
@@ -293,7 +287,7 @@ def verify_theorem3_preconditions(sp, sp2) -> TheoremReport:
             f"GF({sp.q})->GF({sp2.q})",
         ),
     )
-    return TheoremReport("THM3", clauses, f"{sp!r}, {sp2!r}")
+    return TheoremReport("THM3", clauses)
 
 
 def _invertible_matrices(f, size):
@@ -585,7 +579,7 @@ def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport
             f"{total} vs {aut.group_order}",
         ),
     )
-    return TheoremReport("CHOW", clauses, f"{sp!r}")
+    return TheoremReport("CHOW", clauses)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -39,6 +39,7 @@ from grasspace.projspace import (
     star,
     verify_projective_axioms,
 )
+from grasspace.theorems import verify_population, verify_theorem1, verify_theorem2
 
 from oracles import (
     collinear_triple_count,
@@ -462,16 +463,16 @@ def test_quotient_of_a_plane_is_one_line(pg23):
 
 
 def _corrupt(monkeypatch, change):
-    """Make projspace._section group its members by a list copy of its
+    """Make projspace._pencils group its members by a list copy of its
     holders table (line id -> holders) that change edits in place."""
-    real = projspace._section
+    real = projspace._pencils
 
-    def patched(sp, dual, centre, members, holders, image):
+    def patched(members, holders):
         holders = list(holders)
         change(holders)
-        return real(sp, dual, centre, members, holders, image)
+        return real(members, holders)
 
-    monkeypatch.setattr(projspace, "_section", patched)
+    monkeypatch.setattr(projspace, "_pencils", patched)
 
 
 def _fresh(n, q):
@@ -583,6 +584,25 @@ def test_sections_reject_centres_outside_the_space(section, centre, error):
     with pytest.raises(error):
         section(sp, centre)
     assert not sp._sections
+
+
+def test_sections_are_cached_by_point_id_and_plane_quotients_never():
+    # PG(3, q) has as many planes as points, so a plane quotient cached
+    # under its plane id would take, or overwrite, a point's quotient.
+    sp = _fresh(3, 3)
+    for verify in (verify_theorem1, verify_theorem2):
+        assert verify_population(sp, verify, 3).passed
+    cache = dict(sp._sections)
+    assert cache
+    for key, section in cache.items():
+        assert type(key) is int and key in sp.point_labels
+        assert quotient(sp, key) is section
+    for plane_id in range(len(planes(sp))):
+        first, second = plane_quotient(sp, plane_id), plane_quotient(sp, plane_id)
+        assert first is not second
+        assert first.point_labels == second.point_labels == lines_in_plane(sp, plane_id)
+        assert first.line_sets == second.line_sets
+    assert sp._sections == cache
 
 
 @pytest.mark.parametrize(
@@ -818,6 +838,7 @@ SECTION_DIGESTS = {  # sha256 prefixes of every quotient, every plane quotient
     3: ("bea4d250ff0f6b4f", "b55f22d6c6277e93"),
     4: ("f735196fd329c646", "4485943463499cc3"),
     5: ("90a86e7f67d879d1", "6c110389b0a48916"),
+    8: ("e293ce1097a4f6b9", "e729779853743a2e"),
 }
 
 
