@@ -5,7 +5,12 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grasspace.errors import DimensionTooSmall, TooLarge, UnsupportedDimension
+from grasspace.errors import (
+    DimensionTooSmall,
+    IncompatibleSpaces,
+    TooLarge,
+    UnsupportedDimension,
+)
 from grasspace.field import field_make
 from grasspace.maps import (
     Collineation,
@@ -16,7 +21,7 @@ from grasspace.maps import (
     preserves_intersections,
     reconstruct_point_map,
 )
-from grasspace.projspace import build_space
+from grasspace.projspace import build_space, polarity
 from grasspace.rng import INCREMENT, SplitMix64
 from grasspace.theorems import (
     ClauseVerdict,
@@ -176,6 +181,45 @@ def test_perturbed_differs_from_parent_by_transposition(pg32):
     i, j = diff
     assert parent.image[i] == perturbed.image[j]
     assert parent.image[j] == perturbed.image[i]
+
+
+def _composed_instance(kind, seed, sp):
+    """(image, dual) of a seeded instance joined from its parts: the sampled
+    collineation's induced line map, for a perturbed instance with the two
+    line ids drawn after the automorphism swapped, and for a duality the
+    same matrix's induced line map followed by the polar-line table."""
+    matrix, auto_index, rng = _sample_semilinear(sp.field, sp.n, seed)
+    c = Collineation(matrix, auto_index)
+    image = list(induced_line_map(collineation_point_map(c, sp, sp)).image)
+    if kind is InstanceKind.DUALITY:
+        polar_line = polarity(sp).polar_line
+        return tuple(polar_line[m] for m in image), True
+    if kind is InstanceKind.PERTURBED:
+        i = rng.below(len(image))
+        j = rng.below(len(image) - 1)
+        j += j >= i
+        image[i], image[j] = image[j], image[i]
+    return tuple(image), False
+
+
+@pytest.mark.parametrize("n, q", [(2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2)])
+def test_instances_match_their_composed_parts(n, q):
+    sp = build_space(n, q)
+    for kind in InstanceKind:
+        for seed in range(50):
+            gen = InstanceGenerator(seed, kind)
+            if kind is InstanceKind.DUALITY and n != 3:
+                with pytest.raises(IncompatibleSpaces):
+                    generate_instance(gen, sp, sp)
+                with pytest.raises(IncompatibleSpaces):
+                    duality_line_map(sample_duality(sp, seed), sp, sp)
+                continue
+            lm = generate_instance(gen, sp, sp)
+            want = _composed_instance(kind, seed, sp)
+            assert (lm.image, lm.dual) == want, (kind, seed)
+            if kind is InstanceKind.DUALITY:
+                d = duality_line_map(sample_duality(sp, seed), sp, sp)
+                assert (d.image, d.dual) == want, seed
 
 
 def _layout(rows):
