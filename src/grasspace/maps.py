@@ -4,15 +4,16 @@ A point map runs between two incidence cores (`IncidenceStructure`,
 which a `ProjSpace` is) and carries four checkable properties:
 injectivity, surjectivity, preservation of collinearity, preservation of
 non-collinearity.  The four flags classify it as a collineation,
-semicollineation, embedding, or other.  Line maps arise either by joining
-point images or, in dimension 3, from dualities.  A duality is the
-standard polarity (`projspace.polarity`) applied after the collineation
-with the same matrix and automorphism: its line map is that collineation's
-induced line map followed by the polar-line table, and a point goes to
-the polar plane of its image.  Reconstruction goes the opposite way: a
-bijective intersection-preserving line map sends each star to the one
-label that two of its image lines share in one incidence core, the target
-or, in dimension 3, its dual (`dual_space`, whose line i holds the planes
+semicollineation, embedding, or other.  Line maps join point images
+(`induced_line_map`), or come in one pass from a semilinear map's rows
+(`semilinear_lines`, every seeded instance): each line goes to the line
+on all its points' rows, then for a duality to its polar line, a duality
+being the standard polarity (`projspace.polarity`) after the collineation
+with the same matrix and automorphism; it sends a point to the polar
+plane of its row.  Reconstruction goes the opposite way: a bijective
+intersection-preserving line map sends each star to the one label that
+two of its image lines share in one incidence core, the target or, in
+dimension 3, its dual (`dual_space`, whose line i holds the planes
 through line i), when one mask test finds every image line on it.  Every
 verdict that reads kappa intersects image lines in that core, and
 restricts it to stars in the target's quotients (`restrict_to_star`).
@@ -35,6 +36,7 @@ one line exactly when the AND of their `star_bits` masks is nonzero.
 import dataclasses
 import enum
 from functools import reduce
+from itertools import chain, repeat
 from operator import and_
 
 from .errors import (
@@ -124,9 +126,12 @@ class LineMap:
         count = len(self.source.line_sets)
         if not isinstance(self.image, tuple) or len(self.image) != count:
             raise PreconditionViolated(f"line map table is not a tuple of {count} line ids")
-        bound = len(self.target.line_sets)
-        if not all(is_code(m, bound) for m in self.image):
+        if not all(map(is_code, self.image, repeat(len(self.target.line_sets)))):
             raise PreconditionViolated("line map sends a line outside the target")
+        if type(self.dual) is not bool:
+            raise PreconditionViolated(f"line map dual flag {self.dual!r} is not a bool")
+        if self.dual and self.target.n != 3:
+            raise PreconditionViolated("a dual line map needs a 3-dimensional target")
 
     def is_bijective(self):
         return len(set(self.image)) == len(self.image) == len(self.target.line_sets)
@@ -156,11 +161,11 @@ def _check_semilinear(t, sp, sp2):
         raise IncompatibleSpaces(f"a {name} acts between coordinate spaces")
     if (sp.n, sp.q) != (sp2.n, sp2.q) or (isinstance(t, Duality) and sp.n != 3):
         raise IncompatibleSpaces(f"no {name} maps {sp!r} onto {sp2!r}")
-    m, a = sp.n + 1, t.auto_index
+    m, a, q = sp.n + 1, t.auto_index, sp.q
     if len(t.matrix) != m or any(len(row) != m for row in t.matrix):
         raise BadConfiguration(f"{name} of {sp!r} needs a {m}x{m} matrix")
-    if not all(is_code(c, sp.q) for row in t.matrix for c in row):
-        raise BadConfiguration(f"{name} matrix entries must be ints in range({sp.q})")
+    if not all(map(is_code, chain.from_iterable(t.matrix), repeat(q))):
+        raise BadConfiguration(f"{name} matrix entries must be ints in range({q})")
     if not is_invertible(sp.field, t.matrix):
         raise BadConfiguration(f"{name} matrix must be invertible")
     if not is_code(a, len(sp.field.automorphisms)):
@@ -198,6 +203,37 @@ def _semilinear_rows(t, sp, sp2) -> list:
     return ids
 
 
+def _joined_lines(sp, sp2, img, injective=True) -> list:
+    """Line table through the point images img[p] of the points of sp: each
+    line goes to the one set bit of the AND of the `star_bits` of all its
+    points' images in sp2, which is nonzero exactly when every image lies
+    on that line.  Raises NotLineConsistent at the first line whose images
+    collapse (tested only when img is not injective) or are not collinear."""
+    masks = [sp2.star_bits[img[p]] for p in sp.point_labels]
+    image = []
+    for l, points in enumerate(sp.line_sets):
+        if not injective and len({img[p] for p in points}) != len(points):
+            raise NotLineConsistent(f"line {l}: point images collapse")
+        common = -1
+        for p in points:
+            common &= masks[p]
+        if not common:
+            raise NotLineConsistent(f"line {l}: point images not collinear")
+        image.append(common.bit_length() - 1)
+    return image
+
+
+def semilinear_lines(t, sp, sp2) -> list:
+    """Line table of a collineation or duality t, checked in full: the
+    lines through its rows (`_semilinear_rows`), then for a duality their
+    polar lines."""
+    _check_semilinear(t, sp, sp2)
+    image = _joined_lines(sp, sp2, _semilinear_rows(t, sp, sp2))
+    if isinstance(t, Duality):
+        image = list(map(polarity(sp2).polar_line.__getitem__, image))
+    return image
+
+
 def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
     """Point action P -> normalize(auto(P) . matrix) between equal-type spaces."""
     _check_semilinear(c, sp, sp2)
@@ -206,43 +242,18 @@ def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
 
 
 def induced_line_map(pm: PointMap) -> LineMap:
-    """Line map sending each line to the line through its point images: the
-    one set bit of the AND of their `star_bits`, which is nonzero exactly
-    when every image lies on that line.  Raises NotLineConsistent at the
-    first line whose images collapse (tested only when the point map is
-    not injective) or are not collinear.
-    """
-    sp, sp2 = pm.source, pm.target
+    """Line map sending each line to the line through its point images
+    (`_joined_lines`)."""
+    sp, sp2, img = pm.source, pm.target, pm.image
     if not (isinstance(sp, ProjSpace) and isinstance(sp2, ProjSpace)):
         raise IncompatibleSpaces("induced line maps act between coordinate spaces")
-    img = pm.image
-    bits = sp2.star_bits
     injective = len(set(img.values())) == len(img)
-    image = []
-    for l, points in enumerate(sp.line_sets):
-        if not injective and len({img[p] for p in points}) != len(points):
-            raise NotLineConsistent(f"line {l}: point images collapse")
-        common = -1
-        for p in points:
-            common &= bits[img[p]]
-        if not common:
-            raise NotLineConsistent(f"line {l}: point images not collinear")
-        image.append(common.bit_length() - 1)
-    return LineMap(source=sp, target=sp2, image=tuple(image))
+    return LineMap(sp, sp2, tuple(_joined_lines(sp, sp2, img, injective)))
 
 
 def duality_line_map(d: Duality, sp, sp2) -> LineMap:
-    """Line map of a duality: the line through the rows (see
-    `_semilinear_rows`) of two points of each line, the one bit of the AND
-    of their star masks, then its polar line.  Marked dual=True."""
-    _check_semilinear(d, sp, sp2)
-    rows, bits = _semilinear_rows(d, sp, sp2), sp2.star_bits
-    polar_line = polarity(sp2).polar_line
-    image = tuple(
-        polar_line[(bits[rows[a]] & bits[rows[b]]).bit_length() - 1]
-        for a, b, *_ in sp.line_sets
-    )
-    return LineMap(source=sp, target=sp2, image=image, dual=True)
+    """Line map of a duality (`semilinear_lines`), marked dual=True."""
+    return LineMap(sp, sp2, tuple(semilinear_lines(d, sp, sp2)), dual=True)
 
 
 def duality_point_to_plane(d: Duality, sp, sp2) -> dict:

@@ -8,7 +8,9 @@ are the standard splitmix64 ones:
     mix 1     0xBF58476D1CE4E5B9
     mix 2     0x94D049BB133111EB
 
-A seed is an integer in [0, 2**64), never reduced into it.  ``below(n)``
+A seed is an int in [0, 2**64) (``field.is_code``), never reduced into it;
+a bound is a positive int and a count an int >= 0.  Anything else, a bool
+or a float included, is a ValueError.  ``below(n)``
 reduces by plain modulo; the tiny bias is irrelevant at the sizes used here
 and keeps the stream easy to reproduce in other languages.  ``draws(n, k)``
 is k calls of ``below(n)`` batched into one, and holds the only copy of the
@@ -17,6 +19,8 @@ so ``skip(k)`` passes over k draws with one addition.  The instance sampler
 uses it to skip the rest of a matrix once one of its rows is dependent; the
 stream it leaves, and so the instance sampling contract, is unchanged.
 """
+
+from .field import is_code
 
 SEED_LIMIT = 1 << 64
 _MASK = SEED_LIMIT - 1
@@ -30,8 +34,8 @@ class SplitMix64:
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not 0 <= seed < SEED_LIMIT:
-            raise ValueError(f"seed {seed} is outside [0, 2**64)")
+        if not is_code(seed, SEED_LIMIT):
+            raise ValueError(f"seed {seed!r} is no int or outside [0, 2**64)")
         self.state = seed
 
     def next_u64(self) -> int:
@@ -43,8 +47,10 @@ class SplitMix64:
 
     def draws(self, n: int, count: int) -> list:
         """The values of `count` calls of below(n), in one call."""
-        if n <= 0:
-            raise ValueError("below() and draws() need a positive bound")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"below() and draws() need a positive int bound, got {n!r}")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"draws() needs an int count >= 0, got {count!r}")
         s = self.state
         out = []
         for _ in range(count):
@@ -57,6 +63,6 @@ class SplitMix64:
 
     def skip(self, count: int) -> None:
         """Advance the stream past `count` draws without mixing them."""
-        if count < 0:
-            raise ValueError("skip() needs a count >= 0")
+        if type(count) is not int or count < 0:
+            raise ValueError(f"skip() needs an int count >= 0, got {count!r}")
         self.state = (self.state + count * INCREMENT) & _MASK

@@ -11,6 +11,7 @@ j = below(L-1) skipping i).  The sampler keeps that contract while drawing
 one row at a time: `linalg.reduce_row` eliminates each row against the rows
 before it, and a dependent row skips the rest of its matrix's draws with
 `SplitMix64.skip`, one state add, so no singular matrix is drawn in full.
+An instance is one `maps.semilinear_lines` pass over the matrix's rows.
 
 `population` is the one seed layout: a block of consecutive seeds per
 instance kind.  `verify_population` folds a suite over it into a single
@@ -53,15 +54,13 @@ from .maps import (
     MapKind,
     check_properties,  # not called here: perfbench checks that its tracer rebinds it
     classify_point_map,
-    collineation_point_map,
-    duality_line_map,
-    induced_line_map,
     pencil_image_is_pencil,
     preserves_intersections,
     preserves_skewness,
     reconstruct_point_map,
     restrict_to_star,
     semicollineation_flags,
+    semilinear_lines,
 )
 from .projspace import planes_through_point
 from .rng import SEED_LIMIT, SplitMix64
@@ -123,24 +122,21 @@ def sample_duality(sp, seed: int) -> Duality:
 
 
 def generate_instance(gen: InstanceGenerator, sp, sp2) -> LineMap:
-    """Seeded line-map instance between two spaces (see module docstring)."""
-    if gen.kind is InstanceKind.DUALITY:
-        return duality_line_map(sample_duality(sp, gen.seed), sp, sp2)
-    if gen.kind not in (InstanceKind.COLLINEATION, InstanceKind.PERTURBED):
-        raise ValueError(f"unknown instance kind {gen.kind!r}")
+    """Seeded line-map instance between two spaces (see module docstring):
+    one `semilinear_lines` pass from the sampled matrix's rows."""
+    kind = gen.kind
+    if not isinstance(kind, InstanceKind):
+        raise ValueError(f"unknown instance kind {kind!r}")
     matrix, auto_index, rng = _sample_semilinear(sp.field, sp.n, gen.seed)
-    c = Collineation(matrix, auto_index)
-    lm = induced_line_map(collineation_point_map(c, sp, sp2))
-    if gen.kind is InstanceKind.COLLINEATION:
-        return lm
-    count = len(sp.line_sets)
-    i = rng.below(count)
-    j = rng.below(count - 1)
-    if j >= i:
-        j += 1
-    image = list(lm.image)
-    image[i], image[j] = image[j], image[i]
-    return LineMap(source=sp, target=sp2, image=tuple(image))
+    dual = kind is InstanceKind.DUALITY
+    t = (Duality if dual else Collineation)(matrix, auto_index)
+    image = semilinear_lines(t, sp, sp2)
+    if kind is InstanceKind.PERTURBED:
+        i = rng.below(len(image))
+        j = rng.below(len(image) - 1)
+        j += j >= i
+        image[i], image[j] = image[j], image[i]
+    return LineMap(sp, sp2, tuple(image), dual)
 
 
 def population(sp, samples, seed=0, kinds=None):
@@ -326,8 +322,7 @@ def all_collineation_line_perms(sp):
     f = sp.field
     for matrix in _invertible_matrices(f, sp.n + 1):
         for j in range(len(f.automorphisms)):
-            c = Collineation(matrix, j)
-            yield induced_line_map(collineation_point_map(c, sp, sp)).image
+            yield tuple(semilinear_lines(Collineation(matrix, j), sp, sp))
 
 
 def _identity_matrix(size):
@@ -359,15 +354,12 @@ def collineation_generators(sp) -> tuple:
         transforms.append(Collineation(with_entry(0, 0, omega)))
     if f.spec.k > 1:
         transforms.append(Collineation(identity, 1))
-    return tuple(
-        induced_line_map(collineation_point_map(c, sp, sp)).image for c in transforms
-    )
+    return tuple(tuple(semilinear_lines(c, sp, sp)) for c in transforms)
 
 
 def duality_generator(sp) -> tuple:
     """Line permutation of the identity-matrix duality of a 3-space."""
-    identity = _identity_matrix(sp.n + 1)
-    return duality_line_map(Duality(identity), sp, sp).image
+    return tuple(semilinear_lines(Duality(_identity_matrix(sp.n + 1)), sp, sp))
 
 
 def _inverse(perm):

@@ -542,6 +542,16 @@ def test_dual_flag_requires_dimension_three():
     assert err.value.lineno == 3
 
 
+@pytest.mark.parametrize("kind", list(InstanceKind))
+def test_dual_flags_survive_the_round_trip(pg32, kind):
+    lm = generate_instance(InstanceGenerator(4, kind), pg32, pg32)
+    text = serialize_grassmap(lm)
+    assert ("DUAL" in text) == lm.dual == (kind is InstanceKind.DUALITY)
+    back = line_map_from_grassmap(parse_grassmap(text))
+    assert (back.image, back.dual) == (lm.image, lm.dual)
+    assert serialize_grassmap(back) == text
+
+
 def test_row_count_and_range_validation():
     text = "GRASSMAP 1\nSOURCE PG 2 2\nTARGET PG 2 2\nMAP\n0 0\nEND\n"
     with pytest.raises(FormatError) as err:

@@ -40,6 +40,7 @@ from grasspace.projspace import (
     IncidenceStructure,
     build_space,
     dual_space,
+    join,
     meet,
     pencil,
     plane_points,
@@ -892,14 +893,20 @@ def test_map_tables_must_be_total(pg22):
         (lambda sp: LineMap(sp, sp, tuple(range(36))), "not a tuple of 35 line ids"),
         (lambda sp: LineMap(sp, sp, (0, True, *range(2, 35))), "outside the target"),
         (lambda sp: LineMap(sp, sp, (0, 1, 2, 3.0, *range(4, 35))), "outside the target"),
+        (lambda sp: LineMap(sp, sp, tuple(range(35)), dual="no"), "not a bool"),
+        (lambda sp: LineMap(sp, sp, tuple(range(35)), dual=1), "not a bool"),
+        (lambda sp: LineMap(pg42 := build_space(4, 2), pg42, tuple(range(155)), dual=True),
+         "3-dimensional target"),
     ],
     ids=["line-negative", "line-past-the-end", "point-negative", "line-short",
-         "line-long", "line-bool", "line-float"],
+         "line-long", "line-bool", "line-float", "dual-str", "dual-int", "dual-pg42"],
 )
 def test_map_tables_must_stay_inside_the_target(pg32, make, message):
     # A negative id would wrap onto a real line or point of the target; a
     # bool or a float equal to an id is no id, and a table of the wrong
-    # length is no line map of PG(3,2).
+    # length is no line map of PG(3,2).  A dual flag that is no bool, or a
+    # dual map into PG(4,2), would be written as DUAL and refused when read
+    # back.
     with pytest.raises(PreconditionViolated, match=message):
         make(pg32)
 
@@ -1036,6 +1043,32 @@ def test_semilinear_rows_match_the_per_point_oracle(n, q):
         for a in range(len(sp.field.automorphisms)):
             for t in (Collineation(matrix, a), Duality(matrix, a)):
                 assert maps._semilinear_rows(t, sp, sp) == per_point_row_ids(t, sp, sp)
+
+
+def _row_moved_off_its_line(real):
+    """_semilinear_rows with point 0's row moved off the image of the first
+    line through point 0, onto a point that the other rows of that line
+    do not span."""
+    def rows(t, sp, sp2):
+        ids = real(t, sp, sp2)
+        a, b, *_ = (ids[p] for p in sp.line_sets[star(sp, 0)[0]] if p != 0)
+        image = sp2.line_sets[join(sp2, a, b)]
+        ids[0] = next(x for x in sp2.point_labels if x not in image)
+        return ids
+    return rows
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_line_tables_read_every_point_of_every_line(monkeypatch, q):
+    # A table that joined only two rows per line would map every line to a
+    # line, whichever two it read, and raise nothing.
+    sp = build_space(3, q)
+    monkeypatch.setattr(maps, "_semilinear_rows", _row_moved_off_its_line(maps._semilinear_rows))
+    for kind in InstanceKind:
+        with pytest.raises(NotLineConsistent, match="not collinear"):
+            generate_instance(InstanceGenerator(5, kind), sp, sp)
+    with pytest.raises(NotLineConsistent, match="not collinear"):
+        duality_line_map(Duality(identity_matrix(4)), sp, sp)
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,36 @@ def test_skip_wraps_and_refuses_negative_counts():
     assert rng.state == INCREMENT - 1
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.0, 0.0, "1"])
+def test_seeds_must_be_ints(seed):
+    with pytest.raises(ValueError, match="no int"):
+        SplitMix64(seed)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: rng.below(2.5),
+        lambda rng: rng.below(True),
+        lambda rng: rng.below(0),
+        lambda rng: rng.draws(2.0, 3),
+        lambda rng: rng.draws(2, -1),
+        lambda rng: rng.draws(2, 1.0),
+        lambda rng: rng.draws(2, True),
+        lambda rng: rng.skip(1.0),
+        lambda rng: rng.skip(True),
+    ],
+    ids=["below-float", "below-bool", "below-zero", "draws-float-bound", "draws-negative",
+         "draws-float-count", "draws-bool-count", "skip-float", "skip-bool"],
+)
+def test_bounds_and_counts_must_be_ints(call):
+    rng = SplitMix64(7)
+    with pytest.raises(ValueError, match="int"):
+        call(rng)
+    assert rng.state == 7  # a refused call draws nothing
+    assert rng.draws(10, 0) == [] and rng.state == 7
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 @pytest.mark.parametrize("n", [2, 3, 4])
 @given(seed=st.integers(0, 2**64 - 1))
