@@ -33,6 +33,7 @@ from .errors import (
 )
 from .grassmann import (
     DEFAULT_NODE_BUDGET,
+    MAX_AUT_VERTICES,
     automorphism_group,
     build_grassmann,
     export_graph,
@@ -168,16 +169,16 @@ def line_map_from_grassmap(gf: GrassmapFile) -> LineMap:
 
 def cmd_stats(args) -> int:
     sp = build_space(args.n, args.q)
-    sets = sp.line_sets
-    first = sets[0]
-    degree = sum(1 for b in range(1, len(sets)) if first & sets[b])
+    row = 0  # line 0's row of the line graph, as `build_grassmann` builds it
+    for p in sp.line_sets[0]:
+        row |= sp.star_bits[p]
     plane_id = planes_through_point(sp, 0)[0]
     pencil_size = len(pencil(sp, 0, plane_id))
     print(f"points {len(sp.point_labels)}")
     print(f"lines {len(sp.line_sets)}")
     print(f"star {len(star(sp, 0))}")
     print(f"pencil {pencil_size}")
-    print(f"degree {degree}")
+    print(f"degree {(row & ~1).bit_count()}")
     return EXIT_OK
 
 
@@ -197,6 +198,9 @@ def cmd_graph(args) -> int:
 
 def cmd_aut(args) -> int:
     sp = build_space(args.n, args.q)
+    count = len(sp.line_sets)
+    if count > MAX_AUT_VERTICES:  # before the graph is built
+        raise TooLarge(f"{count} vertices exceeds the {MAX_AUT_VERTICES} limit")
     report = automorphism_group(build_grassmann(sp), node_budget=args.budget)
     print(report.group_order)
     return EXIT_OK

@@ -73,10 +73,6 @@ def related(masks, a: int, b: int) -> bool:
     return a == b or bool(masks[a] >> b & 1)
 
 
-def skew(masks, a: int, b: int) -> bool:
-    return not related(masks, a, b)
-
-
 def is_clique(masks, lines) -> bool:
     """Whether every two of the lines (a sequence of ids) are equal or meet;
     stops at the first line that misses another."""

@@ -48,7 +48,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .field import is_code
-from .grassmann import build_grassmann, is_clique, related, skew
+from .grassmann import build_grassmann, is_clique, related
 from .linalg import is_invertible
 from .projspace import (
     IncidenceStructure,
@@ -437,7 +437,7 @@ def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):
         )
     g = build_grassmann(sp)
     meeting = (l for l in range(len(sp.line_sets)) if related(g, l, a) and related(g, l, b))
-    return next((l for l in meeting if skew(g, l, c)), None)
+    return next((l for l in meeting if not related(g, l, c)), None)
 
 
 def pencil_image_is_pencil(lm: LineMap, q_point: int, plane_id: int) -> bool:

@@ -6,31 +6,32 @@ of its lines, built once at construction.  `ProjSpace` is that core plus
 each star as a tuple and one coordinate table; the line through two
 points is the one bit of the AND of their star masks.  A point is its
 id: the points are the 1-dimensional subspaces of GF(q)^(n+1), and
-`coords[id]` is the unique coordinate vector whose leftmost nonzero entry
-is 1.  A line is its id: the lines are the 2-dimensional subspaces,
-`line_sets[id]` holds their point ids, and any two of those points span
-the line, so no basis is stored.  A plane is its id: every plane query
-takes one, `planes` lists the RREF bases by id, and an id outside that
-list is `NotAPlane`.  Every pencil is the flag rule p ∈ l ⊂ π read off
-the tables: `_pencils` groups a section's member lines by the planes (or
-points) on them, and `pencil` filters one star by the planes on each
-line.  Quotient spaces, dual spaces and plane pencil-structures are plain
-cores, so every query and every map check reads one code path.  A space
-caches its dual and its quotients by point id, but no plane quotient.
+`coords[id]` is its one-row RREF basis, the unique coordinate vector
+whose leftmost nonzero entry is 1.  A line is its id: the lines are the
+2-dimensional subspaces, `line_sets[id]` holds their point ids, and any
+two of those points span the line, so no basis is stored.  A plane is
+its id: every plane query takes one, `planes` lists the RREF bases by id,
+and an id outside that list is `NotAPlane`.  Every pencil is the flag
+rule p ∈ l ⊂ π read off the tables: `_pencils` groups a section's member
+lines by the planes (or points) on them, and `pencil` filters one star by
+the planes on each line.  Quotient spaces, dual spaces and plane
+pencil-structures are plain cores, so every query and every map check
+reads one code path.  A space caches its dual and its quotients by point
+id, but no plane quotient.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
 
 Derived structures are certified isomorphic to the native space they must
-be (PG(n-1, q) for a quotient or plane quotient, the space itself for a
-dual; one line for a quotient of a plane), else `GeometryError`.  Each
-construction writes the isomorphism down as a native point id per label
-(a star line's projection from the centre onto x_i = 0, for the centre's
-leading 1 at i, which is the line's rank in the star, after the polarity
-for a plane quotient; or a plane's normal), and one check, `_certified`,
-confirms it: a bijection onto the native points under which the lines, as
-many as the native's, go onto exactly the native's set of lines.  The
-tests scan the natives' axioms with `verify_projective_axioms`.
+be (PG(n-1, q) for a quotient or plane quotient, PG(1, q) being q + 1
+points on one line; the space itself for a dual), else `GeometryError`.
+Each construction writes the isomorphism down as a native point id per
+label (a star line's projection from the centre onto x_i = 0, for the
+centre's leading 1 at i, which is the line's rank in the star, after the
+polarity for a plane quotient; or a plane's normal), and one check,
+`_certified`, confirms it: a bijection onto the native points under which
+the lines, as many as the native's, go onto exactly the native's set of
+lines.  The tests scan the natives' axioms with `verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -130,9 +131,6 @@ class IncidenceStructure:
         bits = self.star_bits
         return a != b and bits.get(a, 0) & bits.get(b, 0) & bits.get(c, 0) != 0
 
-    def degree(self, label):
-        return self.star_bits[label].bit_count()
-
     def __repr__(self):
         tag = f"{self.kind}:{self.detail}" if self.detail else self.kind
         return (
@@ -169,14 +167,6 @@ class ProjSpace(IncidenceStructure):
 
     def __repr__(self):
         return f"PG({self.n},{self.q})"
-
-
-def _normalized_vectors(q, m):
-    """All normalized coordinate tuples of length m in ascending lex order."""
-    for pivot in range(m - 1, -1, -1):
-        prefix = (0,) * pivot
-        for tail in product(range(q), repeat=m - pivot - 1):
-            yield prefix + (1,) + tail
 
 
 def _rref_bases(q, m, k):
@@ -216,7 +206,7 @@ def _build_space(n, q):
     f = field_make(q)
     m = n + 1
 
-    coords = tuple(_normalized_vectors(q, m))
+    coords = tuple(sorted(row for row, in _rref_bases(q, m, 1)))
     if len(coords) != gaussian_binomial(m, 1, q):
         raise GeometryError(f"PG({n},{q}) built {len(coords)} points")
     point_index = {c: i for i, c in enumerate(coords)}
@@ -409,24 +399,26 @@ def _certified(structure, native, image):
     it) is checked to be an isomorphism onto native, whose axioms it then
     shares: no image None, the map injective, as many labels as native
     points and lines as native lines, each line's image a native line and
-    none hit twice.  One image set is held at a time.  Native None: a
-    projective line, one line through all of at least three points."""
-    labels = structure.point_labels
-    if native is None:
-        ok = len(labels) >= 3 and structure.line_sets == (frozenset(labels),)
-    else:
-        ids = [image[lab] for lab in labels]
-        lines = native.line_sets
-        ok = (None not in ids and len(set(ids)) == len(ids) == len(native.point_labels)
-              and len(structure.line_sets) == len(lines))
-        if ok:
-            line_id = dict(zip(lines, range(len(lines)))).get
-            found = {line_id(frozenset(map(image.__getitem__, s))) for s in structure.line_sets}
-            ok = None not in found and len(found) == len(lines)
+    none hit twice.  One image set is held at a time."""
+    ids = [image[lab] for lab in structure.point_labels]
+    lines = native.line_sets
+    ok = (None not in ids and len(set(ids)) == len(ids) == len(native.point_labels)
+          and len(structure.line_sets) == len(lines))
+    if ok:
+        line_id = dict(zip(lines, range(len(lines)))).get
+        found = {line_id(frozenset(map(image.__getitem__, s))) for s in structure.line_sets}
+        ok = None not in found and len(found) == len(lines)
     if not ok:
-        expected = "a projective line" if native is None else repr(native)
-        raise GeometryError(f"{structure!r} is not isomorphic to {expected}")
+        raise GeometryError(f"{structure!r} is not isomorphic to {native!r}")
     return structure
+
+
+@functools.lru_cache(maxsize=None)
+def _projective_line(q) -> IncidenceStructure:
+    """The native PG(1, q), which `build_space` does not build: q + 1
+    points on one line."""
+    points = tuple(range(q + 1))
+    return IncidenceStructure(points, (frozenset(points),), "native", f"PG(1,{q})")
 
 
 def _normal(f, rows):
@@ -485,8 +477,8 @@ def _projector(sp, centre: int) -> dict:
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
     """Quotient space at a point: star lines as points, pencils as lines.
-    Certified isomorphic to PG(n-1, q) by `_projector` (for n = 2, one
-    line) and cached by point id."""
+    Certified isomorphic to PG(n-1, q) by `_projector` (for n = 2, the
+    native `_projective_line`) and cached by point id."""
     members = star(sp, q_point)
     cached = sp._sections.get(q_point)
     if cached is None:
@@ -496,9 +488,8 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
             kind="quotient",
             detail=f"{sp!r}/{q_point}",
         )
-        native = build_space(sp.n - 1, sp.q) if sp.n > 2 else None
-        ids = _projector(sp, q_point) if native else None
-        cached = sp._sections[q_point] = _certified(structure, native, ids)
+        native = build_space(sp.n - 1, sp.q) if sp.n > 2 else _projective_line(sp.q)
+        cached = sp._sections[q_point] = _certified(structure, native, _projector(sp, q_point))
     return cached
 
 

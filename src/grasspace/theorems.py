@@ -29,7 +29,8 @@ order (Seress 2003, ch. 4):
   complete chain of G, since d then normalises G and d^2 lies in it.  When
   a sift fails there is no bound, and the chain runs to completion.
 `all_collineation_line_perms` enumerates every collineation instead and
-stays as the brute-force oracle for small spaces.
+stays as the brute-force oracle for small spaces: it keeps each matrix of
+nonzero rows that `linalg.is_invertible`, the one invertibility test, accepts.
 """
 
 import dataclasses
@@ -45,7 +46,7 @@ from .grassmann import (
     automorphism_group,
     build_grassmann,
 )
-from .linalg import reduce_row
+from .linalg import is_invertible, reduce_row
 from .maps import (
     Collineation,
     Duality,
@@ -286,43 +287,20 @@ def verify_theorem3_preconditions(sp, sp2) -> TheoremReport:
     return TheoremReport("THM3", clauses)
 
 
-def _invertible_matrices(f, size):
-    """All invertible size x size matrices, rows built left to right while
-    tracking the span of the chosen prefix."""
-    q = f.q
-    add = f.add_table
-    mul = f.mul_table
-    nonzero = [v for v in product(range(q), repeat=size) if any(v)]
-
-    def extend(rows, span):
-        if len(rows) == size:
-            yield tuple(rows)
-            return
-        for v in nonzero:
-            if v in span:
-                continue
-            grown = set(span)
-            for s in span:
-                for c in range(1, q):
-                    grown.add(
-                        tuple(add[x][mul[c][y]] for x, y in zip(s, v))
-                    )
-            yield from extend(rows + [v], grown)
-
-    zero = tuple([0] * size)
-    yield from extend([], {zero})
-
-
 def all_collineation_line_perms(sp):
     """Line permutation of every semilinear collineation of a space.
 
     Yields each permutation as a tuple indexed by source line id; the
-    number of distinct values is the full collineation group order.
+    number of distinct values is the full collineation group order.  The
+    matrices are every (n+1)-tuple of nonzero rows, in lexicographic order,
+    that `is_invertible` accepts; each is paired with every automorphism.
     """
     f = sp.field
-    for matrix in _invertible_matrices(f, sp.n + 1):
-        for j in range(len(f.automorphisms)):
-            yield tuple(semilinear_lines(Collineation(matrix, j), sp, sp))
+    rows = [v for v in product(range(f.q), repeat=sp.n + 1) if any(v)]
+    for matrix in product(rows, repeat=sp.n + 1):
+        if is_invertible(f, matrix):
+            for j in range(len(f.automorphisms)):
+                yield tuple(semilinear_lines(Collineation(matrix, j), sp, sp))
 
 
 def _identity_matrix(size):

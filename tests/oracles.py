@@ -34,12 +34,9 @@ from grasspace.linalg import normalize, nullspace
 from grasspace.maps import KappaReport, KappaStatus, PointMap
 from grasspace.projspace import (
     IncidenceStructure,
-    _normalized_vectors,
-    build_space,
     dual_space,
     plane_points,
     planes,
-    point_id_of_vector,
 )
 from grasspace.rng import SplitMix64
 
@@ -54,12 +51,18 @@ def vec_scale(f, c, v):
     return tuple(row[x] for x in v)
 
 
+def normalized_vectors(q, m):
+    """Every length-m code vector whose leftmost nonzero entry is 1, in
+    lexicographic order: a filter over all q**m vectors."""
+    return [v for v in product(range(q), repeat=m) if 1 in v and not any(v[: v.index(1)])]
+
+
 def _span_points(field, point_index, basis):
     """Point ids on the span of an RREF basis, row by row: combining RREF
     rows with a normalized coefficient vector yields an already-normalized
     coordinate vector, so no per-point rescaling happens."""
     ids = []
-    for coeffs in _normalized_vectors(field.q, len(basis)):
+    for coeffs in normalized_vectors(field.q, len(basis)):
         vec = None
         for c, row in zip(coeffs, basis):
             term = row if c == 1 else vec_scale(field, c, row)
@@ -310,15 +313,16 @@ def filtered_pencil(sp, plane_lines, point):
 def projected_star(sp, centre):
     """Line through the centre P -> PG(n-1, q) point id of X - X[i]·P, for
     the smallest other point X of the line and i P's leading 1, with
-    coordinate i dropped, normalized and looked up."""
+    coordinate i dropped, normalized and ranked among `normalized_vectors`,
+    so PG(1, q) needs no space built."""
     f, p = sp.field, sp.coords[centre]
     i = p.index(1)
-    native = build_space(sp.n - 1, sp.q)
+    native = {v: rank for rank, v in enumerate(normalized_vectors(sp.q, sp.n))}
     table = {}
     for l in sp.lines_through[centre]:
         x = sp.coords[min(sp.line_sets[l] - {centre})]
         v = vec_add(f, x, vec_scale(f, f.neg_table[x[i]], p))
-        table[l] = point_id_of_vector(native, v[:i] + v[i + 1 :])
+        table[l] = native[normalize(f, v[:i] + v[i + 1 :])]
     return table
 
 
@@ -598,8 +602,8 @@ def incidence_isomorphic(a: IncidenceStructure, b: IncidenceStructure):
         return None
     if sorted(len(s) for s in a.line_sets) != sorted(len(s) for s in b.line_sets):
         return None
-    deg_a = {p: a.degree(p) for p in pa}
-    deg_b = {p: b.degree(p) for p in pb}
+    deg_a = {p: a.star_bits[p].bit_count() for p in pa}
+    deg_b = {p: b.star_bits[p].bit_count() for p in pb}
     if sorted(deg_a.values()) != sorted(deg_b.values()):
         return None
 

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasspace import cli
 from grasspace.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -106,10 +107,13 @@ def test_negative_budget_is_a_bad_parameter(capsys, argv):
     assert "node budget must be at least 0" in err
 
 
-def test_aut_too_large(capsys):
-    code, _, err = run(capsys, "aut", "-n", "4", "-q", "3")
+def test_aut_too_large(capsys, monkeypatch):
+    # The cap is checked before the line graph is built.
+    monkeypatch.setattr(cli, "build_grassmann", lambda sp: pytest.fail("graph built"))
+    code, out, err = run(capsys, "aut", "-n", "4", "-q", "3")
     assert code == EXIT_PARAMS
-    assert "exceeds" in err
+    assert out == ""
+    assert "1210 vertices exceeds the 700 limit" in err
 
 
 def test_gen_is_byte_deterministic(tmp_path, capsys):

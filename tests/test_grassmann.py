@@ -14,7 +14,6 @@ from grasspace.grassmann import (
     export_graph,
     parse_graph,
     related,
-    skew,
 )
 from grasspace.projspace import build_space, meet
 
@@ -42,7 +41,6 @@ def test_adjacency_matches_meet(pg32):
     for a in range(35):
         for b in range(a + 1, 35):
             assert related(g, a, b) == (meet(pg32, a, b) is not None)
-            assert skew(g, a, b) == (meet(pg32, a, b) is None)
 
 
 def test_adjacency_matches_rank_oracle(pg32):
@@ -59,7 +57,6 @@ def test_related_is_reflexive_and_symmetric(pg32):
     g = build_grassmann(pg32)
     for a in range(0, 35, 7):
         assert related(g, a, a)
-        assert not skew(g, a, a)
         for b in range(35):
             assert related(g, a, b) == related(g, b, a)
 
@@ -82,7 +79,7 @@ def test_plane_case_is_complete(pg22):
 def test_skew_line_count_pg32(pg32):
     g = build_grassmann(pg32)
     for a in range(35):
-        assert sum(1 for b in range(35) if skew(g, a, b)) == 16
+        assert sum(1 for b in range(35) if not related(g, a, b)) == 16
 
 
 def test_strongly_regular_parameters_pg32(pg32):

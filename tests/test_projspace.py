@@ -265,10 +265,8 @@ def test_pencil_matches_the_oracle_planes(n, q):
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2), (3, 4)])
-def test_section_tables_match_the_span_and_filter_oracles(n, q, monkeypatch):
+def test_section_tables_match_the_span_and_filter_oracles(n, q):
     sp = _fresh(n, q)
-    if n == 2:  # PG(1, q) is never built: no section of a plane projects its star
-        monkeypatch.setattr(projspace, "_projector", lambda *args: pytest.fail("projected"))
     rows = spanned_planes(sp)
     assert [sorted(pts) for pts, _ in rows] == sorted(sorted(pts) for pts, _ in rows)
     assert len(rows) == gaussian_binomial(n + 1, 3, q)
@@ -300,19 +298,24 @@ def test_section_tables_match_the_span_and_filter_oracles(n, q, monkeypatch):
     def sorted_pencils(keys):
         return tuple(sorted((frozenset(pencils[k]) for k in keys), key=sorted))
 
+    # Every quotient, a plane's too, is certified through its star's ranks,
+    # onto the native PG(n-1, q); PG(1, q) is q + 1 points on one line.
+    native = build_space(n - 1, q) if n > 2 else projspace._projective_line(q)
     for p in sp.point_labels:
         on = [(p, pl) for pl in planes_through_point(sp, p)]
-        assert quotient(sp, p).line_sets == sorted_pencils(on)
-        assert not hasattr(quotient(sp, p), "lines_through")  # one star index: the masks
-        if n > 2:
-            assert projspace._projector(sp, p) == projected_star(sp, p)
+        section = quotient(sp, p)
+        assert section.line_sets == sorted_pencils(on)
+        assert not hasattr(section, "lines_through")  # one star index: the masks
+        ranks = projected_star(sp, p)
+        assert projspace._projector(sp, p) == ranks
+        assert projspace._certified(section, native, ranks) is section
     if n == 3:
         for plane_id, (pts, _) in enumerate(rows):
             on = [(p, plane_id) for p in pts]
             assert plane_quotient(sp, plane_id).line_sets == sorted_pencils(on)
 
 
-@pytest.mark.parametrize("n,q", [(3, 5), (3, 8), (4, 3), (5, 2)])
+@pytest.mark.parametrize("n,q", [(2, 9), (3, 5), (3, 8), (4, 3), (5, 2)])
 def test_projection_from_a_centre_keeps_the_order_of_ids(n, q):
     # The certificates read each star line's projection as its rank in the
     # star; the coordinate oracle projects every star of spaces the section
@@ -539,8 +542,9 @@ def test_quotient_certificate_rejects_a_repeated_pencil(monkeypatch):
     assert not sp._sections
 
 
-def test_quotient_certificate_rejects_an_image_that_is_not_injective(monkeypatch):
-    sp = _fresh(3, 2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_quotient_certificate_rejects_an_image_that_is_not_injective(monkeypatch, n):
+    sp = _fresh(n, 2)
     real = projspace._projector
 
     def doubled(sp, centre):  # the second star line takes the first one's image
@@ -884,7 +888,9 @@ def test_line_tables_match_the_span_oracle(n, q):
 @pytest.mark.parametrize(
     "name,fake,message",
     [
-        ("_normalized_vectors", lambda real: lambda *a: list(real(*a))[:-1], "14 points"),
+        ("_rref_bases",  # drop the last point, keep every line and plane basis
+         lambda real: lambda q, m, k: list(real(q, m, k))[: -1 if k == 1 else None],
+         "14 points"),
         ("_subspaces", lambda real: lambda *a: list(real(*a))[:-1], "34 lines"),
         # expect 8 lines through each point of PG(3,2) instead of 7
         ("gaussian_binomial", lambda real: lambda m, k, q: real(m, k, q) + (m == 3),

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -440,9 +441,21 @@ def test_theorem3_preconditions(pg32, pg33, pg42):
     assert report.clauses[2].passed
 
 
+# sha256 of repr(list(all_collineation_line_perms(sp))): the enumeration's order
+ENUMERATION_DIGESTS = {
+    (3, 2): "5c51f12f5a0d6bf36b4a9c80c9ab370e702b2ec71dcd6211f89d1e95717d2845",
+    (2, 3): "a4cf85a79b5897b3d5723346e252d0825fbaa6182d0562427068785c006c2f87",
+}
+
+
+def _enumerated(sp):
+    perms = list(all_collineation_line_perms(sp))
+    assert hashlib.sha256(repr(perms).encode()).hexdigest() == ENUMERATION_DIGESTS[sp.n, sp.q]
+    return perms
+
+
 def test_collineation_perm_count_pg32(pg32):
-    perms = all_collineation_line_perms(pg32)
-    distinct = set(perms)
+    distinct = set(_enumerated(pg32))
     assert len(distinct) == 20160
     identity = tuple(range(35))
     assert identity in distinct
@@ -460,6 +473,17 @@ def test_collineation_perm_count_pg32(pg32):
     stopped.extend([d], order=40320)
     assert stopped.order == 40320 and d in stopped
     assert all(tuple(d[x] for x in perm) in stopped for perm in distinct)
+
+
+def test_collineation_enumeration_pg23(pg23):
+    # The one field with q = 3 the enumerator is run on: every one of the
+    # |PGammaL(3,3)| = 5616 collineations lies in the generated chain.
+    assert isinstance(all_collineation_line_perms(pg23), types.GeneratorType)
+    distinct = set(_enumerated(pg23))
+    assert len(distinct) == pgammal_order(2, 3) == 5616
+    chain = StabiliserChain(collineation_generators(pg23))
+    assert chain.order == 5616
+    assert all(perm in chain for perm in distinct)
 
 
 def test_stabiliser_chain_rejects_non_members(pg32):
