@@ -49,8 +49,6 @@ from .maps import (
 from .projspace import (
     build_space,
     gaussian_binomial,
-    pencil,
-    planes_through_point,
     star,
 )
 from .theorems import (
@@ -172,8 +170,9 @@ def cmd_stats(args) -> int:
     row = 0  # line 0's row of the line graph, as `build_grassmann` builds it
     for p in sp.line_sets[0]:
         row |= sp.star_bits[p]
-    plane_id = planes_through_point(sp, 0)[0]
-    pencil_size = len(pencil(sp, 0, plane_id))
+    # the pencil at 0 in the plane of 0, a and b: 0 joined to each point of a|b
+    a, b = (min(sp.line_sets[l] - {0}) for l in sp.lines_through[0][:2])
+    pencil_size = len({sp.line_through(0, y) for y in sp.line_sets[sp.line_through(a, b)]})
     print(f"points {len(sp.point_labels)}")
     print(f"lines {len(sp.line_sets)}")
     print(f"star {len(star(sp, 0))}")

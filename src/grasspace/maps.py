@@ -16,7 +16,7 @@ two of its image lines share in one incidence core, the target or, in
 dimension 3, its dual (`dual_space`, whose line i holds the planes
 through line i), when one mask test finds every image line on it.  Every
 verdict that reads kappa intersects image lines in that core, and
-restricts it to stars in the target's quotients (`restrict_to_star`).
+restricts it to stars through certified rank tables (`restrict_to_star`).
 A line map's image is a tuple, image[l] the target line of source line l.
 Map tables are total on the source and stay inside the target: a value
 that is no target label or line id is PreconditionViolated.  The two
@@ -60,8 +60,9 @@ from .projspace import (
     planes_of_line,
     point_parents,
     polarity,
-    quotient,
     star,
+    star_native,
+    star_ranks,
 )
 
 
@@ -405,21 +406,24 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
 
 
 def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
-    """Restriction of a line map to one star, as a map between quotients of
-    the source and the target: at kappa's value, or, for a kappa into the
-    dual (see `_kappa_core`), at its plane's normal with each image read
-    through `polar_line`: the restriction into that plane's `plane_quotient`
-    carried over by the polarity, which `dual_space` certifies."""
+    """Restriction of a line map to one star, as a map of the native
+    PG(n-1, q) (`star_native`): a star line's rank (`star_ranks`) goes to
+    its image's rank in the target star at kappa's value, or, for a kappa
+    into the dual (see `_kappa_core`), at its plane's normal with each image
+    read through `polar_line`: the restriction between the two `quotient`s,
+    relabelled.  An image off the target star has no rank: PreconditionViolated."""
     if kappa is None or q_point not in kappa.image:
         raise PreconditionViolated(f"kappa undefined at point {q_point}")
-    sp2, centre = lm.target, kappa.image[q_point]
+    sp, sp2, centre = lm.source, lm.target, kappa.image[q_point]
     dual = _kappa_core(lm, kappa) is not sp2
-    image = {l: lm.image[l] for l in star(lm.source, q_point)}
+    image = {r: lm.image[l] for l, r in star_ranks(sp, q_point).items()}
     if dual:
         table = polarity(sp2)
         centre = table.normal[centre]
-        image = {l: table.polar_line[m] for l, m in image.items()}
-    return PointMap(quotient(lm.source, q_point), quotient(sp2, centre), image)
+        image = {r: table.polar_line[m] for r, m in image.items()}
+    target = star_ranks(sp2, centre)
+    image = {r: target.get(m) for r, m in image.items()}
+    return PointMap(star_native(sp), star_native(sp2), image)
 
 
 def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):

@@ -16,22 +16,22 @@ rule p ∈ l ⊂ π read off the tables: `_pencils` groups a section's member
 lines by the planes (or points) on them, and `pencil` filters one star by
 the planes on each line.  Quotient spaces, dual spaces and plane
 pencil-structures are plain cores, so every query and every map check
-reads one code path.  A space caches its dual and its quotients by point
-id, but no plane quotient.
+reads one code path.  A space caches its dual and one certified rank table
+per point (`star_ranks`), but no quotient and no plane quotient.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
 
-Derived structures are certified isomorphic to the native space they must
-be (PG(n-1, q) for a quotient or plane quotient, PG(1, q) being q + 1
-points on one line; the space itself for a dual), else `GeometryError`.
-Each construction writes the isomorphism down as a native point id per
-label (a star line's projection from the centre onto x_i = 0, for the
-centre's leading 1 at i, which is the line's rank in the star, after the
-polarity for a plane quotient; or a plane's normal), and one check,
-`_certified`, confirms it: a bijection onto the native points under which
-the lines, as many as the native's, go onto exactly the native's set of
-lines.  The tests scan the natives' axioms with `verify_projective_axioms`.
+Each star, and each derived structure, is certified isomorphic to the
+native space it must be (PG(n-1, q) for a star, its quotient or a plane
+quotient, `star_native`, PG(1, q) being q + 1 points on one line; the
+space itself for a dual), else `GeometryError`.  Each construction writes
+the isomorphism down as a native point id per label (a star line's rank
+in the star, which is its projection from the centre, after the polarity
+for a plane quotient; or a plane's normal), and one check, `_certified`,
+confirms it: a bijection onto the native points under which the lines, as
+many as the native's, go onto exactly the native's set of lines.  The
+tests scan the natives' axioms with `verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -158,6 +158,7 @@ class ProjSpace(IncidenceStructure):
         self._polarity = None
         self._parents = None
         self._sections = {}
+        self._star_native = None
         self._dual = None
         self._grassmann = None
 
@@ -394,31 +395,34 @@ def _pencils(members, holders) -> tuple:
     return tuple(map(frozenset, sorted(_grouped(members, holders).values())))
 
 
-def _certified(structure, native, image):
-    """The structure, once image (label -> native point id, whatever computed
-    it) is checked to be an isomorphism onto native, whose axioms it then
-    shares: no image None, the map injective, as many labels as native
-    points and lines as native lines, each line's image a native line and
-    none hit twice.  One image set is held at a time."""
-    ids = [image[lab] for lab in structure.point_labels]
+def _certified(what, labels, line_sets, native, image):
+    """Check that image (label -> native point id, whatever computed it) is
+    an isomorphism of what, the labels with their line_sets, onto native,
+    whose axioms it then shares: no image None, the map injective, as many
+    labels as native points and lines as native lines, each line's image a
+    native line and none hit twice.  One image set is held at a time."""
+    ids = [image[lab] for lab in labels]
     lines = native.line_sets
     ok = (None not in ids and len(set(ids)) == len(ids) == len(native.point_labels)
-          and len(structure.line_sets) == len(lines))
+          and len(line_sets) == len(lines))
     if ok:
         line_id = dict(zip(lines, range(len(lines)))).get
-        found = {line_id(frozenset(map(image.__getitem__, s))) for s in structure.line_sets}
+        found = {line_id(frozenset(map(image.__getitem__, s))) for s in line_sets}
         ok = None not in found and len(found) == len(lines)
     if not ok:
-        raise GeometryError(f"{structure!r} is not isomorphic to {native!r}")
-    return structure
+        raise GeometryError(f"{what} is not isomorphic to {native!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def _projective_line(q) -> IncidenceStructure:
-    """The native PG(1, q), which `build_space` does not build: q + 1
-    points on one line."""
-    points = tuple(range(q + 1))
-    return IncidenceStructure(points, (frozenset(points),), "native", f"PG(1,{q})")
+def star_native(sp) -> IncidenceStructure:
+    """The native PG(n-1, q) that the stars of sp are certified against:
+    `build_space`'s, or, for a plane, q + 1 points on one line, kept on sp."""
+    if sp.n > 2:
+        return build_space(sp.n - 1, sp.q)
+    if sp._star_native is None:
+        points = tuple(range(sp.q + 1))
+        line = (frozenset(points),)
+        sp._star_native = IncidenceStructure(points, line, "native", f"PG(1,{sp.q})")
+    return sp._star_native
 
 
 def _normal(f, rows):
@@ -461,7 +465,7 @@ def polarity(sp) -> Polarity:
     return sp._polarity
 
 
-def _projector(sp, centre: int) -> dict:
+def star_ranks(sp, centre: int) -> dict:
     """Line through the centre P -> native id of its projection from P onto
     the hyperplane x_i = 0 (i: P's leading 1), read as the line's rank in
     P's star.  The projection is the line's one point X with X[i] = 0,
@@ -469,28 +473,26 @@ def _projector(sp, centre: int) -> dict:
     either X leads after i and is the least point, or X leads before i, P
     is the least, and X is the least of the points X + t·P, which agree
     with X before i and hold t at i.  So the star's lines, ascending, go
-    onto PG(n-1, q)'s points, ascending.  Called only when the quotient at
-    P, which is cached, or a plane quotient with normal P is built."""
-    lines = sp.lines_through[centre]
-    return dict(zip(lines, range(len(lines))))
+    onto the points of `star_native`, ascending.  Cached by point id once
+    certified on first use: the star's pencils go onto the native's lines."""
+    lines = star(sp, centre)
+    ranks = sp._sections.get(centre)
+    if ranks is None:
+        ranks = dict(zip(lines, range(len(lines))))
+        pencils = _pencils(lines, _planes(sp).on_line)
+        _certified(f"star {centre} of {sp!r}", lines, pencils, star_native(sp), ranks)
+        sp._sections[centre] = ranks
+    return ranks
 
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
-    """Quotient space at a point: star lines as points, pencils as lines.
-    Certified isomorphic to PG(n-1, q) by `_projector` (for n = 2, the
-    native `_projective_line`) and cached by point id."""
+    """Quotient space at a point, built on each call: star lines as points
+    and as lines the pencils, which `star_ranks` certifies onto the native."""
     members = star(sp, q_point)
-    cached = sp._sections.get(q_point)
-    if cached is None:
-        structure = IncidenceStructure(
-            point_labels=members,
-            line_sets=_pencils(members, _planes(sp).on_line),
-            kind="quotient",
-            detail=f"{sp!r}/{q_point}",
-        )
-        native = build_space(sp.n - 1, sp.q) if sp.n > 2 else _projective_line(sp.q)
-        cached = sp._sections[q_point] = _certified(structure, native, _projector(sp, q_point))
-    return cached
+    pencils = _pencils(members, _planes(sp).on_line)
+    structure = IncidenceStructure(members, pencils, "quotient", f"{sp!r}/{q_point}")
+    star_ranks(sp, q_point)
+    return structure
 
 
 def dual_space(sp) -> IncidenceStructure:
@@ -504,13 +506,11 @@ def dual_space(sp) -> IncidenceStructure:
     if sp.n != 3:
         raise UnsupportedDimension(f"dual_space needs dimension 3, got {sp.n}")
     if sp._dual is None:
-        structure = IncidenceStructure(
-            point_labels=tuple(range(len(planes(sp)))),
-            line_sets=tuple(planes_of_line(sp, l) for l in range(len(sp.line_sets))),
-            kind="dual",
-            detail=repr(sp),
-        )
-        sp._dual = _certified(structure, sp, polarity(sp).normal)
+        labels = tuple(range(len(planes(sp))))
+        lines = tuple(planes_of_line(sp, l) for l in range(len(sp.line_sets)))
+        structure = IncidenceStructure(labels, lines, "dual", repr(sp))
+        _certified(structure, labels, lines, sp, polarity(sp).normal)
+        sp._dual = structure
     return sp._dual
 
 
@@ -521,20 +521,17 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     The polarity sends the lines of π onto the lines through its normal N,
     and the pencil at a point P of π onto the pencil at N in P's polar
     plane.  So a line of π goes to its polar line projected from N, through
-    the table of the quotient at N (None for a polar line off N)."""
+    `star_ranks` at N (None for a polar line off N)."""
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
-    structure = IncidenceStructure(
-        point_labels=members,
-        line_sets=_pencils(members, sp.line_sets),
-        kind="quotient",
-        detail=f"dual({sp!r})/{plane_id}",
-    )
+    pencils = _pencils(members, sp.line_sets)
+    structure = IncidenceStructure(members, pencils, "quotient", f"dual({sp!r})/{plane_id}")
     table = polarity(sp)
-    project = _projector(sp, table.normal[plane_id])
-    image = {l: project.get(table.polar_line[l]) for l in members}
-    return _certified(structure, build_space(2, sp.q), image)
+    ranks = star_ranks(sp, table.normal[plane_id])
+    image = {l: ranks.get(table.polar_line[l]) for l in members}
+    _certified(structure, members, pencils, star_native(sp), image)
+    return structure
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasspace import cli
+from grasspace import cli, projspace
 from grasspace.cli import (
     EXIT_BUDGET,
     EXIT_IO,
@@ -45,6 +45,19 @@ def test_stats_pg23(capsys):
     code, out, _ = run(capsys, "stats", "-n", "2", "-q", "3")
     assert code == EXIT_OK
     assert out == "points 13\nlines 13\nstar 4\npencil 4\ndegree 12\n"
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (3, 3), (4, 2)])
+def test_stats_reads_the_pencil_off_one_plane(capsys, monkeypatch, n, q):
+    # The pencil at 0 comes from the plane of two lines through it, so the
+    # plane table of the whole space is never built.
+    def refuse(sp):
+        raise AssertionError("stats built the plane table")
+
+    monkeypatch.setattr(projspace, "_planes", refuse)
+    code, out, _ = run(capsys, "stats", "-n", str(n), "-q", str(q))
+    assert code == EXIT_OK
+    assert f"\npencil {q + 1}\n" in out
 
 
 def test_stats_rejects_bad_parameters(capsys):

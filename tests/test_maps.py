@@ -69,6 +69,7 @@ from oracles import (
     pairwise_preserves_intersections,
     pairwise_preserves_skewness,
     per_point_row_ids,
+    projected_star,
     triple_property_flags,
     two_pass_reconstruction,
     vec_add,
@@ -371,8 +372,11 @@ def test_restrict_to_star_collineation(pg32):
     kappa = reconstruct_point_map(lm).kappa
     for q_point in (0, 7, 14):
         restriction = restrict_to_star(lm, q_point, kappa)
-        assert restriction.source is quotient(pg32, q_point)
-        assert restriction.target is quotient(pg32, kappa.image[q_point])
+        # a map of the one native PG(2, 2), star lines read as their ranks
+        assert restriction.source is restriction.target is build_space(2, 2)
+        ranks = projected_star(pg32, q_point)
+        target = projected_star(pg32, kappa.image[q_point])
+        assert restriction.image == {ranks[l]: target[lm.image[l]] for l in ranks}
         assert classify_point_map(restriction) == MapKind.COLLINEATION
 
 
@@ -384,8 +388,10 @@ def test_restrict_to_star_duality_targets_the_quotient_at_the_normal(pg32):
     kappa = reconstruct_point_map(lm).kappa
     table = polarity(pg32)
     restriction = restrict_to_star(lm, 0, kappa)
-    assert restriction.target is quotient(pg32, table.normal[kappa.image[0]])
-    assert restriction.image == {l: table.polar_line[lm.image[l]] for l in star(pg32, 0)}
+    assert restriction.source is restriction.target is build_space(2, 2)
+    ranks = projected_star(pg32, 0)
+    target = projected_star(pg32, table.normal[kappa.image[0]])
+    assert restriction.image == {ranks[l]: target[table.polar_line[lm.image[l]]] for l in ranks}
     assert classify_point_map(restriction) == MapKind.COLLINEATION
 
 
@@ -427,6 +433,46 @@ def test_transported_restrictions_match_the_plane_quotient_oracle(q):
                 assert flags == dataclasses.astuple(oracle), f"seed {seed} centre {p}"
                 seen.update(enumerate(flags))
     assert seen == {(k, v) for k in range(4) for v in (False, True)}
+
+
+def _quotient_restriction(lm, q_point, kappa):
+    """A star restriction read between two `quotient`s, the oracle of the
+    rank-table one: at kappa's value, or, for a kappa into the dual, at its
+    plane's normal with each image read through `polar_line`."""
+    sp2, centre = lm.target, kappa.image[q_point]
+    image = {l: lm.image[l] for l in star(lm.source, q_point)}
+    if kappa.target is not sp2:
+        table = polarity(sp2)
+        centre = table.normal[centre]
+        image = {l: table.polar_line[m] for l, m in image.items()}
+    return PointMap(quotient(lm.source, q_point), quotient(sp2, centre), image)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_rank_table_restrictions_match_the_quotient_restrictions(n, q):
+    # At every centre of seeded collineations, and dualities in dimension 3,
+    # as generated and with two star lines swapped or merged, the restriction
+    # on the native PG(n-1, q) has the flags of the one between quotients.
+    sp = build_space(n, q)
+    rng = random.Random(n * q)
+    kinds = [InstanceKind.COLLINEATION] + [InstanceKind.DUALITY] * (n == 3)
+    seen = set()
+    for kind in kinds:
+        lm = generate_instance(InstanceGenerator(1, kind), sp, sp)
+        kappa = reconstruct_point_map(lm).kappa
+        for p in sp.point_labels:
+            i, j = rng.sample(range(len(star(sp, p))), 2)
+            for variant in (lm, _star_swapped(lm, p, i, j), _star_merged(lm, p, i, j)):
+                restriction = restrict_to_star(variant, p, kappa)
+                assert restriction.source is restriction.target is projspace.star_native(sp)
+                flags = dataclasses.astuple(check_properties(restriction))
+                oracle = check_properties(_quotient_restriction(variant, p, kappa))
+                assert flags == dataclasses.astuple(oracle), f"{kind} centre {p}"
+                seen.update(enumerate(flags))
+    expected = {(k, v) for k in range(4) for v in (False, True)}
+    if n == 2:  # PG(1, q) is one line: both preservation flags always hold
+        expected -= {(2, False), (3, False)}
+    assert seen == expected
 
 
 def test_transported_restrictions_need_the_dual_certificate():

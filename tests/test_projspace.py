@@ -37,9 +37,18 @@ from grasspace.projspace import (
     polarity,
     quotient,
     star,
+    star_native,
+    star_ranks,
     verify_projective_axioms,
 )
-from grasspace.theorems import verify_population, verify_theorem1, verify_theorem2
+from grasspace.theorems import (
+    InstanceGenerator,
+    InstanceKind,
+    generate_instance,
+    verify_population,
+    verify_theorem1,
+    verify_theorem2,
+)
 
 from oracles import (
     collinear_triple_count,
@@ -298,17 +307,21 @@ def test_section_tables_match_the_span_and_filter_oracles(n, q):
     def sorted_pencils(keys):
         return tuple(sorted((frozenset(pencils[k]) for k in keys), key=sorted))
 
-    # Every quotient, a plane's too, is certified through its star's ranks,
-    # onto the native PG(n-1, q); PG(1, q) is q + 1 points on one line.
-    native = build_space(n - 1, q) if n > 2 else projspace._projective_line(q)
+    # Every star, and so its quotient and a plane's, is certified through its
+    # ranks onto the native PG(n-1, q); PG(1, q) is q + 1 points on one line.
+    native = star_native(sp)
+    if n > 2:
+        assert native is build_space(n - 1, q)
+    else:
+        assert native.line_sets == (frozenset(range(q + 1)),) and star_native(sp) is native
     for p in sp.point_labels:
         on = [(p, pl) for pl in planes_through_point(sp, p)]
         section = quotient(sp, p)
         assert section.line_sets == sorted_pencils(on)
         assert not hasattr(section, "lines_through")  # one star index: the masks
         ranks = projected_star(sp, p)
-        assert projspace._projector(sp, p) == ranks
-        assert projspace._certified(section, native, ranks) is section
+        assert star_ranks(sp, p) == ranks
+        _certify(section, native, ranks)
     if n == 3:
         for plane_id, (pts, _) in enumerate(rows):
             on = [(p, plane_id) for p in pts]
@@ -483,23 +496,19 @@ def _fresh(n, q):
     return build_space.__wrapped__(n, q)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_quotient_certificate_rejects_a_short_pencil(monkeypatch, n):
-    sp = _fresh(n, 2)
+def _short_pencil(monkeypatch, sp):
+    # The first line of the pencil at 0 in its first plane leaves that pencil.
     plane_id = planes_through_point(sp, 0)[0]
     dropped = pencil(sp, 0, plane_id)[0]
 
-    def drop(holders):  # the dropped line leaves the plane's pencil at 0
+    def drop(holders):
         holders[dropped] -= {plane_id}
 
     _corrupt(monkeypatch, drop)
-    with pytest.raises(GeometryError, match="not isomorphic"):
-        quotient(sp, 0)
 
 
-def test_quotient_certificate_rejects_swapped_pencil_lines(monkeypatch):
+def _swapped_pencil_lines(monkeypatch, sp):
     # Line sizes and degrees survive the swap, so only the line check refutes it.
-    sp = _fresh(3, 2)
     first, second = planes_through_point(sp, 0)[:2]
     a1 = next(l for l in pencil(sp, 0, first) if l not in pencil(sp, 0, second))
     b1 = next(l for l in pencil(sp, 0, second) if l not in pencil(sp, 0, first))
@@ -509,6 +518,47 @@ def test_quotient_certificate_rejects_swapped_pencil_lines(monkeypatch):
         holders[b1] = holders[b1] - {second} | {first}
 
     _corrupt(monkeypatch, swap)
+
+
+def _repeated_pencil(monkeypatch, sp):
+    # The pencil at 0 in one plane becomes a copy of the pencil in another:
+    # one line is repeated and one is missing.
+    first, second = planes_through_point(sp, 0)[:2]
+    copied, replaced = set(pencil(sp, 0, second)), set(pencil(sp, 0, first))
+
+    def repeat(holders):
+        for l in replaced - copied:
+            holders[l] = holders[l] - {first}
+        for l in copied - replaced:
+            holders[l] = holders[l] | {first}
+
+    _corrupt(monkeypatch, repeat)
+
+
+def _doubled_rank(monkeypatch, sp):
+    # The second label takes the first one's image on its way to the one
+    # certificate rule, as a rank table that is not injective would.
+    real = projspace._certified
+
+    def doubled(what, labels, line_sets, native, image):
+        image = {lab: image[lab] for lab in labels}
+        image[labels[1]] = image[labels[0]]
+        return real(what, labels, line_sets, native, image)
+
+    monkeypatch.setattr(projspace, "_certified", doubled)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_quotient_certificate_rejects_a_short_pencil(monkeypatch, n):
+    sp = _fresh(n, 2)
+    _short_pencil(monkeypatch, sp)
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        quotient(sp, 0)
+
+
+def test_quotient_certificate_rejects_swapped_pencil_lines(monkeypatch):
+    sp = _fresh(3, 2)
+    _swapped_pencil_lines(monkeypatch, sp)
     with pytest.raises(GeometryError, match="not isomorphic"):
         quotient(sp, 0)
     assert not sp._sections
@@ -524,19 +574,8 @@ def test_plane_quotient_certificate_rejects_a_missing_line(monkeypatch):
 
 
 def test_quotient_certificate_rejects_a_repeated_pencil(monkeypatch):
-    # The pencil in one plane becomes a copy of the pencil in another: one
-    # line is repeated and one is missing.
     sp = _fresh(3, 2)
-    first, second = planes_through_point(sp, 0)[:2]
-    copied, replaced = set(pencil(sp, 0, second)), set(pencil(sp, 0, first))
-
-    def repeat(holders):
-        for l in replaced - copied:
-            holders[l] = holders[l] - {first}
-        for l in copied - replaced:
-            holders[l] = holders[l] | {first}
-
-    _corrupt(monkeypatch, repeat)
+    _repeated_pencil(monkeypatch, sp)
     with pytest.raises(BadConfiguration, match="repeats an earlier line"):
         quotient(sp, 0)
     assert not sp._sections
@@ -545,17 +584,33 @@ def test_quotient_certificate_rejects_a_repeated_pencil(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3])
 def test_quotient_certificate_rejects_an_image_that_is_not_injective(monkeypatch, n):
     sp = _fresh(n, 2)
-    real = projspace._projector
-
-    def doubled(sp, centre):  # the second star line takes the first one's image
-        table = real(sp, centre)
-        a, b = sorted(table)[:2]
-        table[b] = table[a]
-        return table
-
-    monkeypatch.setattr(projspace, "_projector", doubled)
+    _doubled_rank(monkeypatch, sp)
     with pytest.raises(GeometryError, match="not isomorphic"):
         quotient(sp, 0)
+    assert not sp._sections
+
+
+@pytest.mark.parametrize(
+    "fault,n",
+    [
+        (_short_pencil, 2),
+        (_short_pencil, 3),
+        (_swapped_pencil_lines, 3),
+        (_repeated_pencil, 3),
+        (_doubled_rank, 2),
+        (_doubled_rank, 3),
+    ],
+    ids=["short-pencil-2", "short-pencil-3", "swapped-lines", "repeated-pencil",
+         "doubled-rank-2", "doubled-rank-3"],
+)
+def test_suite1_refuses_a_star_whose_certificate_fails(monkeypatch, fault, n):
+    # Suite 1 certifies the star at 0 in its first restriction, on a rank
+    # table and no quotient, and must stop there with no table cached.
+    sp = _fresh(n, 2)
+    lm = generate_instance(InstanceGenerator(0, InstanceKind.COLLINEATION), sp, sp)
+    fault(monkeypatch, sp)
+    with pytest.raises(GeometryError, match="not isomorphic"):
+        verify_theorem1(lm)
     assert not sp._sections
 
 
@@ -592,15 +647,20 @@ def test_sections_reject_centres_outside_the_space(section, centre, error):
 
 def test_sections_are_cached_by_point_id_and_plane_quotients_never():
     # PG(3, q) has as many planes as points, so a plane quotient cached
-    # under its plane id would take, or overwrite, a point's quotient.
+    # under its plane id would take, or overwrite, a point's rank table.
+    # The suites cache one certified rank table per point and no section.
     sp = _fresh(3, 3)
     for verify in (verify_theorem1, verify_theorem2):
         assert verify_population(sp, verify, 3).passed
     cache = dict(sp._sections)
-    assert cache
-    for key, section in cache.items():
-        assert type(key) is int and key in sp.point_labels
-        assert quotient(sp, key) is section
+    assert sorted(cache) == list(sp.point_labels)
+    for key, ranks in cache.items():
+        assert type(key) is int
+        assert star_ranks(sp, key) is ranks
+        assert ranks == projected_star(sp, key)
+        first, second = quotient(sp, key), quotient(sp, key)
+        assert first is not second
+        assert first.point_labels == tuple(ranks) and first.line_sets == second.line_sets
     for plane_id in range(len(planes(sp))):
         first, second = plane_quotient(sp, plane_id), plane_quotient(sp, plane_id)
         assert first is not second
@@ -660,15 +720,20 @@ def test_ids_that_are_no_ints_are_refused(call, args, error):
         call(_fresh(3, 2), *args)
 
 
+def _certify(structure, native, ids):
+    """The one certificate rule, applied to a whole structure."""
+    projspace._certified(structure, structure.point_labels, structure.line_sets, native, ids)
+
+
 def test_certificate_rejects_a_swapped_map(pg32):
     # label -> native point id along the oracle's isomorphism
     structure, native = quotient(pg32, 0), build_space(2, 2)
     ids = incidence_isomorphic(structure, native)
-    assert projspace._certified(structure, native, ids) is structure
+    _certify(structure, native, ids)
     a, b = structure.point_labels[:2]
     ids[a], ids[b] = ids[b], ids[a]
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, native, ids)
+        _certify(structure, native, ids)
 
 
 def test_certificate_rejects_a_label_without_an_image(pg32):
@@ -676,7 +741,7 @@ def test_certificate_rejects_a_label_without_an_image(pg32):
     ids = incidence_isomorphic(structure, native)
     ids[0] = None
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, native, ids)
+        _certify(structure, native, ids)
 
 
 def test_certificate_rejects_a_map_that_is_not_injective(pg22):
@@ -694,7 +759,7 @@ def test_certificate_rejects_a_map_that_is_not_injective(pg22):
     )
     ids = {lab: c if lab == 7 else lab for lab in structure.point_labels}
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, pg22, ids)
+        _certify(structure, pg22, ids)
 
 
 def test_certificate_rejects_a_missing_line(pg22):
@@ -707,7 +772,7 @@ def test_certificate_rejects_a_missing_line(pg22):
         detail="missing line",
     )
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, pg22, pg22.point_labels)
+        _certify(structure, pg22, pg22.point_labels)
 
 
 def test_certificate_rejects_a_repeated_line(pg32):
@@ -724,7 +789,7 @@ def test_certificate_rejects_a_repeated_line(pg32):
     )
     structure.line_sets = (structure.line_sets[0],) + structure.line_sets[:-1]
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, build_space(2, 2), projspace._projector(pg32, 0))
+        _certify(structure, build_space(2, 2), star_ranks(pg32, 0))
 
 
 def test_certificate_rejects_an_extra_label(pg22):
@@ -739,7 +804,7 @@ def test_certificate_rejects_an_extra_label(pg22):
     )
     ids = {lab: lab for lab in structure.point_labels}
     with pytest.raises(GeometryError, match="not isomorphic"):
-        projspace._certified(structure, pg22, ids)
+        _certify(structure, pg22, ids)
 
 
 def test_plane_quotient_certificate_rejects_a_line_off_the_plane():
@@ -769,7 +834,8 @@ def test_plane_quotient_certificate_rejects_a_corrupted_polar_line_table():
     sp._polarity = table._replace(polar_line=tuple(polar))
     with pytest.raises(GeometryError, match="not isomorphic"):
         plane_quotient(sp, 0)
-    assert not sp._sections
+    # only the normal's star, which the polar table does not touch, is certified
+    assert list(sp._sections) == [table.normal[0]]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -22,7 +22,13 @@ from grasspace.maps import (
     preserves_intersections,
     reconstruct_point_map,
 )
-from grasspace.projspace import build_space, polarity
+from grasspace.projspace import (
+    IncidenceStructure,
+    build_space,
+    dual_space,
+    polarity,
+    star_native,
+)
 from grasspace.rng import INCREMENT, SplitMix64
 from grasspace.theorems import (
     ClauseVerdict,
@@ -336,6 +342,26 @@ def test_theorem1_collineation_and_duality(pg32):
     report = verify_theorem1(lm)
     assert report.passed, report.render()
     assert "InducedIntoDual" in report.clauses[0].witness
+
+
+def test_suites_build_no_incidence_structure_once_the_space_and_its_dual_exist(monkeypatch):
+    # Star restrictions are read on certified rank tables over the one cached
+    # native PG(2, 3), so Suites 1-2 construct no quotient, nor any other core.
+    sp = build_space.__wrapped__(3, 3)
+    dual_space(sp)
+    star_native(sp)
+    built = []
+    real = IncidenceStructure.__post_init__
+
+    def counted(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(IncidenceStructure, "__post_init__", counted)
+    for verify in (verify_theorem1, verify_theorem2):
+        assert verify_population(sp, verify, 2).passed
+    assert built == []
+    assert sorted(sp._sections) == list(sp.point_labels)
 
 
 def test_theorem1_render_shape(pg33):
