@@ -79,7 +79,7 @@ class GrassmapFile:
     target_n: int
     target_q: int
     dual: bool
-    pairs: tuple
+    image: tuple  # image[src]: the target id on row src, as a `LineMap` takes it
 
 
 def serialize_grassmap(lm: LineMap) -> str:
@@ -125,18 +125,16 @@ def parse_grassmap(text: str) -> GrassmapFile:
         raise FormatError(4, f"expected 'MAP', got {rows[3]!r}")
     if rows[-1] != "END":
         raise FormatError(len(rows), "missing END line")
-    pairs = []
+    image = []
     for lineno, row in enumerate(rows[4:-1], start=5):
         parts = row.split(" ")
         if len(parts) != 2:
             raise FormatError(lineno, f"expected '<src> <tgt>', got {row!r}")
         src, tgt = parse_id(parts[0], lineno), parse_id(parts[1], lineno)
-        if src != len(pairs):
-            raise FormatError(
-                lineno, f"source ids must ascend from 0, got {src}"
-            )
-        pairs.append((src, tgt))
-    return GrassmapFile(sn, sq, tn, tq, dual, tuple(pairs))
+        if src != len(image):
+            raise FormatError(lineno, f"source ids must ascend from 0, got {src}")
+        image.append(tgt)
+    return GrassmapFile(sn, sq, tn, tq, dual, tuple(image))
 
 
 def line_map_from_grassmap(gf: GrassmapFile) -> LineMap:
@@ -151,18 +149,14 @@ def line_map_from_grassmap(gf: GrassmapFile) -> LineMap:
     source = build_space(gf.source_n, gf.source_q)
     target = build_space(gf.target_n, gf.target_q)
     expected = len(source.line_sets)
-    if len(gf.pairs) != expected:
-        raise FormatError(
-            5 + min(len(gf.pairs), expected),
-            f"expected {expected} map rows, found {len(gf.pairs)}",
-        )
+    if len(gf.image) != expected:
+        found = len(gf.image)
+        raise FormatError(5 + min(found, expected), f"expected {expected} map rows, found {found}")
     limit = len(target.line_sets)
-    for src, tgt in gf.pairs:
+    for src, tgt in enumerate(gf.image):
         if tgt >= limit:
-            raise FormatError(
-                5 + src, f"target id {tgt} out of range ({limit} lines)"
-            )
-    return LineMap(source, target, tuple(tgt for _, tgt in gf.pairs), gf.dual)
+            raise FormatError(5 + src, f"target id {tgt} out of range ({limit} lines)")
+    return LineMap(source, target, gf.image, gf.dual)
 
 
 def cmd_stats(args) -> int:

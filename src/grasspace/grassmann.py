@@ -281,14 +281,14 @@ def _neighbour_lists(masks):
     return [[v for v, c in enumerate(bin(m)[:1:-1]) if c == "1"] for m in masks]
 
 
-def _is_automorphism(masks, perm, neighbours=None):
+def _is_automorphism(masks, perm, neighbours):
     """Whether `perm` is a permutation of the vertices that maps every
     neighbourhood onto the image's: the sum of `1 << perm[u]` over v's
-    neighbours must equal `masks[perm[v]]`."""
+    neighbours (`_neighbour_lists(masks)`) must equal `masks[perm[v]]`."""
     if sorted(perm) != list(range(len(masks))):
         return False
     bit = [1 << p for p in perm]
-    for v, row in enumerate(neighbours or _neighbour_lists(masks)):
+    for v, row in enumerate(neighbours):
         if sum(map(bit.__getitem__, row)) != masks[perm[v]]:
             return False
     return True
@@ -358,8 +358,6 @@ def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> Automor
     count = len(masks)
     if count > MAX_AUT_VERTICES:
         raise TooLarge(f"{count} vertices exceeds the {MAX_AUT_VERTICES} limit")
-    if count == 0:
-        return AutomorphismReport(1, (), 0, ())
 
     path = [_refine_side(masks, [tuple(range(count))], 0)]
     cells = []

@@ -110,9 +110,12 @@ class PointMap:
     image: dict
 
     def __post_init__(self):
-        if set(self.image) != set(self.source.point_labels):
+        # Labels compare by type as well as value (`typed_labels`).  The keys
+        # are distinct, so as many keys as labels, each a label, are all.
+        keys, values, source = self.image, self.image.values(), self.source.typed_labels
+        if len(keys) != len(source) or not source.issuperset(zip(map(type, keys), keys)):
             raise PreconditionViolated("point map table is not total on the source")
-        if not set(self.image.values()) <= set(self.target.point_labels):
+        if not self.target.typed_labels.issuperset(zip(map(type, values), values)):
             raise PreconditionViolated("point map sends a point outside the target")
 
 
@@ -151,13 +154,15 @@ class KappaReport:
     unresolved_points: frozenset
 
 
-def _check_semilinear(t, sp, sp2):
-    """Reject a collineation or duality t that does not fit its spaces:
+def _check_semilinear(t, sp, sp2, kinds):
+    """Reject a t that is none of kinds or does not fit its spaces:
     IncompatibleSpaces unless sp and sp2 are coordinate spaces with equal
-    (n, q), n = 3 for a duality; BadConfiguration unless the matrix is an
-    invertible (n+1)x(n+1) table of codes below q and the automorphism
-    index names an automorphism of GF(q)."""
+    (n, q), n = 3 for a duality; BadConfiguration for the wrong kind, or
+    unless the matrix is an invertible (n+1)x(n+1) table of codes below q
+    and the automorphism index names an automorphism of GF(q)."""
     name = type(t).__name__
+    if not isinstance(t, kinds):
+        raise BadConfiguration(f"a {name} is no {' or '.join(k.__name__ for k in kinds)}")
     if not (isinstance(sp, ProjSpace) and isinstance(sp2, ProjSpace)):
         raise IncompatibleSpaces(f"a {name} acts between coordinate spaces")
     if (sp.n, sp.q) != (sp2.n, sp2.q) or (isinstance(t, Duality) and sp.n != 3):
@@ -228,7 +233,7 @@ def semilinear_lines(t, sp, sp2) -> list:
     """Line table of a collineation or duality t, checked in full: the
     lines through its rows (`_semilinear_rows`), then for a duality their
     polar lines."""
-    _check_semilinear(t, sp, sp2)
+    _check_semilinear(t, sp, sp2, (Collineation, Duality))
     image = _joined_lines(sp, sp2, _semilinear_rows(t, sp, sp2))
     if isinstance(t, Duality):
         image = list(map(polarity(sp2).polar_line.__getitem__, image))
@@ -237,7 +242,7 @@ def semilinear_lines(t, sp, sp2) -> list:
 
 def collineation_point_map(c: Collineation, sp, sp2) -> PointMap:
     """Point action P -> normalize(auto(P) . matrix) between equal-type spaces."""
-    _check_semilinear(c, sp, sp2)
+    _check_semilinear(c, sp, sp2, (Collineation,))
     image = dict(enumerate(_semilinear_rows(c, sp, sp2)))
     return PointMap(source=sp, target=sp2, image=image)
 
@@ -254,12 +259,13 @@ def induced_line_map(pm: PointMap) -> LineMap:
 
 def duality_line_map(d: Duality, sp, sp2) -> LineMap:
     """Line map of a duality (`semilinear_lines`), marked dual=True."""
+    _check_semilinear(d, sp, sp2, (Duality,))
     return LineMap(sp, sp2, tuple(semilinear_lines(d, sp, sp2)), dual=True)
 
 
 def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     """Point -> plane-id table of a duality: the polar plane of each row."""
-    _check_semilinear(d, sp, sp2)
+    _check_semilinear(d, sp, sp2, (Duality,))
     polar_plane = polarity(sp2).polar_plane
     return {pid: polar_plane[row] for pid, row in enumerate(_semilinear_rows(d, sp, sp2))}
 
@@ -410,19 +416,18 @@ def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
     PG(n-1, q) (`star_native`): a star line's rank (`star_ranks`) goes to
     its image's rank in the target star at kappa's value, or, for a kappa
     into the dual (see `_kappa_core`), at its plane's normal with each image
-    read through `polar_line`: the restriction between the two `quotient`s,
-    relabelled.  An image off the target star has no rank: PreconditionViolated."""
+    read through `polar_line`, in one pass over the source star: the
+    restriction between the two `quotient`s, relabelled.  An image off the
+    target star has no rank: PreconditionViolated."""
     if kappa is None or q_point not in kappa.image:
         raise PreconditionViolated(f"kappa undefined at point {q_point}")
     sp, sp2, centre = lm.source, lm.target, kappa.image[q_point]
-    dual = _kappa_core(lm, kappa) is not sp2
-    image = {r: lm.image[l] for l, r in star_ranks(sp, q_point).items()}
-    if dual:
+    read = range(len(sp2.line_sets))  # read[m] is m
+    if _kappa_core(lm, kappa) is not sp2:
         table = polarity(sp2)
-        centre = table.normal[centre]
-        image = {r: table.polar_line[m] for r, m in image.items()}
-    target = star_ranks(sp2, centre)
-    image = {r: target.get(m) for r, m in image.items()}
+        centre, read = table.normal[centre], table.polar_line
+    ranks, target, img = star_ranks(sp, q_point), star_ranks(sp2, centre), lm.image
+    image = {r: target.get(read[img[l]]) for l, r in ranks.items()}
     return PointMap(star_native(sp), star_native(sp2), image)
 
 

@@ -12,19 +12,20 @@ whose leftmost nonzero entry is 1.  A line is its id: the lines are the
 two of those points span the line, so no basis is stored.  A plane is
 its id: every plane query takes one, `planes` lists the RREF bases by id,
 and an id outside that list is `NotAPlane`.  Every pencil is the flag
-rule p ∈ l ⊂ π read off the tables: `_pencils` groups a section's member
-lines by the planes (or points) on them, and `pencil` filters one star by
-the planes on each line.  Quotient spaces, dual spaces and plane
-pencil-structures are plain cores, so every query and every map check
-reads one code path.  A space caches its dual and one certified rank table
-per point (`star_ranks`), but no quotient and no plane quotient.
+rule p ∈ l ⊂ π read off the tables: `_pencils_at` groups a star's lines
+by the planes on them for the star's certificate, its quotient, `pencil`
+and `planes_through_point`, and a plane quotient groups its lines by
+their points.  Quotients, duals and plane quotients are plain cores, so
+every query and every map check reads one code path.  A space caches its
+dual and one certified rank table per point (`star_ranks`), but no
+quotient and no plane quotient.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
 
 Each star, and each derived structure, is certified isomorphic to the
 native space it must be (PG(n-1, q) for a star, its quotient or a plane
-quotient, `star_native`, PG(1, q) being q + 1 points on one line; the
+quotient, `star_native`, built like every space, PG(1, q) included; the
 space itself for a dual), else `GeometryError`.  Each construction writes
 the isomorphism down as a native point id per label (a star line's rank
 in the star, which is its projection from the centre, after the polarity
@@ -92,6 +93,8 @@ class IncidenceStructure:
     line_sets[i] is the set of labels on line i.  star_bits, the one star
     index, maps each label to the bitmask of its lines: a set of labels lies
     on line i exactly when bit i survives the AND of their masks.
+    typed_labels pairs each label with its type, so that map tables are
+    checked by type as well as value: 1, True and 1.0 are three labels.
     """
 
     point_labels: tuple
@@ -118,6 +121,7 @@ class IncidenceStructure:
             except KeyError:
                 raise BadConfiguration(f"line {i} passes through an unknown point") from None
         self.star_bits = {p: sum(map((1).__lshift__, ls)) for p, ls in through.items()}
+        self.typed_labels = frozenset(zip(map(type, self.point_labels), self.point_labels))
         return through
 
     def line_through(self, a, b):
@@ -202,8 +206,6 @@ def _subspaces(field, point_index, m):
 
 
 def _build_space(n, q):
-    if n < 2:
-        raise DimensionTooSmall(f"projective dimension must be >= 2, got {n}")
     f = field_make(q)
     m = n + 1
 
@@ -235,7 +237,9 @@ def _build_space(n, q):
 
 @functools.lru_cache(maxsize=None)
 def build_space(n: int, q: int) -> ProjSpace:
-    """Construct PG(n, q).  Results are cached; spaces are immutable."""
+    """Construct PG(n, q), n >= 2.  Results are cached; spaces are immutable."""
+    if n < 2:
+        raise DimensionTooSmall(f"projective dimension must be >= 2, got {n}")
     return _build_space(n, q)
 
 
@@ -310,17 +314,17 @@ def _line(sp, line_id: int) -> frozenset:
     return sp.line_sets[line_id]
 
 
-PlaneTables = collections.namedtuple("PlaneTables", "bases points lines on_line on_point")
+PlaneTables = collections.namedtuple("PlaneTables", "bases points lines on_line")
 
 
 def _planes(sp) -> PlaneTables:
     """Canonical plane tables, one per relation: RREF bases, point sets,
-    ascending line ids (one shared object per id), the planes on each line
-    and the planes through each point.  With basis points (a, b, c), the
-    plane's lines are the spokes a|y for y on b|c and, since every line of
-    the plane that misses a meets a|b and a|c, the joins x|z of x on a|b
-    and z on a|c other than a.  Two distinct points share one line, the one
-    bit of the AND of their star masks."""
+    ascending line ids (one shared object per id) and the planes on each
+    line.  With basis points (a, b, c), the plane's lines are the spokes a|y
+    for y on b|c and, since every line of the plane that misses a meets a|b
+    and a|c, the joins x|z of x on a|b and z on a|c other than a.  Two
+    distinct points share one line, the one bit of the AND of their star
+    masks."""
     if sp._plane_tables is None:
         sets, bits, through = sp.line_sets, sp.star_bits, sp.line_through
         ids = tuple(range(len(sets)))
@@ -337,11 +341,8 @@ def _planes(sp) -> PlaneTables:
         raw.sort()
         bases, point_sets, line_ids = zip(*(row[1:] for row in raw))
         on_line = _grouped(range(len(raw)), line_ids)
-        on_point = _grouped(range(len(raw)), point_sets)
         sp._plane_tables = PlaneTables(
-            bases, point_sets, line_ids,
-            tuple(frozenset(on_line[l]) for l in ids),
-            tuple(tuple(on_point[p]) for p in sp.point_labels),
+            bases, point_sets, line_ids, tuple(frozenset(on_line[l]) for l in ids)
         )
     return sp._plane_tables
 
@@ -373,26 +374,28 @@ def planes_of_line(sp, line_id: int) -> frozenset:
     return _planes(sp).on_line[line_id]
 
 
+def _pencils_at(sp, x) -> dict:
+    """The pencils at point x by the flag rule p ∈ l ⊂ π: each plane through
+    x -> the lines through x in it, ascending.  `star` rejects an id that
+    names no point."""
+    return _grouped(star(sp, x), _planes(sp).on_line)
+
+
 def planes_through_point(sp, point_id: int) -> tuple:
-    """Ids of the planes through a point; `star` rejects an id that names
-    no point."""
-    star(sp, point_id)
-    return _planes(sp).on_point[point_id]
+    """Ids of the planes through a point, ascending: the keys of its
+    pencils (`_pencils_at`)."""
+    return tuple(sorted(_pencils_at(sp, point_id)))
 
 
 def pencil(sp, q_point: int, plane_id: int) -> tuple:
-    """Lines through a point inside a plane containing it, ascending ids: by
-    the flag rule p ∈ l ⊂ π, the point's star filtered by the planes on each
-    line.  Sections group their pencils in `_pencils` instead."""
-    if q_point not in plane_points(sp, plane_id):
+    """Lines through a point inside a plane, ascending ids: the plane's group
+    in the point's pencils (`_pencils_at`).  NotAPlane or BadConfiguration
+    (`star`) for an id that names nothing, PointNotInPlane off the plane."""
+    plane_points(sp, plane_id)
+    group = _pencils_at(sp, q_point).get(plane_id)
+    if group is None:
         raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
-    on_line = _planes(sp).on_line
-    return tuple(l for l in sp.lines_through[q_point] if plane_id in on_line[l])
-
-
-def _pencils(members, holders) -> tuple:
-    """Members grouped under each holder in holders[m], sorted: the pencils."""
-    return tuple(map(frozenset, sorted(_grouped(members, holders).values())))
+    return tuple(group)
 
 
 def _certified(what, labels, line_sets, native, image):
@@ -413,15 +416,12 @@ def _certified(what, labels, line_sets, native, image):
         raise GeometryError(f"{what} is not isomorphic to {native!r}")
 
 
-def star_native(sp) -> IncidenceStructure:
-    """The native PG(n-1, q) that the stars of sp are certified against:
-    `build_space`'s, or, for a plane, q + 1 points on one line, kept on sp."""
-    if sp.n > 2:
-        return build_space(sp.n - 1, sp.q)
+def star_native(sp) -> ProjSpace:
+    """The native PG(n-1, q) that the stars of sp are certified against,
+    kept on sp: `build_space`'s, or, for a plane, PG(1, q) from the same
+    builder, which `build_space` refuses."""
     if sp._star_native is None:
-        points = tuple(range(sp.q + 1))
-        line = (frozenset(points),)
-        sp._star_native = IncidenceStructure(points, line, "native", f"PG(1,{sp.q})")
+        sp._star_native = build_space(sp.n - 1, sp.q) if sp.n > 2 else _build_space(1, sp.q)
     return sp._star_native
 
 
@@ -474,12 +474,12 @@ def star_ranks(sp, centre: int) -> dict:
     is the least, and X is the least of the points X + t·P, which agree
     with X before i and hold t at i.  So the star's lines, ascending, go
     onto the points of `star_native`, ascending.  Cached by point id once
-    certified on first use: the star's pencils go onto the native's lines."""
+    certified on first use: its pencils (`_pencils_at`) onto native lines."""
     lines = star(sp, centre)
     ranks = sp._sections.get(centre)
     if ranks is None:
         ranks = dict(zip(lines, range(len(lines))))
-        pencils = _pencils(lines, _planes(sp).on_line)
+        pencils = _pencils_at(sp, centre).values()
         _certified(f"star {centre} of {sp!r}", lines, pencils, star_native(sp), ranks)
         sp._sections[centre] = ranks
     return ranks
@@ -487,9 +487,9 @@ def star_ranks(sp, centre: int) -> dict:
 
 def quotient(sp, q_point: int) -> IncidenceStructure:
     """Quotient space at a point, built on each call: star lines as points
-    and as lines the pencils, which `star_ranks` certifies onto the native."""
+    and as lines the sorted pencils, which `star_ranks` certifies."""
     members = star(sp, q_point)
-    pencils = _pencils(members, _planes(sp).on_line)
+    pencils = tuple(map(frozenset, sorted(_pencils_at(sp, q_point).values())))
     structure = IncidenceStructure(members, pencils, "quotient", f"{sp!r}/{q_point}")
     star_ranks(sp, q_point)
     return structure
@@ -525,7 +525,7 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
-    pencils = _pencils(members, sp.line_sets)
+    pencils = tuple(map(frozenset, sorted(_grouped(members, sp.line_sets).values())))
     structure = IncidenceStructure(members, pencils, "quotient", f"dual({sp!r})/{plane_id}")
     table = polarity(sp)
     ranks = star_ranks(sp, table.normal[plane_id])

@@ -38,9 +38,6 @@ class SplitMix64:
             raise ValueError(f"seed {seed!r} is no int or outside [0, 2**64)")
         self.state = seed
 
-    def next_u64(self) -> int:
-        return self.draws(SEED_LIMIT, 1)[0]
-
     def below(self, n: int) -> int:
         """Uniform-ish draw from range(n)."""
         return self.draws(n, 1)[0]

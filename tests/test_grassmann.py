@@ -8,6 +8,7 @@ from grasspace.errors import BudgetExceeded, FormatError, GeometryError, TooLarg
 from grasspace.grassmann import (
     _individualize,
     _is_automorphism,
+    _neighbour_lists,
     _refine_side,
     automorphism_group,
     build_grassmann,
@@ -200,6 +201,13 @@ def test_automorphism_order_matches_brute_force(masks):
             ],
         )
         assert relabeled == tuple(masks)
+
+
+@pytest.mark.parametrize("masks", [(), []])
+def test_empty_graph_has_the_trivial_group(masks):
+    # No vertex, no base and no search node: the one permutation of nothing.
+    report = automorphism_group(masks)
+    assert report == grassmann.AutomorphismReport(1, (), 0, ())
 
 
 def test_automorphism_group_pg32(pg32):
@@ -416,22 +424,24 @@ def test_trace_replay_fails_with_the_oracle_on_small_graphs(masks, data):
 
 def test_is_automorphism_rejects_non_bijections():
     two_edges = (8, 4, 2, 1)  # edges 0-3 and 1-2
-    assert _is_automorphism(two_edges, (1, 0, 3, 2))
-    assert not _is_automorphism(two_edges, (0, 0, 3, 3))
-    assert not _is_automorphism(two_edges, (1, 0))
-    assert not _is_automorphism(two_edges, (1, 0, 3, 2, 4))
-    assert not _is_automorphism(two_edges, (0, 1, 3, 2))
+    rows = _neighbour_lists(two_edges)
+    assert _is_automorphism(two_edges, (1, 0, 3, 2), rows)
+    assert not _is_automorphism(two_edges, (0, 0, 3, 3), rows)
+    assert not _is_automorphism(two_edges, (1, 0), rows)
+    assert not _is_automorphism(two_edges, (1, 0, 3, 2, 4), rows)
+    assert not _is_automorphism(two_edges, (0, 1, 3, 2), rows)
 
 
 def test_collineation_perms_are_graph_automorphisms(pg32):
     from grasspace.theorems import InstanceGenerator, InstanceKind, generate_instance
 
     g = build_grassmann(pg32)
+    rows = _neighbour_lists(g)
     for seed in range(20):
         lm = generate_instance(
             InstanceGenerator(seed, InstanceKind.COLLINEATION), pg32, pg32
         )
-        assert _is_automorphism(g, lm.image)
+        assert _is_automorphism(g, lm.image, rows)
 
 
 def _corrupt_top_level_finds(monkeypatch, corrupt):

@@ -935,6 +935,10 @@ def test_map_tables_must_be_total(pg22):
         (lambda sp: LineMap(sp, sp, (-35, *range(1, 35))), "outside the target"),
         (lambda sp: LineMap(sp, sp, (35, *range(1, 35))), "outside the target"),
         (lambda sp: PointMap(sp, sp, {**{p: p for p in range(15)}, 0: -1}), "outside the target"),
+        (lambda sp: PointMap(sp, sp, {**{p: p for p in range(15)}, 1: True}), "outside the target"),
+        (lambda sp: PointMap(sp, sp, {**{p: p for p in range(15)}, 2: 2.0}), "outside the target"),
+        (lambda sp: PointMap(sp, sp, {True: 1, **{p: p for p in range(2, 15)}, 0: 0}),
+         "not total on the source"),
         (lambda sp: LineMap(sp, sp, tuple(range(34))), "not a tuple of 35 line ids"),
         (lambda sp: LineMap(sp, sp, tuple(range(36))), "not a tuple of 35 line ids"),
         (lambda sp: LineMap(sp, sp, (0, True, *range(2, 35))), "outside the target"),
@@ -944,15 +948,16 @@ def test_map_tables_must_be_total(pg22):
         (lambda sp: LineMap(pg42 := build_space(4, 2), pg42, tuple(range(155)), dual=True),
          "3-dimensional target"),
     ],
-    ids=["line-negative", "line-past-the-end", "point-negative", "line-short",
-         "line-long", "line-bool", "line-float", "dual-str", "dual-int", "dual-pg42"],
+    ids=["line-negative", "line-past-the-end", "point-negative", "point-bool", "point-float",
+         "point-bool-key", "line-short", "line-long", "line-bool", "line-float", "dual-str",
+         "dual-int", "dual-pg42"],
 )
 def test_map_tables_must_stay_inside_the_target(pg32, make, message):
     # A negative id would wrap onto a real line or point of the target; a
-    # bool or a float equal to an id is no id, and a table of the wrong
-    # length is no line map of PG(3,2).  A dual flag that is no bool, or a
-    # dual map into PG(4,2), would be written as DUAL and refused when read
-    # back.
+    # bool or a float equal to an id or a label is neither, and a table of
+    # the wrong length is no line map of PG(3,2).  A dual flag that is no
+    # bool, or a dual map into PG(4,2), would be written as DUAL and refused
+    # when read back.
     with pytest.raises(PreconditionViolated, match=message):
         make(pg32)
 
@@ -982,6 +987,18 @@ def test_semilinear_maps_reject_bad_input(matrix, auto_index, q):
         duality_line_map(Duality(matrix, auto_index), sp, sp)
     with pytest.raises(BadConfiguration):
         duality_point_to_plane(Duality(matrix, auto_index), sp, sp)
+
+
+def test_semilinear_entry_points_refuse_the_other_kind(pg32):
+    # A collineation's line table marked dual would be written as DUAL, and
+    # a duality's rows read as points are the image planes' normals.
+    identity = identity_matrix(4)
+    with pytest.raises(BadConfiguration, match="a Collineation is no Duality"):
+        duality_line_map(Collineation(identity), pg32, pg32)
+    with pytest.raises(BadConfiguration, match="a Duality is no Collineation"):
+        collineation_point_map(Duality(identity), pg32, pg32)
+    with pytest.raises(BadConfiguration, match="a Collineation is no Duality"):
+        duality_point_to_plane(Collineation(identity), pg32, pg32)
 
 
 POINT_MAPS = ["collineation", "swapped collineation", "permutation", "total"]

@@ -354,6 +354,24 @@ def test_pencil(pg32):
         pencil(pg32, outside, 0)
 
 
+@pytest.mark.parametrize("point", [True, 3.0, -1, 10**6])
+def test_pencil_refuses_an_id_that_names_no_point(pg32, point):
+    # The plane holds points 1 and 3, which True and 3.0 equal in value.
+    plane_id = next(pl for pl in range(15) if {1, 3} <= plane_points(pg32, pl))
+    with pytest.raises(BadConfiguration, match="has no point"):
+        pencil(pg32, point, plane_id)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (4, 2)])
+def test_planes_through_a_point_are_the_oracle_planes_on_it(n, q):
+    # Plane ids rank the sorted point sets, as the oracle's closures are sorted.
+    sp = build_space(n, q)
+    found = structure_planes(sp)
+    for p in sp.point_labels:
+        want = tuple(plane_id for plane_id, pts in enumerate(found) if p in pts)
+        assert planes_through_point(sp, p) == want, p
+
+
 @pytest.mark.parametrize(
     "labels,line_sets,message",
     [
@@ -479,16 +497,17 @@ def test_quotient_of_a_plane_is_one_line(pg23):
 
 
 def _corrupt(monkeypatch, change):
-    """Make projspace._pencils group its members by a list copy of its
-    holders table (line id -> holders) that change edits in place."""
-    real = projspace._pencils
+    """Make projspace._grouped group its members by a list copy of its
+    holders table (line id -> holders) that change edits in place.  The
+    plane tables, which it builds too, must exist before."""
+    real = projspace._grouped
 
     def patched(members, holders):
         holders = list(holders)
         change(holders)
         return real(members, holders)
 
-    monkeypatch.setattr(projspace, "_pencils", patched)
+    monkeypatch.setattr(projspace, "_grouped", patched)
 
 
 def _fresh(n, q):

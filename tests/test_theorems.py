@@ -95,7 +95,7 @@ def test_pgammal_order_values():
 
 def test_splitmix_reference_stream():
     rng = SplitMix64(0)
-    first = [rng.next_u64() for _ in range(3)]
+    first = [rng.below(2**64) for _ in range(3)]
     assert first == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
@@ -115,11 +115,11 @@ def test_draws_are_repeated_below(seed, n, count):
 
 
 @given(seed=st.integers(0, 2**64 - 1), count=st.integers(0, 40))
-def test_skip_is_repeated_next_u64(seed, count):
+def test_skip_is_repeated_full_width_draws(seed, count):
     skipped, stepped = SplitMix64(seed), SplitMix64(seed)
     skipped.skip(count)
     for _ in range(count):
-        stepped.next_u64()
+        stepped.below(2**64)
     assert skipped.state == stepped.state
 
 
