@@ -20,12 +20,11 @@ first entry that differs.  A leaf, and every generator again before the
 report, must pass a certificate: a permutation of the vertices that maps
 each neighbour list onto its image's neighbourhood.  MAX_AUT_VERTICES sits
 between PG(5,2) (651 lines, 29 nodes, 0.5 s on 2 cores) and PG(3,5) (806
-lines, 218 nodes, 1.5 s).  The Chow chains are no longer what holds it
-there: stopped at their proven orders, both chains of PG(3,4) take 0.2 s.
-A cap that admits PG(3,5) also admits planes whose complete line graphs
-still cost about n^3 to search, so raising it belongs to ROADMAP's "Chow
-across the whole size ladder".  The node budget bounds every search below
-it.
+lines, 218 nodes, 1.5 s).  Stopped at their proven orders, both Chow
+chains of PG(3,4) take 0.2 s.  A cap that admits PG(3,5) also admits
+planes whose complete line graphs still cost about n^3 to search, so
+raising it belongs to ROADMAP's "Chow across the whole size ladder".  The
+node budget bounds every search below it.
 """
 
 import collections

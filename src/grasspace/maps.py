@@ -54,9 +54,9 @@ from .projspace import (
     IncidenceStructure,
     ProjSpace,
     dual_space,
+    lines_in_plane,
     meet,
     pencil,
-    plane_points,
     planes_of_line,
     point_parents,
     polarity,
@@ -478,8 +478,9 @@ def intersection_compatibility_check(
     coincide share a whole line and fail.
     """
     sp = lm.source
-    planes_of_line(sp, a)  # BadConfiguration for an id that names no line
-    if not sp.line_sets[a] <= plane_points(sp, plane_id):
+    holders = planes_of_line(sp, a)  # BadConfiguration for an id that names no line
+    lines_in_plane(sp, plane_id)  # NotAPlane for an id that names no plane
+    if plane_id not in holders:
         raise BadConfiguration(f"line {a} does not lie in the given plane")
     if q_point in sp.line_sets[a]:
         raise BadConfiguration(f"point {q_point} must not lie on line {a}")

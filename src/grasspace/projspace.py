@@ -11,17 +11,21 @@ whose leftmost nonzero entry is 1.  A line is its id: the lines are the
 2-dimensional subspaces, `line_sets[id]` holds their point ids, and any
 two of those points span the line, so no basis is stored.  A plane is
 its id: every plane query takes one, `planes` lists the RREF bases by id,
-and an id outside that list is `NotAPlane`.  Every pencil is the flag
-rule p ∈ l ⊂ π read off the tables: `_pencils_at` groups a star's lines
-by the planes on them for the star's certificate, its quotient, `pencil`
-and `planes_through_point`, and a plane quotient groups its lines by
-their points.  Quotients, duals and plane quotients are plain cores, so
+and an id outside that list is `NotAPlane`.  The plane tables hold each
+plane's lines and each line's planes; a plane's points are the union of
+its lines (`plane_points`).  Every pencil is the flag rule p ∈ l ⊂ π
+read off the tables: `_pencils_at` groups a star's lines by the planes on
+them for the star's certificate, its quotient, `pencil` and
+`planes_through_point`, and a plane quotient groups its lines by their
+points.  Quotients, duals and plane quotients are plain cores, so
 every query and every map check reads one code path.  A space caches its
 dual and one certified rank table per point (`star_ranks`), but no
 quotient and no plane quotient.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
+The polar lines are what the dual's certificate returns, and the dual is
+read off the tables that certificate passed.
 
 Each star, and each derived structure, is certified isomorphic to the
 native space it must be (PG(n-1, q) for a star, its quotient or a plane
@@ -31,8 +35,9 @@ the isomorphism down as a native point id per label (a star line's rank
 in the star, which is its projection from the centre, after the polarity
 for a plane quotient; or a plane's normal), and one check, `_certified`,
 confirms it: a bijection onto the native points under which the lines, as
-many as the native's, go onto exactly the native's set of lines.  The
-tests scan the natives' axioms with `verify_projective_axioms`.
+many as the native's, go onto exactly the native's set of lines.  It
+returns each line's native line id, which the polarity keeps.  The tests
+scan the natives' axioms with `verify_projective_axioms`.
 
 Canonical order contract (used by the interchange formats in `cli`):
 
@@ -47,7 +52,6 @@ import collections
 import dataclasses
 import functools
 from itertools import combinations, product
-from operator import and_
 
 from .errors import (
     BadConfiguration,
@@ -314,17 +318,17 @@ def _line(sp, line_id: int) -> frozenset:
     return sp.line_sets[line_id]
 
 
-PlaneTables = collections.namedtuple("PlaneTables", "bases points lines on_line")
+PlaneTables = collections.namedtuple("PlaneTables", "bases lines on_line")
 
 
 def _planes(sp) -> PlaneTables:
-    """Canonical plane tables, one per relation: RREF bases, point sets,
-    ascending line ids (one shared object per id) and the planes on each
-    line.  With basis points (a, b, c), the plane's lines are the spokes a|y
-    for y on b|c and, since every line of the plane that misses a meets a|b
-    and a|c, the joins x|z of x on a|b and z on a|c other than a.  Two
-    distinct points share one line, the one bit of the AND of their star
-    masks."""
+    """Canonical plane tables, one per relation that code reads: RREF
+    bases, ascending line ids (one shared object per id) and the planes on
+    each line; planes are ranked by their sorted point ids.  With basis
+    points (a, b, c), the plane's lines are the spokes a|y for y on b|c
+    and, since every line of the plane that misses a meets a|b and a|c,
+    the joins x|z of x on a|b and z on a|c other than a.  Two distinct
+    points share one line, the one bit of the AND of their star masks."""
     if sp._plane_tables is None:
         sets, bits, through = sp.line_sets, sp.star_bits, sp.line_through
         ids = tuple(range(len(sets)))
@@ -336,14 +340,12 @@ def _planes(sp) -> PlaneTables:
             side_b = [bits[x] for x in sets[through(a, b)] if x != a]
             side_c = [bits[z] for z in sets[through(a, c)] if z != a]
             lines = spokes + [(x & z).bit_length() - 1 for x, z in product(side_b, side_c)]
-            pts = frozenset().union(*(sets[l] for l in spokes))
-            raw.append((sorted(pts), basis, pts, tuple(ids[l] for l in sorted(lines))))
+            pts = sorted(set().union(*(sets[l] for l in spokes)))
+            raw.append((pts, basis, tuple(ids[l] for l in sorted(lines))))
         raw.sort()
-        bases, point_sets, line_ids = zip(*(row[1:] for row in raw))
+        bases, line_ids = zip(*(row[1:] for row in raw))
         on_line = _grouped(range(len(raw)), line_ids)
-        sp._plane_tables = PlaneTables(
-            bases, point_sets, line_ids, tuple(frozenset(on_line[l]) for l in ids)
-        )
+        sp._plane_tables = PlaneTables(bases, line_ids, tuple(frozenset(on_line[l]) for l in ids))
     return sp._plane_tables
 
 
@@ -359,12 +361,13 @@ def _plane_row(sp, rows, plane_id: int):
     return rows[plane_id]
 
 
-def plane_points(sp, plane_id: int) -> frozenset:
-    return _plane_row(sp, _planes(sp).points, plane_id)
-
-
 def lines_in_plane(sp, plane_id: int) -> tuple:
     return _plane_row(sp, _planes(sp).lines, plane_id)
+
+
+def plane_points(sp, plane_id: int) -> frozenset:
+    """Point ids of a plane, the union of its lines, built on each call."""
+    return frozenset().union(*map(sp.line_sets.__getitem__, lines_in_plane(sp, plane_id)))
 
 
 def planes_of_line(sp, line_id: int) -> frozenset:
@@ -389,31 +392,34 @@ def planes_through_point(sp, point_id: int) -> tuple:
 
 def pencil(sp, q_point: int, plane_id: int) -> tuple:
     """Lines through a point inside a plane, ascending ids: the plane's group
-    in the point's pencils (`_pencils_at`).  NotAPlane or BadConfiguration
-    (`star`) for an id that names nothing, PointNotInPlane off the plane."""
-    plane_points(sp, plane_id)
+    in the point's pencils (`_pencils_at`).  NotAPlane (`lines_in_plane`) or
+    BadConfiguration (`star`) for an id that names nothing, PointNotInPlane
+    off the plane."""
+    lines_in_plane(sp, plane_id)
     group = _pencils_at(sp, q_point).get(plane_id)
     if group is None:
         raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
     return tuple(group)
 
 
-def _certified(what, labels, line_sets, native, image):
+def _certified(what, labels, line_sets, native, image) -> tuple:
     """Check that image (label -> native point id, whatever computed it) is
     an isomorphism of what, the labels with their line_sets, onto native,
     whose axioms it then shares: no image None, the map injective, as many
     labels as native points and lines as native lines, each line's image a
-    native line and none hit twice.  One image set is held at a time."""
+    native line and none hit twice.  Returns the native line id of each
+    line, in line order.  One image set is held at a time."""
     ids = [image[lab] for lab in labels]
     lines = native.line_sets
     ok = (None not in ids and len(set(ids)) == len(ids) == len(native.point_labels)
           and len(line_sets) == len(lines))
     if ok:
         line_id = dict(zip(lines, range(len(lines)))).get
-        found = {line_id(frozenset(map(image.__getitem__, s))) for s in line_sets}
-        ok = None not in found and len(found) == len(lines)
+        found = tuple(line_id(frozenset(map(image.__getitem__, s))) for s in line_sets)
+        ok = None not in found and len(set(found)) == len(lines)
     if not ok:
         raise GeometryError(f"{what} is not isomorphic to {native!r}")
+    return found
 
 
 def star_native(sp) -> ProjSpace:
@@ -436,12 +442,12 @@ Polarity = collections.namedtuple("Polarity", "normal polar_plane polar_line")
 
 
 def polarity(sp) -> Polarity:
-    """x -> x⊥ on a 3-space as id tables, built once from `planes` and
-    cached: each plane's normal point (one `_normal` per plane), its
-    inverse polar_plane, and each line's polar line through the normals of
-    the planes on it (one AND of star masks per line).  GeometryError if a
-    plane has no 1-dimensional normal, if two planes share a normal, or if
-    the normals of the planes through a line are not collinear."""
+    """x -> x⊥ on a 3-space as id tables, built once and cached: each
+    plane's normal point (one `_normal` per plane), its inverse
+    polar_plane, and each line's polar line, which `_certified` returns
+    once it confirms that the normals carry the dual (the planes as points,
+    line l as the planes on l in `_planes`) onto the space.  GeometryError
+    if a plane has no 1-dimensional normal or the certificate fails."""
     if sp.n != 3:
         raise UnsupportedDimension(f"polarity needs dimension 3, got {sp.n}")
     if sp._polarity is None:
@@ -449,18 +455,9 @@ def polarity(sp) -> Polarity:
         if None in vecs:
             raise GeometryError(f"plane {vecs.index(None)} has no 1-dimensional normal")
         normal = tuple(point_id_of_vector(sp, v) for v in vecs)
-        by_point = {p: pl for pl, p in enumerate(normal)}
-        if len(by_point) != len(sp.point_labels):
-            raise GeometryError(f"two planes share a normal: {len(by_point)} normals")
-        bits = sp.star_bits
-        polar_line = tuple(  # -1 where the AND is empty
-            functools.reduce(and_, (bits[normal[pl]] for pl in on_line)).bit_length() - 1
-            for on_line in _planes(sp).on_line
-        )
-        if -1 in polar_line:
-            l = polar_line.index(-1)
-            raise GeometryError(f"normals of the planes through line {l} are not collinear")
-        polar_plane = tuple(by_point[p] for p in sp.point_labels)
+        labels = range(len(normal))
+        polar_line = _certified(f"dual of {sp!r}", labels, _planes(sp).on_line, sp, normal)
+        polar_plane = tuple(sorted(labels, key=normal.__getitem__))
         sp._polarity = Polarity(normal, polar_plane, polar_line)
     return sp._polarity
 
@@ -499,18 +496,15 @@ def dual_space(sp) -> IncidenceStructure:
     """Dual of a 3-dimensional space: planes as points, reversed incidence.
 
     Point labels are canonical plane ids; line i of the dual is the set of
-    planes containing line i of the source, so line ids carry over.
-    Certified isomorphic to the space itself by sending each plane to its
-    normal point in the `polarity` table.
+    planes containing line i of the source (`_planes`), so line ids carry
+    over.  `polarity` certifies that table isomorphic to the space itself,
+    each plane going to its normal point, before the dual reads it.
     """
     if sp.n != 3:
         raise UnsupportedDimension(f"dual_space needs dimension 3, got {sp.n}")
     if sp._dual is None:
-        labels = tuple(range(len(planes(sp))))
-        lines = tuple(planes_of_line(sp, l) for l in range(len(sp.line_sets)))
-        structure = IncidenceStructure(labels, lines, "dual", repr(sp))
-        _certified(structure, labels, lines, sp, polarity(sp).normal)
-        sp._dual = structure
+        labels = tuple(range(len(polarity(sp).normal)))
+        sp._dual = IncidenceStructure(labels, _planes(sp).on_line, "dual", repr(sp))
     return sp._dual
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from grasspace import maps, projspace
+from grasspace import maps, projspace, theorems
 from grasspace.errors import (
     BadConfiguration,
     GeometryError,
@@ -64,12 +64,14 @@ from grasspace.theorems import (
 from oracles import (
     annihilator_line_map,
     annihilator_point_to_plane,
+    filtered_pencil,
     joined_line_map,
     line_rule_property_flags,
     pairwise_preserves_intersections,
     pairwise_preserves_skewness,
     per_point_row_ids,
     projected_star,
+    spanned_planes,
     triple_property_flags,
     two_pass_reconstruction,
     vec_add,
@@ -475,19 +477,20 @@ def test_rank_table_restrictions_match_the_quotient_restrictions(n, q):
     assert seen == expected
 
 
-def test_transported_restrictions_need_the_dual_certificate():
+def test_transported_restrictions_need_the_dual_certificate(monkeypatch):
     # With two normals swapped, the dual is not isomorphic to the space
-    # through them, so no duality reaches a transported restriction.
-    sp = projspace._build_space(3, 2)  # not cached: its dual is not built yet
-    lm = generate_instance(InstanceGenerator(0, InstanceKind.DUALITY), sp, sp)
-    table = polarity(sp)
-    normal = list(table.normal)
-    normal[0], normal[1] = normal[1], normal[0]
-    sp._polarity = table._replace(normal=tuple(normal))
+    # through them, so the first duality read, reconstruction's, refuses
+    # the polarity and no duality reaches a transported restriction.
+    pg32 = build_space(3, 2)
+    image = generate_instance(InstanceGenerator(0, InstanceKind.DUALITY), pg32, pg32).image
+    sp = projspace._build_space(3, 2)  # not cached: its polarity is not built yet
+    lm = LineMap(sp, sp, image, dual=True)
+    _faked_normals(_swap_first_two_normals)(monkeypatch, sp)
     with pytest.raises(GeometryError, match="is not isomorphic to PG"):
         kappa = reconstruct_point_map(lm).kappa
         for p in sp.point_labels:
             restrict_to_star(lm, p, kappa)
+    assert sp._polarity is None and sp._dual is None
 
 
 def test_restrict_to_star_preconditions(pg32, pg33):
@@ -609,6 +612,26 @@ def test_pencil_image_collapse_is_rejected(pg32):
     image[pen[0]] = pen[1]
     lm = LineMap(source=pg32, target=pg32, image=tuple(image))
     assert not pencil_image_is_pencil(lm, 0, plane_id)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pencil_image_is_pencil_across_orders(n):
+    # A pencil of PG(n, 2) has three lines and one of PG(n, 3) four, so
+    # three lines of one target pencil are no target pencil.
+    sp, sp2 = build_space(n, 2), build_space(n, 3)
+    plane_id = planes_through_point(sp, 0)[0]
+    source_pencil = pencil(sp, 0, plane_id)
+    image = list(range(len(sp.line_sets)))
+    for l, m in zip(source_pencil, pencil(sp2, 0, planes_through_point(sp2, 0)[0])):
+        image[l] = m
+    lm = LineMap(sp, sp2, tuple(image))
+    images = {lm.image[l] for l in source_pencil}
+    oracle = any(
+        images == set(filtered_pencil(sp2, lines, c))
+        for pts, lines in spanned_planes(sp2)
+        for c in pts
+    )
+    assert pencil_image_is_pencil(lm, 0, plane_id) is oracle is False
 
 
 def _first_valid_config(sp, q_point):
@@ -1047,27 +1070,50 @@ def _swap_first_two_normals(real, bases):
     return lambda f, rows: real(f, swap.get(rows, rows))
 
 
+def _faked_normals(fake):
+    def corrupt(monkeypatch, sp):
+        monkeypatch.setattr(projspace, "_normal", fake(projspace._normal, planes(sp)))
+    return corrupt
+
+
+def _plane_dropped_from_line_0(monkeypatch, sp):
+    tables = projspace._planes(sp)
+    on_line = list(tables.on_line)
+    on_line[0] = frozenset(sorted(on_line[0])[1:])
+    sp._plane_tables = tables._replace(on_line=tuple(on_line))
+
+
+POLARITY_READERS = [
+    lambda sp: duality_line_map(Duality(identity_matrix(4)), sp, sp),
+    lambda sp: duality_point_to_plane(Duality(identity_matrix(4)), sp, sp),
+    lambda sp: generate_instance(InstanceGenerator(0, InstanceKind.DUALITY), sp, sp),
+    theorems.duality_generator,
+    dual_space,
+]
+
+
 @pytest.mark.parametrize(
-    "fake,call,message",
+    "corrupt,message",
     [
-        (_swap_first_two_normals, duality_line_map,
-         r"normals of the planes through line \d+ are not collinear"),
-        (lambda real, bases: lambda f, rows: real(f, rows[:2]), duality_point_to_plane,
+        (_faked_normals(_swap_first_two_normals), r"is not isomorphic to PG\(3,2\)"),
+        (_faked_normals(lambda real, bases: lambda f, rows: real(f, rows[:2])),
          "plane 0 has no 1-dimensional normal"),
-        (lambda real, bases: lambda f, rows: real(f, bases[0]), duality_point_to_plane,
-         "two planes share a normal: 1 normals"),
+        (_faked_normals(lambda real, bases: lambda f, rows: real(f, bases[0])),
+         r"is not isomorphic to PG\(3,2\)"),
+        (_plane_dropped_from_line_0, r"is not isomorphic to PG\(3,2\)"),
     ],
-    ids=["normals-not-collinear", "no-normal", "shared-normal"],
+    ids=["normals-not-collinear", "no-normal", "shared-normal", "planes-on-line"],
 )
-def test_duality_maps_raise_on_a_broken_polarity(monkeypatch, fake, call, message):
-    # The polarity table's builder checks what each duality map once
-    # checked per line or point: a 2-dimensional line annihilator is a
-    # polar line, a 3-dimensional point annihilator is one plane's normal.
+def test_duality_maps_raise_on_a_broken_polarity(monkeypatch, corrupt, message):
+    # Every reader of the polarity reads a table that the dual's one
+    # certificate passed, so each corruption is refused at every reader
+    # and no table is cached.
     sp = projspace._build_space(3, 2)
-    monkeypatch.setattr(projspace, "_normal", fake(projspace._normal, planes(sp)))
-    with pytest.raises(GeometryError, match=message):
-        call(Duality(identity_matrix(4)), sp, sp)
-    assert sp._polarity is None
+    corrupt(monkeypatch, sp)
+    for read in POLARITY_READERS:
+        with pytest.raises(GeometryError, match=message):
+            read(sp)
+        assert sp._polarity is None
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -633,15 +633,12 @@ def test_suite1_refuses_a_star_whose_certificate_fails(monkeypatch, fault, n):
     assert not sp._sections
 
 
-def test_dual_certificate_rejects_a_short_line(monkeypatch):
+def test_dual_certificate_rejects_a_short_line():
     sp = _fresh(3, 2)
-    real = projspace.planes_of_line
-
-    def short(sp, l):  # line 0 loses its first plane
-        pls = real(sp, l)
-        return frozenset(sorted(pls)[1:]) if l == 0 else pls
-
-    monkeypatch.setattr(projspace, "planes_of_line", short)
+    tables = projspace._planes(sp)
+    on_line = list(tables.on_line)
+    on_line[0] = frozenset(sorted(on_line[0])[1:])  # line 0 loses its first plane
+    sp._plane_tables = tables._replace(on_line=tuple(on_line))
     with pytest.raises(GeometryError, match="not isomorphic"):
         dual_space(sp)
     assert sp._dual is None
