@@ -16,7 +16,9 @@ two of its image lines share in one incidence core, the target or, in
 dimension 3, its dual (`dual_space`, whose line i holds the planes
 through line i), when one mask test finds every image line on it.  Every
 verdict that reads kappa intersects image lines in that core, and
-restricts it to stars through certified rank tables (`restrict_to_star`).
+restricts it to stars through certified rank tables: `star_rows` reads
+every star as a rank row, in one pass over the star tables, and
+`restrict_to_star` is one such row as a point map.
 A line map's image is a tuple, image[l] the target line of source line l.
 Map tables are total on the source and stay inside the target: a value
 that is no target label or line id is PreconditionViolated.  The two
@@ -30,7 +32,8 @@ distinct counts as collinear, so constant maps fail non-collinearity
 preservation and honest embeddings are unaffected.  `check_properties`
 decides them line by line with the star-mask rule: a set of labels lies on
 one line exactly when the AND of their `star_bits` masks is nonzero.
-`semicollineation_flags` decides its first three flags alone.
+`semicollineation_flags` decides its first three flags alone, and
+`rank_row_flags` the same three of a rank row, by the same line rule.
 """
 
 import dataclasses
@@ -103,6 +106,9 @@ class Duality:
     auto_index: int = 0
 
 
+_OUTSIDE = "point map sends a point outside the target"
+
+
 @dataclasses.dataclass(eq=False)
 class PointMap:
     source: IncidenceStructure
@@ -116,7 +122,7 @@ class PointMap:
         if len(keys) != len(source) or not source.issuperset(zip(map(type, keys), keys)):
             raise PreconditionViolated("point map table is not total on the source")
         if not self.target.typed_labels.issuperset(zip(map(type, values), values)):
-            raise PreconditionViolated("point map sends a point outside the target")
+            raise PreconditionViolated(_OUTSIDE)
 
 
 @dataclasses.dataclass(eq=False)
@@ -270,15 +276,15 @@ def duality_point_to_plane(d: Duality, sp, sp2) -> dict:
     return {pid: polar_plane[row] for pid, row in enumerate(_semilinear_rows(d, sp, sp2))}
 
 
-def _collinear_images(label_sets, table, bits):
-    """Whether each label set's images under table, labels outside it
-    dropped, are at most two or have a nonzero AND of their masks in bits."""
+def _collinear_images(label_sets, image, masks) -> bool:
+    """Whether every label set's images are collinear: at most two distinct
+    images, or a nonzero AND of their masks, masks[x] being the `star_bits`
+    mask of image[x].  Both tables are total on the labels of label_sets."""
     for s in label_sets:
         common = -1
         for x in s:
-            if x in table:
-                common &= bits[table[x]]
-        if not common and len({table[x] for x in s if x in table}) > 2:
+            common &= masks[x]
+        if not common and len({image[x] for x in s}) > 2:
             return False
     return True
 
@@ -286,9 +292,20 @@ def _collinear_images(label_sets, table, bits):
 def semicollineation_flags(pm: PointMap) -> tuple:
     """The first three `check_properties` flags, injective, surjective and
     collinearity preserved, with no pass over the target's lines."""
-    values = set(pm.image.values())
-    col_ok = _collinear_images(pm.source.line_sets, pm.image, pm.target.star_bits)
-    return len(values) == len(pm.image), values == set(pm.target.point_labels), col_ok
+    img, bits = pm.image, pm.target.star_bits
+    values = set(img.values())
+    col_ok = _collinear_images(pm.source.line_sets, img, {x: bits[y] for x, y in img.items()})
+    return len(values) == len(img), values == set(pm.target.point_labels), col_ok
+
+
+def rank_row_flags(row, source, target) -> tuple:
+    """The `semicollineation_flags` of a rank row (`star_rows`), a map from
+    the points of the native source to those of the native target, read off
+    the two natives' tables: every value is a target point, so the row is
+    surjective when it takes as many values as the target has points."""
+    values, masks = set(row), list(map(target.star_bits.__getitem__, row))
+    col_ok = _collinear_images(source.line_sets, row, masks)
+    return len(values) == len(row), len(values) == len(target.point_labels), col_ok
 
 
 def check_properties(pm: PointMap) -> PropertyFlags:
@@ -312,8 +329,11 @@ def check_properties(pm: PointMap) -> PropertyFlags:
     elif not injective:
         noncol_ok = False
     else:
-        inverse = {x: p for p, x in img.items()}
-        noncol_ok = _collinear_images(pm.target.line_sets, inverse, source.star_bits)
+        inverse, bits = {x: p for p, x in img.items()}, source.star_bits
+        lines = pm.target.line_sets
+        if not surjective:  # only labels with a preimage count
+            lines = [s & inverse.keys() for s in lines]
+        noncol_ok = _collinear_images(lines, inverse, {x: bits[p] for x, p in inverse.items()})
     return PropertyFlags(injective, surjective, col_ok, noncol_ok)
 
 
@@ -411,24 +431,39 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
     return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved))
 
 
+def star_rows(lm: LineMap, kappa: PointMap, points):
+    """The line map's restrictions to the stars at points, in order, in one
+    pass over the star tables, each as its rank row: row[r] is the rank
+    (`star_ranks`) in the target star at kappa's value of the image of the
+    source star line of rank r, its index in `star`.  For a kappa into the
+    dual (see `_kappa_core`) the target star is the one at the plane's
+    normal, and each image is read through `polar_line`.  The core and the
+    polarity are read once, at the first point; each source star is
+    certified on first use.  PreconditionViolated where kappa is undefined
+    or an image is off the target star, which gives it no rank."""
+    sp, sp2, img = lm.source, lm.target, lm.image
+    read = None
+    for p in points:
+        if kappa is None or p not in kappa.image:
+            raise PreconditionViolated(f"kappa undefined at point {p}")
+        if read is None:
+            normal, read = range(len(sp2.point_labels)), range(len(sp2.line_sets))
+            if _kappa_core(lm, kappa) is not sp2:
+                normal, _, read = polarity(sp2)
+        star_ranks(sp, p)  # certifies the source star on first use
+        rank = star_ranks(sp2, normal[kappa.image[p]]).get
+        row = [rank(read[img[l]]) for l in star(sp, p)]
+        if None in row:
+            raise PreconditionViolated(_OUTSIDE)
+        yield row
+
+
 def restrict_to_star(lm: LineMap, q_point: int, kappa: PointMap) -> PointMap:
     """Restriction of a line map to one star, as a map of the native
-    PG(n-1, q) (`star_native`): a star line's rank (`star_ranks`) goes to
-    its image's rank in the target star at kappa's value, or, for a kappa
-    into the dual (see `_kappa_core`), at its plane's normal with each image
-    read through `polar_line`, in one pass over the source star: the
-    restriction between the two `quotient`s, relabelled.  An image off the
-    target star has no rank: PreconditionViolated."""
-    if kappa is None or q_point not in kappa.image:
-        raise PreconditionViolated(f"kappa undefined at point {q_point}")
-    sp, sp2, centre = lm.source, lm.target, kappa.image[q_point]
-    read = range(len(sp2.line_sets))  # read[m] is m
-    if _kappa_core(lm, kappa) is not sp2:
-        table = polarity(sp2)
-        centre, read = table.normal[centre], table.polar_line
-    ranks, target, img = star_ranks(sp, q_point), star_ranks(sp2, centre), lm.image
-    image = {r: target.get(read[img[l]]) for l, r in ranks.items()}
-    return PointMap(star_native(sp), star_native(sp2), image)
+    PG(n-1, q) (`star_native`): the point map of its rank row
+    (`star_rows`), the restriction between the two `quotient`s relabelled."""
+    (row,) = star_rows(lm, kappa, (q_point,))
+    return PointMap(star_native(lm.source), star_native(lm.target), dict(enumerate(row)))
 
 
 def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):

@@ -58,12 +58,13 @@ from .maps import (
     pencil_image_is_pencil,
     preserves_intersections,
     preserves_skewness,
+    rank_row_flags,
     reconstruct_point_map,
     restrict_to_star,
-    semicollineation_flags,
     semilinear_lines,
+    star_rows,
 )
-from .projspace import planes_through_point
+from .projspace import planes_through_point, star_native
 from .rng import SEED_LIMIT, SplitMix64
 
 
@@ -210,7 +211,9 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
     """Check the embedding theorem on one bijective intersection-preserving
     line map: star images induce a point map into the target or its dual
     (clause ab), the source dimension dominates (clause c), and every star
-    restriction is a quotient semicollineation (clause d).  The theorem
+    restriction is a quotient semicollineation (clause d), each star read
+    as a rank row in one pass over the star tables (`star_rows`) and its
+    flags decided on the native tables (`rank_row_flags`).  The theorem
     needs n >= 3: in a plane every bijection of lines preserves
     intersections, and a swap of two lines is induced by no point map."""
     report = reconstruct_point_map(lm)
@@ -224,8 +227,10 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
         kind = classify_point_map(report.kappa)
         ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
         ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}")
-        for pid in lm.source.point_labels:
-            if not all(semicollineation_flags(restrict_to_star(lm, pid, report.kappa))):
+        points = lm.source.point_labels
+        native, native2 = star_native(lm.source), star_native(lm.target)
+        for pid, row in zip(points, star_rows(lm, report.kappa, points)):
+            if not all(rank_row_flags(row, native, native2)):
                 d = ClauseVerdict("d", False, f"star centre {pid}")
                 break
         else:

@@ -33,8 +33,11 @@ from grasspace.maps import (
     pencil_image_is_pencil,
     preserves_intersections,
     preserves_skewness,
+    rank_row_flags,
     reconstruct_point_map,
     restrict_to_star,
+    semicollineation_flags,
+    star_rows,
 )
 from grasspace.projspace import (
     IncidenceStructure,
@@ -475,6 +478,55 @@ def test_rank_table_restrictions_match_the_quotient_restrictions(n, q):
     if n == 2:  # PG(1, q) is one line: both preservation flags always hold
         expected -= {(2, False), (3, False)}
     assert seen == expected
+
+
+def _star_pass(flag_rows):
+    """The flags of each star in point order, ended by the class and
+    message of the PreconditionViolated that stopped the pass, if any."""
+    out = []
+    try:
+        for flags in flag_rows:
+            out.append(tuple(flags))
+    except PreconditionViolated as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_rank_rows_match_the_per_star_restrictions(n, q):
+    # Clause d's one pass of rank rows gives every star the three flags of
+    # its restriction built on its own, and stops with the same exception
+    # at the same point: on seeded collineations, and dualities in dimension
+    # 3, as generated and with two star lines swapped or merged (images off
+    # the target star), and with kappa undefined at one point or at all.
+    sp = build_space(n, q)
+    native, points = projspace.star_native(sp), sp.point_labels
+    rng = random.Random(n * q)
+    kinds = [InstanceKind.COLLINEATION] + [InstanceKind.DUALITY] * (n == 3)
+    seen = set()
+    for kind in kinds:
+        lm = generate_instance(InstanceGenerator(1, kind), sp, sp)
+        kappa = reconstruct_point_map(lm).kappa
+        partial = PointMap(sp, kappa.target, dict(kappa.image))
+        del partial.image[len(points) // 2]
+        cases = [(lm, None), (lm, partial)]
+        for p in points:
+            i, j = rng.sample(range(len(star(sp, p))), 2)
+            variants = (lm, _star_swapped(lm, p, i, j), _star_merged(lm, p, i, j))
+            cases += [(v, kappa) for v in variants]
+        for c, (variant, k) in enumerate(cases):
+            rows = star_rows(variant, k, points)
+            kernel = _star_pass(rank_row_flags(row, native, native) for row in rows)
+            per_star = _star_pass(
+                semicollineation_flags(restrict_to_star(variant, p, k)) for p in points
+            )
+            assert kernel == per_star, f"{kind} case {c}"
+            seen.update(o if isinstance(o[0], bool) else o[1].rstrip("0123456789") for o in kernel)
+    flags = {o for o in seen if isinstance(o, tuple)}
+    assert (True, True, True) in flags and any(f[:2] == (False, False) for f in flags)
+    assert n == 2 or (True, True, False) in flags  # PG(1, q) is one line
+    errors = {"kappa undefined at point ", "point map sends a point outside the target"}
+    assert seen - flags == errors
 
 
 def test_transported_restrictions_need_the_dual_certificate(monkeypatch):

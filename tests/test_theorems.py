@@ -21,6 +21,8 @@ from grasspace.maps import (
     induced_line_map,
     preserves_intersections,
     reconstruct_point_map,
+    restrict_to_star,
+    semicollineation_flags,
 )
 from grasspace.projspace import (
     IncidenceStructure,
@@ -362,6 +364,49 @@ def test_suites_build_no_incidence_structure_once_the_space_and_its_dual_exist(m
         assert verify_population(sp, verify, 2).passed
     assert built == []
     assert sorted(sp._sections) == list(sp.point_labels)
+
+
+@pytest.mark.parametrize(
+    "n,q,kind",
+    [
+        (3, 2, InstanceKind.COLLINEATION),
+        (3, 3, InstanceKind.DUALITY),
+        (4, 2, InstanceKind.COLLINEATION),
+    ],
+)
+def test_theorem1_clause_d_names_the_first_failing_star(n, q, kind):
+    # Two ranks swapped in the cached tables of two target stars, after their
+    # certificates pass, break the restrictions at the two points whose
+    # images those stars are, and nowhere else: reconstruction reads no rank
+    # table, so ab and c still pass, and d names the first of the two.  The
+    # swapped ranks lie off the image of native line 0, so every failing row
+    # keeps that line collinear.
+    sp = build_space.__wrapped__(n, q)
+    lm = generate_instance(InstanceGenerator(1, kind), sp, sp)
+    assert verify_theorem1(lm).passed
+    kappa = reconstruct_point_map(lm).kappa
+    line0 = star_native(sp).line_sets[0]
+    broken = (1, len(sp.point_labels) - 2)
+    for p in broken:
+        row = restrict_to_star(lm, p, kappa).image
+        centre = kappa.image[p]
+        if kappa.target is not sp:
+            centre = polarity(sp).normal[centre]
+        ra, rb = sorted(set(row.values()) - {row[x] for x in line0})[:2]
+        ranks = sp._sections[centre]
+        la, lb = (next(l for l, r in ranks.items() if r == x) for x in (ra, rb))
+        ranks[la], ranks[lb] = rb, ra
+    failing = [
+        p for p in sp.point_labels
+        if not all(semicollineation_flags(restrict_to_star(lm, p, kappa)))
+    ]
+    assert failing == list(broken)
+    status = "InducedIntoDual" if kind is InstanceKind.DUALITY else "InducedIntoTarget"
+    assert verify_theorem1(lm).render().split("\n") == [
+        f"THM1.ab PASS {status} Collineation",
+        f"THM1.c PASS {n}>={n}",
+        f"THM1.d FAIL star centre {failing[0]}",
+    ]
 
 
 def test_theorem1_render_shape(pg33):
