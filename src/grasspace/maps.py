@@ -21,9 +21,10 @@ every star as a rank row, in one pass over the star tables, and
 `restrict_to_star` is one such row as a point map.
 A line map's image is a tuple, image[l] the target line of source line l.
 Map tables are total on the source and stay inside the target: a value
-that is no target label or line id is PreconditionViolated.  The two
-pencil verdicts name a plane by its id and read every pencil, source and
-target, from `projspace.pencil`.
+that is no target label or line id is PreconditionViolated.
+`pencil_image_is_pencil` takes a source pencil's lines and groups no
+target star: q'+1 distinct images with one common point and one common
+plane are every line of that pencil.
 
 Both preservation properties are decided exactly from lines, at every
 size.  They are defined on triples of pairwise distinct source points,
@@ -32,8 +33,8 @@ distinct counts as collinear, so constant maps fail non-collinearity
 preservation and honest embeddings are unaffected.  `check_properties`
 decides them line by line with the star-mask rule: a set of labels lies on
 one line exactly when the AND of their `star_bits` masks is nonzero.
-`semicollineation_flags` decides its first three flags alone, and
-`rank_row_flags` the same three of a rank row, by the same line rule.
+`rank_row_flags` decides the first three flags of a rank row by the same
+line rule, and on a row those three decide a collineation.
 """
 
 import dataclasses
@@ -51,7 +52,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .field import is_code
-from .grassmann import build_grassmann, is_clique, related
+from .grassmann import build_grassmann, is_clique
 from .linalg import is_invertible
 from .projspace import (
     IncidenceStructure,
@@ -289,20 +290,15 @@ def _collinear_images(label_sets, image, masks) -> bool:
     return True
 
 
-def semicollineation_flags(pm: PointMap) -> tuple:
-    """The first three `check_properties` flags, injective, surjective and
-    collinearity preserved, with no pass over the target's lines."""
-    img, bits = pm.image, pm.target.star_bits
-    values = set(img.values())
-    col_ok = _collinear_images(pm.source.line_sets, img, {x: bits[y] for x, y in img.items()})
-    return len(values) == len(img), values == set(pm.target.point_labels), col_ok
-
-
 def rank_row_flags(row, source, target) -> tuple:
-    """The `semicollineation_flags` of a rank row (`star_rows`), a map from
-    the points of the native source to those of the native target, read off
-    the two natives' tables: every value is a target point, so the row is
-    surjective when it takes as many values as the target has points."""
+    """The first three `check_properties` flags of a rank row (`star_rows`),
+    read off the two natives' tables: every value is a target point, so the
+    row is surjective when it takes as many values as the target has points.
+    The three decide a collineation.  A row needs a kappa, so a bijective
+    line map, and a bijective row joins stars of one size S; with
+    (1 + qS)S/(q + 1) lines on each side, the orders agree.  A bijection keeping collinear
+    points collinear then maps the lines of q + 1 points onto as many
+    lines, so its inverse keeps collinear points collinear as well."""
     values, masks = set(row), list(map(target.star_bits.__getitem__, row))
     col_ok = _collinear_images(source.line_sets, row, masks)
     return len(values) == len(row), len(values) == len(target.point_labels), col_ok
@@ -322,8 +318,10 @@ def check_properties(pm: PointMap) -> PropertyFlags:
     over all triples, degenerate images counting as collinear.  The cost is
     one AND per label of each line on each side.
     """
-    source, img = pm.source, pm.image
-    injective, surjective, col_ok = semicollineation_flags(pm)
+    source, img, bits = pm.source, pm.image, pm.target.star_bits
+    values = set(img.values())  # inside the target (`PointMap`)
+    injective, surjective = len(values) == len(img), len(values) == len(pm.target.point_labels)
+    col_ok = _collinear_images(source.line_sets, img, {x: bits[y] for x, y in img.items()})
     if len(img) <= 2 or reduce(and_, source.star_bits.values()):
         noncol_ok = True  # no non-collinear triple to preserve
     elif not injective:
@@ -471,36 +469,34 @@ def noncollinear_witness(sp, q_point: int, a: int, b: int, c: int):
 
     Such a witness exists exactly when the three star lines do not lie in
     one pencil, which makes it a coordinate-free non-collinearity test for
-    the quotient at the star's centre.  Smallest line id is returned for
-    determinism.
+    the quotient at the star's centre.  A line through the centre meets c,
+    and one meeting a and b elsewhere lies in their plane: the witnesses
+    are that plane's lines off the centre, unless c lies in it.  Smallest
+    line id is returned for determinism.
     """
     members = set(star(sp, q_point))
     if len({a, b, c}) != 3 or not {a, b, c} <= members:
         raise NotInStar(
             f"need three distinct lines through point {q_point}, got {a},{b},{c}"
         )
-    g = build_grassmann(sp)
-    meeting = (l for l in range(len(sp.line_sets)) if related(g, l, a) and related(g, l, b))
-    return next((l for l in meeting if not related(g, l, c)), None)
+    (plane,) = planes_of_line(sp, a) & planes_of_line(sp, b)
+    if plane in planes_of_line(sp, c):
+        return None
+    return next(l for l in lines_in_plane(sp, plane) if q_point not in sp.line_sets[l])
 
 
-def pencil_image_is_pencil(lm: LineMap, q_point: int, plane_id: int) -> bool:
-    """Whether the image of the pencil at (q_point, plane_id) is exactly a
-    pencil of the target: the lines through the images' one common point
-    inside their one common plane."""
-    source_pencil = pencil(lm.source, q_point, plane_id)
-    images = {lm.image[l] for l in source_pencil}
-    if len(images) != len(source_pencil):
-        return False
-    sp2 = lm.target
+def pencil_image_is_pencil(lm: LineMap, lines) -> bool:
+    """Whether the image of a source pencil, given as its lines (`pencil`),
+    is exactly a pencil of the target: q'+1 distinct lines, q' the target's
+    order, with one common point and one common plane.  They all lie in
+    the pencil at that point and plane, which has q'+1 lines, so they are
+    all of it.  BadConfiguration for an id that names no source line."""
+    if not all(map(is_code, lines, repeat(len(lm.source.line_sets)))):
+        raise BadConfiguration(f"{lm.source!r} has no line among {lines!r}")
+    sp2, images = lm.target, {lm.image[l] for l in lines}
     common_pts = frozenset.intersection(*(sp2.line_sets[l] for l in images))
-    if len(common_pts) != 1:
-        return False
     common_planes = frozenset.intersection(*(planes_of_line(sp2, l) for l in images))
-    if len(common_planes) != 1:
-        return False
-    (centre,), (plane,) = common_pts, common_planes
-    return images == set(pencil(sp2, centre, plane))
+    return len(images) == len(lines) == sp2.q + 1 and len(common_pts) == len(common_planes) == 1
 
 
 def intersection_compatibility_check(

@@ -14,13 +14,13 @@ its id: every plane query takes one, `planes` lists the RREF bases by id,
 and an id outside that list is `NotAPlane`.  The plane tables hold each
 plane's lines and each line's planes; a plane's points are the union of
 its lines (`plane_points`).  Every pencil is the flag rule p ∈ l ⊂ π
-read off the tables: `_pencils_at` groups a star's lines by the planes on
-them for the star's certificate, its quotient, `pencil` and
-`planes_through_point`, and a plane quotient groups its lines by their
-points.  Quotients, duals and plane quotients are plain cores, so
-every query and every map check reads one code path.  A space caches its
-dual and one certified rank table per point (`star_ranks`), but no
-quotient and no plane quotient.
+read off the tables: `pencils` groups a star's lines by the planes on
+them for the star's certificate, its quotient, `pencil`,
+`planes_through_point` and Theorem 2's pencil predicate, and a plane
+quotient groups its lines by their points.  Quotients, duals and plane
+quotients are plain cores, so every query and every map check reads one
+code path.  A space caches its dual and one certified rank table per
+point (`star_ranks`), but no quotient and no plane quotient.
 
 A 3-space has one `polarity` table for x -> x⊥ = {y : x·y = 0}: each
 plane's normal point, each point's polar plane and each line's polar line.
@@ -377,26 +377,26 @@ def planes_of_line(sp, line_id: int) -> frozenset:
     return _planes(sp).on_line[line_id]
 
 
-def _pencils_at(sp, x) -> dict:
+def pencils(sp, x) -> dict:
     """The pencils at point x by the flag rule p ∈ l ⊂ π: each plane through
-    x -> the lines through x in it, ascending.  `star` rejects an id that
-    names no point."""
+    x -> the lines through x in it, ascending, grouped on each call.  `star`
+    rejects an id that names no point."""
     return _grouped(star(sp, x), _planes(sp).on_line)
 
 
 def planes_through_point(sp, point_id: int) -> tuple:
     """Ids of the planes through a point, ascending: the keys of its
-    pencils (`_pencils_at`)."""
-    return tuple(sorted(_pencils_at(sp, point_id)))
+    `pencils`."""
+    return tuple(sorted(pencils(sp, point_id)))
 
 
 def pencil(sp, q_point: int, plane_id: int) -> tuple:
     """Lines through a point inside a plane, ascending ids: the plane's group
-    in the point's pencils (`_pencils_at`).  NotAPlane (`lines_in_plane`) or
+    in the point's `pencils`.  NotAPlane (`lines_in_plane`) or
     BadConfiguration (`star`) for an id that names nothing, PointNotInPlane
     off the plane."""
     lines_in_plane(sp, plane_id)
-    group = _pencils_at(sp, q_point).get(plane_id)
+    group = pencils(sp, q_point).get(plane_id)
     if group is None:
         raise PointNotInPlane(f"point {q_point} not on plane {plane_id}")
     return tuple(group)
@@ -471,13 +471,13 @@ def star_ranks(sp, centre: int) -> dict:
     is the least, and X is the least of the points X + t·P, which agree
     with X before i and hold t at i.  So the star's lines, ascending, go
     onto the points of `star_native`, ascending.  Cached by point id once
-    certified on first use: its pencils (`_pencils_at`) onto native lines."""
+    certified on first use: its `pencils` onto native lines."""
     lines = star(sp, centre)
     ranks = sp._sections.get(centre)
     if ranks is None:
         ranks = dict(zip(lines, range(len(lines))))
-        pencils = _pencils_at(sp, centre).values()
-        _certified(f"star {centre} of {sp!r}", lines, pencils, star_native(sp), ranks)
+        groups = pencils(sp, centre).values()
+        _certified(f"star {centre} of {sp!r}", lines, groups, star_native(sp), ranks)
         sp._sections[centre] = ranks
     return ranks
 
@@ -486,8 +486,8 @@ def quotient(sp, q_point: int) -> IncidenceStructure:
     """Quotient space at a point, built on each call: star lines as points
     and as lines the sorted pencils, which `star_ranks` certifies."""
     members = star(sp, q_point)
-    pencils = tuple(map(frozenset, sorted(_pencils_at(sp, q_point).values())))
-    structure = IncidenceStructure(members, pencils, "quotient", f"{sp!r}/{q_point}")
+    groups = tuple(map(frozenset, sorted(pencils(sp, q_point).values())))
+    structure = IncidenceStructure(members, groups, "quotient", f"{sp!r}/{q_point}")
     star_ranks(sp, q_point)
     return structure
 
@@ -519,12 +519,12 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     if sp.n != 3:
         raise UnsupportedDimension(f"plane_quotient needs dimension 3, got {sp.n}")
     members = lines_in_plane(sp, plane_id)
-    pencils = tuple(map(frozenset, sorted(_grouped(members, sp.line_sets).values())))
-    structure = IncidenceStructure(members, pencils, "quotient", f"dual({sp!r})/{plane_id}")
+    groups = tuple(map(frozenset, sorted(_grouped(members, sp.line_sets).values())))
+    structure = IncidenceStructure(members, groups, "quotient", f"dual({sp!r})/{plane_id}")
     table = polarity(sp)
     ranks = star_ranks(sp, table.normal[plane_id])
     image = {l: ranks.get(table.polar_line[l]) for l in members}
-    _certified(structure, members, pencils, star_native(sp), image)
+    _certified(structure, members, groups, star_native(sp), image)
     return structure
 
 

@@ -12,6 +12,8 @@ one row at a time: `linalg.reduce_row` eliminates each row against the rows
 before it, and a dependent row skips the rest of its matrix's draws with
 `SplitMix64.skip`, one state add, so no singular matrix is drawn in full.
 An instance is one `maps.semilinear_lines` pass over the matrix's rows.
+Suites 1 and 2 read each star restriction as a rank row (`maps.star_rows`)
+through one verdict, and Suite 2 groups each source star's pencils once.
 
 `population` is the one seed layout: a block of consecutive seeds per
 instance kind.  `verify_population` folds a suite over it into a single
@@ -60,11 +62,10 @@ from .maps import (
     preserves_skewness,
     rank_row_flags,
     reconstruct_point_map,
-    restrict_to_star,
     semilinear_lines,
     star_rows,
 )
-from .projspace import planes_through_point, star_native
+from .projspace import pencils, star_native
 from .rng import SEED_LIMIT, SplitMix64
 
 
@@ -207,15 +208,23 @@ def verify_population(sp, verify, samples, seed=0) -> TheoremReport:
     return TheoremReport(theorem, tuple(merged.values()))
 
 
+def _star_collineations(lm: LineMap, kappa):
+    """Whether each star restriction, in point order, is a quotient
+    collineation, read as a rank row in one pass over the star tables
+    (`star_rows`): on a row, the three `rank_row_flags` decide it."""
+    native, native2 = star_native(lm.source), star_native(lm.target)
+    for row in star_rows(lm, kappa, lm.source.point_labels):
+        yield all(rank_row_flags(row, native, native2))
+
+
 def verify_theorem1(lm: LineMap) -> TheoremReport:
     """Check the embedding theorem on one bijective intersection-preserving
     line map: star images induce a point map into the target or its dual
     (clause ab), the source dimension dominates (clause c), and every star
-    restriction is a quotient semicollineation (clause d), each star read
-    as a rank row in one pass over the star tables (`star_rows`) and its
-    flags decided on the native tables (`rank_row_flags`).  The theorem
-    needs n >= 3: in a plane every bijection of lines preserves
-    intersections, and a swap of two lines is induced by no point map."""
+    restriction is a quotient semicollineation (clause d), which on a rank
+    row is a collineation (`_star_collineations`).  The theorem needs
+    n >= 3: in a plane every bijection of lines preserves intersections,
+    and a swap of two lines is induced by no point map."""
     report = reconstruct_point_map(lm)
     n, n2 = lm.source.n, lm.target.n
     c = ClauseVerdict("c", n >= n2, f"{n}>={n2}")
@@ -227,10 +236,8 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
         kind = classify_point_map(report.kappa)
         ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
         ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}")
-        points = lm.source.point_labels
-        native, native2 = star_native(lm.source), star_native(lm.target)
-        for pid, row in zip(points, star_rows(lm, report.kappa, points)):
-            if not all(rank_row_flags(row, native, native2)):
+        for pid, ok in zip(lm.source.point_labels, _star_collineations(lm, report.kappa)):
+            if not ok:
                 d = ClauseVerdict("d", False, f"star centre {pid}")
                 break
         else:
@@ -242,20 +249,18 @@ def theorem2_predicates(lm: LineMap) -> tuple:
     """The four equivalent assertions, evaluated independently:
     (a) the reconstructed point map is a collineation,
     (b) skew lines go to skew lines,
-    (c) some star restriction is a quotient collineation,
-    (d) some pencil maps onto a pencil."""
+    (c) some star restriction is a quotient collineation, clause d's
+        verdict of Theorem 1 (`_star_collineations`),
+    (d) some pencil maps onto a pencil, each source star grouped once."""
     kappa = reconstruct_point_map(lm).kappa  # None when the stars are mixed
     pred_a = kappa is not None and classify_point_map(kappa) is MapKind.COLLINEATION
     pred_b = preserves_skewness(lm)
+    pred_c = kappa is not None and any(_star_collineations(lm, kappa))
     sp = lm.source
-    pred_c = kappa is not None and any(
-        classify_point_map(restrict_to_star(lm, pid, kappa)) is MapKind.COLLINEATION
-        for pid in sp.point_labels
-    )
     pred_d = any(
-        pencil_image_is_pencil(lm, pid, plane_id)
-        for pid in sp.point_labels
-        for plane_id in planes_through_point(sp, pid)
+        pencil_image_is_pencil(lm, lines)
+        for p in sp.point_labels
+        for lines in pencils(sp, p).values()
     )
     return (pred_a, pred_b, pred_c, pred_d)
 
@@ -266,15 +271,9 @@ def verify_theorem2(lm: LineMap) -> TheoremReport:
     that all four coincide.  It needs n >= 3: in a plane a swap of two
     lines preserves skewness vacuously, yet no point map induces it."""
     preds = theorem2_predicates(lm)
-    a, b, c, d = preds
-    clauses = (
-        ClauseVerdict("a", a),
-        ClauseVerdict("b", b),
-        ClauseVerdict("c", c),
-        ClauseVerdict("d", d),
-        ClauseVerdict("equivalence", len(set(preds)) == 1, f"{preds}"),
-    )
-    return TheoremReport("THM2", clauses)
+    clauses = [ClauseVerdict(clause, held) for clause, held in zip("abcd", preds)]
+    clauses.append(ClauseVerdict("equivalence", len(set(preds)) == 1, f"{preds}"))
+    return TheoremReport("THM2", tuple(clauses))
 
 
 def verify_theorem3_preconditions(sp, sp2) -> TheoremReport:

@@ -1,7 +1,7 @@
 import collections
 import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,6 +15,7 @@ from grasspace.errors import (
     NotLineConsistent,
     PreconditionViolated,
 )
+from grasspace.grassmann import build_grassmann, related
 from grasspace.maps import (
     Collineation,
     Duality,
@@ -36,7 +37,6 @@ from grasspace.maps import (
     rank_row_flags,
     reconstruct_point_map,
     restrict_to_star,
-    semicollineation_flags,
     star_rows,
 )
 from grasspace.projspace import (
@@ -49,6 +49,7 @@ from grasspace.projspace import (
     plane_points,
     plane_quotient,
     planes,
+    planes_of_line,
     planes_through_point,
     point_parents,
     polarity,
@@ -518,7 +519,8 @@ def test_rank_rows_match_the_per_star_restrictions(n, q):
             rows = star_rows(variant, k, points)
             kernel = _star_pass(rank_row_flags(row, native, native) for row in rows)
             per_star = _star_pass(
-                semicollineation_flags(restrict_to_star(variant, p, k)) for p in points
+                dataclasses.astuple(check_properties(restrict_to_star(variant, p, k)))[:3]
+                for p in points
             )
             assert kernel == per_star, f"{kind} case {c}"
             seen.update(o if isinstance(o[0], bool) else o[1].rstrip("0123456789") for o in kernel)
@@ -604,18 +606,41 @@ def test_noncollinear_witness_errors(pg32):
         noncollinear_witness(pg32, 0, a, b, outside)
 
 
+def _graph_witness(sp, a, b, c):
+    """The smallest line that meets a and b and misses c, by a scan of the
+    line graph's rows: the oracle of the plane rule."""
+    g = build_grassmann(sp)
+    meeting = (l for l in range(len(sp.line_sets)) if related(g, l, a) and related(g, l, b))
+    return next((l for l in meeting if not related(g, l, c)), None)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2), (2, 4)])
+def test_noncollinear_witness_matches_the_line_graph_scan(n, q):
+    # Every ordered triple of star lines at four centres gets the witness
+    # that the scan over the line graph finds, None included.
+    sp = build_space(n, q)
+    last = len(sp.point_labels) - 1
+    seen = set()
+    for centre in (0, 1, last // 2, last):
+        for a, b, c in permutations(star(sp, centre), 3):
+            witness = noncollinear_witness(sp, centre, a, b, c)
+            assert witness == _graph_witness(sp, a, b, c), (centre, a, b, c)
+            seen.add(witness is None)
+    assert seen == ({True} if n == 2 else {False, True})
+
+
 def test_pencil_image_is_pencil_identity(pg32):
     lm = identity_line_map(pg32)
     for plane_id in range(3):
         pts = sorted(plane_points(pg32, plane_id))
-        assert pencil_image_is_pencil(lm, pts[0], plane_id)
+        assert pencil_image_is_pencil(lm, pencil(pg32, pts[0], plane_id))
 
 
 def test_pencil_image_is_pencil_collineation(pg33):
     c = sample_collineation(pg33, 1)
     lm = induced_line_map(collineation_point_map(c, pg33, pg33))
     plane_id = planes_through_point(pg33, 0)[0]
-    assert pencil_image_is_pencil(lm, 0, plane_id)
+    assert pencil_image_is_pencil(lm, pencil(pg33, 0, plane_id))
 
 
 def test_pencil_image_is_pencil_negative(pg32):
@@ -627,7 +652,7 @@ def test_pencil_image_is_pencil_negative(pg32):
     image = list(range(35))
     image[pen[0]], image[outside] = outside, pen[0]
     lm = LineMap(source=pg32, target=pg32, image=tuple(image))
-    assert not pencil_image_is_pencil(lm, 0, plane_id)
+    assert not pencil_image_is_pencil(lm, pen)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -652,9 +677,16 @@ def test_pencil_image_in_a_plane_is_a_whole_star(q):
         for centre in sp.point_labels:
             images = {lm.image[l] for l in star(sp, centre)}
             want = images in stars
-            assert pencil_image_is_pencil(lm, centre, 0) == want
+            assert pencil_image_is_pencil(lm, pencil(sp, centre, 0)) == want
             seen.add(want)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("lines", [(-1, 0, 1), (0, 1, 35), (0, 1.0, 2), (True, 0, 2)])
+def test_pencil_image_is_pencil_refuses_ids_that_name_no_line(pg32, lines):
+    # A negative id must not wrap onto the last line.
+    with pytest.raises(BadConfiguration):
+        pencil_image_is_pencil(identity_line_map(pg32), lines)
 
 
 def test_pencil_image_collapse_is_rejected(pg32):
@@ -663,7 +695,7 @@ def test_pencil_image_collapse_is_rejected(pg32):
     image = list(range(35))
     image[pen[0]] = pen[1]
     lm = LineMap(source=pg32, target=pg32, image=tuple(image))
-    assert not pencil_image_is_pencil(lm, 0, plane_id)
+    assert not pencil_image_is_pencil(lm, pen)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -683,7 +715,85 @@ def test_pencil_image_is_pencil_across_orders(n):
         for pts, lines in spanned_planes(sp2)
         for c in pts
     )
-    assert pencil_image_is_pencil(lm, 0, plane_id) is oracle is False
+    assert pencil_image_is_pencil(lm, source_pencil) is oracle is False
+
+
+def _grouped_pencil_rule(lm, q_point, plane_id):
+    """The pencil rule that groups a target star: the images of the pencil
+    at (q_point, plane_id) are distinct and are the target pencil at their
+    one common point in their one common plane."""
+    source_pencil = pencil(lm.source, q_point, plane_id)
+    images = {lm.image[l] for l in source_pencil}
+    sp2 = lm.target
+    common_pts = frozenset.intersection(*(sp2.line_sets[l] for l in images))
+    common_planes = frozenset.intersection(*(planes_of_line(sp2, l) for l in images))
+    if len(images) != len(source_pencil) or len(common_pts) != 1 or len(common_planes) != 1:
+        return False
+    (centre,), (plane,) = common_pts, common_planes
+    return images == set(pencil(sp2, centre, plane))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2)])
+def test_suite2_predicates_match_the_per_star_and_per_pencil_rules(n, q, monkeypatch):
+    # Theorem 2's predicate c reads one term per star and predicate d one
+    # per pencil.  Each star's term is whether the full classification of
+    # its restriction is a collineation, and each pencil's term is the rule
+    # that groups a target star: on seeded collineations, and dualities in
+    # dimension 3, at every star and pencil; and with two star lines
+    # swapped or merged at each point, at that star and at every pencil
+    # holding either line, the only pencils whose images move.  A copy's
+    # other stars send lines off kappa's stars, so the copy has no kappa of
+    # its own: reconstruction is pinned to the generated map's report, and
+    # the stars read are pinned too.  `any` keeps every term it reads.
+    sp = build_space(n, q)
+    points = sp.point_labels
+    rng = random.Random(n * q)
+    kinds = [InstanceKind.COLLINEATION] + [InstanceKind.DUALITY] * (n == 3)
+    terms, centres, at, seen_c, seen_d = [], [], set(), set(), set()
+
+    def kept_any(predicate_terms):
+        terms.append(list(predicate_terms))
+        return any(terms[-1])
+
+    monkeypatch.setattr(theorems, "any", kept_any, raising=False)
+    monkeypatch.setattr(theorems, "star_rows", lambda lm, kappa, _: star_rows(lm, kappa, centres))
+    monkeypatch.setattr(theorems, "pencils", lambda s, x: projspace.pencils(s, x) if x in at else {})
+    for kind in kinds:
+        lm = generate_instance(InstanceGenerator(1, kind), sp, sp)
+        report = reconstruct_point_map(lm)
+        monkeypatch.setattr(theorems, "reconstruct_point_map", lambda _: report)
+        cases = [(lm, points, points)]
+        for p in points:
+            i, j = rng.sample(range(len(star(sp, p))), 2)
+            moved = sp.line_sets[star(sp, p)[i]] | sp.line_sets[star(sp, p)[j]]
+            for variant in (_star_swapped(lm, p, i, j), _star_merged(lm, p, i, j)):
+                cases.append((variant, (p,), moved))
+        for c, (variant, read, moved) in enumerate(cases):
+            centres[:] = read
+            at.clear()
+            at.update(moved)
+            terms.clear()
+            theorems.theorem2_predicates(variant)
+            stars, pencils = [], []
+            for p in centres:
+                restriction = restrict_to_star(variant, p, report.kappa)
+                stars.append(classify_point_map(restriction) is MapKind.COLLINEATION)
+                flags = check_properties(restriction)
+                seen_c.add((stars[-1], flags.injective and flags.surjective))
+            for p in filter(at.__contains__, points):
+                for plane_id, lines in projspace.pencils(sp, p).items():
+                    pencils.append(_grouped_pencil_rule(variant, p, plane_id))
+                    images = {variant.image[l] for l in lines}
+                    common = frozenset.intersection(*(sp.line_sets[l] for l in images))
+                    seen_d.add((pencils[-1], len(images) == q + 1 and len(common) == 1))
+            assert terms == [stars, pencils], f"{kind} case {c}"
+    # Both branches of each term, and in dimension 3 and above the terms
+    # that a weaker rule would pass: a bijective star restriction that is
+    # no collineation, and q+1 concurrent images in no common plane.
+    expected = {(True, True), (False, False)}
+    if n > 2:
+        expected.add((False, True))
+    assert seen_c == seen_d == expected
 
 
 def _first_valid_config(sp, q_point):

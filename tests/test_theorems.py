@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import math
 import types
@@ -16,13 +17,13 @@ from grasspace.field import field_make
 from grasspace.maps import (
     Collineation,
     KappaStatus,
+    check_properties,
     collineation_point_map,
     duality_line_map,
     induced_line_map,
     preserves_intersections,
     reconstruct_point_map,
     restrict_to_star,
-    semicollineation_flags,
 )
 from grasspace.projspace import (
     IncidenceStructure,
@@ -398,7 +399,7 @@ def test_theorem1_clause_d_names_the_first_failing_star(n, q, kind):
         ranks[la], ranks[lb] = rb, ra
     failing = [
         p for p in sp.point_labels
-        if not all(semicollineation_flags(restrict_to_star(lm, p, kappa)))
+        if not all(dataclasses.astuple(check_properties(restrict_to_star(lm, p, kappa)))[:3])
     ]
     assert failing == list(broken)
     status = "InducedIntoDual" if kind is InstanceKind.DUALITY else "InducedIntoTarget"
