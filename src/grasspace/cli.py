@@ -41,7 +41,6 @@ from .grassmann import (
 )
 from .maps import (
     LineMap,
-    classify_point_map,
     preserves_intersections,
     preserves_skewness,
     reconstruct_point_map,
@@ -233,8 +232,7 @@ def cmd_check(args) -> int:
     if report.kappa is None:
         print(f"KAPPA {report.status.value} -")
         return EXIT_NEGATIVE
-    kind = classify_point_map(report.kappa)
-    print(f"KAPPA {report.status.value} {kind.value}")
+    print(f"KAPPA {report.status.value} {report.kind.value}")
     return EXIT_OK if skew_preserved else EXIT_NEGATIVE
 
 

@@ -14,7 +14,10 @@ plane of its row.  Reconstruction goes the opposite way: a bijective
 intersection-preserving line map sends each star to the one label that
 two of its image lines share in one incidence core, the target or, in
 dimension 3, its dual (`dual_space`, whose line i holds the planes
-through line i), when one mask test finds every image line on it.  Every
+through line i), when every image line holds it.  The `KappaReport`
+carries kappa's kind, classified once, and is kept on the line map: both
+suites and `cli check` read one reconstruction per line map, and the
+frozen `LineMap` and `KappaReport` keep it from going stale.  Every
 verdict that reads kappa intersects image lines in that core, and
 restricts it to stars through certified rank tables: `star_rows` reads
 every star as a rank row, in one pass over the star tables, and
@@ -126,12 +129,29 @@ class PointMap:
             raise PreconditionViolated(_OUTSIDE)
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
+class KappaReport:
+    """Outcome of point-map reconstruction from star images, with kappa's
+    kind (`classify_point_map`), None when the status is Mixed.
+
+    unresolved_points holds the sources whose star images pairwise meet
+    yet share no label of either core: in a plane, lines through no common
+    point.  Star images that do not pairwise meet raise instead."""
+
+    status: KappaStatus
+    kappa: PointMap | None
+    unresolved_points: frozenset
+    kind: MapKind | None
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class LineMap:
     source: ProjSpace
     target: ProjSpace
     image: tuple  # image[l]: the target line id of source line l
     dual: bool = False  # images meant as lines of the target's dual space
+    # kept by `reconstruct_point_map`, as spaces keep their graph and polarity
+    _kappa: KappaReport | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         count = len(self.source.line_sets)
@@ -146,19 +166,6 @@ class LineMap:
 
     def is_bijective(self):
         return len(set(self.image)) == len(self.image) == len(self.target.line_sets)
-
-
-@dataclasses.dataclass(eq=False)
-class KappaReport:
-    """Outcome of point-map reconstruction from star images.
-
-    unresolved_points holds the sources whose star images pairwise meet
-    yet share no label of either core: in a plane, lines through no common
-    point.  Star images that do not pairwise meet raise instead."""
-
-    status: KappaStatus
-    kappa: PointMap | None
-    unresolved_points: frozenset
 
 
 def _check_semilinear(t, sp, sp2, kinds):
@@ -386,16 +393,19 @@ def _kappa_core(lm: LineMap, kappa: PointMap):
     raise PreconditionViolated("kappa must map into the target or its dual")
 
 
-def _star_label(core, lines, mask, pid):
+def _star_label(core, lines, pid):
     """The label of core on every line of a star image, or None: the one
-    label that its first and last line share, if the mask of its lines has
-    no bit outside that label's `star_bits`.  GeometryError if they share more."""
-    common = core.line_sets[lines[0]] & core.line_sets[lines[-1]]
+    label that its first and last line share, if it lies on every line.
+    GeometryError if they share more."""
+    sets = core.line_sets
+    common = sets[lines[0]] & sets[lines[-1]]
     if len(common) > 1:
         raise GeometryError(f"star image of point {pid} shares {len(common)} points of {core!r}")
     for x in common:
-        if not mask & ~core.star_bits[x]:
-            return x
+        for l in lines:
+            if x not in sets[l]:
+                return None
+        return x
     return None
 
 
@@ -405,7 +415,15 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
     label on all its image lines (`_star_label`) in the target or, failing
     that in dimension 3, the dual, built at the first star that reaches it.
     Lines through one point or in one plane meet pairwise, so only a star
-    that neither core takes is tested as a clique of the target graph."""
+    that neither core takes is tested as a clique of the target graph.
+    The report, with kappa classified once, is kept on the line map, and
+    later calls return it; a reconstruction that raises keeps nothing."""
+    if lm._kappa is None:
+        object.__setattr__(lm, "_kappa", _reconstructed(lm))
+    return lm._kappa
+
+
+def _reconstructed(lm: LineMap) -> KappaReport:
     if not lm.is_bijective():
         raise PreconditionViolated("line map must be bijective")
     sp, sp2, img = lm.source, lm.target, lm.image
@@ -413,10 +431,9 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
     (into_target, into_dual), unresolved = tables.values(), []
     for pid in sp.point_labels:
         lines = [img[l] for l in star(sp, pid)]
-        mask = sum(map((1).__lshift__, lines))  # distinct lines: the map is bijective
-        if (x := _star_label(sp2, lines, mask, pid)) is not None:
+        if (x := _star_label(sp2, lines, pid)) is not None:
             into_target[pid] = x
-        elif sp2.n == 3 and (x := _star_label(dual_space(sp2), lines, mask, pid)) is not None:
+        elif sp2.n == 3 and (x := _star_label(dual_space(sp2), lines, pid)) is not None:
             into_dual[pid] = x
         elif is_clique(build_grassmann(sp2), lines):
             unresolved.append(pid)
@@ -425,8 +442,9 @@ def reconstruct_point_map(lm: LineMap) -> KappaReport:
     for status, table in tables.items():
         if len(table) == len(sp.point_labels):
             core = sp2 if status is KappaStatus.INDUCED_INTO_TARGET else dual_space(sp2)
-            return KappaReport(status, PointMap(sp, core, table), frozenset())
-    return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved))
+            kappa = PointMap(sp, core, table)
+            return KappaReport(status, kappa, frozenset(), classify_point_map(kappa))
+    return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved), None)
 
 
 def star_rows(lm: LineMap, kappa: PointMap, points):
@@ -490,13 +508,16 @@ def pencil_image_is_pencil(lm: LineMap, lines) -> bool:
     is exactly a pencil of the target: q'+1 distinct lines, q' the target's
     order, with one common point and one common plane.  They all lie in
     the pencil at that point and plane, which has q'+1 lines, so they are
-    all of it.  BadConfiguration for an id that names no source line."""
+    all of it.  BadConfiguration for an id that names no source line; an
+    empty list is no pencil."""
     if not all(map(is_code, lines, repeat(len(lm.source.line_sets)))):
         raise BadConfiguration(f"{lm.source!r} has no line among {lines!r}")
     sp2, images = lm.target, {lm.image[l] for l in lines}
+    if not len(images) == len(lines) == sp2.q + 1:
+        return False
     common_pts = frozenset.intersection(*(sp2.line_sets[l] for l in images))
     common_planes = frozenset.intersection(*(planes_of_line(sp2, l) for l in images))
-    return len(images) == len(lines) == sp2.q + 1 and len(common_pts) == len(common_planes) == 1
+    return len(common_pts) == len(common_planes) == 1
 
 
 def intersection_compatibility_check(

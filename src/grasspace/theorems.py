@@ -56,7 +56,6 @@ from .maps import (
     LineMap,
     MapKind,
     check_properties,  # not called here: perfbench checks that its tracer rebinds it
-    classify_point_map,
     pencil_image_is_pencil,
     preserves_intersections,
     preserves_skewness,
@@ -233,9 +232,8 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
         ab = ClauseVerdict("ab", False, f"unresolved stars at {sample}")
         d = ClauseVerdict("d", False, "no induced point map")
     else:
-        kind = classify_point_map(report.kappa)
-        ab_ok = kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
-        ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {kind.value}")
+        ab_ok = report.kind in (MapKind.EMBEDDING, MapKind.COLLINEATION)
+        ab = ClauseVerdict("ab", ab_ok, f"{report.status.value} {report.kind.value}")
         for pid, ok in zip(lm.source.point_labels, _star_collineations(lm, report.kappa)):
             if not ok:
                 d = ClauseVerdict("d", False, f"star centre {pid}")
@@ -246,16 +244,18 @@ def verify_theorem1(lm: LineMap) -> TheoremReport:
 
 
 def theorem2_predicates(lm: LineMap) -> tuple:
-    """The four equivalent assertions, evaluated independently:
+    """The four equivalent assertions, each decided on its own; a and c
+    read the line map's one kappa and its kind, which Suite 1 reads too
+    (`reconstruct_point_map` keeps them on the line map):
     (a) the reconstructed point map is a collineation,
     (b) skew lines go to skew lines,
     (c) some star restriction is a quotient collineation, clause d's
         verdict of Theorem 1 (`_star_collineations`),
     (d) some pencil maps onto a pencil, each source star grouped once."""
-    kappa = reconstruct_point_map(lm).kappa  # None when the stars are mixed
-    pred_a = kappa is not None and classify_point_map(kappa) is MapKind.COLLINEATION
+    report = reconstruct_point_map(lm)  # kappa and kind None when the stars are mixed
+    pred_a = report.kind is MapKind.COLLINEATION
     pred_b = preserves_skewness(lm)
-    pred_c = kappa is not None and any(_star_collineations(lm, kappa))
+    pred_c = report.kappa is not None and any(_star_collineations(lm, report.kappa))
     sp = lm.source
     pred_d = any(
         pencil_image_is_pencil(lm, lines)

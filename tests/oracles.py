@@ -31,7 +31,7 @@ from itertools import combinations, permutations, product
 
 from grasspace.errors import GeometryError, NotLineConsistent, PreconditionViolated
 from grasspace.linalg import normalize, nullspace
-from grasspace.maps import KappaReport, KappaStatus, PointMap
+from grasspace.maps import KappaReport, KappaStatus, PointMap, classify_point_map
 from grasspace.projspace import (
     IncidenceStructure,
     dual_space,
@@ -582,11 +582,12 @@ def two_pass_reconstruction(lm):
                     f"star image of point {pid} shares {len(common)} points of {core!r}"
                 )
         if len(table) == len(sp.point_labels):
-            return KappaReport(status, PointMap(sp, core, table), frozenset())
+            kappa = PointMap(sp, core, table)
+            return KappaReport(status, kappa, frozenset(), classify_point_map(kappa))
         unresolved = rest
         if sp2.n != 3:
             break
-    return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved))
+    return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved), None)
 
 
 def incidence_isomorphic(a: IncidenceStructure, b: IncidenceStructure):

@@ -239,6 +239,45 @@ def test_reconstruction_builds_the_dual_only_when_a_star_needs_it():
     assert report.kappa.target is sp._dual is not None
 
 
+@pytest.mark.parametrize("n,q", [(3, 2), (3, 3), (4, 2), (3, 4)])
+def test_reconstruction_reports_the_kind_of_kappa(n, q):
+    sp = build_space(n, q)
+    seen = collections.Counter()
+    for _, _, lm in population(sp, 3):
+        report = reconstruct_point_map(lm)
+        assert report.kind is classify_point_map(report.kappa)
+        assert reconstruct_point_map(lm) is report
+        seen[report.status, report.kind] += 1
+    assert seen[KappaStatus.INDUCED_INTO_TARGET, MapKind.COLLINEATION] == 3
+    assert seen[KappaStatus.INDUCED_INTO_DUAL, MapKind.COLLINEATION] == (3 if n == 3 else 0)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_a_mixed_reconstruction_has_no_kind(q):
+    # CI's `perturbed 1 Mixed -` row: in a plane a perturbed map is Mixed.
+    sp = build_space(2, q)
+    lm = generate_instance(InstanceGenerator(1, InstanceKind.PERTURBED), sp, sp)
+    report = reconstruct_point_map(lm)
+    assert (report.status, report.kappa, report.kind) == (KappaStatus.MIXED, None, None)
+
+
+def test_line_maps_and_their_reports_are_frozen(pg32):
+    # A report kept on its line map must not go stale.
+    lm = generate_instance(InstanceGenerator(0, InstanceKind.COLLINEATION), pg32, pg32)
+    report = reconstruct_point_map(lm)
+    for obj, attr, value in [
+        (lm, "image", tuple(reversed(lm.image))),
+        (lm, "dual", True),
+        (lm, "target", dual_space(pg32)),
+        (report, "kind", MapKind.OTHER),
+        (report, "kappa", None),
+        (report, "status", KappaStatus.MIXED),
+    ]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, value)
+    assert reconstruct_point_map(lm) is report
+
+
 def test_duality_squared_is_induced_by_a_collineation(pg32):
     d = sample_duality(pg32, 3)
     lm = duality_line_map(d, pg32, pg32)
@@ -280,16 +319,16 @@ def test_perturbed_instances_break_a_preservation_property(pg32):
 
 def _reconstruction(call, lm):
     """What a reconstruction reports: its status, unresolved points,
-    kappa's items in key order and kappa's target (compared by identity),
-    or the type and message of what it raised."""
+    kappa's kind, kappa's items in key order and kappa's target (compared
+    by identity), or the type and message of what it raised."""
     try:
         report = call(lm)
     except (GeometryError, PreconditionViolated) as exc:
         return type(exc), str(exc)
-    kappa = report.kappa
+    kappa, head = report.kappa, (report.status, report.unresolved_points, report.kind)
     if kappa is None:
-        return report.status, report.unresolved_points, None, None
-    return report.status, report.unresolved_points, list(kappa.image.items()), kappa.target
+        return *head, None, None
+    return *head, list(kappa.image.items()), kappa.target
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
@@ -687,6 +726,11 @@ def test_pencil_image_is_pencil_refuses_ids_that_name_no_line(pg32, lines):
     # A negative id must not wrap onto the last line.
     with pytest.raises(BadConfiguration):
         pencil_image_is_pencil(identity_line_map(pg32), lines)
+
+
+@pytest.mark.parametrize("lines", [[], ()])
+def test_pencil_image_of_no_lines_is_no_pencil(pg32, lines):
+    assert pencil_image_is_pencil(identity_line_map(pg32), lines) is False
 
 
 def test_pencil_image_collapse_is_rejected(pg32):

@@ -7,9 +7,11 @@ import types
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from grasspace import maps, theorems
 from grasspace.errors import (
     DimensionTooSmall,
     IncompatibleSpaces,
+    PreconditionViolated,
     TooLarge,
     UnsupportedDimension,
 )
@@ -17,7 +19,9 @@ from grasspace.field import field_make
 from grasspace.maps import (
     Collineation,
     KappaStatus,
+    LineMap,
     check_properties,
+    classify_point_map,
     collineation_point_map,
     duality_line_map,
     induced_line_map,
@@ -367,6 +371,38 @@ def test_suites_build_no_incidence_structure_once_the_space_and_its_dual_exist(m
     assert sorted(sp._sections) == list(sp.point_labels)
 
 
+@pytest.mark.parametrize("kind", [InstanceKind.COLLINEATION, InstanceKind.DUALITY])
+def test_suites_1_and_2_reconstruct_each_line_map_once(pg33, monkeypatch, kind):
+    # Both suites read a line map's one kappa and its kind; a line map equal
+    # in every field is another line map and reconstructs on its own.
+    classified = []
+
+    def spy(pm):
+        classified.append(pm)
+        return classify_point_map(pm)
+
+    monkeypatch.setattr(maps, "classify_point_map", spy)
+    monkeypatch.setattr(theorems, "classify_point_map", spy, raising=False)
+    lm = generate_instance(InstanceGenerator(5, kind), pg33, pg33)
+    assert verify_theorem1(lm).passed and verify_theorem2(lm).passed
+    assert classified == [reconstruct_point_map(lm).kappa]
+    twin = LineMap(lm.source, lm.target, lm.image, lm.dual)
+    assert verify_theorem1(twin).passed and verify_theorem2(twin).passed
+    assert len(classified) == 2 and classified[1] is reconstruct_point_map(twin).kappa
+    assert classified[1].image == classified[0].image
+
+
+def test_a_reconstruction_that_raises_raises_again(pg33):
+    # Not bijective, and bijective without preserving intersections: no
+    # suite call may find a report kept from an earlier one.
+    perturbed = population(pg33, 10, kinds=[InstanceKind.PERTURBED])
+    broken = next(lm for _, _, lm in perturbed if not preserves_intersections(lm))
+    for lm in (LineMap(pg33, pg33, (0,) * len(pg33.line_sets)), broken):
+        for verify in (verify_theorem1, verify_theorem2, verify_theorem1, verify_theorem2):
+            with pytest.raises(PreconditionViolated):
+                verify(lm)
+
+
 @pytest.mark.parametrize(
     "n,q,kind",
     [
@@ -432,8 +468,6 @@ def test_theorem2_chain_on_isomorphisms(pg32, pg33):
 
 
 def test_theorem2_rejects_maps_outside_hypothesis(pg32):
-    from grasspace.errors import PreconditionViolated
-
     hit = 0
     for seed in range(10):
         lm = generate_instance(
@@ -470,8 +504,6 @@ def test_theorem2_rejects_maps_outside_hypothesis(pg32):
     ],
 )
 def test_reconstruction_is_pinned(n, q, kinds, statuses, digest):
-    from grasspace.errors import PreconditionViolated
-
     sp = build_space(n, q)
     kinds = [InstanceKind(k) for k in kinds.split()]
     h = hashlib.sha256()
