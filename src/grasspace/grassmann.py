@@ -4,9 +4,9 @@ Two lines are related when they share a point.  The graph is one table of
 neighbour bitmasks, one per line, bit b of line a set when a != b and the
 lines meet; the diagonal stays out, so `related` re-adds it, and a line's
 mask is the OR of the star masks of its points less its own bit.  The
-graph of PG(n, q) is regular of degree (q+1)((q^n - 1)/(q - 1) - 1).  A
-set of lines is a clique when every two of them are equal or meet
-(`is_clique`); both line-map preservation verdicts are star-clique tests.
+graph of PG(n, q) is regular of degree (q+1)((q^n - 1)/(q - 1) - 1).
+Only the GRAPH export, the automorphism search, the Chow cross-check and
+the census read it; line maps read cliques off `projspace.holder`.
 
 The automorphism search fixes the base first: one path individualises the
 smallest vertex of the first largest non-singleton cell down to a discrete
@@ -70,13 +70,6 @@ def build_grassmann(sp) -> tuple:
 def related(masks, a: int, b: int) -> bool:
     """Reflexive intersection relation: a = b or the lines share a point."""
     return a == b or bool(masks[a] >> b & 1)
-
-
-def is_clique(masks, lines) -> bool:
-    """Whether every two of the lines (a sequence of ids) are equal or meet;
-    stops at the first line that misses another."""
-    bits = _cell_bits(lines)
-    return all(not bits & ~(masks[l] | 1 << l) for l in lines)
 
 
 def export_graph(masks) -> str:

@@ -10,18 +10,19 @@ semicollineation, embedding, or other.  Line maps join point images
 on all its points' rows, then for a duality to its polar line, a duality
 being the standard polarity (`projspace.polarity`) after the collineation
 with the same matrix and automorphism; it sends a point to the polar
-plane of its row.  Reconstruction goes the opposite way: a bijective
-intersection-preserving line map sends each star to the one label that
-two of its image lines share in one incidence core, the target or, in
-dimension 3, its dual (`dual_space`, whose line i holds the planes
-through line i), when every image line holds it.  The `KappaReport`
-carries kappa's kind, classified once, and is kept on the line map: both
-suites and `cli check` read one reconstruction per line map, and the
-frozen `LineMap` and `KappaReport` keep it from going stale.  Every
-verdict that reads kappa intersects image lines in that core, and
-restricts it to stars through certified rank tables: `star_rows` reads
-every star as a rank row, in one pass over the star tables, and
-`restrict_to_star` is one such row as a point map.
+plane of its row.  Whether lines meet pairwise is read off the point or
+plane that holds them all (`holder`), never off the line graph: both
+preservation verdicts read it, and so does reconstruction, which sends
+each star of a bijective intersection-preserving line map to the holder
+of its image, a target point or, in dimension 3, a plane, a point of the
+dual (`dual_space`, whose line i holds the planes through line i).  The
+`KappaReport` carries kappa's kind, classified once, and is kept on the
+line map: both suites and `cli check` read one reconstruction per line
+map, and the frozen `LineMap` and `KappaReport` keep it from going
+stale.  Every verdict that reads kappa intersects image lines in that
+core, and restricts it to stars through certified rank tables:
+`star_rows` reads every star as a rank row, in one pass over the star
+tables, and `restrict_to_star` is one such row as a point map.
 A line map's image is a tuple, image[l] the target line of source line l.
 Map tables are total on the source and stay inside the target: a value
 that is no target label or line id is PreconditionViolated.
@@ -55,12 +56,12 @@ from .errors import (
     PreconditionViolated,
 )
 from .field import is_code
-from .grassmann import build_grassmann, is_clique
 from .linalg import is_invertible
 from .projspace import (
     IncidenceStructure,
     ProjSpace,
     dual_space,
+    holder,
     lines_in_plane,
     meet,
     pencil,
@@ -134,8 +135,8 @@ class KappaReport:
     """Outcome of point-map reconstruction from star images, with kappa's
     kind (`classify_point_map`), None when the status is Mixed.
 
-    unresolved_points holds the sources whose star images pairwise meet
-    yet share no label of either core: in a plane, lines through no common
+    unresolved_points holds the sources whose star images are held by a
+    plane of a target with no dual: in a plane, lines through no common
     point.  Star images that do not pairwise meet raise instead."""
 
     status: KappaStatus
@@ -356,28 +357,26 @@ def classify_point_map(pm: PointMap) -> MapKind:
 
 def preserves_intersections(lm: LineMap) -> bool:
     """Whether images of every related line pair are related: exactly when
-    each source star's image is a clique of the target graph, since two
+    each source star's image has a `holder` in the target, since two
     distinct lines meet exactly when some star holds both."""
-    gt = build_grassmann(lm.target)
-    img = lm.image
+    target, img = lm.target, lm.image
     return all(
-        is_clique(gt, [img[l] for l in through])
+        holder(target, [img[l] for l in through]) is not None
         for through in lm.source.lines_through.values()
     )
 
 
 def preserves_skewness(lm: LineMap) -> bool:
     """Whether images of every skew line pair are skew: exactly when the
-    lines mapped into each target star form a clique of the source graph
+    lines mapped into each target star have a `holder` in the source
     (images that coincide lie in a common star, so this holds for maps
     that are not injective too)."""
-    gs = build_grassmann(lm.source)
     target = lm.target
     preimage = {p: [] for p in target.point_labels}
     for l, m in enumerate(lm.image):
         for p in target.line_sets[m]:
             preimage[p].append(l)
-    return all(is_clique(gs, lines) for lines in preimage.values())
+    return all(holder(lm.source, lines) is not None for lines in preimage.values())
 
 
 def _kappa_core(lm: LineMap, kappa: PointMap):
@@ -393,31 +392,13 @@ def _kappa_core(lm: LineMap, kappa: PointMap):
     raise PreconditionViolated("kappa must map into the target or its dual")
 
 
-def _star_label(core, lines, pid):
-    """The label of core on every line of a star image, or None: the one
-    label that its first and last line share, if it lies on every line.
-    GeometryError if they share more."""
-    sets = core.line_sets
-    common = sets[lines[0]] & sets[lines[-1]]
-    if len(common) > 1:
-        raise GeometryError(f"star image of point {pid} shares {len(common)} points of {core!r}")
-    for x in common:
-        for l in lines:
-            if x not in sets[l]:
-                return None
-        return x
-    return None
-
-
 def reconstruct_point_map(lm: LineMap) -> KappaReport:
     """Recover the point map behind a bijective intersection-preserving
-    line map in one pass over the source points: each star goes to the one
-    label on all its image lines (`_star_label`) in the target or, failing
-    that in dimension 3, the dual, built at the first star that reaches it.
-    Lines through one point or in one plane meet pairwise, so only a star
-    that neither core takes is tested as a clique of the target graph.
-    The report, with kappa classified once, is kept on the line map, and
-    later calls return it; a reconstruction that raises keeps nothing."""
+    line map in one pass over the source points: each star goes to the
+    `holder` of its image lines, a target point or, in dimension 3, a
+    plane, a point of the dual, which is built only for such a kappa.  The
+    report, with kappa classified once, is kept on the line map, and later
+    calls return it; a reconstruction that raises keeps nothing."""
     if lm._kappa is None:
         object.__setattr__(lm, "_kappa", _reconstructed(lm))
     return lm._kappa
@@ -427,24 +408,22 @@ def _reconstructed(lm: LineMap) -> KappaReport:
     if not lm.is_bijective():
         raise PreconditionViolated("line map must be bijective")
     sp, sp2, img = lm.source, lm.target, lm.image
-    tables = {KappaStatus.INDUCED_INTO_TARGET: {}, KappaStatus.INDUCED_INTO_DUAL: {}}
-    (into_target, into_dual), unresolved = tables.values(), []
+    held = {"point": {}, "plane": {}}
     for pid in sp.point_labels:
-        lines = [img[l] for l in star(sp, pid)]
-        if (x := _star_label(sp2, lines, pid)) is not None:
-            into_target[pid] = x
-        elif sp2.n == 3 and (x := _star_label(dual_space(sp2), lines, pid)) is not None:
-            into_dual[pid] = x
-        elif is_clique(build_grassmann(sp2), lines):
-            unresolved.append(pid)
-        else:
+        found = holder(sp2, [img[l] for l in star(sp, pid)])
+        if found is None:
             raise PreconditionViolated("line map must preserve intersections")
-    for status, table in tables.items():
-        if len(table) == len(sp.point_labels):
-            core = sp2 if status is KappaStatus.INDUCED_INTO_TARGET else dual_space(sp2)
-            kappa = PointMap(sp, core, table)
-            return KappaReport(status, kappa, frozenset(), classify_point_map(kappa))
-    return KappaReport(KappaStatus.MIXED, None, frozenset(unresolved), None)
+        if found[0] == "line":
+            raise GeometryError(f"star image of point {pid} shares every point of line {found[1]}")
+        held[found[0]][pid] = found[1]
+    points, planes = held.values()
+    if len(points) == len(sp.point_labels):
+        status, kappa = KappaStatus.INDUCED_INTO_TARGET, PointMap(sp, sp2, points)
+    elif sp2.n == 3 and len(planes) == len(sp.point_labels):
+        status, kappa = KappaStatus.INDUCED_INTO_DUAL, PointMap(sp, dual_space(sp2), planes)
+    else:  # in dimension 3 a plane is a point of the dual, so none is unresolved
+        return KappaReport(KappaStatus.MIXED, None, frozenset(() if sp2.n == 3 else planes), None)
+    return KappaReport(status, kappa, frozenset(), classify_point_map(kappa))
 
 
 def star_rows(lm: LineMap, kappa: PointMap, points):

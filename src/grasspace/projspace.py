@@ -354,15 +354,12 @@ def planes(sp) -> tuple:
     return _planes(sp).bases
 
 
-def _plane_row(sp, rows, plane_id: int):
-    """Entry of one plane table, or NotAPlane for an id that names no plane."""
+def lines_in_plane(sp, plane_id: int) -> tuple:
+    """A plane's line ids, ascending; NotAPlane for an id that names no plane."""
+    rows = _planes(sp).lines
     if not is_code(plane_id, len(rows)):
         raise NotAPlane(f"{sp!r} has no plane {plane_id!r}")
     return rows[plane_id]
-
-
-def lines_in_plane(sp, plane_id: int) -> tuple:
-    return _plane_row(sp, _planes(sp).lines, plane_id)
 
 
 def plane_points(sp, plane_id: int) -> frozenset:
@@ -375,6 +372,34 @@ def planes_of_line(sp, line_id: int) -> frozenset:
     names no line."""
     _line(sp, line_id)
     return _planes(sp).on_line[line_id]
+
+
+def holder(sp, lines):
+    """What holds a list of line ids: ("point", y) for the point y on every
+    line, else ("plane", π) for the plane π on every line, else None, when
+    two are skew.  Lines that pairwise meet pass through one point or lie
+    in one plane, both forced by two distinct lines: the one point, then
+    the one plane (in the dual's line table `on_line`) on both, or
+    GeometryError.  Fewer than two distinct lines give ("line", l or None)."""
+    a, b = (lines[0], lines[-1]) if lines else (None, None)
+    if a == b:
+        b = next((l for l in lines if l != a), None)
+        if b is None:
+            return "line", a
+    for kind in ("point", "plane"):
+        table = sp.line_sets if kind == "point" else _planes(sp).on_line
+        common = table[a] & table[b]
+        if len(common) != 1:
+            if kind == "point" and not common:
+                return None
+            raise GeometryError(f"line {a} shares {len(common)} {kind}s with line {b} of {sp!r}")
+        for x in common:
+            for l in lines:
+                if x not in table[l]:
+                    break
+            else:
+                return kind, x
+    return None
 
 
 def pencils(sp, x) -> dict:

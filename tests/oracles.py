@@ -9,8 +9,9 @@ permutations, equitable refinement from whole-partition signature passes,
 point-map properties from walking every point triple (and, where two
 lines may share two points, from subset tests over every line), line-map
 preservation of intersections and skewness from walking every line pair
-and intersecting point sets, point-map reconstruction from whole star
-images intersected one core at a time, isomorphisms of incidence structures from a
+and intersecting point sets, cliques of lines from the line graph's
+rows, point-map reconstruction from whole star images intersected one
+core at a time, isomorphisms of incidence structures from a
 backtracking search over point bijections, dual spaces from planes
 found as closures of non-collinear triples, reduced echelon forms and
 invertibility from column pivots with back-substitution, written here apart
@@ -532,6 +533,16 @@ def line_rule_property_flags(pm):
 def _lines_related(space, a, b):
     """Two lines of a space are equal or share a point."""
     return a == b or bool(space.line_sets[a] & space.line_sets[b])
+
+
+def is_clique(masks, lines):
+    """Whether every two of the lines (a sequence of ids) are equal or meet,
+    read off the line graph's neighbour masks (`build_grassmann`): the
+    oracle of `projspace.holder`."""
+    bits = 0
+    for l in lines:
+        bits |= 1 << l
+    return all(not bits & ~(masks[l] | 1 << l) for l in lines)
 
 
 def pairwise_preserves_intersections(lm):

@@ -595,3 +595,23 @@ def test_grassmap_round_trip_random_permutations(perm):
     rebuilt = line_map_from_grassmap(parse_grassmap(text))
     assert rebuilt.image == lm.image
     assert serialize_grassmap(rebuilt) == text
+
+
+@pytest.mark.parametrize("kind", ["collineation", "duality", "perturbed"])
+def test_check_builds_no_line_graph(tmp_path, capsys, monkeypatch, kind):
+    # Both preservation verdicts and reconstruction read cliques off their
+    # holders, so check neither calls the graph builder nor leaves a graph.
+    path = tmp_path / "m.grassmap"
+    run(capsys, "gen", "-n", "3", "-q", "3", "--kind", kind, "--out", str(path))
+    monkeypatch.setattr(cli, "build_grassmann", lambda sp: pytest.fail("graph built"))
+    built = []
+
+    def fresh_space(n, q):
+        built.append(projspace._build_space(n, q))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_space", fresh_space)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == (EXIT_NEGATIVE if kind == "perturbed" else EXIT_OK)
+    assert out.startswith("BIJECTIVE yes\n")
+    assert len(built) == 2 and all(sp._grassmann is None for sp in built)

@@ -1411,7 +1411,10 @@ def test_reconstruction_invariants_raise(pg32, monkeypatch, name, fake, call, me
 
 def test_reconstruction_invariants_raise_in_the_dual(pg32, monkeypatch):
     # A duality's star images share no point, so reconstruction reads the
-    # dual core; one that puts every plane on every line must raise.
-    monkeypatch.setattr(dual_space(pg32), "line_sets", (frozenset(range(15)),) * 35)
-    with pytest.raises(GeometryError, match=r"shares 15 points of IncidenceStructure\(dual"):
-        reconstruct_point_map(duality_line_map(Duality(identity_matrix(4)), pg32, pg32))
+    # plane on two of their lines; plane tables that put every plane on
+    # every line must raise.
+    lm = duality_line_map(Duality(identity_matrix(4)), pg32, pg32)
+    tables = projspace._planes(pg32)
+    monkeypatch.setattr(pg32, "_plane_tables", tables._replace(on_line=(frozenset(range(15)),) * 35))
+    with pytest.raises(GeometryError, match=r"shares 15 planes with line \d+ of PG\(3,2\)"):
+        reconstruct_point_map(lm)

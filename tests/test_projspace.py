@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -17,6 +19,7 @@ from grasspace.errors import (
     UnsupportedDimension,
     UnsupportedOrder,
 )
+from grasspace.grassmann import build_grassmann
 from grasspace.maps import noncollinear_witness
 from grasspace.projspace import (
     IncidenceStructure,
@@ -55,6 +58,7 @@ from oracles import (
     filtered_pencil,
     incidence_dual,
     incidence_isomorphic,
+    is_clique,
     prime_subspace_count,
     projected_star,
     spanned_lines,
@@ -1068,3 +1072,48 @@ def test_incidence_dual_agrees_with_coordinate_dual(pg32):
     assert len(dual.point_labels) == 15
     assert len(dual.line_sets) == 35
     assert dual.line_sets == dual_space(pg32).line_sets
+
+
+def _holder_cases(sp, rng):
+    """Seeded line lists with the holder each must get, None where only
+    the oracle decides: every star and every plane's line set, a random
+    subset of each, and each of these with one stray line put anywhere.
+    A subset of at least two star lines keeps the star's point."""
+    table = projspace._planes(sp)
+    held = [(list(star(sp, p)), ("point", p)) for p in sp.point_labels]
+    held += [(list(lines), ("plane", pi)) for pi, lines in enumerate(table.lines)]
+    for lines, expect in held:
+        part = rng.sample(lines, rng.randint(2, len(lines) - 1))
+        for chosen, pinned in ((lines, expect), (part, expect if expect[0] == "point" else None)):
+            yield chosen, pinned
+            stray = list(chosen)
+            stray.insert(rng.randint(0, len(stray)), rng.randrange(len(sp.line_sets)))
+            yield stray, None
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (3, 3), (4, 2), (3, 4)])
+def test_holder_matches_the_line_graph_clique_oracle(n, q):
+    sp = build_space(n, q)
+    graph, rng = build_grassmann(sp), random.Random(n * 100 + q)
+    seen = collections.Counter()
+    for lines, pinned in _holder_cases(sp, rng):
+        got = projspace.holder(sp, lines)
+        assert (got is not None) == is_clique(graph, lines), lines
+        if pinned is not None:
+            assert got == pinned, lines
+        seen[got and got[0]] += 1
+    # In a plane every two lines meet, so no list is skew.
+    assert seen["point"] and seen["plane"] and bool(seen[None]) is (n > 2)
+    # A pencil lies in a plane, yet its point is what holds it.
+    for p in (0, len(sp.point_labels) - 1):
+        for lines in projspace.pencils(sp, p).values():
+            assert projspace.holder(sp, lines) == ("point", p)
+
+
+def test_holder_edge_cases(pg32):
+    a, b = star(pg32, 0)[:2]
+    skew = next(l for l in range(35) if not pg32.line_sets[a] & pg32.line_sets[l])
+    assert is_clique(build_grassmann(pg32), []) and projspace.holder(pg32, []) == ("line", None)
+    assert projspace.holder(pg32, [a]) == projspace.holder(pg32, [a, a, a]) == ("line", a)
+    assert projspace.holder(pg32, [a, b, a]) == projspace.holder(pg32, [a, a, b]) == ("point", 0)
+    assert projspace.holder(pg32, [a, skew, a]) is None

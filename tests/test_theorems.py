@@ -7,7 +7,7 @@ import types
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from grasspace import maps, theorems
+from grasspace import maps, projspace, theorems
 from grasspace.errors import (
     DimensionTooSmall,
     IncompatibleSpaces,
@@ -824,3 +824,14 @@ def test_sampled_maps_are_valid(seed):
     d = sample_duality(sp, seed)
     dlm = duality_line_map(d, sp, sp)
     assert reconstruct_point_map(dlm).status is KappaStatus.INDUCED_INTO_DUAL
+
+
+def test_suites_and_the_shadow_build_no_line_graph():
+    # Every clique these verdicts ask about is read off its holder.
+    sp = projspace._build_space(3, 3)
+    for kind in (InstanceKind.COLLINEATION, InstanceKind.DUALITY):
+        lm = generate_instance(InstanceGenerator(1, kind), sp, sp)
+        assert verify_theorem1(lm).passed and verify_theorem2(lm).passed
+        assert preserves_intersections(lm)
+    assert one_way_shadow(sp, 5).passed
+    assert sp._grassmann is None
