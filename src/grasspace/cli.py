@@ -160,9 +160,8 @@ def line_map_from_grassmap(gf: GrassmapFile) -> LineMap:
 
 def cmd_stats(args) -> int:
     sp = build_space(args.n, args.q)
-    row = 0  # line 0's row of the line graph, as `build_grassmann` builds it
-    for p in sp.line_sets[0]:
-        row |= sp.star_bits[p]
+    # line 0's neighbours: the other lines through its points
+    degree = len(set().union(*(sp.lines_through[p] for p in sp.line_sets[0]))) - 1
     # the pencil at 0 in the plane of 0, a and b: 0 joined to each point of a|b
     a, b = (min(sp.line_sets[l] - {0}) for l in sp.lines_through[0][:2])
     pencil_size = len({sp.line_through(0, y) for y in sp.line_sets[sp.line_through(a, b)]})
@@ -170,7 +169,7 @@ def cmd_stats(args) -> int:
     print(f"lines {len(sp.line_sets)}")
     print(f"star {len(star(sp, 0))}")
     print(f"pencil {pencil_size}")
-    print(f"degree {(row & ~1).bit_count()}")
+    print(f"degree {degree}")
     return EXIT_OK
 
 

@@ -254,7 +254,7 @@ def test_reconstruction_reports_the_kind_of_kappa(n, q):
 
 @pytest.mark.parametrize("q", [3, 9])
 def test_a_mixed_reconstruction_has_no_kind(q):
-    # CI's `perturbed 1 Mixed -` row: in a plane a perturbed map is Mixed.
+    # test_pinned_outputs' `PLANE_SWAP` rows: in a plane a perturbed map is Mixed.
     sp = build_space(2, q)
     lm = generate_instance(InstanceGenerator(1, InstanceKind.PERTURBED), sp, sp)
     report = reconstruct_point_map(lm)
