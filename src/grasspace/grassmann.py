@@ -14,17 +14,17 @@ partition.  Deepest level first, each base vertex's orbit is closed under
 every generator found so far, and only the cell's vertices outside it are
 searched (McKay 1981).  A search refines the first path and a candidate
 path equitably by a splitter queue, one side at a time (McKay and Piperno
-2014).  The first path is refined once, into one list of (partition,
-trace) by depth, and a candidate at that depth replays the trace up to the
-first entry that differs.  A leaf, and every generator again before the
-report, must pass a certificate: a permutation of the vertices that maps
-each neighbour list onto its image's neighbourhood.  MAX_AUT_VERTICES sits
-between PG(5,2) (651 lines, 29 nodes, 0.5 s on 2 cores) and PG(3,5) (806
-lines, 218 nodes, 1.5 s).  Stopped at their proven orders, both Chow
-chains of PG(3,4) take 0.2 s.  A cap that admits PG(3,5) also admits
-planes whose complete line graphs still cost about n^3 to search, so
-raising it belongs to ROADMAP's "Chow across the whole size ladder".  The
-node budget bounds every search below it.
+2014), neighbour counts bit-sliced.  The first path is refined once, into
+one list of (partition, trace) by depth, and a candidate at that depth
+replays the trace up to the first entry that differs.  A leaf, and every
+generator again before the report, must pass a certificate: a permutation
+of the vertices that maps each neighbour list onto its image's
+neighbourhood.  MAX_AUT_VERTICES sits between PG(5,2) (651 lines, 29
+nodes, 0.3 s on 2 cores) and PG(3,5) (806 lines, 218 nodes, 0.7 s).
+Stopped at their proven orders, both Chow chains of PG(3,4) take 0.2 s.
+A cap that admits PG(3,5) also admits planes whose complete line graphs
+still cost about n^3 to search, so raising it belongs to ROADMAP's "Chow
+across the whole size ladder".  The node budget bounds every search.
 """
 
 import collections
@@ -129,12 +129,32 @@ def parse_graph(text: str):
     return v_count, tuple(edges)
 
 
-def _cell_bits(cell):
-    """Bitmask of a set of vertex ids."""
-    bits = 0
+def _count_planes(masks, cell):
+    """Bit x of `planes[j]` is bit j of x's neighbour count in `cell`."""
+    planes = []
     for v in cell:
-        bits |= 1 << v
-    return bits
+        carry = masks[v]
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    return planes
+
+
+def _cut(cell, bits, planes):
+    """A cell's (vertices, bitmask, count) fragments by ascending count, in cell order."""
+    fragments = [(cell, bits, 0)]
+    for j in range(len(planes) - 1, -1, -1):
+        cut = []
+        for part, fb, k in fragments:
+            on = planes[j] & fb
+            if on and on != fb:
+                cut.append(([v for v in part if not on >> v & 1], fb ^ on, k))
+                cut.append(([v for v in part if on >> v & 1], on, k + (1 << j)))
+            else:
+                cut.append((part, fb, k + (1 << j if on else 0)))
+        fragments = cut
+    return fragments
 
 
 def _refine_side(masks, p, splitter, expect=None):
@@ -150,11 +170,11 @@ def _refine_side(masks, p, splitter, expect=None):
     neighbourhood is cut in place by neighbour count in W, ascending; a
     split queues every fragment if its cell was queued, else all but the
     first largest.  Each such cell adds `(W's start, cell start, counts)`
-    to the trace: its one count, or the (count, fragment size) pairs.  A
-    singleton W = {w} is cut by one AND, without counting per vertex: a
-    count is 0 or 1, so the cell's neighbours of w are `cell & masks[w]`,
-    the whole cell gives count 1, and anything less splits it into the
-    non-neighbours and then the neighbours, whose masks that AND gives.
+    to the trace: its one count, or the (count, fragment size) pairs.
+    `_count_planes` bit-slices the counts by ripple-carry adding W's rows:
+    each caller passes an undirected graph, whose symmetric masks make the
+    rows the columns.  A cell with each plane empty or full on it has count
+    the sum of 2^j over the full planes; `_cut` cuts any other.
 
     Returns (partition, trace).  Given `expect`, the trace of the paired
     partition, returns None at the first entry that differs or when the
@@ -162,18 +182,16 @@ def _refine_side(masks, p, splitter, expect=None):
     pair whose counts disagree, so no isomorphism respects the pairing.
     """
     lab = [v for cell in p for v in cell]
-    end = {}
-    bits = {}
+    end = [0] * (len(lab) + 1)  # by cell start; an empty last cell starts at len(lab)
+    bits = [0] * (len(lab) + 1)
     open_cells = {}  # starts of the non-singleton cells, as an ordered set
-    queue = collections.deque()
+    queue = collections.deque([sum(map(len, p[:splitter]))])  # the splitter's start
     start = 0
-    for i, cell in enumerate(p):
+    for cell in p:
         end[start] = start + len(cell)
-        bits[start] = _cell_bits(cell)
+        bits[start] = sum(map((1).__lshift__, cell))
         if len(cell) > 1:
             open_cells[start] = None
-        if i == splitter:
-            queue.append(start)
         start += len(cell)
     queued = set(queue)
     trace = []
@@ -182,51 +200,33 @@ def _refine_side(masks, p, splitter, expect=None):
     while queue and open_cells:
         w = queue.popleft()
         queued.discard(w)
-        single = end[w] - w == 1
-        if single:
-            near = masks[lab[w]]
-        else:
-            wbits = bits[w]
-            near = 0
-            for v in lab[w : end[w]]:
-                near |= masks[v]
+        planes = _count_planes(masks, lab[w : end[w]])
+        near = 0
+        for plane in planes:
+            near |= plane
         for s in list(open_cells):
             cb = bits[s]
-            inside = cb & near
-            if not inside:
+            if not cb & near:
                 continue
+            count = 0
             fragments = None
-            if single:
-                if inside == cb:
-                    entry = (w, s, 1)
-                else:
-                    cell = lab[s : end[s]]
-                    out = [v for v in cell if not inside >> v & 1]
-                    into = [v for v in cell if inside >> v & 1]
-                    fragments = ((out, cb & ~inside), (into, inside))
-                    entry = (w, s, ((0, len(out)), (1, len(into))))
-            else:
-                cell = lab[s : end[s]]
-                ks = [(masks[v] & wbits).bit_count() for v in cell]
-                counts = sorted(set(ks))
-                if len(counts) == 1:
-                    entry = (w, s, counts[0])
-                else:
-                    buckets = {k: [] for k in counts}
-                    for v, k in zip(cell, ks):
-                        buckets[k].append(v)
-                    fragments = [(buckets[k], _cell_bits(buckets[k])) for k in counts]
-                    entry = (w, s, tuple((k, len(buckets[k])) for k in counts))
-            if expect is not None and (
-                len(trace) == expect_len or expect[len(trace)] != entry
-            ):
+            for j, plane in enumerate(planes):
+                on = plane & cb
+                if on == cb:
+                    count += 1 << j
+                elif on:
+                    fragments = _cut(lab[s : end[s]], cb, planes)
+                    count = tuple((k, len(cell)) for cell, _, k in fragments)
+                    break
+            entry = (w, s, count)
+            if expect is not None and (len(trace) == expect_len or expect[len(trace)] != entry):
                 return None
             trace.append(entry)
             if fragments is None:
                 continue
             starts = []
             pos = s
-            for fragment, fbits in fragments:
+            for fragment, fbits, _ in fragments:
                 lab[pos : pos + len(fragment)] = fragment
                 end[pos] = pos + len(fragment)
                 bits[pos] = fbits

@@ -108,7 +108,7 @@ class IncidenceStructure:
 
     def __post_init__(self):
         """Check each line and group line ids by label in one loop: each
-        star mask sums its lines' bits, and `ProjSpace` keeps the groups."""
+        star mask sets its lines' bits, and `ProjSpace` keeps the groups."""
         through = {p: [] for p in self.point_labels}
         if len(through) != len(self.point_labels):
             raise BadConfiguration("repeated point labels")
@@ -124,7 +124,13 @@ class IncidenceStructure:
                     through[p].append(i)
             except KeyError:
                 raise BadConfiguration(f"line {i} passes through an unknown point") from None
-        self.star_bits = {p: sum(map((1).__lshift__, ls)) for p, ls in through.items()}
+        self.star_bits = {}
+        size = (len(self.line_sets) + 7) // 8
+        for p, ls in through.items():
+            row = bytearray(size)  # one int at the end, not one per line
+            for i in ls:
+                row[i >> 3] |= 1 << (i & 7)
+            self.star_bits[p] = int.from_bytes(row, "little")
         self.typed_labels = frozenset(zip(map(type, self.point_labels), self.point_labels))
         return through
 

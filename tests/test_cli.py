@@ -386,26 +386,6 @@ def test_verify_thm2_full_output(capsys):
     )
 
 
-def test_verify_thm1_and_thm2_pg43(capsys):
-    # quotients of PG(4,3) are certified against PG(3,3)
-    code, out, _ = run(
-        capsys,
-        "verify", "--suite", "thm1", "-n", "4", "-q", "3", "--samples", "1",
-    )
-    assert code == EXIT_OK
-    assert out.strip().split("\n") == ["THM1.ab PASS", "THM1.c PASS", "THM1.d PASS"]
-
-    code, out, _ = run(
-        capsys,
-        "verify", "--suite", "thm2", "-n", "4", "-q", "3", "--samples", "1",
-    )
-    assert code == EXIT_OK
-    rows = out.strip().split("\n")
-    assert rows[:4] == ["THM2.a PASS", "THM2.b PASS", "THM2.c PASS", "THM2.d PASS"]
-    assert rows[4].startswith("THM2.equivalence PASS")
-    assert len(rows) == 5
-
-
 def test_verify_thm1_plane_space_runs_collineations_only(capsys):
     code, out, _ = run(
         capsys,
@@ -472,34 +452,6 @@ def test_verify_chow_too_large(capsys):
     code, _, err = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "5")
     assert code == EXIT_PARAMS
     assert "806 lines exceed the 700 limit" in err
-
-
-def test_verify_chow_pg33(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "3")
-    assert code == EXIT_OK
-    assert out == (
-        "graph_order 24261120\n"
-        "group_order 24261120\n"
-        "CHOW.graph_order PASS 24261120\n"
-        "CHOW.group_order PASS 24261120\n"
-        "CHOW.collineations_distinct PASS 12130560 of 12130560\n"
-        "CHOW.coset_disjoint PASS\n"
-        "CHOW.order_match PASS 24261120 vs 24261120\n"
-    )
-
-
-def test_verify_chow_pg34(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "chow", "-n", "3", "-q", "4")
-    assert code == EXIT_OK
-    assert out == (
-        "graph_order 3948134400\n"
-        "group_order 3948134400\n"
-        "CHOW.graph_order PASS 3948134400\n"
-        "CHOW.group_order PASS 3948134400\n"
-        "CHOW.collineations_distinct PASS 1974067200 of 1974067200\n"
-        "CHOW.coset_disjoint PASS\n"
-        "CHOW.order_match PASS 3948134400 vs 3948134400\n"
-    )
 
 
 def test_grassmap_round_trip(pg32):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from grasspace import grassmann
 from grasspace.errors import BudgetExceeded, FormatError, GeometryError, TooLarge
 from grasspace.grassmann import (
+    _count_planes,
+    _cut,
     _individualize,
     _is_automorphism,
     _neighbour_lists,
@@ -290,6 +293,82 @@ def test_automorphism_order_is_relabeling_invariant(seed):
     rng.shuffle(perm)
     shuffled = masks_from_pairs(n, [(perm[u], perm[v]) for u, v in pairs])
     assert automorphism_group(masks).group_order == automorphism_group(shuffled).group_order
+
+
+def _random_graph(rng):
+    n = rng.randrange(1, 25)
+    density = rng.random()
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    return masks_from_pairs(n, pairs)
+
+
+def _bits(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _assert_counts_and_cut(masks, splitter, cell):
+    """The bit-planes decode to every vertex's neighbour count in
+    `splitter`, and `_cut` puts the cell's vertices into one fragment per
+    count, ascending, each in the cell's order."""
+    counts = [(m & _bits(splitter)).bit_count() for m in masks]
+    planes = _count_planes(masks, splitter)
+    decoded = [
+        sum((plane >> x & 1) << j for j, plane in enumerate(planes)) for x in range(len(masks))
+    ]
+    assert decoded == counts
+    want = [([v for v in cell if counts[v] == k], k) for k in sorted({counts[v] for v in cell})]
+    fragments = _cut(list(cell), _bits(cell), planes)
+    assert [(part, k) for part, _, k in fragments] == want
+    assert [fb for _, fb, _ in fragments] == [_bits(part) for part, _ in want]
+
+
+# Vertices 3-7 have 0, 1, 2, 3 and 2 neighbours in {0, 1, 2}.
+COUNTED = masks_from_pairs(8, [(0, 4), (0, 5), (1, 5), (0, 6), (1, 6), (2, 6), (0, 7), (1, 7)])
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [(5, 7), (7, 5), (4, 5), (6, 3), (7, 6, 5, 4, 3), (3, 7, 4, 6, 5)],
+    ids=["one", "one-reversed", "two", "two-reversed", "four", "four-mixed"],
+)
+def test_bit_planes_cut_a_cell_into_its_counts(cell):
+    _assert_counts_and_cut(COUNTED, (0, 1, 2), cell)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_bit_planes_match_popcounts_on_random_graphs(seed):
+    rng = random.Random(seed)
+    masks = _random_graph(rng)
+    n = len(masks)
+    splitter = rng.sample(range(n), rng.randrange(1, n + 1))
+    _assert_counts_and_cut(masks, splitter, rng.sample(range(n), rng.randrange(1, n + 1)))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_first_splitter_trace_is_the_per_vertex_counts(seed):
+    # The first splitter's entries open the trace: one per non-singleton
+    # cell that meets its neighbourhood, in cell order, its one count or
+    # its (count, fragment size) pairs ascending, counted vertex by vertex.
+    rng = random.Random(seed)
+    masks = _random_graph(rng)
+    order = rng.sample(range(len(masks)), len(masks))
+    cuts = sorted(rng.sample(range(1, len(masks)), rng.randrange(len(masks))))
+    starts = [0, *cuts]
+    p = [tuple(order[a:b]) for a, b in zip(starts, [*cuts, len(masks)])]
+    splitter = rng.randrange(len(p))
+    wbits = _bits(p[splitter])
+    want = []
+    for start, cell in zip(starts, p):
+        ks = [(masks[v] & wbits).bit_count() for v in cell]
+        if len(cell) < 2 or not any(ks):
+            continue
+        counts = sorted(set(ks))
+        pairs = tuple((k, ks.count(k)) for k in counts)
+        want.append((starts[splitter], start, counts[0] if len(counts) == 1 else pairs))
+    _, trace = _refine_side(masks, p, splitter)
+    assert trace[: len(want)] == want
 
 
 def _refine_matches_oracle(masks, pa, pb, splitter):

@@ -147,12 +147,24 @@ ROWS = [
     (
         "grasspace verify --suite chow -n 3 -q 3",
         0,
-        "5fd8ad6fb616f48130501f7bf7a81ece1610aa082d2a09de8f3e04afac2c8620",
+        "graph_order 24261120\n"
+        "group_order 24261120\n"
+        "CHOW.graph_order PASS 24261120\n"
+        "CHOW.group_order PASS 24261120\n"
+        "CHOW.collineations_distinct PASS 12130560 of 12130560\n"
+        "CHOW.coset_disjoint PASS\n"
+        "CHOW.order_match PASS 24261120 vs 24261120\n",
     ),
     (
         "grasspace verify --suite chow -n 3 -q 4",
         0,
-        "701194b6f24eec81a3a3b033607eec5dfaf392f27e679aace4fa6d0bfd282696",
+        "graph_order 3948134400\n"
+        "group_order 3948134400\n"
+        "CHOW.graph_order PASS 3948134400\n"
+        "CHOW.group_order PASS 3948134400\n"
+        "CHOW.collineations_distinct PASS 1974067200 of 1974067200\n"
+        "CHOW.coset_disjoint PASS\n"
+        "CHOW.order_match PASS 3948134400 vs 3948134400\n",
     ),
 ]
 

@@ -36,3 +36,30 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_private_helper_is_read():
+    # `src/` is the program: a top-level `_name` function or class that no
+    # module of the package reads, as a name, an attribute or an import,
+    # is dead code or serves only tests and tools.
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted((ROOT / "src" / "grasspace").glob("*.py"))
+    ]
+    helpers = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+    ]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert helpers and [name for name in helpers if name not in read] == []
