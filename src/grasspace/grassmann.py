@@ -13,18 +13,18 @@ smallest vertex of the first largest non-singleton cell down to a discrete
 partition.  Deepest level first, each base vertex's orbit is closed under
 every generator found so far, and only the cell's vertices outside it are
 searched (McKay 1981).  A search refines the first path and a candidate
-path equitably by a splitter queue, one side at a time (McKay and Piperno
-2014), neighbour counts bit-sliced.  The first path is refined once, into
-one list of (partition, trace) by depth, and a candidate at that depth
-replays the trace up to the first entry that differs.  A leaf, and every
-generator again before the report, must pass a certificate: a permutation
-of the vertices that maps each neighbour list onto its image's
-neighbourhood.  MAX_AUT_VERTICES sits between PG(5,2) (651 lines, 29
-nodes, 0.3 s on 2 cores) and PG(3,5) (806 lines, 218 nodes, 0.7 s).
-Stopped at their proven orders, both Chow chains of PG(3,4) take 0.2 s.
-A cap that admits PG(3,5) also admits planes whose complete line graphs
-still cost about n^3 to search, so raising it belongs to ROADMAP's "Chow
-across the whole size ladder".  The node budget bounds every search.
+path equitably by a splitter queue, one side at a time, neighbour counts
+bit-sliced, in one partition form from root to leaves, as nauty and Traces
+keep `lab`/`ptn` (McKay and Piperno 2014).  The first path is refined
+once; a candidate replays its trace to the first entry that differs.  The
+search yields leaves lazily; the first to pass the one certificate, that
+it maps each neighbour list onto its image's neighbourhood, is a
+generator.  MAX_AUT_VERTICES sits between PG(5,2) (651 lines, 29 nodes,
+0.22 s on 2 cores) and PG(3,5) (806 lines, 218 nodes, 0.5 s).  Stopped at
+their proven orders, both Chow chains of PG(3,4) take 0.14 s.  A cap that
+admits PG(3,5) also admits planes whose complete line graphs still cost
+about n^3 to search, so raising it belongs to ROADMAP's "Chow across the
+whole size ladder".  The node budget bounds every search.
 """
 
 import collections
@@ -32,6 +32,7 @@ import dataclasses
 import re
 
 from .errors import BudgetExceeded, FormatError, GeometryError, TooLarge
+from .field import is_code
 
 MAX_AUT_VERTICES = 700
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -160,40 +161,34 @@ def _cut(cell, bits, planes):
 def _refine_side(masks, p, splitter, expect=None):
     """Equitable refinement of one ordered partition, and its trace.
 
-    A splitter queue (Hopcroft 1971; McKay and Piperno 2014) refines cells
-    only against cells that changed.  It starts with cell `splitter` alone,
-    so every other cell must already be equitable: `splitter` is the one
-    cell of the unit partition, or the singleton `_individualize` just cut
-    from an equitable partition.  Cells are runs of the flattened partition
-    named by their start, which a split keeps for its first fragment.
-    Against a splitter W, each non-singleton cell that meets W's
-    neighbourhood is cut in place by neighbour count in W, ascending; a
-    split queues every fragment if its cell was queued, else all but the
-    first largest.  Each such cell adds `(W's start, cell start, counts)`
-    to the trace: its one count, or the (count, fragment size) pairs.
-    `_count_planes` bit-slices the counts by ripple-carry adding W's rows:
-    each caller passes an undirected graph, whose symmetric masks make the
-    rows the columns.  A cell with each plane empty or full on it has count
-    the sum of 2^j over the full planes; `_cut` cuts any other.
+    A partition is `(lab, end, bits)`: its vertices in cell order, and at
+    each cell's start the cell's end and vertex bitmask.  A cell is named by
+    its start, which a split keeps for its first fragment.  A splitter
+    queue (Hopcroft 1971; McKay and Piperno 2014) refines cells only against
+    cells that changed.  It starts with the cell at `splitter` alone, so
+    every other cell must already be equitable: `splitter` is the one cell
+    of the unit partition, or the singleton `_individualize` just cut from
+    an equitable partition.  Against a splitter W, each non-singleton cell
+    that meets W's neighbourhood is cut in place by neighbour count in W,
+    ascending; a split queues every fragment if its cell was queued, else
+    all but the first largest.  Each such cell adds `(W's start, cell
+    start, counts)` to the trace: its one count, or the (count, fragment
+    size) pairs.  `_count_planes` bit-slices the counts by ripple-carry
+    adding W's rows: each caller passes an undirected graph, whose
+    symmetric masks make the rows the columns.  A cell with each plane
+    empty or full on it has count the sum of 2^j over the full planes;
+    `_cut` cuts any other.
 
-    Returns (partition, trace).  Given `expect`, the trace of the paired
-    partition, returns None at the first entry that differs or when the
-    lengths differ: exactly when refining the pair in lockstep meets a cell
-    pair whose counts disagree, so no isomorphism respects the pairing.
+    Returns (a refined copy of `p`, trace).  Given `expect`, the trace of
+    the paired partition, returns None at the first entry that differs or
+    when the lengths differ: exactly when refining the pair in lockstep
+    meets a cell pair whose counts disagree, so no isomorphism respects the
+    pairing.
     """
-    lab = [v for cell in p for v in cell]
-    end = [0] * (len(lab) + 1)  # by cell start; an empty last cell starts at len(lab)
-    bits = [0] * (len(lab) + 1)
-    open_cells = {}  # starts of the non-singleton cells, as an ordered set
-    queue = collections.deque([sum(map(len, p[:splitter]))])  # the splitter's start
-    start = 0
-    for cell in p:
-        end[start] = start + len(cell)
-        bits[start] = sum(map((1).__lshift__, cell))
-        if len(cell) > 1:
-            open_cells[start] = None
-        start += len(cell)
-    queued = set(queue)
+    lab, end, bits = map(list, p)
+    open_cells = {s: None for s in _starts(p) if end[s] - s > 1}  # an ordered set
+    queue = collections.deque([splitter])
+    queued = {splitter}
     trace = []
     expect_len = None if expect is None else len(expect)
 
@@ -246,26 +241,33 @@ def _refine_side(masks, p, splitter, expect=None):
 
     if expect is not None and len(trace) != expect_len:
         return None
-    partition = []
+    return (lab, end, bits), trace
+
+
+def _starts(p):
+    """The cell starts of a partition, in order."""
+    lab, end, _ = p
     s = 0
     while s < len(lab):
-        partition.append(tuple(lab[s : end[s]]))
+        yield s
         s = end[s]
-    return partition, trace
 
 
-def _branch_cell(partition):
-    """Index of the first largest non-singleton cell, or None."""
-    best = None
-    for i, cell in enumerate(partition):
-        if len(cell) > 1 and (best is None or len(cell) > len(partition[best])):
-            best = i
-    return best
+def _branch_cell(p):
+    """Start of the first largest non-singleton cell, or None."""
+    end = p[1]
+    return max((s for s in _starts(p) if end[s] - s > 1), key=lambda s: end[s] - s, default=None)
 
 
-def _individualize(partition, cell_index, vertex):
-    rest = tuple(v for v in partition[cell_index] if v != vertex)
-    return [*partition[:cell_index], (vertex,), rest, *partition[cell_index + 1 :]]
+def _individualize(p, s, vertex):
+    """A copy of `p` with `vertex` cut from the cell at `s` into a singleton
+    just before the rest of that cell, if any."""
+    lab, end, bits = map(list, p)
+    lab[s : end[s]] = [vertex, *(v for v in lab[s : end[s]] if v != vertex)]
+    if end[s] > s + 1:
+        end[s + 1], bits[s + 1] = end[s], bits[s] ^ 1 << vertex
+    end[s], bits[s] = s + 1, 1 << vertex
+    return lab, end, bits
 
 
 def _neighbour_lists(masks):
@@ -289,38 +291,32 @@ def _is_automorphism(masks, perm, neighbours):
 class _Search:
     def __init__(self, masks, node_budget, path, cells):
         self.masks = masks
-        self.neighbours = _neighbour_lists(masks)
         self.budget = node_budget
         self.nodes = 0
         self.path = path  # the first path's (partition, trace) by depth
-        self.cells = cells  # (branch cell, base vertex) of each non-discrete depth
+        self.cells = cells  # (branch cell start, base vertex) of each non-discrete depth
 
-    def find(self, pb, splitter, depth):
-        """One adjacency-preserving bijection pairing `pb` with the first
-        path at `depth`; `splitter` is the cell individualised last."""
+    def leaves(self, pb, splitter, depth):
+        """Uncertified, in search order, each leaf permutation below `pb`
+        paired with the first path at `depth`, counting each node as it is
+        reached; `splitter` is the start of the cell individualised last."""
         self.nodes += 1
         if self.nodes > self.budget:
-            raise BudgetExceeded(
-                f"automorphism search exceeded {self.budget} nodes"
-            )
+            raise BudgetExceeded(f"automorphism search exceeded {self.budget} nodes")
         pa, trace = self.path[depth]
         refined = _refine_side(self.masks, pb, splitter, trace)
         if refined is None:
-            return None
-        pb = refined[0]
+            return
+        lab, end, _ = pb = refined[0]
         if depth == len(self.cells):
             perm = [0] * len(self.masks)
-            for ca, cb in zip(pa, pb):
-                perm[ca[0]] = cb[0]
-            if _is_automorphism(self.masks, perm, self.neighbours):
-                return tuple(perm)
-            return None
-        ci = self.cells[depth][0]
-        for u in sorted(pb[ci]):
-            result = self.find(_individualize(pb, ci, u), ci, depth + 1)
-            if result is not None:
-                return result
-        return None
+            for a, b in zip(pa[0], lab):
+                perm[a] = b
+            yield tuple(perm)
+            return
+        s = self.cells[depth][0]
+        for u in sorted(lab[s : end[s]]):
+            yield from self.leaves(_individualize(pb, s, u), s, depth + 1)
 
 
 def _orbit_close(seed, generators):
@@ -344,32 +340,39 @@ def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> Automor
     deepest level first, each base vertex's orbit is closed under all
     generators found so far, which fix the base above it.  The order is the
     product of these exact orbits, and reports are deterministic.
+    ValueError unless each mask is an int in range(2**len(masks)).
     """
     if node_budget < 0:
         raise ValueError(f"the node budget must be at least 0, got {node_budget}")
     count = len(masks)
     if count > MAX_AUT_VERTICES:
         raise TooLarge(f"{count} vertices exceeds the {MAX_AUT_VERTICES} limit")
+    if not all(is_code(m, 1 << count) for m in masks):
+        raise ValueError(f"a mask is not an int in range(2**{count})")
 
-    path = [_refine_side(masks, [tuple(range(count))], 0)]
+    unit = (list(range(count)), [count] + [0] * count, [(1 << count) - 1] + [0] * count)
+    path = [_refine_side(masks, unit, 0)]
     cells = []
-    while (ci := _branch_cell(path[-1][0])) is not None:
-        partition = path[-1][0]
-        v0 = min(partition[ci])
-        cells.append((ci, v0))
-        path.append(_refine_side(masks, _individualize(partition, ci, v0), ci))
+    while (s := _branch_cell(path[-1][0])) is not None:
+        lab, end, _ = partition = path[-1][0]
+        v0 = min(lab[s : end[s]])
+        cells.append((s, v0))
+        path.append(_refine_side(masks, _individualize(partition, s, v0), s))
     search = _Search(masks, node_budget, path, cells)
+    neighbours = _neighbour_lists(masks)
 
     generators = []
     order = 1
     for depth in range(len(cells), 0, -1):
-        partition = path[depth - 1][0]
-        ci, v0 = cells[depth - 1]
+        lab, end, _ = partition = path[depth - 1][0]
+        s, v0 = cells[depth - 1]
         orbit = {v0}  # every generator found so far fixes the base down to v0
-        for u in sorted(partition[ci]):
+        for u in sorted(lab[s : end[s]]):
             if u in orbit:
                 continue
-            found = search.find(_individualize(partition, ci, u), ci, depth)
+            leaves = search.leaves(_individualize(partition, s, u), s, depth)
+            # the one certificate: a leaf becomes a generator only here
+            found = next((g for g in leaves if _is_automorphism(masks, g, neighbours)), None)
             if found is not None:
                 if found[v0] != u:
                     raise GeometryError(
@@ -379,9 +382,6 @@ def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> Automor
                 orbit = _orbit_close(orbit, generators)
         order *= len(orbit)
 
-    for perm in generators:
-        if not _is_automorphism(masks, perm, search.neighbours):
-            raise GeometryError("the search returned a non-automorphism")
     return AutomorphismReport(
         group_order=order,
         generators=tuple(generators),

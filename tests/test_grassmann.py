@@ -306,6 +306,30 @@ def _bits(vertices):
     return sum(1 << v for v in vertices)
 
 
+def _flat(cells):
+    """A partition given as a list of cells, in the search's `(lab, end,
+    bits)` form."""
+    n = sum(map(len, cells))
+    lab, end, bits = [], [n] + [0] * n, [0] * (n + 1)
+    for cell in cells:
+        s = len(lab)
+        lab.extend(cell)
+        end[s], bits[s] = len(lab), _bits(cell)
+    return lab, end, bits
+
+
+def _cells(p):
+    """The cells of a partition in the search's form, by start, each
+    checked against the bitmask kept at its start."""
+    lab, end, bits = p
+    cells, s = {}, 0
+    while s < len(lab):
+        cells[s] = tuple(lab[s : end[s]])
+        assert bits[s] == _bits(cells[s])
+        s = end[s]
+    return cells
+
+
 def _assert_counts_and_cut(masks, splitter, cell):
     """The bit-planes decode to every vertex's neighbour count in
     `splitter`, and `_cut` puts the cell's vertices into one fragment per
@@ -367,23 +391,27 @@ def test_first_splitter_trace_is_the_per_vertex_counts(seed):
         counts = sorted(set(ks))
         pairs = tuple((k, ks.count(k)) for k in counts)
         want.append((starts[splitter], start, counts[0] if len(counts) == 1 else pairs))
-    _, trace = _refine_side(masks, p, splitter)
+    _, trace = _refine_side(masks, _flat(p), starts[splitter])
     assert trace[: len(want)] == want
 
 
 def _refine_matches_oracle(masks, pa, pb, splitter):
     """The splitter-queue refinement of one pairing, checked against the
     whole-pass oracle: the same set partitions, and None on the same
-    pairings.  Returns the refined pair or None."""
+    pairings; the inputs are left as they were.  Returns the refined pair
+    or None."""
+    cells_a, cells_b = _cells(pa), _cells(pb)
     refined_a, trace = _refine_side(masks, pa, splitter)
     replay = _refine_side(masks, pb, splitter, trace)
+    assert (_cells(pa), _cells(pb)) == (cells_a, cells_b)
     got = None if replay is None else (refined_a, replay[0])
-    want = equitable_refinement_oracle(masks, pa, pb)
+    want = equitable_refinement_oracle(masks, [*cells_a.values()], [*cells_b.values()])
     assert (got is None) == (want is None)
     if got is not None:
+        got_cells = [[*_cells(side).values()] for side in got]
         for side in (0, 1):
-            assert set(map(frozenset, got[side])) == set(map(frozenset, want[side]))
-        assert list(map(len, got[0])) == list(map(len, got[1]))
+            assert set(map(frozenset, got_cells[side])) == set(map(frozenset, want[side]))
+        assert list(map(len, got_cells[0])) == list(map(len, got_cells[1]))
     return got
 
 
@@ -394,25 +422,27 @@ def _replay_matches_oracle(masks, pa, pb, splitter):
     refined_a, trace = _refine_side(masks, pa, splitter)
     assert _refine_side(masks, pa, splitter, expect=trace) == (refined_a, trace)
     replay = _refine_side(masks, pb, splitter, expect=trace)
-    assert (replay is None) == (equitable_refinement_oracle(masks, pa, pb) is None)
+    want = equitable_refinement_oracle(masks, [*_cells(pa).values()], [*_cells(pb).values()])
+    assert (replay is None) == (want is None)
     return None if replay is None else (refined_a, replay[0])
 
 
 def _individualisation_walk(masks, data, check=_refine_matches_oracle):
     """Refine the unit partition, then keep individualising a drawn vertex
     of a drawn cell on each side, checking every refinement."""
-    unit = [tuple(range(len(masks)))]
+    unit = _flat([tuple(range(len(masks)))])
     refined = check(masks, unit, unit, 0)
     while refined is not None:
         pa, pb = refined
-        cells = [i for i, cell in enumerate(pa) if len(cell) > 1]
-        if not cells:
+        cells_a = _cells(pa)
+        starts = [s for s, cell in cells_a.items() if len(cell) > 1]
+        if not starts:
             break
-        ci = data.draw(st.sampled_from(cells))
-        va = data.draw(st.sampled_from(sorted(pa[ci])))
-        u = data.draw(st.sampled_from(sorted(pb[ci])))
+        s = data.draw(st.sampled_from(starts))
+        va = data.draw(st.sampled_from(sorted(cells_a[s])))
+        u = data.draw(st.sampled_from(sorted(_cells(pb)[s])))
         refined = check(
-            masks, _individualize(pa, ci, va), _individualize(pb, ci, u), ci
+            masks, _individualize(pa, s, va), _individualize(pb, s, u), s
         )
 
 
@@ -460,13 +490,13 @@ TRICKY_GRAPHS = [
 
 @pytest.mark.parametrize("masks", TRICKY_GRAPHS)
 def test_refinement_matches_the_oracle_on_every_first_pairing(masks):
-    unit = [tuple(range(len(masks)))]
+    unit = _flat([tuple(range(len(masks)))])
     pa, pb = _refine_matches_oracle(masks, unit, unit, 0)
-    for ci, cell in enumerate(pa):
+    for s, cell in _cells(pa).items():
         for va in cell:
             for u in cell:
                 _refine_matches_oracle(
-                    masks, _individualize(pa, ci, va), _individualize(pb, ci, u), ci
+                    masks, _individualize(pa, s, va), _individualize(pb, s, u), s
                 )
 
 
@@ -485,13 +515,13 @@ def test_refinement_matches_the_oracle_on_line_graphs(n, q, data):
 
 @pytest.mark.parametrize("masks", TRICKY_GRAPHS)
 def test_trace_replay_fails_with_the_oracle_on_every_first_pairing(masks):
-    unit = [tuple(range(len(masks)))]
+    unit = _flat([tuple(range(len(masks)))])
     pa, pb = _replay_matches_oracle(masks, unit, unit, 0)
-    for ci, cell in enumerate(pa):
+    for s, cell in _cells(pa).items():
         for va in cell:
             for u in cell:
                 _replay_matches_oracle(
-                    masks, _individualize(pa, ci, va), _individualize(pb, ci, u), ci
+                    masks, _individualize(pa, s, va), _individualize(pb, s, u), s
                 )
 
 
@@ -523,52 +553,82 @@ def test_collineation_perms_are_graph_automorphisms(pg32):
         assert _is_automorphism(g, lm.image, rows)
 
 
-def _corrupt_top_level_finds(monkeypatch, corrupt):
-    """Pass each permutation a top-level search returns through `corrupt`,
-    with the base vertex of its level; deeper searches are left alone."""
-    find = grassmann._Search.find
-    depth = []
+def _corrupt_top_level_leaves(monkeypatch, corrupt):
+    """Ahead of each leaf a top-level search yields, yield that leaf passed
+    through `corrupt` with the base vertex of its level; deeper searches
+    are left alone."""
+    leaves = grassmann._Search.leaves
+    running = []  # non-empty while a top-level search is advancing
 
     def corrupted(self, pb, splitter, level):
-        depth.append(None)
-        try:
-            perm = find(self, pb, splitter, level)
-        finally:
-            depth.pop()
-        if perm is None or depth:
-            return perm
-        return tuple(corrupt(list(perm), self.cells[level - 1][1]))
+        if running:
+            yield from leaves(self, pb, splitter, level)
+            return
+        found = leaves(self, pb, splitter, level)
+        while True:
+            running.append(None)
+            try:
+                perm = next(found, None)
+            finally:
+                running.pop()
+            if perm is None:
+                return
+            yield tuple(corrupt(list(perm), self.cells[level - 1][1]))
+            yield perm
 
-    monkeypatch.setattr(grassmann._Search, "find", corrupted)
+    monkeypatch.setattr(grassmann._Search, "leaves", corrupted)
 
 
 def test_automorphism_group_rejects_a_corrupted_generator(pg32, monkeypatch):
-    # Swap the images of two vertices off the base in every generator, so
-    # each still sends its base vertex where it was asked to; the Grassmann
-    # graph has no twin lines, so none stays an automorphism.
+    # Swap the images of two vertices off the base in a copy of every leaf,
+    # yielded first, so each still sends its base vertex where it was asked
+    # to; the Grassmann graph has no twin lines, so none is an
+    # automorphism, and the certificate must pass over every copy.
     g = build_grassmann(pg32)
-    a, b = [v for v in range(35) if v not in automorphism_group(g).base][-2:]
+    report = automorphism_group(g)
+    a, b = [v for v in range(35) if v not in report.base][-2:]
 
     def swap(perm, v0):
         perm[a], perm[b] = perm[b], perm[a]
         return perm
 
-    _corrupt_top_level_finds(monkeypatch, swap)
-    with pytest.raises(GeometryError, match="non-automorphism"):
-        automorphism_group(g)
+    _corrupt_top_level_leaves(monkeypatch, swap)
+    assert automorphism_group(g) == report
 
 
 def test_automorphism_group_rejects_a_generator_that_moves_the_base(pg32, monkeypatch):
-    # Send the level's base vertex somewhere other than the vertex the
-    # search was asked for.
-    def move_base_image(perm, v0):
-        w = next(v for v in range(len(perm)) if v != v0)
-        perm[v0], perm[w] = perm[w], perm[v0]
-        return perm
-
-    _corrupt_top_level_finds(monkeypatch, move_base_image)
+    # The identity passes the certificate but sends the level's base vertex
+    # to itself, not to the vertex the search was asked for.
+    _corrupt_top_level_leaves(monkeypatch, lambda perm, v0: range(len(perm)))
     with pytest.raises(GeometryError, match=r"search for \d+ -> \d+ returned"):
         automorphism_group(build_grassmann(pg32))
+
+
+@pytest.mark.parametrize(
+    "n, q, calls", [(3, 2, 8), (3, 3, 7), (4, 2, 11), (2, 7, 56)]
+)
+def test_each_leaf_is_certified_once(n, q, calls, monkeypatch):
+    # Every leaf these searches reach is a generator, and the certificate
+    # reads it once.
+    certified = []
+
+    def counted(masks, perm, neighbours):
+        certified.append(perm)
+        return _is_automorphism(masks, perm, neighbours)
+
+    monkeypatch.setattr(grassmann, "_is_automorphism", counted)
+    report = automorphism_group(build_grassmann(build_space(n, q)))
+    assert len(certified) == len(report.generators) == calls
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [(0b110, 0b001), (-1, -1), (True, 0), (0b10, 1.0), (2, None)],
+    ids=["bit-out-of-range", "negative", "bool", "float", "none"],
+)
+def test_automorphism_group_rejects_malformed_masks(masks):
+    with pytest.raises(ValueError, match=r"not an int in range\(2\*\*2\)"):
+        automorphism_group(masks)
 
 
 def test_automorphism_group_too_large():
