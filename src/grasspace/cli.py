@@ -19,7 +19,6 @@ space.
 """
 
 import argparse
-import dataclasses
 import sys
 
 from .errors import (
@@ -50,6 +49,7 @@ from .projspace import (
     gaussian_binomial,
     star,
 )
+from .records import record
 from .theorems import (
     InstanceGenerator,
     InstanceKind,
@@ -71,14 +71,10 @@ EXIT_BUDGET = 5
 MAX_CHECK_LINES = 2000
 
 
-@dataclasses.dataclass(frozen=True)
-class GrassmapFile:
-    source_n: int
-    source_q: int
-    target_n: int
-    target_q: int
-    dual: bool
-    image: tuple  # image[src]: the target id on row src, as a `LineMap` takes it
+class GrassmapFile(record("GrassmapFile", "source_n source_q target_n target_q dual image")):
+    """image[src] is the target id on row src, as a `LineMap` takes it."""
+
+    __slots__ = ()
 
 
 def serialize_grassmap(lm: LineMap) -> str:

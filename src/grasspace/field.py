@@ -18,10 +18,10 @@ exhaustively at construction (field axioms over all q^3 triples,
 automorphisms over all pairs), which is cheap for q <= 32.
 """
 
-import dataclasses
 from itertools import product
 
 from .errors import GeometryError, UnsupportedOrder
+from .records import record
 
 # order -> (p, k, modulus coefficients c0..ck in ascending degree)
 _MODULI = {
@@ -63,8 +63,7 @@ def _powers_of_x(p, k, modulus):
     return powers
 
 
-@dataclasses.dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(record("FieldSpec", "p k q modulus")):
     """Order data of one supported field: q = p^k with its defining modulus.
 
     The modulus must be primitive: x has multiplicative order q - 1 modulo
@@ -74,23 +73,20 @@ class FieldSpec:
     GF(3), is refused.
     """
 
-    p: int
-    k: int
-    q: int
-    modulus: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2 or self.k < 1 or self.p ** self.k != self.q:
+    def __new__(cls, p, k, q, modulus):
+        if p < 2 or k < 1 or p ** k != q:
             raise ValueError("q must equal p^k with p >= 2 and k >= 1")
-        if self.q > MAX_ORDER:
-            raise ValueError(f"order {self.q} above supported maximum {MAX_ORDER}")
-        if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
+        if q > MAX_ORDER:
+            raise ValueError(f"order {q} above supported maximum {MAX_ORDER}")
+        if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if len(_powers_of_x(self.p, self.k, self.modulus)) != self.q - 1:
+        if len(_powers_of_x(p, k, modulus)) != q - 1:
             raise ValueError("modulus is not primitive: x does not have order q - 1")
+        return super().__new__(cls, p, k, q, modulus)
 
 
-@dataclasses.dataclass(eq=False)
 class FieldTable:
     """Complete q x q operation tables plus the Frobenius automorphisms.
 
@@ -101,20 +97,14 @@ class FieldTable:
     order.  Instances are immutable after construction and safe to share.
     """
 
-    spec: FieldSpec
-    add_table: tuple
-    mul_table: tuple
-    neg_table: tuple
-    inv_table: tuple
-    automorphisms: tuple
-    primitive: int
-
-    @property
-    def q(self):
-        return self.spec.q
+    def __init__(self, spec, add_table, mul_table, neg_table, inv_table, automorphisms, primitive):
+        self.spec, self.q = spec, spec.q
+        self.add_table, self.mul_table = add_table, mul_table
+        self.neg_table, self.inv_table = neg_table, inv_table
+        self.automorphisms, self.primitive = automorphisms, primitive
 
     def elements(self):
-        return range(self.spec.q)
+        return range(self.q)
 
     def add(self, a, b):
         return self.add_table[a][b]

@@ -28,22 +28,23 @@ whole size ladder".  The node budget bounds every search.
 """
 
 import collections
-import dataclasses
 import re
 
 from .errors import BudgetExceeded, FormatError, GeometryError, TooLarge
 from .field import is_code
+from .records import record
 
 MAX_AUT_VERTICES = 700
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
-@dataclasses.dataclass(frozen=True)
-class AutomorphismReport:
-    group_order: int
-    generators: tuple  # vertex permutations as tuples
-    nodes_explored: int
-    base: tuple  # vertices fixed along the first path
+class AutomorphismReport(
+    record("AutomorphismReport", "group_order generators nodes_explored base")
+):
+    """generators are vertex permutations as tuples; base holds the vertices
+    fixed along the first path."""
+
+    __slots__ = ()
 
 
 def build_grassmann(sp) -> tuple:

@@ -41,7 +41,6 @@ one line exactly when the AND of their `star_bits` masks is nonzero.
 line rule, and on a row those three decide a collineation.
 """
 
-import dataclasses
 import enum
 from functools import reduce
 from itertools import chain, repeat
@@ -72,6 +71,7 @@ from .projspace import (
     star_native,
     star_ranks,
 )
+from .records import record
 
 
 class MapKind(enum.Enum):
@@ -87,51 +87,40 @@ class KappaStatus(enum.Enum):
     MIXED = "Mixed"
 
 
-@dataclasses.dataclass(frozen=True)
-class PropertyFlags:
-    injective: bool
-    surjective: bool
-    preserves_collinearity: bool
-    preserves_noncollinearity: bool
+class PropertyFlags(record(
+    "PropertyFlags", "injective surjective preserves_collinearity preserves_noncollinearity"
+)):
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class Collineation:
+class Collineation(record("Collineation", "matrix auto_index", defaults=(0,))):
     """Semilinear point transformation: coordinate automorphism then matrix."""
 
-    matrix: tuple
-    auto_index: int = 0
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class Duality:
+class Duality(record("Duality", "matrix auto_index", defaults=(0,))):
     """Incidence-reversing transformation of a 3-space: points to planes."""
 
-    matrix: tuple
-    auto_index: int = 0
+    __slots__ = ()
 
 
 _OUTSIDE = "point map sends a point outside the target"
 
 
-@dataclasses.dataclass(eq=False)
 class PointMap:
-    source: IncidenceStructure
-    target: IncidenceStructure
-    image: dict
-
-    def __post_init__(self):
+    def __init__(self, source: IncidenceStructure, target: IncidenceStructure, image: dict):
         # Labels compare by type as well as value (`typed_labels`).  The keys
         # are distinct, so as many keys as labels, each a label, are all.
-        keys, values, source = self.image, self.image.values(), self.source.typed_labels
-        if len(keys) != len(source) or not source.issuperset(zip(map(type, keys), keys)):
+        keys, values, labels = image, image.values(), source.typed_labels
+        if len(keys) != len(labels) or not labels.issuperset(zip(map(type, keys), keys)):
             raise PreconditionViolated("point map table is not total on the source")
-        if not self.target.typed_labels.issuperset(zip(map(type, values), values)):
+        if not target.typed_labels.issuperset(zip(map(type, values), values)):
             raise PreconditionViolated(_OUTSIDE)
+        self.source, self.target, self.image = source, target, image
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
-class KappaReport:
+class KappaReport(record("KappaReport", "status kappa unresolved_points kind")):
     """Outcome of point-map reconstruction from star images, with kappa's
     kind (`classify_point_map`), None when the status is Mixed.
 
@@ -139,31 +128,31 @@ class KappaReport:
     plane of a target with no dual: in a plane, lines through no common
     point.  Star images that do not pairwise meet raise instead."""
 
-    status: KappaStatus
-    kappa: PointMap | None
-    unresolved_points: frozenset
-    kind: MapKind | None
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
 class LineMap:
-    source: ProjSpace
-    target: ProjSpace
-    image: tuple  # image[l]: the target line id of source line l
-    dual: bool = False  # images meant as lines of the target's dual space
-    # kept by `reconstruct_point_map`, as spaces keep their graph and polarity
-    _kappa: KappaReport | None = dataclasses.field(default=None, init=False, repr=False)
+    """image[l] is the target line id of source line l; with dual set, the
+    images are meant as lines of the target's dual space.  A line map
+    refuses assignment and deletion: `reconstruct_point_map` keeps its
+    report on it, as spaces keep their graph and polarity."""
 
-    def __post_init__(self):
-        count = len(self.source.line_sets)
-        if not isinstance(self.image, tuple) or len(self.image) != count:
+    def __init__(self, source: ProjSpace, target: ProjSpace, image: tuple, dual: bool = False):
+        count = len(source.line_sets)
+        if not isinstance(image, tuple) or len(image) != count:
             raise PreconditionViolated(f"line map table is not a tuple of {count} line ids")
-        if not all(map(is_code, self.image, repeat(len(self.target.line_sets)))):
+        if not all(map(is_code, image, repeat(len(target.line_sets)))):
             raise PreconditionViolated("line map sends a line outside the target")
-        if type(self.dual) is not bool:
-            raise PreconditionViolated(f"line map dual flag {self.dual!r} is not a bool")
-        if self.dual and self.target.n != 3:
+        if type(dual) is not bool:
+            raise PreconditionViolated(f"line map dual flag {dual!r} is not a bool")
+        if dual and target.n != 3:
             raise PreconditionViolated("a dual line map needs a 3-dimensional target")
+        vars(self).update(source=source, target=target, image=image, dual=dual, _kappa=None)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     def is_bijective(self):
         return len(set(self.image)) == len(self.image) == len(self.target.line_sets)

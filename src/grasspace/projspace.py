@@ -49,7 +49,6 @@ Canonical order contract (used by the interchange formats in `cli`):
 """
 
 import collections
-import dataclasses
 import functools
 from itertools import combinations, product
 
@@ -66,6 +65,7 @@ from .errors import (
 )
 from .field import field_make, is_code
 from .linalg import normalize, rref_kernel
+from .records import record
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -89,7 +89,6 @@ def _grouped(members, holders) -> dict:
     return groups
 
 
-@dataclasses.dataclass(eq=False)
 class IncidenceStructure:
     """Point/line incidence structure with hashable point labels.
 
@@ -101,19 +100,20 @@ class IncidenceStructure:
     checked by type as well as value: 1, True and 1.0 are three labels.
     """
 
-    point_labels: tuple
-    line_sets: tuple
-    kind: str
-    detail: str = ""
+    def __init__(self, point_labels: tuple, line_sets: tuple, kind: str, detail: str = ""):
+        self._index(point_labels, line_sets, kind, detail)
 
-    def __post_init__(self):
-        """Check each line and group line ids by label in one loop: each
-        star mask sets its lines' bits, and `ProjSpace` keeps the groups."""
-        through = {p: [] for p in self.point_labels}
-        if len(through) != len(self.point_labels):
+    def _index(self, point_labels, line_sets, kind, detail):
+        """Set the fields, then check each line and group line ids by label
+        in one loop: each star mask sets its lines' bits, and `ProjSpace`
+        keeps the groups."""
+        self.point_labels, self.line_sets = point_labels, line_sets
+        self.kind, self.detail = kind, detail
+        through = {p: [] for p in point_labels}
+        if len(through) != len(point_labels):
             raise BadConfiguration("repeated point labels")
         seen = set()
-        for i, s in enumerate(self.line_sets):
+        for i, s in enumerate(line_sets):
             if len(s) < 2:
                 raise BadConfiguration(f"line {i} has fewer than two points")
             if s in seen:
@@ -153,20 +153,15 @@ class IncidenceStructure:
         )
 
 
-@dataclasses.dataclass(eq=False, kw_only=True)
 class ProjSpace(IncidenceStructure):
     """PG(n, q): the incidence core over point ids, plus lines_through (each
     point's star as ascending line ids, which `star` reads with no mask to
     decode), coords (each point id's normalized coordinate tuple) and its
     inverse point_index."""
 
-    n: int
-    field: object
-    coords: tuple
-    point_index: dict
-
-    def __post_init__(self):
-        through = super().__post_init__()
+    def __init__(self, point_labels, line_sets, kind, detail="", *, n, field, coords, point_index):
+        through = self._index(point_labels, line_sets, kind, detail)
+        self.n, self.field, self.coords, self.point_index = n, field, coords, point_index
         self.lines_through = {p: tuple(through[p]) for p in self.point_labels}
         self._plane_tables = None
         self._polarity = None
@@ -559,14 +554,11 @@ def plane_quotient(sp, plane_id: int) -> IncidenceStructure:
     return structure
 
 
-@dataclasses.dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(record("AxiomReport", "unique_join veblen line_size")):
     """Result of the projective-axiom check: each axiom's first witness, or
     None where the axiom holds."""
 
-    unique_join: tuple | None
-    veblen: tuple | None
-    line_size: tuple | None
+    __slots__ = ()
 
     @property
     def passed(self):

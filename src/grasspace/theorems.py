@@ -35,7 +35,6 @@ stays as the brute-force oracle for small spaces: it keeps each matrix of
 nonzero rows that `linalg.is_invertible`, the one invertibility test, accepts.
 """
 
-import dataclasses
 import enum
 import math
 from itertools import permutations, product
@@ -65,6 +64,7 @@ from .maps import (
     star_rows,
 )
 from .projspace import pencils, star_native
+from .records import record
 from .rng import SEED_LIMIT, SplitMix64
 
 
@@ -87,10 +87,8 @@ class InstanceKind(enum.Enum):
     PERTURBED = "perturbed"
 
 
-@dataclasses.dataclass(frozen=True)
-class InstanceGenerator:
-    seed: int
-    kind: InstanceKind
+class InstanceGenerator(record("InstanceGenerator", "seed kind")):
+    __slots__ = ()
 
 
 def _sample_semilinear(f, n, seed):
@@ -163,17 +161,12 @@ def population(sp, samples, seed=0, kinds=None):
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class ClauseVerdict:
-    clause: str
-    passed: bool
-    witness: str = ""
+class ClauseVerdict(record("ClauseVerdict", "clause passed witness", defaults=("",))):
+    __slots__ = ()
 
 
-@dataclasses.dataclass(frozen=True)
-class TheoremReport:
-    theorem: str
-    clauses: tuple
+class TheoremReport(record("TheoremReport", "theorem clauses")):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -556,15 +549,11 @@ def chow_crosscheck(sp, node_budget: int = DEFAULT_NODE_BUDGET) -> TheoremReport
     return TheoremReport("CHOW", clauses)
 
 
-@dataclasses.dataclass(frozen=True)
-class ShadowReport:
+class ShadowReport(record("ShadowReport", "instances rejected isomorphisms counterexamples")):
     """Population dichotomy result: every instance must either fail the
     one-way intersection condition or pass the whole equivalence chain."""
 
-    instances: int
-    rejected: int
-    isomorphisms: int
-    counterexamples: tuple
+    __slots__ = ()
 
     @property
     def passed(self):

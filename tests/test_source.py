@@ -4,7 +4,9 @@ make."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,6 +26,24 @@ def test_every_traced_name_resolves(monkeypatch):
         namespace = importlib.import_module(f"grasspace.{module}")
         for name in names:
             getattr(namespace, name)  # AttributeError names what a traced run would miss
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # Every command and script is a fresh process that pays for what
+    # `import grasspace` loads before its first verdict; `dataclasses` alone
+    # brings inspect, ast, dis and tokenize and runs generated code per class.
+    probe = (
+        "import sys; before = set(sys.modules); import grasspace, grasspace.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "grasspace.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 def test_no_assert_statement_in_the_package():

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import hashlib
 import math
 import types
@@ -358,13 +357,13 @@ def test_suites_build_no_incidence_structure_once_the_space_and_its_dual_exist(m
     dual_space(sp)
     star_native(sp)
     built = []
-    real = IncidenceStructure.__post_init__
+    real = IncidenceStructure._index
 
-    def counted(self):
+    def counted(self, *fields):
         built.append(self)
-        return real(self)
+        return real(self, *fields)
 
-    monkeypatch.setattr(IncidenceStructure, "__post_init__", counted)
+    monkeypatch.setattr(IncidenceStructure, "_index", counted)
     for verify in (verify_theorem1, verify_theorem2):
         assert verify_population(sp, verify, 2).passed
     assert built == []
@@ -435,7 +434,7 @@ def test_theorem1_clause_d_names_the_first_failing_star(n, q, kind):
         ranks[la], ranks[lb] = rb, ra
     failing = [
         p for p in sp.point_labels
-        if not all(dataclasses.astuple(check_properties(restrict_to_star(lm, p, kappa)))[:3])
+        if not all(tuple(check_properties(restrict_to_star(lm, p, kappa)))[:3])
     ]
     assert failing == list(broken)
     status = "InducedIntoDual" if kind is InstanceKind.DUALITY else "InducedIntoTarget"
