@@ -16,6 +16,7 @@ instances.
 import argparse
 import math
 import pathlib
+import re
 import sys
 
 _src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
@@ -23,6 +24,7 @@ if _src not in sys.path:
     sys.path.insert(0, _src)
 
 from grasspace.errors import BudgetExceeded, TooLarge
+from grasspace.field import SUPPORTED_ORDERS
 from grasspace.grassmann import DEFAULT_NODE_BUDGET, automorphism_group, build_grassmann
 from grasspace.projspace import build_space
 from grasspace.theorems import geometric_orders, pgammal_order
@@ -56,6 +58,12 @@ def main(argv=None):
         "--budget", type=int, default=DEFAULT_NODE_BUDGET, help="search node budget"
     )
     args = parser.parse_args(argv)
+    cases = []
+    for case in args.cases:
+        pair = re.fullmatch("([0-9]+),([0-9]+)", case)
+        if not pair or int(pair[1]) < 2 or int(pair[2]) not in SUPPORTED_ORDERS:
+            parser.error(f"case {case!r} is not n,q with n >= 2 and q a supported order")
+        cases.append((int(pair[1]), int(pair[2])))
 
     header = (
         f"{'space':>9} {'points':>6} {'lines':>6} {'degree':>6} {'edges':>7} "
@@ -63,8 +71,7 @@ def main(argv=None):
     )
     print(header)
     failures = 0
-    for case in args.cases:
-        n, q = (int(x) for x in case.split(","))
+    for n, q in cases:
         sp = build_space(n, q)
         masks = build_grassmann(sp)
         degree = masks[0].bit_count()  # build_grassmann checks every row has it

@@ -26,6 +26,7 @@ from grasspace.projspace import (
     quotient,
     verify_projective_axioms,
 )
+from grasspace.rng import SEED_LIMIT
 from grasspace.theorems import (
     InstanceKind,
     chow_crosscheck,
@@ -132,6 +133,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if min(args.samples_q2, args.samples_q3, args.shadow) < 1:
         parser.error("--samples-q2, --samples-q3 and --shadow must be at least 1")
+    last = args.seed + max(args.samples_q2, args.samples_q3, args.shadow) - 1
+    if args.seed < 0 or last >= SEED_LIMIT:
+        parser.error(f"seeds {args.seed}..{last} leave [0, 2**64)")
     started = time.perf_counter()
     ok = run_counts()
     ok &= run_quotients()

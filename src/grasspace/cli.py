@@ -183,12 +183,18 @@ def cmd_graph(args) -> int:
     return _emit(export_graph(build_grassmann(build_space(args.n, args.q))), args.out)
 
 
+def _refuse_above(limit, n, q, message):
+    """TooLarge(message) before PG(n, q) is built if the closed form counts
+    over `limit` lines; n or q at `limit` or above is refused uncounted, as
+    "over max(n, q)" lines.  n or q below 2 is left for `build_space`."""
+    if n >= 2 and q >= 2 and (max(n, q) >= limit or gaussian_binomial(n + 1, 2, q) > limit):
+        count = gaussian_binomial(n + 1, 2, q) if max(n, q) < limit else f"over {max(n, q)}"
+        raise TooLarge(message.format(count=count, limit=limit, n=n, q=q))
+
+
 def cmd_aut(args) -> int:
-    sp = build_space(args.n, args.q)
-    count = len(sp.line_sets)
-    if count > MAX_AUT_VERTICES:  # before the graph is built
-        raise TooLarge(f"{count} vertices exceeds the {MAX_AUT_VERTICES} limit")
-    report = automorphism_group(build_grassmann(sp), node_budget=args.budget)
+    _refuse_above(MAX_AUT_VERTICES, args.n, args.q, "{count} vertices exceeds the {limit} limit")
+    report = automorphism_group(build_grassmann(build_space(args.n, args.q)), args.budget)
     print(report.group_order)
     return EXIT_OK
 
@@ -208,11 +214,7 @@ def cmd_check(args) -> int:
         raise FormatError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
     gf = parse_grassmap(text)
     for n, q in ((gf.source_n, gf.source_q), (gf.target_n, gf.target_q)):
-        too_large = max(n, q) >= MAX_CHECK_LINES  # PG(n, q) has more lines than n or q
-        if n >= 2 and q >= 2 and (too_large or gaussian_binomial(n + 1, 2, q) > MAX_CHECK_LINES):
-            raise TooLarge(
-                f"PG({n},{q}) exceeds the {MAX_CHECK_LINES}-line checking limit"
-            )
+        _refuse_above(MAX_CHECK_LINES, n, q, "PG({n},{q}) exceeds the {limit}-line checking limit")
     lm = line_map_from_grassmap(gf)
     bijective = lm.is_bijective()
     intersections = preserves_intersections(lm)
@@ -232,6 +234,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite == "chow":
+        _refuse_above(MAX_AUT_VERTICES, args.n, args.q, "{count} lines exceed the {limit} limit")
     sp = build_space(args.n, args.q)
     if args.suite == "thm3":
         report = verify_theorem3_preconditions(sp, sp)

@@ -14,17 +14,18 @@ partition.  Deepest level first, each base vertex's orbit is closed under
 every generator found so far, and only the cell's vertices outside it are
 searched (McKay 1981).  A search refines the first path and a candidate
 path equitably by a splitter queue, one side at a time, neighbour counts
-bit-sliced, in one partition form from root to leaves, as nauty and Traces
-keep `lab`/`ptn` (McKay and Piperno 2014).  The first path is refined
-once; a candidate replays its trace to the first entry that differs.  The
-search yields leaves lazily; the first to pass the one certificate, that
-it maps each neighbour list onto its image's neighbourhood, is a
-generator.  MAX_AUT_VERTICES sits between PG(5,2) (651 lines, 29 nodes,
-0.22 s on 2 cores) and PG(3,5) (806 lines, 218 nodes, 0.5 s).  Stopped at
-their proven orders, both Chow chains of PG(3,4) take 0.14 s.  A cap that
-admits PG(3,5) also admits planes whose complete line graphs still cost
-about n^3 to search, so raising it belongs to ROADMAP's "Chow across the
-whole size ladder".  The node budget bounds every search.
+bit-sliced, in one partition form from root to leaves, `(lab, end, bits,
+open)`, which carries its open cells as nauty and Traces keep `lab`/`ptn`
+(McKay and Piperno 2014).  The first path is refined once; a candidate
+replays its trace to the first entry that differs.  The search yields
+leaves lazily; the first to pass the one certificate, that it maps each
+neighbour list onto its image's neighbourhood, is a generator.
+MAX_AUT_VERTICES sits between PG(5,2) (651 lines, 29 nodes, 0.22 s on 2
+cores) and PG(3,5) (806 lines, 218 nodes, 0.5 s).  Stopped at their proven
+orders, both Chow chains of PG(3,4) take 0.14 s.  A cap that admits
+PG(3,5) also admits planes whose complete line graphs still cost about n^3
+to search, so raising it belongs to ROADMAP's "Chow across the whole size
+ladder".  The node budget bounds every search.
 """
 
 import collections
@@ -162,14 +163,15 @@ def _cut(cell, bits, planes):
 def _refine_side(masks, p, splitter, expect=None):
     """Equitable refinement of one ordered partition, and its trace.
 
-    A partition is `(lab, end, bits)`: its vertices in cell order, and at
-    each cell's start the cell's end and vertex bitmask.  A cell is named by
+    A partition is `(lab, end, bits, open)`: its vertices in cell order, at
+    each cell's start the cell's end and vertex bitmask, and the ascending
+    starts of its open cells (two or more vertices).  A cell is named by
     its start, which a split keeps for its first fragment.  A splitter
     queue (Hopcroft 1971; McKay and Piperno 2014) refines cells only against
     cells that changed.  It starts with the cell at `splitter` alone, so
     every other cell must already be equitable: `splitter` is the one cell
     of the unit partition, or the singleton `_individualize` just cut from
-    an equitable partition.  Against a splitter W, each non-singleton cell
+    an equitable partition.  Against a splitter W, each open cell
     that meets W's neighbourhood is cut in place by neighbour count in W,
     ascending; a split queues every fragment if its cell was queued, else
     all but the first largest.  Each such cell adds `(W's start, cell
@@ -186,8 +188,8 @@ def _refine_side(masks, p, splitter, expect=None):
     meets a cell pair whose counts disagree, so no isomorphism respects the
     pairing.
     """
-    lab, end, bits = map(list, p)
-    open_cells = {s: None for s in _starts(p) if end[s] - s > 1}  # an ordered set
+    lab, end, bits = map(list, p[:3])
+    open_cells = dict.fromkeys(p[3])  # an ordered set, ascending at the start
     queue = collections.deque([splitter])
     queued = {splitter}
     trace = []
@@ -242,33 +244,26 @@ def _refine_side(masks, p, splitter, expect=None):
 
     if expect is not None and len(trace) != expect_len:
         return None
-    return (lab, end, bits), trace
-
-
-def _starts(p):
-    """The cell starts of a partition, in order."""
-    lab, end, _ = p
-    s = 0
-    while s < len(lab):
-        yield s
-        s = end[s]
+    return (lab, end, bits, sorted(open_cells)), trace  # fragments joined at the end
 
 
 def _branch_cell(p):
-    """Start of the first largest non-singleton cell, or None."""
+    """Start of the first largest open cell, or None."""
     end = p[1]
-    return max((s for s in _starts(p) if end[s] - s > 1), key=lambda s: end[s] - s, default=None)
+    return max(p[3], key=lambda s: end[s] - s, default=None)
 
 
 def _individualize(p, s, vertex):
     """A copy of `p` with `vertex` cut from the cell at `s` into a singleton
-    just before the rest of that cell, if any."""
-    lab, end, bits = map(list, p)
+    just before the rest of that cell, open if it keeps two vertices."""
+    lab, end, bits, opened = map(list, p)
     lab[s : end[s]] = [vertex, *(v for v in lab[s : end[s]] if v != vertex)]
     if end[s] > s + 1:
         end[s + 1], bits[s + 1] = end[s], bits[s] ^ 1 << vertex
+        i = opened.index(s)
+        opened[i : i + 1] = [s + 1] if end[s] > s + 2 else []
     end[s], bits[s] = s + 1, 1 << vertex
-    return lab, end, bits
+    return lab, end, bits, opened
 
 
 def _neighbour_lists(masks):
@@ -308,7 +303,7 @@ class _Search:
         refined = _refine_side(self.masks, pb, splitter, trace)
         if refined is None:
             return
-        lab, end, _ = pb = refined[0]
+        lab, end, _, _ = pb = refined[0]
         if depth == len(self.cells):
             perm = [0] * len(self.masks)
             for a, b in zip(pa[0], lab):
@@ -351,11 +346,12 @@ def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> Automor
     if not all(is_code(m, 1 << count) for m in masks):
         raise ValueError(f"a mask is not an int in range(2**{count})")
 
-    unit = (list(range(count)), [count] + [0] * count, [(1 << count) - 1] + [0] * count)
+    opened = [0] if count > 1 else []
+    unit = (list(range(count)), [count] + [0] * count, [(1 << count) - 1] + [0] * count, opened)
     path = [_refine_side(masks, unit, 0)]
     cells = []
     while (s := _branch_cell(path[-1][0])) is not None:
-        lab, end, _ = partition = path[-1][0]
+        lab, end, _, _ = partition = path[-1][0]
         v0 = min(lab[s : end[s]])
         cells.append((s, v0))
         path.append(_refine_side(masks, _individualize(partition, s, v0), s))
@@ -365,7 +361,7 @@ def automorphism_group(masks, node_budget: int = DEFAULT_NODE_BUDGET) -> Automor
     generators = []
     order = 1
     for depth in range(len(cells), 0, -1):
-        lab, end, _ = partition = path[depth - 1][0]
+        lab, end, _, _ = partition = path[depth - 1][0]
         s, v0 = cells[depth - 1]
         orbit = {v0}  # every generator found so far fixes the base down to v0
         for u in sorted(lab[s : end[s]]):

@@ -129,6 +129,23 @@ def test_aut_too_large(capsys, monkeypatch):
     assert "1210 vertices exceeds the 700 limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aut", "-n", "6", "-q", "27"),
+        ("aut", "-n", "100000000", "-q", "2"),
+        ("verify", "--suite", "chow", "-n", "6", "-q", "27"),
+    ],
+)
+def test_search_cap_is_checked_before_the_space_is_built(capsys, monkeypatch, argv):
+    # PG(6,27) has about 2.1e14 lines; the closed form refuses it unbuilt.
+    monkeypatch.setattr(cli, "build_space", lambda n, q: pytest.fail(f"PG({n},{q}) built"))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_PARAMS
+    assert out == ""
+    assert "the 700 limit" in err
+
+
 def test_gen_is_byte_deterministic(tmp_path, capsys):
     a = tmp_path / "a.grassmap"
     b = tmp_path / "b.grassmap"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from grasspace import grassmann
 from grasspace.errors import BudgetExceeded, FormatError, GeometryError, TooLarge
 from grasspace.grassmann import (
+    _branch_cell,
     _count_planes,
     _cut,
     _individualize,
@@ -308,25 +309,29 @@ def _bits(vertices):
 
 def _flat(cells):
     """A partition given as a list of cells, in the search's `(lab, end,
-    bits)` form."""
+    bits, open)` form."""
     n = sum(map(len, cells))
-    lab, end, bits = [], [n] + [0] * n, [0] * (n + 1)
+    lab, end, bits, opened = [], [n] + [0] * n, [0] * (n + 1), []
     for cell in cells:
         s = len(lab)
         lab.extend(cell)
         end[s], bits[s] = len(lab), _bits(cell)
-    return lab, end, bits
+        if len(cell) > 1:
+            opened.append(s)
+    return lab, end, bits, opened
 
 
 def _cells(p):
     """The cells of a partition in the search's form, by start, each
-    checked against the bitmask kept at its start."""
-    lab, end, bits = p
+    checked against the bitmask kept at its start; the open starts it
+    carries must be those of the cells of two or more vertices, ascending."""
+    lab, end, bits, opened = p
     cells, s = {}, 0
     while s < len(lab):
         cells[s] = tuple(lab[s : end[s]])
         assert bits[s] == _bits(cells[s])
         s = end[s]
+    assert list(opened) == [s for s, cell in cells.items() if len(cell) > 1]
     return cells
 
 
@@ -393,6 +398,31 @@ def test_first_splitter_trace_is_the_per_vertex_counts(seed):
         want.append((starts[splitter], start, counts[0] if len(counts) == 1 else pairs))
     _, trace = _refine_side(masks, _flat(p), starts[splitter])
     assert trace[: len(want)] == want
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_open_cells_are_carried_down_a_random_path(seed):
+    # From a random partition, alternately refine and individualise a random
+    # vertex of a random open cell until the partition is discrete: `_cells`
+    # checks each carried `open` against a walk over `end`, and the branch
+    # cell is the first largest open cell.
+    rng = random.Random(seed)
+    masks = _random_graph(rng)
+    order = rng.sample(range(len(masks)), len(masks))
+    cuts = sorted(rng.sample(range(1, len(masks)), rng.randrange(len(masks))))
+    p = _flat([tuple(order[a:b]) for a, b in zip([0, *cuts], [*cuts, len(masks)])])
+    s = rng.choice(list(_cells(p)))
+    while True:
+        p, _ = _refine_side(masks, p, s)
+        opened = {s: cell for s, cell in _cells(p).items() if len(cell) > 1}
+        first_largest = max(opened, key=lambda s: len(opened[s]), default=None)
+        assert _branch_cell(p) == first_largest
+        if not opened:
+            break
+        s = rng.choice(list(opened))
+        p = _individualize(p, s, rng.choice(opened[s]))
+        _cells(p)
 
 
 def _refine_matches_oracle(masks, pa, pb, splitter):

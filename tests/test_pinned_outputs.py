@@ -8,9 +8,9 @@ freshly built spaces, so no space cached by an earlier test is read; a
 test's temporary directory.  `python3` rows run a script in a child
 interpreter, so each run has its own hash seed.
 
-Three runs too slow for these tests (Suites 1-2 on PG(3,13) and Suite 2 on
-PG(3,16)) are pinned the same way, by exit code and stdout sha256, in the
-last step of `.github/workflows/tests.yml`.
+Four runs too slow for these tests (Suites 1-2 on PG(3,13), Suite 2 on
+PG(3,16) and the plane search on PG(2,16)) are pinned the same way, by exit
+code and stdout sha256, in the last step of `.github/workflows/tests.yml`.
 """
 
 import hashlib
